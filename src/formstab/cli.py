@@ -18,8 +18,8 @@ import numpy as np
 from . import criterion, instances, pairwise, synthesis
 from .controllers import load_controller, save_controller
 from .errors import FormationValidationError, FormstabError
-from .linalg import Tolerances
-from .model import decompose, load_formation, split_components, validate
+from .linalg import DEFAULT_TOLERANCES, Tolerances
+from .model import decompose, load_formation, split_components
 from .simulation import (
     ConstantSignal,
     SinusoidSignal,
@@ -41,31 +41,24 @@ EXIT_ENVELOPE_FAIL = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One record of every knob the commands share."""
+    """One record of every knob the commands share.  Config files set the
+    tolerances by their field names (``eps_solve``, ``eps_hurwitz``,
+    ``rank_cutoff``) next to ``dt``, ``T``, ``seed`` and ``out``."""
 
-    eps_solve: float = 1e-8
-    eps_hurwitz: float = 1e-9
-    rank_cutoff: float = 1.0
+    tolerances: Tolerances = DEFAULT_TOLERANCES
     dt: float | None = None
     T: float = 20.0
     seed: int = 0
     out: str = "."
 
     def __post_init__(self):
-        if self.eps_solve <= 0 or self.eps_hurwitz <= 0 or self.rank_cutoff <= 0:
-            raise ValueError("tolerances must be positive")
         if self.T <= 0:
             raise ValueError("horizon T must be positive")
         if self.dt is not None and not 0 < self.dt < self.T:
             raise ValueError("need T > dt > 0")
 
-    @property
-    def tolerances(self) -> Tolerances:
-        return Tolerances(
-            eps_solve=self.eps_solve,
-            eps_hurwitz=self.eps_hurwitz,
-            rank_cutoff=self.rank_cutoff,
-        )
+
+_TOLERANCE_KEYS = ("eps_solve", "eps_hurwitz", "rank_cutoff")
 
 
 def _load_config(args) -> RunConfig:
@@ -73,18 +66,11 @@ def _load_config(args) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        unknown = set(data) - {
-            "eps_solve",
-            "eps_hurwitz",
-            "rank_cutoff",
-            "dt",
-            "T",
-            "seed",
-            "out",
-        }
+        unknown = set(data) - set(_TOLERANCE_KEYS) - {"dt", "T", "seed", "out"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = replace(cfg, **data)
+        tol = {k: data.pop(k) for k in _TOLERANCE_KEYS if k in data}
+        cfg = RunConfig(tolerances=Tolerances(**tol), **data)
     overrides = {}
     for key in ("dt", "T", "seed", "out"):
         val = getattr(args, key, None)
@@ -142,7 +128,6 @@ def _write_json(path: Path, payload: dict):
 
 def _load_instance(path: str):
     spec = load_formation(path)
-    validate(spec)
     return spec, decompose(spec)
 
 
@@ -160,7 +145,6 @@ def cmd_check(args) -> int:
         parts = split_components(spec)
         all_stable = True
         for ids, sub in parts:
-            validate(sub)
             rep = criterion.check(sub, decompose(sub), cfg.tolerances)
             all_stable &= rep.stable
             label = ",".join(str(i) for i in ids)
@@ -168,7 +152,6 @@ def cmd_check(args) -> int:
             print(rep.format_table())
         return EXIT_OK if all_stable else EXIT_UNSTABLE
 
-    validate(spec)
     rep = criterion.check(spec, decompose(spec), cfg.tolerances)
     _write_json(out / f"{stem}_criterion.json", rep.to_dict())
     table = rep.format_table()
@@ -287,8 +270,8 @@ def cmd_demo(args) -> int:
         return EXIT_INPUT_ERROR
     tol = cfg.tolerances
     decomp = decompose(spec)
-    rep = criterion.check(spec, decomp, tol)
     cross = pairwise.cross_compare(spec, decomp, tol)
+    rep = cross.criterion
     print(f"demo {args.name}: verdict {rep.overall}, pattern {cross.pattern}")
 
     if args.name == "example2":

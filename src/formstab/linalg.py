@@ -138,47 +138,28 @@ def _as_matrix(A) -> np.ndarray:
 def eigenvalues(A) -> np.ndarray:
     """Eigenvalues (with multiplicity) of a real square matrix.
 
-    Computed from the real Schur form: 1x1 diagonal blocks give real
-    eigenvalues, 2x2 blocks give complex-conjugate pairs.  Results are
-    sorted by (real part, imaginary part) for reproducibility.
+    LAPACK's real eigenvalue routine returns complex eigenvalues as exact
+    conjugate pairs.  Results are sorted by (real part, imaginary part)
+    for reproducibility.
 
     Raises
     ------
+    ValueError
+        If A has non-finite entries.
     ConvergenceFailure
-        If the QR iteration behind the Schur reduction does not converge.
+        If the QR iteration does not converge.
     """
     A = _as_matrix(A)
     n, m = A.shape
     if n != m:
         raise ValueError("matrix must be square")
-    if n == 0:
-        return np.empty(0, dtype=complex)
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix must not contain infs or NaNs")
     try:
-        T, _ = scipy.linalg.schur(A, output="real")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        eigs = np.linalg.eigvals(A).astype(complex)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-
-    eigs = []
-    k = 0
-    while k < n:
-        if k == n - 1 or T[k + 1, k] == 0.0:
-            eigs.append(complex(T[k, k]))
-            k += 1
-        else:
-            # standardized 2x2 block: eigenvalues from trace/determinant
-            a, b = T[k, k], T[k, k + 1]
-            c, d = T[k + 1, k], T[k + 1, k + 1]
-            half_tr = 0.5 * (a + d)
-            disc = half_tr * half_tr - (a * d - b * c)
-            if disc < 0.0:
-                im = np.sqrt(-disc)
-                eigs.extend([complex(half_tr, -im), complex(half_tr, im)])
-            else:
-                rt = np.sqrt(disc)
-                eigs.extend([complex(half_tr - rt), complex(half_tr + rt)])
-            k += 2
-    eigs.sort(key=lambda z: (z.real, z.imag))
-    return np.array(eigs, dtype=complex)
+    return eigs[np.lexsort((eigs.imag, eigs.real))]
 
 
 def spectral_abscissa(A) -> float:
@@ -338,18 +319,17 @@ def stabilize(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     if not verdict:
         raise NotStabilizableError(verdict.witness)
 
-    S = None
     if np.any(B):
         try:
             P = scipy.linalg.solve_continuous_are(A, B, np.eye(n), np.eye(m))
-            S = -B.T @ P
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
-            S = None
-        if S is not None and not is_hurwitz(A + B @ S, tol).is_hurwitz:
-            S = None
-    if S is None:
-        S = _bass_gain(A, B, tol)
+            pass
+        else:
+            S = -B.T @ P
+            if is_hurwitz(A + B @ S, tol).is_hurwitz:
+                return S
 
+    S = _bass_gain(A, B, tol)
     if not is_hurwitz(A + B @ S, tol).is_hurwitz:
         raise SynthesisFailure(
             "closed loop failed the Hurwitz check after gain synthesis"

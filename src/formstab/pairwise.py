@@ -104,20 +104,28 @@ def analyze_pairs(
     Independent of the global level decomposition: the follower's offset
     equation uses the edge displacement d_ij directly.
     """
+    stab = {}
+    for i in {e.i for e in spec.edges}:
+        ag = spec.agent(i)
+        stab[i] = is_stabilizable(ag.A, ag.B, tol)
+    return _analyze_edges(spec, stab, tol)
+
+
+def _analyze_edges(spec: FormationSpec, stab: dict, tol: Tolerances) -> PairwiseReport:
+    """Edge analyses from per-follower PBH verdicts ``stab`` (id -> result)."""
     entries = []
     for e in spec.edges:
         ai = spec.agent(e.i)
         aj = spec.agent(e.j)
-        stab = is_stabilizable(ai.A, ai.B, tol)
         gain = solve_matrix_equation(ai.B, aj.A - ai.A, tol)
         offset = solve_matrix_equation(ai.B, ai.A @ e.d, tol)
         entries.append(
             EdgeAnalysis(
                 edge=e.key,
-                stabilizable=stab,
+                stabilizable=stab[e.i],
                 gain_solve=gain,
                 offset_solve=offset,
-                stable=bool(stab) and gain.solvable and offset.solvable,
+                stable=bool(stab[e.i]) and gain.solvable and offset.solvable,
             )
         )
     return PairwiseReport(edges=tuple(entries))
@@ -150,7 +158,7 @@ def cross_compare(
 ) -> CrossComparison:
     """Classify the instance by formation-vs-pairwise (dis)agreement."""
     rep = _criterion.check(spec, decomp, tol)
-    pw = analyze_pairs(spec, tol)
+    pw = _analyze_edges(spec, {c.node: c.result for c in rep.condition1}, tol)
     f_ok = rep.stable
     p_ok = pw.all_stable
     if f_ok and p_ok:

@@ -168,10 +168,11 @@ class SimulationTrace:
 
     ``states``/``inputs`` are keyed by agent id, ``errors`` by edge key;
     every value has one row per grid point.  When any leader signal is
-    nonzero, ``free_errors`` holds the edge errors of the companion run
-    with identical initial states and zero leader inputs (the linear
-    superposition split used by the envelope fit); otherwise it is None
-    and the recorded errors already are the zero-input response.
+    nonzero, ``free_errors`` holds the edge errors of the zero-input
+    response from the same initial states, integrated alongside the forced
+    one (the linear superposition split used by the envelope fit);
+    otherwise it is None and the recorded errors already are the
+    zero-input response.
     """
 
     times: np.ndarray
@@ -203,8 +204,9 @@ def ideal_initial_states(decomp: LevelDecomposition, x0) -> dict:
 def _closed_loop_blocks(spec, decomp, ctrl):
     """Stacked closed-loop matrix, constant offset, and leader input map.
 
-    Returns (order, M, c, leader_cols) where order is the renumbering,
-    M the (n*l, n*l) closed-loop matrix, c the constant drift, and
+    Returns (order, pos, M, c, leader_cols) where order is the
+    renumbering, pos maps agent id -> first row of its state block, M is
+    the (n*l, n*l) closed-loop matrix, c the constant drift, and
     leader_cols maps leader id -> (n*l, m) injection matrix.
     """
     n = spec.n
@@ -256,34 +258,40 @@ def _build_grid(T: float, dt: float, breakpoints) -> np.ndarray:
     return np.asarray(out)
 
 
-def _integrate(M, c, leader_cols, signals, times, y0):
-    """Fixed-step RK4 over the given grid for ydot = M y + c + sum G_s u_s(t)."""
-    dim = y0.shape[0]
-    out = np.empty((len(times), dim))
-    out[0] = y0
-    leaders = list(leader_cols.keys())
+def _integrate(M, c, forcing, times, y0):
+    """Fixed-step RK4 over the given grid for Ydot = M Y + c + sum G_s u_s(t) e_0^T.
 
-    def rhs(t, y, end_time=None):
+    ``forcing`` lists (G_s, signal) for the nonzero leader inputs, which
+    drive column 0 of Y only.  With forcing, column 1 is the zero-input
+    response from the same initial state.  Returns one (len(times), dim)
+    trajectory per column.
+    """
+    k = 2 if forcing else 1
+    out = [np.empty((len(times), y0.shape[0])) for _ in range(k)]
+    y = np.repeat(y0[:, None], k, axis=1)
+    for col in range(k):
+        out[col][0] = y0
+    c = c[:, None]
+
+    def rhs(t, y, end=False):
         dy = M @ y + c
-        for s in leaders:
-            sig = signals[s]
-            u = sig.left_value(t) if end_time is not None and t == end_time else sig.value(t)
-            dy = dy + leader_cols[s] @ u
+        for G, sig in forcing:
+            dy[:, 0] += G @ (sig.left_value(t) if end else sig.value(t))
         return dy
 
-    y = y0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is detected below
-        for k in range(len(times) - 1):
-            a, b = times[k], times[k + 1]
+        for step in range(len(times) - 1):
+            a, b = times[step], times[step + 1]
             h = b - a
             k1 = rhs(a, y)
             k2 = rhs(a + 0.5 * h, y + 0.5 * h * k1)
             k3 = rhs(a + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(b, y + h * k3, end_time=b)
+            k4 = rhs(b, y + h * k3, end=True)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(y)):
                 raise NonFiniteStateError(b)
-            out[k + 1] = y
+            for col in range(k):
+                out[col][step + 1] = y[:, col]
     return out
 
 
@@ -311,7 +319,9 @@ def simulate(
 
     The stacked system is integrated jointly (its coupling is lower
     triangular in renumbering order); steps land exactly on signal
-    breakpoints so each step sees a continuous right-hand side.
+    breakpoints so each step sees a continuous right-hand side.  With a
+    nonzero leader input, the zero-input response is integrated in the
+    same pass.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
@@ -351,10 +361,17 @@ def simulate(
             raise ValueError(f"x0[{i}] has shape {xi.shape}, expected ({n},)")
         y0[pos[i] : pos[i] + n] = xi
 
-    traj = _integrate(M, c, leader_cols, sig_map, times, y0)
+    forcing = [(G, sig_map[s]) for s, G in leader_cols.items() if not sig_map[s].is_zero]
+    traj = _integrate(M, c, forcing, times, y0)
 
-    states = {i: traj[:, pos[i] : pos[i] + n] for i in order}
-    errors = {e.key: states[e.i] - states[e.j] + e.d for e in spec.edges}
+    def edge_errors(y):
+        return {
+            e.key: y[:, pos[e.i] : pos[e.i] + n] - y[:, pos[e.j] : pos[e.j] + n] + e.d
+            for e in spec.edges
+        }
+
+    states = {i: traj[0][:, pos[i] : pos[i] + n] for i in order}
+    errors = edge_errors(traj[0])
 
     inputs = {}
     for i in order:
@@ -367,14 +384,7 @@ def simulate(
                 u = u + states[s] @ Ks.T
             inputs[i] = u
 
-    free_errors = None
-    if any(not sig.is_zero for sig in sig_map.values()):
-        zero_map = {i: ZeroSignal(spec.m) for i in sig_map}
-        free_traj = _integrate(M, c, leader_cols, zero_map, times, y0)
-        free_states = {i: free_traj[:, pos[i] : pos[i] + n] for i in order}
-        free_errors = {
-            e.key: free_states[e.i] - free_states[e.j] + e.d for e in spec.edges
-        }
+    free_errors = edge_errors(traj[1]) if forcing else None
 
     return SimulationTrace(
         times=times,

@@ -108,10 +108,11 @@ def synthesize(
 ) -> ControllerSet:
     """Build the default stabilizing controller for a stable instance.
 
-    S_i comes from Bass-shift stabilization of (A_i, B_i), N_i and kt_i
-    are the report's minimum-norm equation solutions, the parent gains
-    follow ``strategy``, and the offsets k_i close the construction
-    identities.  The result is re-verified before being returned.
+    S_i comes from `stabilize` on (A_i, B_i) (the Riccati gain, with a
+    Bass-shift fallback), N_i and kt_i are the report's minimum-norm
+    equation solutions, the parent gains follow ``strategy``, and the
+    offsets k_i close the construction identities.  The result is
+    re-verified before being returned.
     """
     _require_stable(report)
     followers = decomp.followers()
@@ -189,7 +190,7 @@ def enumerate_family(
     The first member is always the deterministic `synthesize` output with
     the default parent-only split.  Further members draw, per follower:
 
-    * a random Hurwitz-preserving perturbation of the Bass gain S_i,
+    * a random Hurwitz-preserving perturbation of the default gain S_i,
     * a random kernel move of the equation solutions: N_i + V R and
       kt_i + V r with V an orthonormal basis of null(B_i) — every such
       move solves the same equations exactly,

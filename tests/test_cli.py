@@ -212,6 +212,17 @@ class TestConfigAndDeterminism:
         assert main(["check", chain_file, "--config", str(cfg)]) == 1
         cfg.write_text(json.dumps({"frobs": 2}))
         assert main(["check", chain_file, "--config", str(cfg)]) == 1
+        cfg.write_text(json.dumps({"eps_solve": -1.0}))
+        assert main(["check", chain_file, "--config", str(cfg)]) == 1
+
+    def test_config_tolerances_apply(self, tmp_path):
+        # example1 fails only its displacement condition; a loose enough
+        # eps_solve accepts the defect
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"eps_solve": 1e6, "eps_hurwitz": 1e-9, "rank_cutoff": 1.0, "out": str(tmp_path)}
+        ))
+        assert main(["check", str(demo_path("example1")), "--config", str(cfg)]) == 0
 
     def test_byte_identical_reruns(self, chain_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formstab import (
+    ConvergenceFailure,
     NotStabilizableError,
     RateTooAggressive,
     Tolerances,
@@ -61,6 +62,21 @@ class TestEigenvalues:
         det = float(np.linalg.det(A))
         prod = np.prod(eigs)
         assert abs(prod - det) <= 1e-6 * (1.0 + abs(det))
+        conjugates = set(np.conj(eigs).tolist())
+        assert all(z in conjugates for z in eigs.tolist() if z.imag != 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError):
+            eigenvalues(np.array([[1.0, bad], [0.0, 2.0]]))
+
+    def test_lapack_non_convergence_is_convergence_failure(self, monkeypatch):
+        def no_convergence(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        with pytest.raises(ConvergenceFailure):
+            eigenvalues(np.eye(2))
 
 
 class TestHurwitz:

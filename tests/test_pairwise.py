@@ -15,7 +15,10 @@ from formstab import (
     decompose,
     solve_matrix_equation,
 )
+from formstab import criterion as criterion_module
+from formstab import pairwise as pairwise_module
 from formstab.instances import random_feasible_formation
+from formstab.linalg import DEFAULT_TOLERANCES, is_stabilizable
 from formstab.pairwise import (
     BOTH_STABLE,
     BOTH_UNSTABLE,
@@ -146,3 +149,36 @@ class TestAgreementWithCriterion:
                 spec.agent(e.i).B, spec.agent(e.j).A - spec.agent(e.i).A
             )
             assert pw.entry(e.key).gain_solve.solvable == direct.solvable
+
+
+class TestOnePbhTestPerFollower:
+    @pytest.fixture
+    def pbh_calls(self, monkeypatch):
+        calls = []
+
+        def counting(A, B, tol=DEFAULT_TOLERANCES):
+            calls.append(1)
+            return is_stabilizable(A, B, tol)
+
+        for module in (pairwise_module, criterion_module):
+            monkeypatch.setattr(module, "is_stabilizable", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_analyze_pairs_tests_each_follower_once(self, pbh_calls, seed):
+        spec = random_feasible_formation(seed, max_nodes=15)
+        followers = {e.i for e in spec.edges}
+        assert len(spec.edges) > len(followers)
+        analyze_pairs(spec)
+        assert len(pbh_calls) == len(followers)
+
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_cross_compare_adds_no_pbh_test_to_check(self, pbh_calls, seed):
+        spec = random_feasible_formation(seed, max_nodes=15)
+        dec = decompose(spec)
+        check(spec, dec)
+        by_check = len(pbh_calls)
+        res = cross_compare(spec, dec)
+        assert len(pbh_calls) - by_check <= by_check
+        direct = analyze_pairs(spec)
+        assert res.pairwise.verdicts() == direct.verdicts()

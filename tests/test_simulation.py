@@ -28,7 +28,7 @@ from formstab import (
     write_trace_csv,
 )
 from formstab.controllers import assemble_controller
-from formstab.instances import two_leader_fork
+from formstab.instances import random_feasible_formation, two_leader_fork
 
 
 def _single_agent(A):
@@ -274,6 +274,27 @@ class TestEnvelope:
         assert all(a is not None and a > 0 for a in fit.alpha.values())
         assert any(b > 0 for b in fit.beta.values())
         assert tr.free_errors is not None
+
+    def test_forced_run_free_errors_match_a_zero_input_run(self):
+        spec = random_feasible_formation(rng=3, max_nodes=12, multi_leader_prob=1.0)
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        rng = np.random.default_rng(11)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        first, *rest = sorted(dec.leaders)
+        sig = {first: ConstantSignal(np.full(spec.m, -0.7))}
+        sig.update({s: SinusoidSignal(np.ones(spec.m), omega=1.1) for s in rest})
+        forced = simulate(spec, dec, ctrl, x0, signals=sig, T=4.0)
+        free = simulate(spec, dec, ctrl, x0, T=4.0)
+        assert free.free_errors is None
+        assert np.array_equal(forced.times, free.times)
+        for key, z in free.errors.items():
+            gap = np.max(np.abs(forced.free_errors[key] - z))
+            assert gap <= 1e-12 * np.max(np.abs(z))
+        assert any(
+            np.max(np.abs(forced.errors[k] - forced.free_errors[k])) > 1e-3
+            for k in forced.errors
+        )
 
     def test_forced_run_from_ideal_states_costs_only_the_input_term(self):
         spec, dec, rep = _stable_fork()
