@@ -219,7 +219,7 @@ def cmd_simulate(args) -> int:
                 f"--x0 needs {spec.l} groups of {spec.n} values separated by ';'"
             )
         x0 = {i: rows[i - 1] for i in spec.nodes}
-    else:  # --random is the default
+    else:  # random initial states by default
         rng = np.random.default_rng(cfg.seed)
         x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
 
@@ -343,8 +343,7 @@ def _write_error_svg(trace, decomp, path: Path, width=720, height=440):
     """Line chart of per-edge error norms over time."""
     margin = 50.0
     times = trace.times
-    new = {i: decomp.new_index(i) for i in decomp.renumbering}
-    edges = sorted(trace.errors.keys(), key=lambda e: (new[e[0]], new[e[1]]))
+    edges = decomp.edge_order(trace.errors)
     norms = {e: np.linalg.norm(trace.errors[e], axis=1) for e in edges}
     y_max = max((float(v.max()) for v in norms.values()), default=1.0)
     y_max = y_max if y_max > 0 else 1.0
@@ -428,14 +427,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="integrate the closed loop and check the envelope")
     common(p)
     p.add_argument("--controller", help="controller file (JSON); default: synthesize")
-    p.add_argument("--auto", action="store_true",
-                   help="synthesize the controller (same as omitting --controller)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--ideal", action="store_true",
                        help="start every agent at its ideal offset")
-    group.add_argument("--random", action="store_true",
-                       help="random initial states (default)")
-    group.add_argument("--x0", help="explicit initial states: 'v1,v2;v1,v2;...'")
+    group.add_argument("--x0", help="explicit initial states: 'v1,v2;v1,v2;...' "
+                                    "(default: random, drawn from --seed)")
     p.add_argument("--signals", default="zero",
                    help="leader inputs: zero | const:v1,... | sin:a1,...@omega[@phase]")
     p.add_argument("--plot", help="write an SVG chart of error norms to this path")

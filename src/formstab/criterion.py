@@ -361,6 +361,9 @@ def verify_controller(
     Computes M_i = A_i + B_i (S_i + sum_s K_is) and
     m_i = B_i (k_i - S_i D_i - sum_s K_is D_s) - A_i D_i for every agent
     (leaders use zero gains) and reports the worst mismatch across edges.
+    The aggregate gain and offset are derived from the law (S, K, k) that
+    `simulate` runs; the controller's stored ``N`` and ``k_tilde`` are not
+    trusted.
     Passes when both defects stay within eps_solve * scale and every
     *follower* closed loop A_i + B_i S_i is Hurwitz — leader matrices are
     exempt, since a single-leader formation may be stable around an
@@ -390,8 +393,10 @@ def verify_controller(
             M[i] = ag.A
             mvec[i] = -ag.A @ D[i]
         else:
-            M[i] = ag.A + ag.B @ fc.N
-            mvec[i] = ag.B @ fc.k_tilde - ag.A @ D[i]
+            N = fc.S + sum(fc.K.values())
+            kt = fc.k - fc.S @ D[i] - sum(Ks @ D[s] for s, Ks in fc.K.items())
+            M[i] = ag.A + ag.B @ N
+            mvec[i] = ag.B @ kt - ag.A @ D[i]
             hurwitz[i] = is_hurwitz(ag.A + ag.B @ fc.S, tol)
 
     edge_M = {}

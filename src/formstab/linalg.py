@@ -303,22 +303,21 @@ def stabilize(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     for every stabilizable pair without user-chosen pole locations and
     keeps gains moderate.  When the Riccati solve fails numerically, the
     Bass shift construction is used as a fallback.  Either way the closed
-    loop is re-verified before the gain is handed back.
+    loop is re-verified before the gain is handed back.  A Hurwitz
+    A + B S already certifies that (A, B) is stabilizable, so the PBH test
+    runs only when neither gain passes, to name the cause of the failure.
 
     Raises
     ------
     NotStabilizableError
-        If the PBH test fails (witness eigenvalue attached).
+        If neither gain passes and the PBH test fails (witness eigenvalue
+        attached).
     SynthesisFailure
-        If the synthesized closed loop fails the Hurwitz check numerically.
+        If neither gain passes although the pair is stabilizable.
     """
     A = _as_matrix(A)
     B = _as_matrix(B)
     n, m = B.shape
-    verdict = is_stabilizable(A, B, tol)
-    if not verdict:
-        raise NotStabilizableError(verdict.witness)
-
     if np.any(B):
         try:
             P = scipy.linalg.solve_continuous_are(A, B, np.eye(n), np.eye(m))
@@ -330,11 +329,12 @@ def stabilize(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
                 return S
 
     S = _bass_gain(A, B, tol)
-    if not is_hurwitz(A + B @ S, tol).is_hurwitz:
-        raise SynthesisFailure(
-            "closed loop failed the Hurwitz check after gain synthesis"
-        )
-    return S
+    if is_hurwitz(A + B @ S, tol).is_hurwitz:
+        return S
+    verdict = is_stabilizable(A, B, tol)
+    if not verdict:
+        raise NotStabilizableError(verdict.witness)
+    raise SynthesisFailure("closed loop failed the Hurwitz check after gain synthesis")
 
 
 def exp_envelope(

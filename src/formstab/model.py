@@ -320,6 +320,11 @@ class LevelDecomposition:
         """1-based index of node i in the order-consistent renumbering."""
         return self.renumbering.index(i) + 1
 
+    def edge_order(self, keys) -> list:
+        """Edge keys (i, j) sorted by their endpoints' renumbered indices."""
+        new = {i: k for k, i in enumerate(self.renumbering)}
+        return sorted(keys, key=lambda e: (new[e[0]], new[e[1]]))
+
     def parent_chain(self, i: int) -> list[int]:
         """[i, p(i), p(p(i)), ..., leader]."""
         chain = [i]

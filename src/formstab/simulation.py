@@ -183,10 +183,6 @@ class SimulationTrace:
     signals: dict
     free_errors: dict | None = None
 
-    @property
-    def edge_keys(self) -> list:
-        return list(self.errors.keys())
-
     def initial_error_norm(self) -> float:
         if not self.errors:
             return 0.0
@@ -230,16 +226,6 @@ def _closed_loop_blocks(spec, decomp, ctrl):
                 M[r : r + n, pos[s] : pos[s] + n] += ag.B @ Ks
             c[r : r + n] = ag.B @ fc.k
     return order, pos, M, c, leader_cols
-
-
-def _max_closed_loop_norm(spec, ctrl) -> float:
-    worst = 0.0
-    for i in spec.nodes:
-        ag = spec.agent(i)
-        fc = ctrl.followers.get(i)
-        Atil = ag.A if fc is None else ag.A + ag.B @ fc.S
-        worst = max(worst, float(np.linalg.norm(Atil, "fro")))
-    return worst
 
 
 def _build_grid(T: float, dt: float, breakpoints) -> np.ndarray:
@@ -337,7 +323,8 @@ def simulate(
                 raise ValueError(f"agent {i} is not a leader; it cannot take a free input")
             sig_map[i] = sig
 
-    worst = _max_closed_loop_norm(spec, ctrl)
+    # diagonal blocks of M are the A_i and A_i + B_i S_i of the step cap
+    worst = max(float(np.linalg.norm(M[r : r + n, r : r + n], "fro")) for r in pos.values())
     if dt is None:
         dt = min(1e-2, 0.1 / (1.0 + worst))
     if dt <= 0:
@@ -506,8 +493,7 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
     late-time errors measure roundoff rather than decay.
     """
     times = trace.times
-    new = {i: decomp.new_index(i) for i in decomp.renumbering}
-    edges = sorted(trace.edge_keys, key=lambda e: (new[e[0]], new[e[1]]))
+    edges = decomp.edge_order(trace.errors)
     z0n = trace.initial_error_norm()
     tol = 1e-6 * (1.0 + z0n)
 
@@ -646,12 +632,22 @@ def error_dynamics_check(
 
     evaluated at interior grid points with the 3-point nonuniform central
     difference.  Expected to shrink as O(dt^2) on smooth inputs.
+
+    The parent-error term P_i = B_i sum_s K_is z_is (zero for a leader)
+    belongs to follower i alone and is shared by every edge touching i, so
+    it is formed once per follower; each edge then costs O(1) array
+    operations and the check is O(edges) per grid point.
     """
     times = trace.times
     if len(times) < 3:
         return 0.0
     A_ref = spec.agent(decomp.renumbering[0]).A
     leaders = decomp.leaders
+
+    P = dict.fromkeys(spec.nodes, 0.0)
+    for i, fc in ctrl.followers.items():
+        Bi = spec.agent(i).B
+        P[i] = sum(trace.errors[(i, s)] @ (Bi @ Ks).T for s, Ks in fc.K.items())
 
     # 3-point nonuniform central-difference weights, one row per interior point
     h0 = times[1:-1] - times[:-2]
@@ -662,19 +658,9 @@ def error_dynamics_check(
 
     worst = 0.0
     for (i, j), z in trace.errors.items():
-        rhs = z @ A_ref.T
-        fi = ctrl.followers.get(i)
-        if fi is not None:
-            Bi = spec.agent(i).B
-            for s, Ks in fi.K.items():
-                rhs = rhs - trace.errors[(i, s)] @ (Bi @ Ks).T
-        fj = ctrl.followers.get(j)
-        Bj = spec.agent(j).B
-        if fj is not None:
-            for v, Kv in fj.K.items():
-                rhs = rhs + trace.errors[(j, v)] @ (Bj @ Kv).T
+        rhs = z @ A_ref.T - P[i] + P[j]
         if j in leaders:
-            rhs = rhs - trace.inputs[j] @ Bj.T
+            rhs = rhs - trace.inputs[j] @ spec.agent(j).B.T
 
         dzdt = w_prev * z[:-2] + w_mid * z[1:-1] + w_next * z[2:]
 
@@ -694,8 +680,7 @@ def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) ->
     order; edges sort by their endpoints' renumbered indices.  Floats use
     repr so rewrites of the same trace are byte-identical."""
     order = list(decomp.renumbering)
-    new = {i: decomp.new_index(i) for i in order}
-    edge_order = sorted(trace.errors.keys(), key=lambda e: (new[e[0]], new[e[1]]))
+    edge_order = decomp.edge_order(trace.errors)
     n = next(iter(trace.states.values())).shape[1]
 
     header = ["time"]

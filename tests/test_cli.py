@@ -111,7 +111,7 @@ class TestSynthesize:
 
 class TestSimulate:
     def test_ideal_run_writes_zero_error_columns(self, chain_file, tmp_path):
-        code = main(["simulate", chain_file, "--auto", "--ideal", "--T", "5",
+        code = main(["simulate", chain_file, "--ideal", "--T", "5",
                      "--out", str(tmp_path)])
         assert code == 0
         rows = (tmp_path / "chain_trace.csv").read_text().splitlines()
@@ -124,7 +124,7 @@ class TestSimulate:
         assert json.loads((tmp_path / "chain_envelope.json").read_text())["passed"]
 
     def test_random_run_passes_envelope(self, chain_file, tmp_path):
-        code = main(["simulate", chain_file, "--random", "--seed", "1", "--T", "6",
+        code = main(["simulate", chain_file, "--seed", "1", "--T", "6",
                      "--out", str(tmp_path)])
         assert code == 0
 
@@ -145,7 +145,7 @@ class TestSimulate:
         ctrl_path = tmp_path / "bad_controller.json"
         save_controller(bad, ctrl_path)
         code = main(["simulate", chain_file, "--controller", str(ctrl_path),
-                     "--random", "--seed", "1", "--T", "6", "--out", str(tmp_path)])
+                     "--seed", "1", "--T", "6", "--out", str(tmp_path)])
         assert code == 3
 
     def test_sinusoid_signals_and_svg_plot(self, tmp_path):
@@ -165,7 +165,7 @@ class TestSimulate:
         path = tmp_path / "fork.json"
         path.write_text(json.dumps(fork_stable))
         svg = tmp_path / "errors.svg"
-        code = main(["simulate", str(path), "--random", "--seed", "2",
+        code = main(["simulate", str(path), "--seed", "2",
                      "--signals", "sin:0.7@1.5@0.2", "--T", "8",
                      "--plot", str(svg), "--out", str(tmp_path)])
         assert code == 0
@@ -202,7 +202,7 @@ class TestConfigAndDeterminism:
     def test_config_file_applies(self, chain_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"T": 6.0, "seed": 9, "out": str(tmp_path)}))
-        assert main(["simulate", chain_file, "--random", "--config", str(cfg)]) == 0
+        assert main(["simulate", chain_file, "--config", str(cfg)]) == 0
         rows = (tmp_path / "chain_trace.csv").read_text().splitlines()
         assert float(rows[-1].split(",")[0]) == 6.0
 
@@ -227,7 +227,7 @@ class TestConfigAndDeterminism:
     def test_byte_identical_reruns(self, chain_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert main(["simulate", chain_file, "--random", "--seed", "5",
+            assert main(["simulate", chain_file, "--seed", "5",
                          "--T", "6", "--out", str(out)]) == 0
         assert (a / "chain_trace.csv").read_bytes() == (b / "chain_trace.csv").read_bytes()
         assert (a / "chain_envelope.json").read_bytes() == (b / "chain_envelope.json").read_bytes()

@@ -14,6 +14,8 @@ from formstab import (
     FormationSpec,
     check,
     classify,
+    controller_from_dict,
+    controller_to_dict,
     decompose,
     synthesize,
     verify_controller,
@@ -183,6 +185,17 @@ class TestVerifyController:
         assert ver.edge_matrix_defects[(2, 1)] == pytest.approx(
             np.linalg.norm(chain.agent(2).A - chain.agent(1).A)
         )
+
+    def test_stored_aggregate_gain_is_not_trusted(self, chain, chain_decomp, chain_report):
+        # zero K_21 but keep the stored N = [[1, 1]]: the law simulate runs
+        # no longer matches the criterion's aggregate gain
+        data = controller_to_dict(synthesize(chain, chain_decomp, chain_report))
+        data["followers"]["2"]["K"]["1"] = [[0.0, 0.0]]
+        tampered = controller_from_dict(data)
+        assert np.allclose(tampered.gains(2).N, [[1.0, 1.0]], atol=1e-8)
+        ver = verify_controller(chain, chain_decomp, tampered)
+        assert not ver.passed
+        assert ver.edge_matrix_defects[(2, 1)] > 1.0
 
     def test_single_agent_vacuous(self):
         spec = FormationSpec(

@@ -199,6 +199,12 @@ class TestStabilize:
             stabilize(np.diag([1.0, 2.0]), np.zeros((2, 1)))
         assert exc.value.witness == pytest.approx(1.0)
 
+    def test_uncontrollable_unstable_mode_raises_with_witness(self):
+        # the mode at 2 is unreachable from B: both gains leave it in place
+        with pytest.raises(NotStabilizableError) as exc:
+            stabilize(np.diag([1.0, 2.0]), np.array([[1.0], [0.0]]))
+        assert exc.value.witness == pytest.approx(2.0)
+
     def test_stabilizable_uncontrollable_pair(self):
         A = np.diag([-0.5, 3.0])
         B = np.array([[0.0], [1.0]])

@@ -370,6 +370,31 @@ class TestErrorDynamics:
         assert d1 <= 1e-4
         assert d1 / d2 >= 3.5
 
+    @pytest.mark.parametrize("case", ["two_parent_triangle", "forced_fork"])
+    def test_second_order_on_multi_parent_and_forced(self, good_triangle, case):
+        # follower 3 of the triangle has parents 1 and 2 (2 is a follower);
+        # the fork's follower tracks two leaders driven by sinusoids
+        if case == "two_parent_triangle":
+            spec, dec = good_triangle, decompose(good_triangle)
+            rep, signals = check(spec, dec), None
+        else:
+            spec, dec, rep = _stable_fork()
+            signals = {s: SinusoidSignal([0.7], omega=1.5, phase=0.2)
+                       for s in sorted(dec.leaders)}
+        ctrl = synthesize(spec, dec, rep)
+        rng = np.random.default_rng(0)
+        x0 = {i: -dec.cumulative_offset[i] + 0.1 * rng.standard_normal(spec.n)
+              for i in spec.nodes}
+        d1, d2 = (
+            error_dynamics_check(
+                simulate(spec, dec, ctrl, x0, signals=signals, T=2.0, dt=dt),
+                spec, dec, ctrl,
+            )
+            for dt in (1e-3, 5e-4)
+        )
+        assert d1 <= 1e-4
+        assert d1 / d2 >= 3.5
+
     def test_zero_trace_zero_defect(self, chain, chain_decomp, chain_ctrl):
         tr = simulate(chain, chain_decomp, chain_ctrl,
                       ideal_initial_states(chain_decomp, np.zeros(2)), T=1.0)

@@ -21,7 +21,9 @@ from formstab import (
     synthesize,
     verify_controller,
 )
+from formstab import linalg as linalg_module
 from formstab.instances import random_feasible_formation
+from formstab.linalg import DEFAULT_TOLERANCES
 
 
 class TestSynthesize:
@@ -78,6 +80,27 @@ class TestSynthesize:
                        SplitStrategy("custom", weights={3: {1: 0.5, 2: 0.75}, 2: {1: 1.0}}))
         with pytest.raises(ValueError):
             SplitStrategy("sideways")
+
+
+class TestNoRepeatedPbhTest:
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_synthesize_runs_no_pbh_test(self, monkeypatch, seed):
+        # check() already ran PBH per follower; a Hurwitz A + B S certifies
+        # stabilizability, so synthesis needs no second test
+        spec = random_feasible_formation(seed, max_nodes=15)
+        dec = decompose(spec)
+        rep = check(spec, dec)
+        calls = []
+        original = linalg_module.is_stabilizable
+
+        def counting(A, B, tol=DEFAULT_TOLERANCES):
+            calls.append(1)
+            return original(A, B, tol)
+
+        monkeypatch.setattr(linalg_module, "is_stabilizable", counting)
+        ctrl = synthesize(spec, dec, rep)
+        assert verify_controller(spec, dec, ctrl).passed
+        assert calls == []
 
 
 class TestStateOnlyForm:
