@@ -3,9 +3,10 @@ stable instance.
 
 For a stable formation the edge errors obey an exponential-plus-input
 bound: ||z_ij(t)|| <= C exp(-alpha t) ||z(0)|| + beta * sum of leader
-input sups.  The fit estimates (C, alpha, beta) from a trace and checks
-the inequality on the whole grid, with the leader-input term computed
-exactly from the signal descriptions.  Two more identities are checked on
+input sups.  The constants (C, alpha, beta) are certified from the closed
+loop by a Lyapunov solve in error coordinates, and the inequality is
+checked on the whole grid, with the leader-input term computed exactly
+from the signal descriptions.  Two more identities are checked on
 the same trajectories: the finite-difference derivative of each error
 against its closed-form linear dynamics, and, where a follower has two
 parents, the chain identity linking its two errors.

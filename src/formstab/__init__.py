@@ -53,7 +53,6 @@ from .model import (
     Edge,
     FormationSpec,
     LevelDecomposition,
-    MultiLeaderWitness,
     decompose,
     find_multi_leader_witness,
     formation_from_dict,

@@ -322,8 +322,8 @@ def cmd_demo(args) -> int:
         ctrl = synthesis.synthesize(spec, decomp, rep, tol=tol)
         rng = np.random.default_rng(cfg.seed)
         x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
-        # the unstable leader grows like exp(2t); keep the horizon short
-        # enough that roundoff stays below the envelope tolerance
+        # the unstable leader grows like exp(2t); the envelope check allows
+        # for the roundoff of such states, so the short horizon only saves time
         trace = simulate(spec, decomp, ctrl, x0, T=6.0)
         resid = chain_residual(trace, decomp, (3, 1), 2)
         _expect(float(resid.max()) <= 1e-9, "two-parent chain identity holds on the trace")

@@ -226,8 +226,14 @@ def matrix_rank(M, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     M = np.atleast_2d(np.asarray(M))
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    cutoff = tol.rank_cutoff * max(M.shape) * np.finfo(float).eps * s[0]
+    return _rank_of(np.linalg.svd(M, compute_uv=False), M.shape, tol)
+
+
+def _rank_of(s, shape, tol: Tolerances) -> int:
+    """Count of the descending singular values ``s`` of a matrix of the
+    given shape above the cutoff ``tol.rank_cutoff * max(shape) * eps *
+    sigma_max``."""
+    cutoff = tol.rank_cutoff * max(shape) * np.finfo(float).eps * s[0]
     return int(np.sum(s > cutoff))
 
 
@@ -268,8 +274,7 @@ def _controllable_staircase(A, B, tol: Tolerances):
     if not np.any(K):
         return np.zeros((n, 0)), np.eye(n)
     U, s, _ = np.linalg.svd(K)
-    cutoff = tol.rank_cutoff * max(K.shape) * np.finfo(float).eps * s[0]
-    r = int(np.sum(s > cutoff))
+    r = _rank_of(s, K.shape, tol)
     return U[:, :r], U[:, r:]
 
 
@@ -337,6 +342,23 @@ def stabilize(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     raise SynthesisFailure("closed loop failed the Hurwitz check after gain synthesis")
 
 
+def _lyapunov_constant(A, alpha: float) -> float:
+    """C = sqrt(cond(P)) with P solving (A + alpha I)^T P + P (A + alpha I) = -I.
+
+    For A + alpha I Hurwitz, the Lyapunov function x^T P x decays at rate
+    2*alpha along x' = A x, so ||exp(t A)|| <= C exp(-alpha t) for t >= 0.
+
+    Raises `CertificateError` if P is not positive definite.
+    """
+    n = A.shape[0]
+    P = scipy.linalg.solve_continuous_lyapunov((A + alpha * np.eye(n)).T, -np.eye(n))
+    P = 0.5 * (P + P.T)
+    w = np.linalg.eigvalsh(P)
+    if w[0] <= 0:
+        raise CertificateError("Lyapunov solution is not positive definite")
+    return float(np.sqrt(w[-1] / w[0]))
+
+
 def exp_envelope(
     A,
     alpha: float,
@@ -355,7 +377,8 @@ def exp_envelope(
     RateTooAggressive
         If alpha >= -spectral_abscissa(A).
     CertificateError
-        If the sampled norms violate the certified bound (numerical failure).
+        If the Lyapunov solution is not positive definite or the sampled
+        norms violate the certified bound (numerical failure).
     """
     A = _as_matrix(A)
     n = A.shape[0]
@@ -367,13 +390,7 @@ def exp_envelope(
             f"requested rate {alpha} but spectral abscissa is {abscissa}"
         )
 
-    shifted = A + alpha * np.eye(n)
-    P = scipy.linalg.solve_continuous_lyapunov(shifted.T, -np.eye(n))
-    P = 0.5 * (P + P.T)
-    w = np.linalg.eigvalsh(P)
-    if w[0] <= 0:
-        raise CertificateError("Lyapunov solution is not positive definite")
-    C = float(np.sqrt(w[-1] / w[0]))
+    C = _lyapunov_constant(A, alpha)
 
     # sample the bound: successive products of the one-step propagator
     step = (20.0 / alpha) / (grid_points - 1)

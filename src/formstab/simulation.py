@@ -5,10 +5,10 @@ free leader inputs with a fixed-step classic Runge-Kutta scheme, records
 states, edge errors and realized inputs, and offers three trajectory
 checks:
 
-* `fit_envelope` fits per-edge constants (C, alpha, beta) of the
+* `fit_envelope` certifies per-edge constants (C, alpha, beta) of the
   exponential-plus-input-gain error bound
   ||z_ij(t)|| <= C exp(-alpha t) ||z(0)|| + beta * sum_leaders sup ||u||
-  and verifies it on the grid,
+  from the closed loop and checks it on the grid,
 * `chain_residual` evaluates the algebraic identity relating a follower's
   errors toward two of its parents through their parent chains,
 * `error_dynamics_check` compares finite-difference derivatives of the
@@ -28,6 +28,7 @@ from .errors import (
     NotSiblingParentsError,
     StepTooLargeError,
 )
+from .linalg import _lyapunov_constant, is_hurwitz
 from .model import FormationSpec, LevelDecomposition
 
 __all__ = [
@@ -167,12 +168,11 @@ class SimulationTrace:
     """Closed-loop trajectory on a (possibly breakpoint-refined) time grid.
 
     ``states``/``inputs`` are keyed by agent id, ``errors`` by edge key;
-    every value has one row per grid point.  When any leader signal is
-    nonzero, ``free_errors`` holds the edge errors of the zero-input
-    response from the same initial states, integrated alongside the forced
-    one (the linear superposition split used by the envelope fit);
-    otherwise it is None and the recorded errors already are the
-    zero-input response.
+    every value has one row per grid point.  ``closed_loop`` is the pair
+    ``(M, G)`` of the integrated system y' = M y + c + sum_a G[a] u_a(t):
+    the stacked closed-loop matrix with agents in renumbering order, and
+    the input map per leader id.  ``free_errors`` is always None; it is
+    kept so that code reading it keeps working.
     """
 
     times: np.ndarray
@@ -181,6 +181,7 @@ class SimulationTrace:
     inputs: dict
     metadata: dict
     signals: dict
+    closed_loop: tuple
     free_errors: dict | None = None
 
     def initial_error_norm(self) -> float:
@@ -245,24 +246,19 @@ def _build_grid(T: float, dt: float, breakpoints) -> np.ndarray:
 
 
 def _integrate(M, c, forcing, times, y0):
-    """Fixed-step RK4 over the given grid for Ydot = M Y + c + sum G_s u_s(t) e_0^T.
+    """Fixed-step RK4 over the given grid for ydot = M y + c + sum G_s u_s(t).
 
-    ``forcing`` lists (G_s, signal) for the nonzero leader inputs, which
-    drive column 0 of Y only.  With forcing, column 1 is the zero-input
-    response from the same initial state.  Returns one (len(times), dim)
-    trajectory per column.
+    ``forcing`` lists (G_s, signal) for the nonzero leader inputs.  Returns
+    the (len(times), dim) trajectory.
     """
-    k = 2 if forcing else 1
-    out = [np.empty((len(times), y0.shape[0])) for _ in range(k)]
-    y = np.repeat(y0[:, None], k, axis=1)
-    for col in range(k):
-        out[col][0] = y0
-    c = c[:, None]
+    out = np.empty((len(times), y0.shape[0]))
+    out[0] = y0
+    y = y0
 
     def rhs(t, y, end=False):
         dy = M @ y + c
         for G, sig in forcing:
-            dy[:, 0] += G @ (sig.left_value(t) if end else sig.value(t))
+            dy += G @ (sig.left_value(t) if end else sig.value(t))
         return dy
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is detected below
@@ -276,8 +272,7 @@ def _integrate(M, c, forcing, times, y0):
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(y)):
                 raise NonFiniteStateError(b)
-            for col in range(k):
-                out[col][step + 1] = y[:, col]
+            out[step + 1] = y
     return out
 
 
@@ -305,9 +300,7 @@ def simulate(
 
     The stacked system is integrated jointly (its coupling is lower
     triangular in renumbering order); steps land exactly on signal
-    breakpoints so each step sees a continuous right-hand side.  With a
-    nonzero leader input, the zero-input response is integrated in the
-    same pass.
+    breakpoints so each step sees a continuous right-hand side.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
@@ -351,14 +344,8 @@ def simulate(
     forcing = [(G, sig_map[s]) for s, G in leader_cols.items() if not sig_map[s].is_zero]
     traj = _integrate(M, c, forcing, times, y0)
 
-    def edge_errors(y):
-        return {
-            e.key: y[:, pos[e.i] : pos[e.i] + n] - y[:, pos[e.j] : pos[e.j] + n] + e.d
-            for e in spec.edges
-        }
-
-    states = {i: traj[0][:, pos[i] : pos[i] + n] for i in order}
-    errors = edge_errors(traj[0])
+    states = {i: traj[:, pos[i] : pos[i] + n] for i in order}
+    errors = {e.key: states[e.i] - states[e.j] + e.d for e in spec.edges}
 
     inputs = {}
     for i in order:
@@ -371,8 +358,6 @@ def simulate(
                 u = u + states[s] @ Ks.T
             inputs[i] = u
 
-    free_errors = edge_errors(traj[1]) if forcing else None
-
     return SimulationTrace(
         times=times,
         states=states,
@@ -380,7 +365,7 @@ def simulate(
         inputs=inputs,
         metadata={"integrator": "rk4", "dt": float(dt), "T": float(T)},
         signals=sig_map,
-        free_errors=free_errors,
+        closed_loop=(M, leader_cols),
     )
 
 
@@ -390,13 +375,12 @@ def simulate(
 
 @dataclass(frozen=True)
 class EnvelopeFit:
-    """Fitted per-edge constants of the error bound and its grid check.
+    """Certified per-edge constants of the error bound and its grid check.
 
-    ``alpha`` entries are None where the zero-input error carries no decay
-    information (identically zero); such edges are vacuously covered.  An
-    edge whose zero-input error fails to decay (fitted rate <= 0) reports
-    alpha 0.0 and fails the fit.  ``degenerate`` marks the vacuous case of
-    zero initial error and zero inputs.
+    Every edge carries the same certified decay rate ``alpha``; it is 0.0,
+    and the fit fails, when the error system is not Hurwitz.
+    ``degenerate`` marks the vacuous case of zero initial error and zero
+    inputs, where ``alpha`` is None on every edge.
     """
 
     C: dict
@@ -421,76 +405,30 @@ class EnvelopeFit:
         }
 
 
-def _decay_rate(times, norms, noise_floor=0.0):
-    """Log-linear regression on windowed peaks of the late-time norms.
-
-    "Late" starts at the later of half the horizon and the global peak:
-    cascaded errors can hump mid-horizon before decaying, and the rate of
-    interest is the decay past that transient.  A peak in the last tenth
-    of the horizon means the data never turns around, which reports as
-    non-decay.  Peaks over sub-windows make the regression robust to
-    oscillatory dips of the norm; windows at or below ``noise_floor``
-    (the trace's float roundoff level) carry no rate information and are
-    dropped.
-    """
-    floor = max(float(np.max(norms)) * 1e-12, noise_floor, 1e-300)
-
-    def window_peaks(lo):
-        mask = times >= lo
-        ts, ys = times[mask], norms[mask]
-        edges = np.linspace(ts[0], ts[-1], 9)
-        pts = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            sel = (ts >= a) & (ts <= b)
-            if not np.any(sel):
-                continue
-            peak = float(np.max(ys[sel]))
-            if peak > floor:
-                pts.append((0.5 * (a + b), math.log(peak)))
-        return pts
-
-    def slope_from(pts):
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
-        return -float(np.polyfit(xs, ys, 1)[0])
-
-    peak_time = float(times[int(np.argmax(norms))])
-    if peak_time < 0.9 * times[-1]:
-        pts = window_peaks(max(0.5 * times[-1], peak_time))
-        if len(pts) < 2:
-            pts = window_peaks(0.0)
-        if len(pts) < 2:
-            return None
-        return slope_from(pts)
-
-    # still growing at the end of the horizon: report the raw late-half
-    # trend so growth shows up as a non-positive rate
-    pts = window_peaks(0.5 * times[-1])
-    if len(pts) < 2:
-        pts = window_peaks(0.0)
-    if len(pts) < 2:
-        return None
-    return min(slope_from(pts), 0.0)
-
-
 def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> EnvelopeFit:
-    """Fit and verify the exponential-plus-input-gain bound on a trace.
+    """Certify the exponential-plus-input-gain bound and check it on a trace.
 
-    The leader-input term uses the exact running sup of each signal (no
-    grid sampling).  Thanks to linearity the recorded trace splits into
-    the zero-input response (same initial states, inputs off) and the
-    zero-initial-error forced response; the decay rate alpha comes from a
-    log-linear regression on the late-time zero-input error norms, the
-    gain beta from the forced response's worst ratio to the running input
-    sup, and C from the smallest constant that covers the full grid at
-    that rate.  The fit fails when some edge's zero-input error does not
-    decay, or when the assembled bound is violated beyond
-    1e-6 * (1 + ||z(0)||).
+    Error coordinates: with y = x + D (D the cumulative offsets), xi = T y
+    stacks e_i = y_i - y_{leader_reach(i)} for each follower and
+    w_a = y_a - y_ref for each leader other than the reference leader
+    (first in the renumbering); the edge errors are z = R xi.  With P the
+    0/1 right inverse of T that maps xi to y - y_ref, a verified controller
+    gives xi' = M_e xi + G_e u with M_e = T M P and G_e = T G, which is
+    block-lower-triangular with the Hurwitz diagonal blocks A_i + B_i S_i.  With alpha = -spectral_abscissa(M_e) / 2 and the
+    Lyapunov constant C of `linalg.exp_envelope`, ||exp(t M_e)|| <=
+    C e^{-alpha t}, so every edge obeys
 
-    Errors are exact identities only up to float roundoff of order
-    eps * max ||x(t)||; instances with growing leader trajectories should
-    use horizons that keep that level below the tolerance, otherwise the
-    late-time errors measure roundoff rather than decay.
+        ||z_ij(t)|| <= C_ij e^{-alpha t} ||z(0)|| + beta_ij U(t),
+        C_ij = ||R_ij|| C / sigma_min(R),
+        beta_ij = ||R_ij|| C max_a ||G_e,a|| / alpha,
+
+    where U(t) sums the exact running sups of the leader inputs (no grid
+    sampling) and the max runs over leaders with a nonzero signal.  Each
+    edge is checked on the grid against its bound plus the float
+    resolution 64 eps (1 + max_k ||x_k(t)||) of the recorded errors.  The
+    fit fails when some excess is above 1e-6 * (1 + ||z(0)||), or when
+    M_e is not Hurwitz; then alpha is 0.0 and each edge's growth is
+    measured against its initial error.
     """
     times = trace.times
     edges = decomp.edge_order(trace.errors)
@@ -515,59 +453,69 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
             z0_norm=z0n,
             tolerance=tol,
         )
+    if not edges:  # a lone leader under an input has no error to bound
+        return EnvelopeFit({}, {}, {}, True, 0.0, False, z0n, tol)
 
-    free = trace.free_errors if trace.free_errors is not None else trace.errors
-    state_peak = max(
-        float(np.max(np.linalg.norm(arr, axis=1))) for arr in trace.states.values()
-    )
-    noise_floor = 64.0 * np.finfo(float).eps * (1.0 + state_peak)
+    # T = T1 kron I and P = P1 kron I; z_ij = y_i - y_j, so R = r kron I
+    # with row (i, j) of r the difference of rows i and j of P1
+    M, G = trace.closed_loop
+    order = decomp.renumbering
+    col = {i: k for k, i in enumerate(order)}
+    ref = order[0]
+    T1 = np.zeros((len(order) - 1, len(order)))
+    P1 = np.zeros((len(order), len(order) - 1))
+    for i in order[1:]:
+        anchor = ref if i in decomp.leaders else decomp.leader_reach[i]
+        T1[col[i] - 1, col[i]] = 1.0
+        T1[col[i] - 1, col[anchor]] = -1.0
+        P1[col[i], col[i] - 1] = 1.0
+        if anchor != ref:
+            P1[col[i], col[anchor] - 1] = 1.0
+    r = P1[[col[i] for i, _ in edges]] - P1[[col[j] for _, j in edges]]
+    eye = np.eye(M.shape[0] // len(order))
+    T = np.kron(T1, eye)
+    M_e = T @ M @ np.kron(P1, eye)
 
-    C_map, a_map, b_map = {}, {}, {}
-    passed = True
+    hurwitz = is_hurwitz(M_e)
+    if hurwitz.is_hurwitz:
+        alpha = -0.5 * hurwitz.spectral_abscissa
+        C = _lyapunov_constant(M_e, alpha)
+        gain = max(
+            (float(np.linalg.norm(T @ G[a], 2))
+             for a, sig in trace.signals.items() if sig.running_sup(times[-1]) > 0.0),
+            default=0.0,
+        )
+        row_norms = np.linalg.norm(r, axis=1)
+        s_min = float(np.linalg.svd(r, compute_uv=False)[-1])
+        C_map = {e: float(w) * C / s_min for e, w in zip(edges, row_norms)}
+        b_map = {e: float(w) * C * gain / alpha for e, w in zip(edges, row_norms)}
+    else:
+        # no decay: anchor the envelope at t=0 so the growth shows up as a
+        # reported violation
+        alpha = 0.0
+        C_map = {
+            e: float(np.linalg.norm(trace.errors[e][0])) / z0n if z0n > 0 else 1.0
+            for e in edges
+        }
+        b_map = dict.fromkeys(edges, 0.0)
+
+    state_norm = np.zeros(len(times))
+    for x in trace.states.values():
+        np.maximum(state_norm, np.linalg.norm(x, axis=1), out=state_norm)
+    floor = 64.0 * np.finfo(float).eps * (1.0 + state_norm)
+    decay = np.exp(-alpha * times) * z0n
+
     max_violation = -math.inf
     for e in edges:
         z = np.linalg.norm(trace.errors[e], axis=1)
-        zf = np.linalg.norm(free[e], axis=1)
-        forced = np.linalg.norm(trace.errors[e] - free[e], axis=1)
+        envelope = C_map[e] * decay + b_map[e] * U + floor
+        max_violation = max(max_violation, float(np.max(z - envelope)))
 
-        if have_input:
-            floor = 1e-9 * U[-1]
-            ratios = np.where(U > floor, forced / np.maximum(U, 1e-300), 0.0)
-            beta = float(np.max(ratios))
-        else:
-            beta = 0.0
-
-        rate = _decay_rate(times, zf, noise_floor) if np.any(zf > 0) else None
-        if rate is None:
-            alpha = None
-            C = 0.0
-            envelope = beta * U
-        elif rate > 0.0:
-            alpha = rate
-            resid = np.maximum(z - beta * U, 0.0)
-            C = float(np.max(resid * np.exp(alpha * times))) / z0n if z0n > 0 else 0.0
-            envelope = C * np.exp(-alpha * times) * z0n + beta * U
-        else:
-            # no decay: anchor the envelope at t=0 so the growth shows up
-            # as a reported violation instead of being absorbed into C
-            alpha = 0.0
-            C = (zf[0] / z0n) if z0n > 0 else 1.0
-            envelope = C * z0n + beta * U
-            passed = False
-
-        violation = float(np.max(z - envelope))
-        max_violation = max(max_violation, violation)
-        if violation > tol:
-            passed = False
-        C_map[e], a_map[e], b_map[e] = C, alpha, beta
-
-    if not edges:
-        max_violation = 0.0
     return EnvelopeFit(
         C=C_map,
-        alpha=a_map,
+        alpha=dict.fromkeys(edges, alpha),
         beta=b_map,
-        passed=passed,
+        passed=bool(hurwitz.is_hurwitz and max_violation <= tol),
         max_violation=max_violation,
         degenerate=False,
         z0_norm=z0n,

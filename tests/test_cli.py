@@ -128,6 +128,12 @@ class TestSimulate:
                      "--out", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("name", ["example2", "triangle"])
+    def test_bundled_stable_file_passes_at_default_settings(self, name, tmp_path):
+        # the unstable leader grows like exp(2t), so by T=20 the errors are
+        # float roundoff of states near exp(40)
+        assert main(["simulate", str(demo_path(name)), "--out", str(tmp_path)]) == 0
+
     def test_destabilized_controller_exits_three(self, chain_file, tmp_path):
         spec = three_agent_chain()
         dec = decompose(spec)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formstab import (
+    CertificateError,
     ConvergenceFailure,
     NotStabilizableError,
     RateTooAggressive,
@@ -247,6 +248,13 @@ class TestExpEnvelope:
     def test_non_hurwitz_rejected(self):
         with pytest.raises(RateTooAggressive):
             exp_envelope(np.diag([0.5, -1.0]), 0.1)
+
+    def test_indefinite_lyapunov_solution_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            scipy.linalg, "solve_continuous_lyapunov", lambda a, q: np.diag([1.0, -1.0])
+        )
+        with pytest.raises(CertificateError, match="positive definite"):
+            exp_envelope(-np.eye(2), 0.5)
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=25, deadline=None)
