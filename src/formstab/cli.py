@@ -59,6 +59,7 @@ class RunConfig:
 
 
 _TOLERANCE_KEYS = ("eps_solve", "eps_hurwitz", "rank_cutoff")
+_CONFIG_TYPES = {"out": str, "seed": int}  # every other key takes a number
 
 
 def _load_config(args) -> RunConfig:
@@ -66,9 +67,16 @@ def _load_config(args) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(data) - set(_TOLERANCE_KEYS) - {"dt", "T", "seed", "out"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in data.items():
+            if key == "dt" and val is None:
+                continue
+            if isinstance(val, bool) or not isinstance(val, _CONFIG_TYPES.get(key, (int, float))):
+                raise ValueError(f"config key {key!r} has invalid value {val!r}")
         tol = {k: data.pop(k) for k in _TOLERANCE_KEYS if k in data}
         cfg = RunConfig(tolerances=Tolerances(**tol), **data)
     overrides = {}
@@ -223,10 +231,8 @@ def cmd_simulate(args) -> int:
         rng = np.random.default_rng(cfg.seed)
         x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
 
-    signals = None
-    if args.signals and args.signals != "zero":
-        sig = _parse_signal(args.signals, spec.m)
-        signals = {i: sig for i in sorted(decomp.leaders)}
+    sig = _parse_signal(args.signals, spec.m)
+    signals = {i: sig for i in sorted(decomp.leaders)}
 
     trace = simulate(spec, decomp, ctrl, x0, signals=signals, T=cfg.T, dt=cfg.dt)
     write_trace_csv(trace, decomp, out / f"{stem}_trace.csv")
@@ -339,9 +345,9 @@ def cmd_demo(args) -> int:
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _write_error_svg(trace, decomp, path: Path, width=720, height=440):
+def _write_error_svg(trace, decomp, path: Path):
     """Line chart of per-edge error norms over time."""
-    margin = 50.0
+    width, height, margin = 720, 440, 50.0
     times = trace.times
     edges = decomp.edge_order(trace.errors)
     norms = {e: np.linalg.norm(trace.errors[e], axis=1) for e in edges}
@@ -402,13 +408,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="formstab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_spec=True):
-        if with_spec:
-            p.add_argument("spec", help="formation instance file (JSON)")
+    def common(p, *run_flags):
+        """The spec, --config and --out, plus the named flags among
+        seed, dt and T that the command reads."""
+        p.add_argument("spec", help="formation instance file (JSON)")
         p.add_argument("--config", help="config file (JSON)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--T", type=float, default=None)
+        for flag in run_flags:
+            p.add_argument(f"--{flag}", type=int if flag == "seed" else float, default=None)
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("check", help="decide internal stability")
@@ -418,14 +424,14 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("synthesize", help="construct a stabilizing controller")
-    common(p)
+    common(p, "seed")
     p.add_argument("--strategy", choices=["parent-only", "uniform"], default="parent-only")
     p.add_argument("--family", type=int, default=1,
                    help="sample this many members of the controller family")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("simulate", help="integrate the closed loop and check the envelope")
-    common(p)
+    common(p, "seed", "dt", "T")
     p.add_argument("--controller", help="controller file (JSON); default: synthesize")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--ideal", action="store_true",

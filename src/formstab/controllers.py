@@ -3,7 +3,10 @@
 `ControllerSet` stores the per-follower gains together with the derived
 aggregate gain N_i = S_i + sum_s K_is and derived offset
 kt_i = k_i - S_i D_i - sum_s K_is D_s, which are the quantities the
-stability criterion constrains.  Leaders carry no gains (implicitly zero).
+stability criterion constrains.  The stored N and k_tilde are written for
+readers of a controller file; `verify_controller` derives them again from
+(S, K, k), the law that `simulate` runs.  Leaders carry no gains
+(implicitly zero).
 """
 
 from __future__ import annotations
@@ -68,6 +71,12 @@ class ControllerSet:
         return self.followers[i]
 
 
+def _aggregate(S, K: dict, k, i: int, D: dict) -> tuple:
+    """Aggregate gain N_i = S_i + sum_s K_is and offset
+    kt_i = k_i - S_i D_i - sum_s K_is D_s of follower i's law (S, K, k)."""
+    return S + sum(K.values()), k - S @ D[i] - sum(Ks @ D[s] for s, Ks in K.items())
+
+
 def assemble_controller(
     decomp: LevelDecomposition,
     n: int,
@@ -94,19 +103,16 @@ def assemble_controller(
         kti = np.asarray(k_tilde[i], dtype=float)
         K = {s: w * (Ni - Si) for s, w in split_weights[i].items()}
         ki = kti + Si @ D[i] + sum(Ks @ D[s] for s, Ks in K.items())
-        followers[i] = FollowerController(
-            S=Si,
-            K=K,
-            k=ki,
-            N=Si + sum(K.values()),
-            k_tilde=ki - Si @ D[i] - sum(Ks @ D[s] for s, Ks in K.items()),
-        )
+        N_i, kt_i = _aggregate(Si, K, ki, i, D)
+        followers[i] = FollowerController(S=Si, K=K, k=ki, N=N_i, k_tilde=kt_i)
     return ControllerSet(n=n, m=m, followers=followers)
 
 
 def control_input(ctrl: ControllerSet, i: int, states: dict) -> np.ndarray:
     """Evaluate u_i = S_i x_i + sum_s K_is x_s + k_i at the given states.
 
+    Each state is an n-vector, or an array with one such row per time point
+    (as `simulate` records them); the input then has one row per point.
     Leaders (nodes without stored gains) get the zero input.  Raises
     `MissingStateError` when the follower's own state or any parent state
     is absent from ``states``.
@@ -116,13 +122,13 @@ def control_input(ctrl: ControllerSet, i: int, states: dict) -> np.ndarray:
         return np.zeros(ctrl.m)
     if i not in states:
         raise MissingStateError(f"state of agent {i} not provided")
-    u = fc.S @ np.asarray(states[i], dtype=float) + fc.k
+    u = np.asarray(states[i], dtype=float) @ fc.S.T + fc.k
     for s, Ks in fc.K.items():
         if not Ks.any():  # zero gain: the parent state is not actually used
             continue
         if s not in states:
             raise MissingStateError(f"state of parent {s} (needed by agent {i}) not provided")
-        u = u + Ks @ np.asarray(states[s], dtype=float)
+        u = u + np.asarray(states[s], dtype=float) @ Ks.T
     return u
 
 
@@ -144,17 +150,20 @@ def controller_to_dict(ctrl: ControllerSet) -> dict:
 
 
 def controller_from_dict(data: dict) -> ControllerSet:
-    followers = {
-        int(i): FollowerController(
-            S=np.asarray(fc["S"], dtype=float),
-            K={int(s): np.asarray(Ks, dtype=float) for s, Ks in fc["K"].items()},
-            k=np.asarray(fc["k"], dtype=float),
-            N=np.asarray(fc["N"], dtype=float),
-            k_tilde=np.asarray(fc["k_tilde"], dtype=float),
-        )
-        for i, fc in data["followers"].items()
-    }
-    return ControllerSet(n=int(data["n"]), m=int(data["m"]), followers=followers)
+    try:
+        followers = {
+            int(i): FollowerController(
+                S=np.asarray(fc["S"], dtype=float),
+                K={int(s): np.asarray(Ks, dtype=float) for s, Ks in fc["K"].items()},
+                k=np.asarray(fc["k"], dtype=float),
+                N=np.asarray(fc["N"], dtype=float),
+                k_tilde=np.asarray(fc["k_tilde"], dtype=float),
+            )
+            for i, fc in data["followers"].items()
+        }
+        return ControllerSet(n=int(data["n"]), m=int(data["m"]), followers=followers)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed controller document: {exc}") from exc
 
 
 def save_controller(ctrl: ControllerSet, path) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import ControllerSet
+from .controllers import ControllerSet, _aggregate
 from .linalg import (
     DEFAULT_TOLERANCES,
     HurwitzReport,
@@ -393,8 +393,7 @@ def verify_controller(
             M[i] = ag.A
             mvec[i] = -ag.A @ D[i]
         else:
-            N = fc.S + sum(fc.K.values())
-            kt = fc.k - fc.S @ D[i] - sum(Ks @ D[s] for s, Ks in fc.K.items())
+            N, kt = _aggregate(fc.S, fc.K, fc.k, i, D)
             M[i] = ag.A + ag.B @ N
             mvec[i] = ag.B @ kt - ag.A @ D[i]
             hurwitz[i] = is_hurwitz(ag.A + ag.B @ fc.S, tol)

@@ -144,10 +144,6 @@ def demo_path(name: str):
 # Random generators
 
 
-def _rng(rng) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
 def _weak_components_of(edges, l: int):
     comp = {i: i for i in range(1, l + 1)}
 
@@ -190,25 +186,21 @@ def random_dag_formation(
     max_nodes: int = 8,
     n: int = 2,
     m: int = 1,
-    relabel: bool = True,
-    max_leaders: int = 3,
 ) -> FormationSpec:
     """Random weakly connected acyclic formation with random dynamics.
 
-    Node labels are shuffled by default, so the input numbering is in
-    general *not* consistent with the level order — exercising the
-    renumbering logic.  No stability structure is implied.
+    Up to three nodes are parentless, and node labels are shuffled, so the
+    input numbering is in general *not* consistent with the level order —
+    exercising the renumbering logic.  No stability structure is implied.
     """
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     l = int(rng.integers(2, max_nodes + 1))
-    l0 = int(rng.integers(1, min(max_leaders, l - 1) + 1))
+    l0 = int(rng.integers(1, min(3, l - 1) + 1))
     structure = _random_edge_structure(rng, l, l0, extra_edge_prob=0.4)
 
-    perm = {i: i for i in range(1, l + 1)}
-    if relabel:
-        shuffled = list(range(1, l + 1))
-        rng.shuffle(shuffled)
-        perm = {old: new for old, new in zip(range(1, l + 1), shuffled)}
+    shuffled = list(range(1, l + 1))
+    rng.shuffle(shuffled)
+    perm = {old: new for old, new in zip(range(1, l + 1), shuffled)}
 
     agents = [None] * l
     for old in range(1, l + 1):
@@ -223,7 +215,7 @@ def random_dag_formation(
 
 def random_in_tree_formation(rng=0, max_nodes: int = 8, n: int = 2, m: int = 1) -> FormationSpec:
     """Random in-tree (single leader, one parent per follower), random d."""
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     l = int(rng.integers(2, max_nodes + 1))
     agents = tuple(
         AgentDynamics(A=rng.standard_normal((n, n)), B=rng.standard_normal((n, m)))
@@ -253,7 +245,7 @@ def random_feasible_formation(
     leader matrix.  Stabilizability of the random follower pairs holds
     generically.
     """
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     n = int(rng.integers(2, max_n + 1))
     m = int(rng.integers(1, max_m + 1))
     l = int(rng.integers(3, max_nodes + 1))
@@ -310,7 +302,7 @@ def random_feasible_formation(
 def random_controllable_pair(rng=0, n: int = 3, m: int = 1):
     """Random (A, B) resampled until the controllability matrix has full
     rank (a brute-force oracle independent of the PBH test)."""
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     while True:
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, m))

@@ -359,18 +359,13 @@ def _lyapunov_constant(A, alpha: float) -> float:
     return float(np.sqrt(w[-1] / w[0]))
 
 
-def exp_envelope(
-    A,
-    alpha: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    grid_points: int = 200,
-) -> ExpEnvelope:
+def exp_envelope(A, alpha: float) -> ExpEnvelope:
     """Decay certificate ||exp(t A)|| <= C exp(-alpha t) for a Hurwitz matrix.
 
     C = sqrt(cond(P)) where P solves (A + alpha I)^T P + P (A + alpha I) = -I;
     the Lyapunov function x^T P x then decays at rate 2*alpha, which yields
     the operator-norm bound.  The certificate is cross-checked by sampling
-    ||exp(t A)|| on ``grid_points`` points of [0, 20/alpha].
+    ||exp(t A)|| on 200 points of [0, 20/alpha].
 
     Raises
     ------
@@ -393,10 +388,11 @@ def exp_envelope(
     C = _lyapunov_constant(A, alpha)
 
     # sample the bound: successive products of the one-step propagator
-    step = (20.0 / alpha) / (grid_points - 1)
+    samples = 200
+    step = (20.0 / alpha) / (samples - 1)
     F = scipy.linalg.expm(step * A)
     E = np.eye(n)
-    for k in range(grid_points):
+    for k in range(samples):
         t = k * step
         if np.linalg.norm(E, 2) > C * np.exp(-alpha * t) * (1.0 + 1e-6):
             raise CertificateError(

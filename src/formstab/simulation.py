@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import ControllerSet
+from .controllers import ControllerSet, control_input
 from .errors import (
     NonFiniteStateError,
     NotSiblingParentsError,
@@ -114,8 +114,7 @@ class SinusoidSignal(LeaderSignal):
         a = float(np.linalg.norm(self.amplitude))
         if self.omega == 0.0:
             return a * abs(math.sin(self.phase))
-        lo = self.phase
-        hi = self.phase + abs(self.omega) * t
+        lo, hi = sorted((self.phase, self.phase + self.omega * t))
         # |sin| peaks at odd multiples of pi/2; is one inside [lo, hi]?
         k = math.ceil((lo - math.pi / 2.0) / math.pi)
         if math.pi / 2.0 + k * math.pi <= hi:
@@ -347,16 +346,11 @@ def simulate(
     states = {i: traj[:, pos[i] : pos[i] + n] for i in order}
     errors = {e.key: states[e.i] - states[e.j] + e.d for e in spec.edges}
 
-    inputs = {}
-    for i in order:
-        fc = ctrl.followers.get(i)
-        if fc is None:
-            inputs[i] = np.array([sig_map[i].value(t) for t in times])
-        else:
-            u = states[i] @ fc.S.T + fc.k
-            for s, Ks in fc.K.items():
-                u = u + states[s] @ Ks.T
-            inputs[i] = u
+    inputs = {
+        i: control_input(ctrl, i, states) if i in ctrl.followers
+        else np.array([sig_map[i].value(t) for t in times])
+        for i in order
+    }
 
     return SimulationTrace(
         times=times,
@@ -622,6 +616,9 @@ def error_dynamics_check(
 # Export
 
 
+_CSV_BLOCK = 64  # rows formatted per stacked block; bounds the extra memory
+
+
 def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) -> None:
     """Write the trace as CSV: time, per-agent state columns x_<id>[k],
     then per-edge error columns z_<i>_<j>[k].  Agents follow renumbering
@@ -637,12 +634,11 @@ def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) ->
     for (i, j) in edge_order:
         header.extend(f"z_{i}_{j}[{k}]" for k in range(1, n + 1))
 
+    columns = [trace.times[:, None]]
+    columns += [trace.states[i] for i in order]
+    columns += [trace.errors[e] for e in edge_order]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row, t in enumerate(trace.times):
-            cells = [repr(float(t))]
-            for i in order:
-                cells.extend(repr(float(v)) for v in trace.states[i][row])
-            for e in edge_order:
-                cells.extend(repr(float(v)) for v in trace.errors[e][row])
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, len(trace.times), _CSV_BLOCK):
+            block = np.hstack([c[start : start + _CSV_BLOCK] for c in columns])
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())

@@ -99,6 +99,19 @@ def _solutions(report: CriterionReport, followers) -> tuple[dict, dict]:
     return N, kt
 
 
+def _verified(spec, decomp, S, N, kt, weights, tol) -> ControllerSet:
+    """Assemble the controller from its parts and verify it; raises
+    `SynthesisFailure` with both defects when verification fails."""
+    ctrl = assemble_controller(decomp, spec.n, spec.m, S, N, kt, weights)
+    ver = verify_controller(spec, decomp, ctrl, tol)
+    if not ver.passed:
+        raise SynthesisFailure(
+            f"controller failed verification (matrix defect "
+            f"{ver.max_matrix_defect:.3e}, offset defect {ver.max_offset_defect:.3e})"
+        )
+    return ctrl
+
+
 def synthesize(
     spec: FormationSpec,
     decomp: LevelDecomposition,
@@ -118,16 +131,7 @@ def synthesize(
     followers = decomp.followers()
     S = {i: stabilize(spec.agent(i).A, spec.agent(i).B, tol) for i in followers}
     N, kt = _solutions(report, followers)
-    ctrl = assemble_controller(
-        decomp, spec.n, spec.m, S, N, kt, strategy.resolve(spec, decomp)
-    )
-    ver = verify_controller(spec, decomp, ctrl, tol)
-    if not ver.passed:
-        raise SynthesisFailure(
-            f"synthesized controller failed verification "
-            f"(matrix defect {ver.max_matrix_defect:.3e}, offset defect {ver.max_offset_defect:.3e})"
-        )
-    return ctrl
+    return _verified(spec, decomp, S, N, kt, strategy.resolve(spec, decomp), tol)
 
 
 def state_only_controller(
@@ -148,29 +152,18 @@ def state_only_controller(
         raise NotStableError(
             "state-only form needs a Hurwitz reference leader matrix"
         )
-    followers = decomp.followers()
-    N, kt = _solutions(report, followers)
-    weights = {
-        i: {s: (1.0 if s == decomp.parent[i] else 0.0) for s in spec.parents(i)}
-        for i in followers
-    }
-    ctrl = assemble_controller(decomp, spec.n, spec.m, dict(N), N, kt, weights)
-    ver = verify_controller(spec, decomp, ctrl, tol)
-    if not ver.passed:
-        raise SynthesisFailure("state-only controller failed verification")
-    return ctrl
+    N, kt = _solutions(report, decomp.followers())
+    return _verified(spec, decomp, dict(N), N, kt, PARENT_ONLY.resolve(spec, decomp), tol)
 
 
-def _kernel_basis(B: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of B (directions invisible to B)."""
-    return scipy.linalg.null_space(B)
+_GAIN_TRIES = 50
 
 
-def _perturbed_gain(A, B, S_base, rng, tol, tries: int = 50):
+def _perturbed_gain(A, B, S_base, rng, tol):
     """Random Hurwitz-preserving perturbation of a stabilizing gain;
-    falls back to the base gain after ``tries`` rejections."""
+    falls back to the base gain after ``_GAIN_TRIES`` rejections."""
     scale = 0.3 * (1.0 + float(np.linalg.norm(S_base, "fro")))
-    for _ in range(tries):
+    for _ in range(_GAIN_TRIES):
         cand = S_base + scale * rng.uniform(0.1, 1.0) * rng.standard_normal(S_base.shape)
         if is_hurwitz(A + B @ cand, tol).is_hurwitz:
             return cand
@@ -203,13 +196,14 @@ def enumerate_family(
     _require_stable(report)
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
 
     out = [synthesize(spec, decomp, report, PARENT_ONLY, tol)]
     followers = decomp.followers()
     base_S = {i: out[0].gains(i).S for i in followers}
     N0, kt0 = _solutions(report, followers)
-    kernels = {i: _kernel_basis(spec.agent(i).B) for i in followers}
+    # orthonormal bases of null(B_i): directions invisible to the follower's input
+    kernels = {i: scipy.linalg.null_space(spec.agent(i).B) for i in followers}
 
     for _ in range(count - 1):
         S, N, kt, weights = {}, {}, {}, {}
@@ -229,9 +223,5 @@ def enumerate_family(
             else:
                 w = rng.dirichlet(np.ones(len(parents)))
                 weights[i] = {s: float(ws) for s, ws in zip(parents, w)}
-        ctrl = assemble_controller(decomp, spec.n, spec.m, S, N, kt, weights)
-        ver = verify_controller(spec, decomp, ctrl, tol)
-        if not ver.passed:
-            raise SynthesisFailure("sampled family member failed verification")
-        out.append(ctrl)
+        out.append(_verified(spec, decomp, S, N, kt, weights, tol))
     return out

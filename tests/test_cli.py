@@ -68,6 +68,15 @@ class TestCheck:
         assert main(["check"]) == 1
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--T", "5"],
+        ["check", "--seed", "1"],
+        ["pairwise", "--dt", "0.1"],
+        ["synthesize", "--T", "5"],
+    ])
+    def test_flag_the_command_does_not_read_exits_one(self, chain_file, argv):
+        assert main([argv[0], chain_file] + argv[1:]) == 1
+
     def test_split_mode_analyzes_components(self, tmp_path, capsys):
         doc = {
             "n": 1,
@@ -187,6 +196,13 @@ class TestSimulate:
         assert main(["simulate", chain_file, "--signals", "ramp:1",
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("doc", [[1], {"n": 2, "m": 1, "followers": [1]}])
+    def test_malformed_controller_file_exits_one(self, chain_file, tmp_path, doc):
+        path = tmp_path / "ctrl.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", chain_file, "--controller", str(path),
+                     "--out", str(tmp_path)]) == 1
+
 
 class TestPairwiseAndDemo:
     def test_pairwise_report(self, chain_file, tmp_path, capsys):
@@ -220,6 +236,16 @@ class TestConfigAndDeterminism:
         assert main(["check", chain_file, "--config", str(cfg)]) == 1
         cfg.write_text(json.dumps({"eps_solve": -1.0}))
         assert main(["check", chain_file, "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"T": "5"}, {"seed": "abc"}, {"dt": "0.1"}, {"eps_solve": "1e-8"},
+        {"T": True}, {"out": 5}, [1],
+    ])
+    def test_config_value_of_wrong_type_exits_one(self, chain_file, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["simulate", chain_file, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 1
 
     def test_config_tolerances_apply(self, tmp_path):
         # example1 fails only its displacement condition; a loose enough

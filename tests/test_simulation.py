@@ -77,6 +77,8 @@ class TestSignals:
         (1.0, 2.0, 0.5),     # nonzero phase
         (0.0, 0.7, 9.0),     # frozen sinusoid
         (3.0, -1.0, 4.0),
+        (-1.0, 2.0, 0.5),    # negative omega: the argument sweeps down from the phase
+        (-3.0, 0.3, 0.2),
     ])
     def test_sinusoid_running_sup_matches_dense_sampling(self, omega, phase, t):
         amp = np.array([1.0, -2.0])

@@ -1,6 +1,8 @@
 """Controller construction: default synthesis, the state-only form,
 control evaluation, and family sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from formstab import (
     MissingStateError,
     NotStableError,
     SplitStrategy,
+    SynthesisFailure,
     UNIFORM,
     check,
     control_input,
@@ -22,6 +25,7 @@ from formstab import (
     verify_controller,
 )
 from formstab import linalg as linalg_module
+from formstab import synthesis as synthesis_module
 from formstab.instances import random_feasible_formation
 from formstab.linalg import DEFAULT_TOLERANCES
 
@@ -103,17 +107,37 @@ class TestNoRepeatedPbhTest:
         assert calls == []
 
 
-class TestStateOnlyForm:
-    def _stable_multi_leader(self):
-        for seed in range(80):
-            spec = random_feasible_formation(seed)
-            dec = decompose(spec)
-            if dec.l0 > 1:
-                return spec, dec, check(spec, dec)
-        pytest.fail("no multi-leader draw")
+def _stable_multi_leader():
+    for seed in range(80):
+        spec = random_feasible_formation(seed)
+        dec = decompose(spec)
+        if dec.l0 > 1:
+            return spec, dec, check(spec, dec)
+    pytest.fail("no multi-leader draw")
 
+
+class TestVerificationFailure:
+    def test_every_construction_raises_with_both_defects(self, monkeypatch):
+        # all three constructors share one assemble-and-verify step
+        real = synthesis_module.verify_controller
+
+        def failing(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), passed=False)
+
+        monkeypatch.setattr(synthesis_module, "verify_controller", failing)
+        spec, dec, rep = _stable_multi_leader()
+        for build in (
+            lambda: synthesize(spec, dec, rep),
+            lambda: state_only_controller(spec, dec, rep),
+            lambda: enumerate_family(spec, dec, rep, 3),
+        ):
+            with pytest.raises(SynthesisFailure, match="matrix defect .* offset defect"):
+                build()
+
+
+class TestStateOnlyForm:
     def test_state_only_form(self):
-        spec, dec, rep = self._stable_multi_leader()
+        spec, dec, rep = _stable_multi_leader()
         ctrl = state_only_controller(spec, dec, rep)
         D = dec.cumulative_offset
         for i, fc in ctrl.followers.items():
@@ -124,7 +148,7 @@ class TestStateOnlyForm:
         assert verify_controller(spec, dec, ctrl).passed
 
     def test_needs_no_parent_states(self):
-        spec, dec, rep = self._stable_multi_leader()
+        spec, dec, rep = _stable_multi_leader()
         ctrl = state_only_controller(spec, dec, rep)
         i = dec.followers()[0]
         x = np.ones(spec.n)
@@ -145,6 +169,19 @@ class TestControlInput:
         for i in (2, 3):
             u = control_input(ctrl, i, states)
             assert np.allclose(u, ctrl.gains(i).k_tilde, atol=1e-12)
+
+    def test_stacked_rows_match_row_by_row(self, good_triangle):
+        spec = good_triangle
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec), UNIFORM)
+        rng = np.random.default_rng(4)
+        rows = {i: rng.standard_normal((5, spec.n)) for i in spec.nodes}
+        for i in dec.followers():
+            stacked = control_input(ctrl, i, rows)
+            assert stacked.shape == (5, spec.m)
+            for r in range(5):
+                one = control_input(ctrl, i, {s: x[r] for s, x in rows.items()})
+                assert np.allclose(stacked[r], one, rtol=1e-14, atol=1e-14)
 
     def test_zero_controller(self, chain):
         zero = ControllerSet(n=2, m=1, followers={})
