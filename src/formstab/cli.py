@@ -182,20 +182,20 @@ def cmd_synthesize(args) -> int:
         "parent-only": synthesis.PARENT_ONLY,
         "uniform": synthesis.UNIFORM,
     }[args.strategy]
+    # the verification that synthesis already ran is the one printed
     if args.family > 1:
-        family = synthesis.enumerate_family(
-            spec, decomp, rep, args.family, rng=cfg.seed, tol=cfg.tolerances
+        family = synthesis._enumerate_family(
+            spec, decomp, rep, args.family, cfg.seed, cfg.tolerances
         )
-        for k, ctrl in enumerate(family):
+        for k, (ctrl, _) in enumerate(family):
             save_controller(ctrl, out / f"{stem}_controller_{k}.json")
         print(f"wrote {len(family)} controllers to {out}")
-        ctrl = family[0]
+        ver = family[0][1]
     else:
-        ctrl = synthesis.synthesize(spec, decomp, rep, strategy, cfg.tolerances)
+        ctrl, ver = synthesis._synthesize(spec, decomp, rep, strategy, cfg.tolerances)
         save_controller(ctrl, out / f"{stem}_controller.json")
         print(f"wrote controller to {out / (stem + '_controller.json')}")
 
-    ver = criterion.verify_controller(spec, decomp, ctrl, cfg.tolerances)
     print(
         f"verification: {'pass' if ver.passed else 'FAIL'}  "
         f"matrix defect {ver.max_matrix_defect:.3e}  offset defect {ver.max_offset_defect:.3e}"

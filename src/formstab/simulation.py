@@ -1,9 +1,12 @@
 """Closed-loop simulation and trajectory-level verification.
 
-Integrates the coupled agent dynamics under a follower control law and
-free leader inputs with a fixed-step classic Runge-Kutta scheme, records
-states, edge errors and realized inputs, and offers three trajectory
-checks:
+Propagates the coupled agent dynamics under a follower control law and
+free leader inputs on a fixed-step grid, records states, edge errors and
+realized inputs, and offers three trajectory checks.  Inputs without
+breakpoints whose signals have a linear generator (zero, constant,
+sinusoid) are propagated exactly by matrix exponentials (integrator
+``"expm"``); any other input goes through classic Runge-Kutta steps aligned
+to its breakpoints (integrator ``"rk4"``).  The checks:
 
 * `fit_envelope` certifies per-edge constants (C, alpha, beta) of the
   exponential-plus-input-gain error bound
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .controllers import ControllerSet, control_input
 from .errors import (
@@ -74,6 +78,11 @@ class LeaderSignal:
         """Discontinuity times inside (0, T) the integrator must land on."""
         return ()
 
+    def generator(self):
+        """(S, H, w0) with u(t) = H w(t), w' = S w, w(0) = w0, or None when
+        the signal has no such linear generator."""
+        return None
+
 
 class ZeroSignal(LeaderSignal):
     is_zero = True
@@ -98,6 +107,9 @@ class ConstantSignal(LeaderSignal):
     def running_sup(self, t):
         return float(np.linalg.norm(self.c))
 
+    def generator(self):
+        return np.zeros((1, 1)), self.c[:, None], np.ones(1)
+
 
 class SinusoidSignal(LeaderSignal):
     """u(t) = amplitude * sin(omega t + phase), amplitude an m-vector."""
@@ -121,6 +133,12 @@ class SinusoidSignal(LeaderSignal):
             return a
         return a * max(abs(math.sin(lo)), abs(math.sin(hi)))
 
+    def generator(self):
+        # w = [sin(omega t + phase), cos(omega t + phase)]
+        S = np.array([[0.0, self.omega], [-self.omega, 0.0]])
+        H = np.column_stack([self.amplitude, np.zeros_like(self.amplitude)])
+        return S, H, np.array([math.sin(self.phase), math.cos(self.phase)])
+
 
 class PiecewiseConstantSignal(LeaderSignal):
     """values[k] on [times[k], times[k+1]); times[0] must be 0.
@@ -139,6 +157,9 @@ class PiecewiseConstantSignal(LeaderSignal):
             raise ValueError("first breakpoint must be t=0")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
+        self._running_max = np.maximum.accumulate(
+            [float(np.linalg.norm(v)) for v in self.values]
+        )
 
     def _segment(self, t: float, left: bool = False) -> int:
         side = "left" if left else "right"
@@ -152,8 +173,7 @@ class PiecewiseConstantSignal(LeaderSignal):
         return self.values[self._segment(t, left=True)]
 
     def running_sup(self, t):
-        k = self._segment(t)
-        return float(max(np.linalg.norm(v) for v in self.values[: k + 1]))
+        return float(self._running_max[self._segment(t)])
 
     def breakpoints(self, T):
         return tuple(float(t) for t in self.times if 0.0 < t < T)
@@ -167,7 +187,11 @@ class SimulationTrace:
     """Closed-loop trajectory on a (possibly breakpoint-refined) time grid.
 
     ``states``/``inputs`` are keyed by agent id, ``errors`` by edge key;
-    every value has one row per grid point.  ``closed_loop`` is the pair
+    every value has one row per grid point.  The states are the agent
+    slabs of one contiguous (agents, grid points, n) array, agents in
+    renumbering order.  ``metadata["integrator"]`` names the propagation:
+    ``"expm"`` (exact, breakpoint-free inputs with linear generators) or
+    ``"rk4"`` (every other input).  ``closed_loop`` is the pair
     ``(M, G)`` of the integrated system y' = M y + c + sum_a G[a] u_a(t):
     the stacked closed-loop matrix with agents in renumbering order, and
     the input map per leader id.  ``free_errors`` is always None; it is
@@ -228,17 +252,22 @@ def _closed_loop_blocks(spec, decomp, ctrl):
     return order, pos, M, c, leader_cols
 
 
+def _grid_resolution(T: float) -> float:
+    """Grid points closer than this are one point."""
+    return 1e-12 * max(T, 1.0)
+
+
 def _build_grid(T: float, dt: float, breakpoints) -> np.ndarray:
     n_full = int(math.floor(T / dt + 1e-12))
     times = [k * dt for k in range(n_full + 1)]
-    if T - times[-1] > 1e-12 * max(T, 1.0):
+    if T - times[-1] > _grid_resolution(T):
         times.append(T)
     times.extend(b for b in breakpoints)
     times = sorted(set(times))
     # drop near-duplicates from breakpoint merging
     out = [times[0]]
     for t in times[1:]:
-        if t - out[-1] > 1e-12 * max(T, 1.0):
+        if t - out[-1] > _grid_resolution(T):
             out.append(t)
     out[-1] = min(out[-1], T)
     return np.asarray(out)
@@ -248,7 +277,10 @@ def _integrate(M, c, forcing, times, y0):
     """Fixed-step RK4 over the given grid for ydot = M y + c + sum G_s u_s(t).
 
     ``forcing`` lists (G_s, signal) for the nonzero leader inputs.  Returns
-    the (len(times), dim) trajectory.
+    the (len(times), dim) trajectory.  `simulate` uses it (integrator
+    ``"rk4"``) for inputs with breakpoints or without a linear generator;
+    the grid lands on every breakpoint, so each step sees a continuous
+    right-hand side.
     """
     out = np.empty((len(times), y0.shape[0]))
     out[0] = y0
@@ -275,6 +307,64 @@ def _integrate(M, c, forcing, times, y0):
     return out
 
 
+def _expm_increment(X: np.ndarray) -> np.ndarray:
+    """e^X - I, accurate relative to ||X||: X phi_1(X), with phi_1(X) the
+    top-right block of expm([[X, I], [0, 0]])."""
+    k = X.shape[0]
+    W = np.zeros((2 * k, 2 * k))
+    W[:k, :k] = X
+    W[:k, k:] = np.eye(k)
+    return X @ scipy.linalg.expm(W)[:k, k:]
+
+
+def _propagate(M, c, generators, times, y0, dt):
+    """Exact propagation over a uniform-step grid of ydot = M y + c +
+    sum G_s u_s(t), every u_s the output of a linear generator.
+
+    ``generators`` lists (G_s, (S_s, H_s, w0_s)) for the nonzero leader
+    inputs, as `LeaderSignal.generator` gives them.
+
+    The augmented state z = [y; 1; w_s...] obeys z' = A z with
+    A = [[M, c, G_s H_s...], [0, 0, 0], [0, 0, S_s...]], so each step is
+    z <- z + (e^{hA} - I) z, with one increment per distinct step length:
+    ``dt``, and the short last step when T/dt is not an integer (Van Loan,
+    IEEE TAC 1978).  Returns the (len(times), dim) trajectory; raises
+    `NonFiniteStateError` at the first grid time with a non-finite state.
+    """
+    dim = y0.shape[0]
+    size = dim + 1 + sum(S.shape[0] for _, (S, _, _) in generators)
+    A = np.zeros((size, size))
+    A[:dim, :dim] = M
+    A[:dim, dim] = c
+    z = np.empty(size)
+    z[:dim] = y0
+    z[dim] = 1.0
+    r = dim + 1
+    for G, (S, H, w0) in generators:
+        k = S.shape[0]
+        A[:dim, r : r + k] = G @ H
+        A[r : r + k, r : r + k] = S
+        z[r : r + k] = w0
+        r += k
+
+    uniform = _expm_increment(dt * A)
+    last = times[-1] - times[-2]
+    if abs(last - dt) <= _grid_resolution(times[-1]):
+        final = uniform
+    else:
+        final = _expm_increment(last * A)
+    out = np.empty((len(times), size))
+    out[0] = z
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is detected below
+        for step in range(len(times) - 2):
+            out[step + 1] = out[step] + uniform @ out[step]
+        out[-1] = out[-2] + final @ out[-2]
+    bad = ~np.isfinite(out[:, :dim]).all(axis=1)
+    if bad.any():
+        raise NonFiniteStateError(float(times[int(np.argmax(bad))]))
+    return out[:, :dim]
+
+
 def simulate(
     spec: FormationSpec,
     decomp: LevelDecomposition,
@@ -284,7 +374,7 @@ def simulate(
     T: float = 20.0,
     dt: float | None = None,
 ) -> SimulationTrace:
-    """Integrate the closed-loop formation and record its trajectory.
+    """Propagate the closed-loop formation and record its trajectory.
 
     Parameters
     ----------
@@ -297,9 +387,14 @@ def simulate(
         B_i S_i||_F)); an explicit dt with dt * max||A_i + B_i S_i||_F > 1
         raises `StepTooLargeError`.
 
-    The stacked system is integrated jointly (its coupling is lower
-    triangular in renumbering order); steps land exactly on signal
-    breakpoints so each step sees a continuous right-hand side.
+    The stacked system is propagated jointly (its coupling is lower
+    triangular in renumbering order) on the grid k * dt, plus T.  When no
+    signal has a breakpoint in (0, T) and every nonzero signal has a linear
+    generator (`ConstantSignal`, `SinusoidSignal`), the trajectory is exact
+    up to roundoff: one matrix exponential per step length (integrator
+    ``"expm"``).  Otherwise classic RK4 steps land exactly on the signal
+    breakpoints, so each step sees a continuous right-hand side (integrator
+    ``"rk4"``).  ``metadata["integrator"]`` names the one used.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
@@ -341,9 +436,18 @@ def simulate(
         y0[pos[i] : pos[i] + n] = xi
 
     forcing = [(G, sig_map[s]) for s, G in leader_cols.items() if not sig_map[s].is_zero]
-    traj = _integrate(M, c, forcing, times, y0)
+    generators = [(G, sig.generator()) for G, sig in forcing]
+    exact = not breaks and all(gen is not None for _, gen in generators)
+    if exact:
+        traj = _propagate(M, c, generators, times, y0, dt)
+    else:
+        traj = _integrate(M, c, forcing, times, y0)
 
-    states = {i: traj[:, pos[i] : pos[i] + n] for i in order}
+    # agent-major: each agent's rows are one contiguous slab; the step-major
+    # copy is released before the edge errors are built
+    slabs = np.ascontiguousarray(traj.reshape(len(times), len(order), n).transpose(1, 0, 2))
+    del traj
+    states = {i: slabs[k] for k, i in enumerate(order)}
     errors = {e.key: states[e.i] - states[e.j] + e.d for e in spec.edges}
 
     inputs = {
@@ -357,7 +461,7 @@ def simulate(
         states=states,
         errors=errors,
         inputs=inputs,
-        metadata={"integrator": "rk4", "dt": float(dt), "T": float(T)},
+        metadata={"integrator": "expm" if exact else "rk4", "dt": float(dt), "T": float(T)},
         signals=sig_map,
         closed_loop=(M, leader_cols),
     )

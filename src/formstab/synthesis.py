@@ -99,8 +99,9 @@ def _solutions(report: CriterionReport, followers) -> tuple[dict, dict]:
     return N, kt
 
 
-def _verified(spec, decomp, S, N, kt, weights, tol) -> ControllerSet:
-    """Assemble the controller from its parts and verify it; raises
+def _verified(spec, decomp, S, N, kt, weights, tol) -> tuple:
+    """Assemble the controller from its parts and verify it; returns the
+    controller and its `ControllerVerification`, and raises
     `SynthesisFailure` with both defects when verification fails."""
     ctrl = assemble_controller(decomp, spec.n, spec.m, S, N, kt, weights)
     ver = verify_controller(spec, decomp, ctrl, tol)
@@ -109,7 +110,7 @@ def _verified(spec, decomp, S, N, kt, weights, tol) -> ControllerSet:
             f"controller failed verification (matrix defect "
             f"{ver.max_matrix_defect:.3e}, offset defect {ver.max_offset_defect:.3e})"
         )
-    return ctrl
+    return ctrl, ver
 
 
 def synthesize(
@@ -127,6 +128,11 @@ def synthesize(
     offsets k_i close the construction identities.  The result is
     re-verified before being returned.
     """
+    return _synthesize(spec, decomp, report, strategy, tol)[0]
+
+
+def _synthesize(spec, decomp, report, strategy, tol) -> tuple:
+    """`synthesize`, returning the controller with its verification."""
     _require_stable(report)
     followers = decomp.followers()
     S = {i: stabilize(spec.agent(i).A, spec.agent(i).B, tol) for i in followers}
@@ -153,7 +159,7 @@ def state_only_controller(
             "state-only form needs a Hurwitz reference leader matrix"
         )
     N, kt = _solutions(report, decomp.followers())
-    return _verified(spec, decomp, dict(N), N, kt, PARENT_ONLY.resolve(spec, decomp), tol)
+    return _verified(spec, decomp, dict(N), N, kt, PARENT_ONLY.resolve(spec, decomp), tol)[0]
 
 
 _GAIN_TRIES = 50
@@ -193,14 +199,19 @@ def enumerate_family(
     membership in the family, not coverage of it.  Same seed (or
     generator state) in, same controllers out.
     """
+    return [ctrl for ctrl, _ in _enumerate_family(spec, decomp, report, count, rng, tol)]
+
+
+def _enumerate_family(spec, decomp, report, count, rng, tol) -> list:
+    """`enumerate_family`, as (controller, verification) pairs."""
     _require_stable(report)
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(rng)  # a Generator passes through unchanged
 
-    out = [synthesize(spec, decomp, report, PARENT_ONLY, tol)]
+    out = [_synthesize(spec, decomp, report, PARENT_ONLY, tol)]
     followers = decomp.followers()
-    base_S = {i: out[0].gains(i).S for i in followers}
+    base_S = {i: out[0][0].gains(i).S for i in followers}
     N0, kt0 = _solutions(report, followers)
     # orthonormal bases of null(B_i): directions invisible to the follower's input
     kernels = {i: scipy.linalg.null_space(spec.agent(i).B) for i in followers}

@@ -109,6 +109,24 @@ class TestSynthesize:
         files = sorted(tmp_path.glob("chain_controller_*.json"))
         assert len(files) == 5
 
+    @pytest.mark.parametrize("extra,controllers", [([], 1), (["--family", "8"], 8)])
+    def test_verifies_each_controller_once(self, chain_file, tmp_path, monkeypatch,
+                                           capsys, extra, controllers):
+        from formstab import criterion, synthesis
+
+        calls = []
+        original = criterion.verify_controller
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(criterion, "verify_controller", counting)
+        monkeypatch.setattr(synthesis, "verify_controller", counting)
+        assert main(["synthesize", chain_file, "--out", str(tmp_path)] + extra) == 0
+        assert len(calls) == controllers
+        assert "verification: pass" in capsys.readouterr().out
+
     def test_uniform_strategy(self, tmp_path):
         code = main(["synthesize", str(demo_path("triangle")), "--strategy",
                      "uniform", "--out", str(tmp_path)])

@@ -100,6 +100,15 @@ class TestSignals:
         assert sig.breakpoints(10.0) == (1.0, 2.0)
         assert sig.breakpoints(1.5) == (1.0,)
 
+    def test_piecewise_running_sup_is_the_prefix_max(self):
+        times = [0.0, 1.0, 2.0, 3.5]
+        values = [[0.5, 0.0], [3.0, 4.0], [-1.0, 1.0], [0.0, 6.0]]
+        sig = PiecewiseConstantSignal(times, values)
+        norms = [float(np.linalg.norm(v)) for v in values]
+        for t in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 9.0):
+            k = max(int(np.searchsorted(times, t, side="right")) - 1, 0)
+            assert sig.running_sup(t) == max(norms[: k + 1])
+
     def test_piecewise_validation(self):
         with pytest.raises(ValueError):
             PiecewiseConstantSignal([0.5, 1.0], [[1.0], [2.0]])
@@ -117,14 +126,17 @@ class TestSimulate:
         assert np.linalg.norm(tr.states[1][-1] - exact) <= 1e-10
 
     def test_rk4_convergence_order(self):
+        # the RK4 routine that breakpoint inputs take
+        from formstab.simulation import _integrate
+
         A = np.array([[0.0, 4.0], [-9.0, -2.0]])
-        spec, dec, ctrl = _single_agent(A)
         x0 = np.array([1.0, -0.5])
         exact = scipy.linalg.expm(2.0 * A) @ x0
         errs = []
         for dt in (1e-2, 5e-3, 2.5e-3):
-            tr = simulate(spec, dec, ctrl, {1: x0}, T=2.0, dt=dt)
-            errs.append(np.linalg.norm(tr.states[1][-1] - exact))
+            times = np.linspace(0.0, 2.0, round(2.0 / dt) + 1)
+            traj = _integrate(A, np.zeros(2), [], times, x0)
+            errs.append(np.linalg.norm(traj[-1] - exact))
         orders = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
         assert min(orders) >= 3.8
 
@@ -161,7 +173,7 @@ class TestSimulate:
             recon = tr.states[e.i] - tr.states[e.j] + e.d
             assert np.max(np.abs(recon - tr.errors[e.key])) <= 1e-12
         assert np.all(np.diff(tr.times) > 0)
-        assert tr.metadata["integrator"] == "rk4"
+        assert tr.metadata["integrator"] == "expm"
 
     def test_recorded_inputs_match_control_law(self, chain, chain_decomp, chain_ctrl):
         from formstab import control_input
@@ -183,11 +195,78 @@ class TestSimulate:
     def test_non_finite_state_reports_first_bad_time(
         self, chain, chain_decomp, chain_ctrl
     ):
+        # zero input: the exact path
         bad = _destabilized(chain, chain_decomp, chain_ctrl)
         huge = {i: 1e300 * np.ones(2) for i in chain.nodes}
         with pytest.raises(NonFiniteStateError) as exc:
             simulate(chain, chain_decomp, bad, huge, T=40.0)
-        assert 0.0 < exc.value.time <= 40.0
+        assert 0.0 < exc.value.time < 40.0
+
+    def test_non_finite_state_on_the_rk4_path(self, chain, chain_decomp, chain_ctrl):
+        bad = _destabilized(chain, chain_decomp, chain_ctrl)
+        huge = {i: 1e300 * np.ones(2) for i in chain.nodes}
+        steps = {1: PiecewiseConstantSignal([0.0, 0.5], [[0.0], [1.0]])}
+        with pytest.raises(NonFiniteStateError) as exc:
+            simulate(chain, chain_decomp, bad, huge, signals=steps, T=40.0)
+        assert 0.0 < exc.value.time < 40.0
+
+    @pytest.mark.parametrize("kind", ["zero", "const", "sine"])
+    @pytest.mark.parametrize("dt", [1e-2, 7e-3])  # T/dt = 300 and 428.6: a short last step
+    def test_exact_path_matches_augmented_exponential(self, kind, dt):
+        # two leaders, one of them driven, and a follower with an offset; the
+        # oracle takes one expm of the whole augmented system per grid time
+        from formstab.simulation import _closed_loop_blocks
+
+        spec, dec, rep = _stable_fork()
+        ctrl = synthesize(spec, dec, rep)
+        order, _, M, c, G = _closed_loop_blocks(spec, dec, ctrl)
+        leader = sorted(dec.leaders)[0]
+        if kind == "zero":
+            signals, gen, w0 = None, np.zeros((0, 0)), np.zeros(0)
+        elif kind == "const":
+            signals = {leader: ConstantSignal([0.8])}
+            gen, w0 = np.zeros((1, 1)), np.ones(1)
+            inject = G[leader] @ [[0.8]]
+        else:
+            omega, phase = 1.7, 0.4
+            signals = {leader: SinusoidSignal([0.8], omega, phase)}
+            gen = np.array([[0.0, omega], [-omega, 0.0]])
+            w0 = np.array([np.sin(phase), np.cos(phase)])
+            inject = G[leader] @ [[0.8, 0.0]]
+        dim, k = M.shape[0], gen.shape[0]
+        A = np.zeros((dim + 1 + k, dim + 1 + k))
+        A[:dim, :dim], A[:dim, dim] = M, c
+        if k:
+            A[:dim, dim + 1 :], A[dim + 1 :, dim + 1 :] = inject, gen
+
+        rng = np.random.default_rng(3)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        z0 = np.concatenate([np.concatenate([x0[i] for i in order]), [1.0], w0])
+        tr = simulate(spec, dec, ctrl, x0, signals=signals, T=3.0, dt=dt)
+        assert tr.metadata["integrator"] == "expm"
+        sim = np.hstack([tr.states[i] for i in order])
+        exact = np.array([scipy.linalg.expm(t * A)[:dim] @ z0 for t in tr.times])
+        assert np.max(np.abs(sim - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("signal,integrator", [
+        (None, "expm"),
+        (ZeroSignal(1), "expm"),
+        (ConstantSignal([0.5]), "expm"),
+        (SinusoidSignal([0.5], omega=2.0), "expm"),
+        (PiecewiseConstantSignal([0.0, 0.4], [[1.0], [-1.0]]), "rk4"),
+        (PiecewiseConstantSignal([0.0], [[1.0]]), "rk4"),  # no breakpoint, no generator
+        (PiecewiseConstantSignal([0.0, 5.0], [[1.0], [-1.0]]), "rk4"),  # breakpoint past T
+    ])
+    def test_integrator_follows_the_input(self, chain, chain_decomp, chain_ctrl,
+                                          signal, integrator):
+        x0 = {i: np.ones(2) for i in chain.nodes}
+        signals = None if signal is None else {1: signal}
+        tr = simulate(chain, chain_decomp, chain_ctrl, x0, signals=signals, T=1.0)
+        assert tr.metadata["integrator"] == integrator
+        slabs = tr.states[1].base
+        assert slabs.flags.c_contiguous and slabs.shape == (3, len(tr.times), 2)
+        assert all(np.shares_memory(tr.states[i], slabs) and tr.states[i].flags.c_contiguous
+                   for i in chain.nodes)
 
     def test_piecewise_signal_steps_align_to_breakpoints(self):
         # one stable controlled leader under a discontinuous input; the
@@ -303,7 +382,7 @@ class TestEnvelope:
         assert any(b > 0 for b in fit.beta.values())
 
     def test_forced_run_superposes_free_and_input_responses(self):
-        # the single RK4 pass is linear: a forced run's errors are the
+        # one propagation is linear: a forced run's errors are the
         # zero-input run's plus those of the forced run from ideal states
         spec = random_feasible_formation(rng=3, max_nodes=12, multi_leader_prob=1.0)
         dec = decompose(spec)
