@@ -1,8 +1,9 @@
 """Closed-loop simulation and trajectory-level verification.
 
 Propagates the coupled agent dynamics under a follower control law and
-free leader inputs on a fixed-step grid, records states, edge errors and
-realized inputs, and offers three trajectory checks.  Inputs without
+free leader inputs on a fixed-step grid, records the states in one
+time-contiguous array, derives edge errors and follower inputs from them on
+access, and offers three trajectory checks.  Inputs without
 breakpoints whose signals have a linear generator (zero, constant,
 sinusoid) are propagated exactly by matrix exponentials (integrator
 ``"expm"``); any other input goes through classic Runge-Kutta steps aligned
@@ -15,12 +16,14 @@ to its breakpoints (integrator ``"rk4"``).  The checks:
 * `chain_residual` evaluates the algebraic identity relating a follower's
   errors toward two of its parents through their parent chains,
 * `error_dynamics_check` compares finite-difference derivatives of the
-  edge errors against their closed-form linear dynamics.
+  edge errors against their closed-form linear dynamics, through one term
+  per agent.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,12 +103,13 @@ class ZeroSignal(LeaderSignal):
 class ConstantSignal(LeaderSignal):
     def __init__(self, c):
         self.c = np.asarray(c, dtype=float)
+        self._norm = float(np.linalg.norm(self.c))
 
     def value(self, t):
         return self.c
 
     def running_sup(self, t):
-        return float(np.linalg.norm(self.c))
+        return self._norm
 
     def generator(self):
         return np.zeros((1, 1)), self.c[:, None], np.ones(1)
@@ -118,12 +122,13 @@ class SinusoidSignal(LeaderSignal):
         self.amplitude = np.asarray(amplitude, dtype=float)
         self.omega = float(omega)
         self.phase = float(phase)
+        self._norm = float(np.linalg.norm(self.amplitude))
 
     def value(self, t):
         return self.amplitude * math.sin(self.omega * t + self.phase)
 
     def running_sup(self, t):
-        a = float(np.linalg.norm(self.amplitude))
+        a = self._norm
         if self.omega == 0.0:
             return a * abs(math.sin(self.phase))
         lo, hi = sorted((self.phase, self.phase + self.omega * t))
@@ -182,37 +187,76 @@ class PiecewiseConstantSignal(LeaderSignal):
 # ---------------------------------------------------------------------------
 
 
+class _OnAccess(Mapping):
+    """Read-only mapping over fixed keys whose values are computed on every
+    access, as ``compute(key, rows)`` for a row index or slice, and never
+    stored."""
+
+    def __init__(self, keys, compute):
+        self._keys = dict.fromkeys(keys)
+        self._compute = compute
+
+    def __getitem__(self, key):
+        return self.rows(key, slice(None))
+
+    def rows(self, key, rows):
+        if key not in self._keys:
+            raise KeyError(key)
+        return self._compute(key, rows)
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
+def _rows(values: Mapping, key, rows) -> np.ndarray:
+    """values[key][rows], computing only those rows when the values are
+    derived on access."""
+    if isinstance(values, _OnAccess):
+        return values.rows(key, rows)
+    return values[key][rows]
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
     """Closed-loop trajectory on a (possibly breakpoint-refined) time grid.
 
     ``states``/``inputs`` are keyed by agent id, ``errors`` by edge key;
-    every value has one row per grid point.  The states are the agent
-    slabs of one contiguous (agents, grid points, n) array, agents in
-    renumbering order.  ``metadata["integrator"]`` names the propagation:
+    every value has one row per grid point.  The states are stored once,
+    as one C-contiguous (agents, n, grid points) array with agents in
+    renumbering order: ``states[i]`` is the transposed view of agent i's
+    (n, grid points) slab, so each state component is contiguous in time.
+    Nothing else of that size is stored.  ``errors`` is a read-only mapping
+    that computes z_ij = x_i - x_j + d_ij from the states when an edge is
+    read, and ``inputs`` holds the leader inputs and computes a follower's
+    control input when it is read; read each value once and keep it if it
+    is needed again.  ``metadata["integrator"]`` names the propagation:
     ``"expm"`` (exact, breakpoint-free inputs with linear generators) or
     ``"rk4"`` (every other input).  ``closed_loop`` is the pair
     ``(M, G)`` of the integrated system y' = M y + c + sum_a G[a] u_a(t):
     the stacked closed-loop matrix with agents in renumbering order, and
     the input map per leader id.  ``free_errors`` is always None; it is
-    kept so that code reading it keeps working.
+    kept because the benchmark's per-layer counters read it.
     """
 
     times: np.ndarray
     states: dict
-    errors: dict
-    inputs: dict
+    errors: Mapping
+    inputs: Mapping
     metadata: dict
     signals: dict
     closed_loop: tuple
     free_errors: dict | None = None
 
     def initial_error_norm(self) -> float:
-        if not self.errors:
-            return 0.0
-        return float(
-            math.sqrt(sum(float(z[0] @ z[0]) for z in self.errors.values()))
-        )
+        """||z(0)|| of all edge errors stacked; reads only the first row."""
+        first = (_rows(self.errors, e, 0) for e in self.errors)
+        return math.sqrt(sum(float(z @ z) for z in first))
 
 
 def ideal_initial_states(decomp: LevelDecomposition, x0) -> dict:
@@ -276,15 +320,18 @@ def _build_grid(T: float, dt: float, breakpoints) -> np.ndarray:
 def _integrate(M, c, forcing, times, y0):
     """Fixed-step RK4 over the given grid for ydot = M y + c + sum G_s u_s(t).
 
-    ``forcing`` lists (G_s, signal) for the nonzero leader inputs.  Returns
-    the (len(times), dim) trajectory.  `simulate` uses it (integrator
+    ``forcing`` lists (G_s, signal) for the nonzero leader inputs, and y is
+    ``y0`` flattened.  Returns the (len(times), dim) trajectory as the
+    transposed view of a C-contiguous array of shape
+    ``y0.shape + (len(times),)``.  `simulate` uses it (integrator
     ``"rk4"``) for inputs with breakpoints or without a linear generator;
     the grid lands on every breakpoint, so each step sees a continuous
     right-hand side.
     """
-    out = np.empty((len(times), y0.shape[0]))
-    out[0] = y0
-    y = y0
+    out = np.empty(y0.shape + (len(times),))
+    flat = out.reshape(-1, len(times))
+    y = y0.reshape(-1)
+    flat[:, 0] = y
 
     def rhs(t, y, end=False):
         dy = M @ y + c
@@ -303,8 +350,8 @@ def _integrate(M, c, forcing, times, y0):
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(y)):
                 raise NonFiniteStateError(b)
-            out[step + 1] = y
-    return out
+            flat[:, step + 1] = y
+    return flat.T
 
 
 def _expm_increment(X: np.ndarray) -> np.ndarray:
@@ -328,16 +375,17 @@ def _propagate(M, c, generators, times, y0, dt):
     A = [[M, c, G_s H_s...], [0, 0, 0], [0, 0, S_s...]], so each step is
     z <- z + (e^{hA} - I) z, with one increment per distinct step length:
     ``dt``, and the short last step when T/dt is not an integer (Van Loan,
-    IEEE TAC 1978).  Returns the (len(times), dim) trajectory; raises
-    `NonFiniteStateError` at the first grid time with a non-finite state.
+    IEEE TAC 1978).  y is ``y0`` flattened.  Returns the trajectory as
+    `_integrate` does; raises `NonFiniteStateError` at the first grid time
+    with a non-finite state.
     """
-    dim = y0.shape[0]
+    dim = y0.size
     size = dim + 1 + sum(S.shape[0] for _, (S, _, _) in generators)
     A = np.zeros((size, size))
     A[:dim, :dim] = M
     A[:dim, dim] = c
     z = np.empty(size)
-    z[:dim] = y0
+    z[:dim] = y0.reshape(-1)
     z[dim] = 1.0
     r = dim + 1
     for G, (S, H, w0) in generators:
@@ -353,16 +401,19 @@ def _propagate(M, c, generators, times, y0, dt):
         final = uniform
     else:
         final = _expm_increment(last * A)
-    out = np.empty((len(times), size))
-    out[0] = z
+    out = np.empty(y0.shape + (len(times),))
+    flat = out.reshape(dim, len(times))
+    flat[:, 0] = z[:dim]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is detected below
         for step in range(len(times) - 2):
-            out[step + 1] = out[step] + uniform @ out[step]
-        out[-1] = out[-2] + final @ out[-2]
-    bad = ~np.isfinite(out[:, :dim]).all(axis=1)
+            z = z + uniform @ z
+            flat[:, step + 1] = z[:dim]
+        z = z + final @ z
+        flat[:, -1] = z[:dim]
+    bad = ~np.isfinite(flat).all(axis=0)
     if bad.any():
         raise NonFiniteStateError(float(times[int(np.argmax(bad))]))
-    return out[:, :dim]
+    return flat.T
 
 
 def simulate(
@@ -395,6 +446,11 @@ def simulate(
     ``"expm"``).  Otherwise classic RK4 steps land exactly on the signal
     breakpoints, so each step sees a continuous right-hand side (integrator
     ``"rk4"``).  ``metadata["integrator"]`` names the one used.
+
+    Both integrators write one C-contiguous (agents, n, grid points) array,
+    which the trace's per-agent state views share; edge errors and follower
+    inputs are not evaluated here but when the trace's mappings are read
+    (see `SimulationTrace`).
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
@@ -428,12 +484,12 @@ def simulate(
         breaks.extend(sig.breakpoints(T))
     times = _build_grid(T, dt, breaks)
 
-    y0 = np.empty(n * len(order))
-    for i in order:
+    y0 = np.empty((len(order), n))
+    for k, i in enumerate(order):
         xi = np.asarray(x0[i], dtype=float)
         if xi.shape != (n,):
             raise ValueError(f"x0[{i}] has shape {xi.shape}, expected ({n},)")
-        y0[pos[i] : pos[i] + n] = xi
+        y0[k] = xi
 
     forcing = [(G, sig_map[s]) for s, G in leader_cols.items() if not sig_map[s].is_zero]
     generators = [(G, sig.generator()) for G, sig in forcing]
@@ -443,18 +499,19 @@ def simulate(
     else:
         traj = _integrate(M, c, forcing, times, y0)
 
-    # agent-major: each agent's rows are one contiguous slab; the step-major
-    # copy is released before the edge errors are built
-    slabs = np.ascontiguousarray(traj.reshape(len(times), len(order), n).transpose(1, 0, 2))
-    del traj
-    states = {i: slabs[k] for k, i in enumerate(order)}
-    errors = {e.key: states[e.i] - states[e.j] + e.d for e in spec.edges}
-
-    inputs = {
-        i: control_input(ctrl, i, states) if i in ctrl.followers
-        else np.array([sig_map[i].value(t) for t in times])
-        for i in order
-    }
+    slab = traj.T.reshape(len(order), n, len(times))  # a view of the one stored array
+    states = {i: slab[k].T for k, i in enumerate(order)}
+    offsets = {e.key: e.d for e in spec.edges}
+    errors = _OnAccess(
+        offsets,
+        lambda e, rows: states[e[0]][rows] - states[e[1]][rows] + offsets[e],
+    )
+    leader_inputs = {i: np.array([sig.value(t) for t in times]) for i, sig in sig_map.items()}
+    inputs = _OnAccess(
+        order,
+        lambda i, rows: leader_inputs[i][rows] if i in leader_inputs
+        else control_input(ctrl, i, states)[rows],
+    )
 
     return SimulationTrace(
         times=times,
@@ -592,7 +649,7 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
         # reported violation
         alpha = 0.0
         C_map = {
-            e: float(np.linalg.norm(trace.errors[e][0])) / z0n if z0n > 0 else 1.0
+            e: float(np.linalg.norm(_rows(trace.errors, e, 0))) / z0n if z0n > 0 else 1.0
             for e in edges
         }
         b_map = dict.fromkeys(edges, 0.0)
@@ -651,7 +708,7 @@ def chain_residual(
 
     def chain_sum(start):
         chain = decomp.parent_chain(start)
-        total = np.zeros_like(trace.errors[(i, j)])
+        total = 0.0
         for a, b in zip(chain[:-1], chain[1:]):
             total = total + trace.errors[(a, b)]
         return total
@@ -677,42 +734,50 @@ def error_dynamics_check(
                   + B_j sum_v K_jv z_jv - [j leader] B_j u_j(t)
 
     evaluated at interior grid points with the 3-point nonuniform central
-    difference.  Expected to shrink as O(dt^2) on smooth inputs.
+    difference FD.  Expected to shrink as O(dt^2) on smooth inputs.
 
-    The parent-error term P_i = B_i sum_s K_is z_is (zero for a leader)
-    belongs to follower i alone and is shared by every edge touching i, so
-    it is formed once per follower; each edge then costs O(1) array
-    operations and the check is O(edges) per grid point.
+    With z_ij = x_i - x_j + d_ij and i always a follower, the defect of
+    edge (i, j) is Q_i - Q_j - A_ref d_ij, where each agent a carries one
+    term
+
+        Q_a = FD(x_a) - A_ref x_a + P_a - [a leader] B_a u_a,
+        P_a = B_a sum_s K_as z_as  (zero for a leader).
+
+    The Q_a are formed once per agent, in the trace's time-contiguous
+    layout (one row per state component), so each edge costs one
+    difference and one norm; the closed-loop matrix is not used.
     """
     times = trace.times
     if len(times) < 3:
         return 0.0
     A_ref = spec.agent(decomp.renumbering[0]).A
-    leaders = decomp.leaders
+    interior = slice(1, -1)
 
-    P = dict.fromkeys(spec.nodes, 0.0)
-    for i, fc in ctrl.followers.items():
-        Bi = spec.agent(i).B
-        P[i] = sum(trace.errors[(i, s)] @ (Bi @ Ks).T for s, Ks in fc.K.items())
-
-    # 3-point nonuniform central-difference weights, one row per interior point
+    # 3-point nonuniform central-difference weights, one per interior point
     h0 = times[1:-1] - times[:-2]
     h1 = times[2:] - times[1:-1]
-    w_prev = (-h1 / (h0 * (h0 + h1)))[:, None]
-    w_mid = ((h1 - h0) / (h0 * h1))[:, None]
-    w_next = (h0 / (h1 * (h0 + h1)))[:, None]
+    w_prev = -h1 / (h0 * (h0 + h1))
+    w_mid = (h1 - h0) / (h0 * h1)
+    w_next = h0 / (h1 * (h0 + h1))
+
+    Q = {}
+    for a in spec.nodes:
+        x = trace.states[a].T  # (n, grid points)
+        q = w_prev * x[:, :-2] + w_mid * x[:, 1:-1] + w_next * x[:, 2:]
+        q -= A_ref @ x[:, 1:-1]
+        fc = ctrl.followers.get(a)
+        if fc is not None:
+            Ba = spec.agent(a).B
+            for s, Ks in fc.K.items():
+                q += (Ba @ Ks) @ _rows(trace.errors, (a, s), interior).T
+        if a in decomp.leaders:
+            q -= spec.agent(a).B @ _rows(trace.inputs, a, interior).T
+        Q[a] = q
 
     worst = 0.0
-    for (i, j), z in trace.errors.items():
-        rhs = z @ A_ref.T - P[i] + P[j]
-        if j in leaders:
-            rhs = rhs - trace.inputs[j] @ spec.agent(j).B.T
-
-        dzdt = w_prev * z[:-2] + w_mid * z[1:-1] + w_next * z[2:]
-
-        defect = np.linalg.norm(dzdt - rhs[1:-1], axis=1)
-        if defect.size:
-            worst = max(worst, float(np.max(defect)))
+    for e in spec.edges:
+        defect = np.linalg.norm(Q[e.i] - Q[e.j] - (A_ref @ e.d)[:, None], axis=0)
+        worst = max(worst, float(np.max(defect)))
     return worst
 
 
@@ -727,7 +792,8 @@ def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) ->
     """Write the trace as CSV: time, per-agent state columns x_<id>[k],
     then per-edge error columns z_<i>_<j>[k].  Agents follow renumbering
     order; edges sort by their endpoints' renumbered indices.  Floats use
-    repr so rewrites of the same trace are byte-identical."""
+    repr so rewrites of the same trace are byte-identical.  Edge errors
+    are computed block by block, so no full edge array is held."""
     order = list(decomp.renumbering)
     edge_order = decomp.edge_order(trace.errors)
     n = next(iter(trace.states.values())).shape[1]
@@ -738,11 +804,13 @@ def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) ->
     for (i, j) in edge_order:
         header.extend(f"z_{i}_{j}[{k}]" for k in range(1, n + 1))
 
-    columns = [trace.times[:, None]]
-    columns += [trace.states[i] for i in order]
-    columns += [trace.errors[e] for e in edge_order]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(trace.times), _CSV_BLOCK):
-            block = np.hstack([c[start : start + _CSV_BLOCK] for c in columns])
+            rows = slice(start, start + _CSV_BLOCK)
+            block = np.hstack(
+                [trace.times[rows, None]]
+                + [trace.states[i][rows] for i in order]
+                + [_rows(trace.errors, e, rows) for e in edge_order]
+            )
             fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())

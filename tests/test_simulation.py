@@ -1,5 +1,10 @@
 """Closed-loop integration, envelope fitting, and trajectory identities."""
 
+import dataclasses
+import math
+import tracemalloc
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -88,6 +93,19 @@ class TestSignals:
         exact = sig.running_sup(t)
         assert exact >= brute - 1e-9
         assert exact <= brute + 1e-6 * (1.0 + brute)
+
+    def test_running_sup_reads_the_norm_taken_at_construction(self, monkeypatch):
+        amp = np.array([1.0, -2.0])
+        sine, const = SinusoidSignal(amp, 2.0, 0.3), ConstantSignal(amp)
+        norm = float(np.linalg.norm(amp))
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("running_sup recomputed the norm")
+
+        monkeypatch.setattr(np.linalg, "norm", recomputed)
+        assert sine.running_sup(5.0) == norm  # the peak is inside [0.3, 10.3]
+        assert sine.running_sup(0.1) == norm * abs(math.sin(0.5))
+        assert const.running_sup(5.0) == norm
 
     def test_piecewise(self):
         sig = PiecewiseConstantSignal([0.0, 1.0, 2.0], [[1.0], [-3.0], [0.5]])
@@ -187,6 +205,26 @@ class TestSimulate:
             assert np.allclose(tr.inputs[i][k], control_input(chain_ctrl, i, states_k))
         assert np.allclose(tr.inputs[1], 0.0)
 
+    def test_follower_inputs_are_evaluated_only_when_read(
+        self, chain, chain_decomp, chain_ctrl, monkeypatch
+    ):
+        import formstab.simulation as simulation
+
+        calls = []
+        real = simulation.control_input
+
+        def counted(ctrl, i, states):
+            calls.append(i)
+            return real(ctrl, i, states)
+
+        monkeypatch.setattr(simulation, "control_input", counted)
+        x0 = {i: np.ones(2) for i in chain.nodes}
+        tr = simulate(chain, chain_decomp, chain_ctrl, x0, T=1.0)
+        assert calls == []
+        assert list(tr.inputs) == list(chain_decomp.renumbering)
+        tr.inputs[3]
+        assert calls == [3]
+
     def test_step_too_large(self, chain, chain_decomp, chain_ctrl):
         with pytest.raises(StepTooLargeError):
             simulate(chain, chain_decomp, chain_ctrl,
@@ -263,10 +301,12 @@ class TestSimulate:
         signals = None if signal is None else {1: signal}
         tr = simulate(chain, chain_decomp, chain_ctrl, x0, signals=signals, T=1.0)
         assert tr.metadata["integrator"] == integrator
-        slabs = tr.states[1].base
-        assert slabs.flags.c_contiguous and slabs.shape == (3, len(tr.times), 2)
-        assert all(np.shares_memory(tr.states[i], slabs) and tr.states[i].flags.c_contiguous
-                   for i in chain.nodes)
+        # one time-contiguous slab; states[i] views agent i's (n, steps) block
+        slab = tr.states[1].base
+        assert slab.flags.c_contiguous and slab.shape == (3, 2, len(tr.times))
+        assert all(tr.states[i].base is slab and tr.states[i].T.flags.c_contiguous
+                   and np.shares_memory(tr.states[i], slab[k])
+                   for k, i in enumerate(chain_decomp.renumbering))
 
     def test_piecewise_signal_steps_align_to_breakpoints(self):
         # one stable controlled leader under a discontinuous input; the
@@ -318,6 +358,62 @@ def cascade():
                                      multi_leader_prob=0)
     dec = decompose(spec)
     return spec, dec, synthesize(spec, dec, check(spec, dec))
+
+
+class TestTraceStorage:
+    """The trace stores its states once; everything else derives from them."""
+
+    def test_memory_stays_near_the_state_bytes(self, cascade):
+        spec, dec, ctrl = cascade
+        rng = np.random.default_rng(0)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        warm = simulate(spec, dec, ctrl, x0, T=1.0)  # first-call allocations
+        fit_envelope(warm, dec)
+        error_dynamics_check(warm, spec, dec, ctrl)
+        del warm
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tr = simulate(spec, dec, ctrl, x0, T=5.0)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            fit_envelope(tr, dec)
+            error_dynamics_check(tr, spec, dec, ctrl)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        state_bytes = sum(x.nbytes for x in tr.states.values())
+        assert held <= 2 * state_bytes
+        assert peak <= 4 * state_bytes
+
+    @pytest.mark.parametrize("case", ["cascade", "forced_fork"])
+    def test_layout_does_not_change_numbers(self, cascade, tmp_path, case):
+        # the same trace with C-contiguous state copies and stored edge errors
+        if case == "cascade":
+            spec, dec, ctrl = cascade
+            signals = None
+        else:
+            spec, dec, rep = _stable_fork()
+            ctrl = synthesize(spec, dec, rep)
+            signals = {s: SinusoidSignal([0.8], omega=1.7, phase=0.3)
+                       for s in sorted(dec.leaders)}
+        rng = np.random.default_rng(1)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        tr = simulate(spec, dec, ctrl, x0, signals=signals, T=5.0)
+        assert isinstance(tr.errors, Mapping) and isinstance(tr.inputs, Mapping)
+        assert list(tr.errors) == [e.key for e in spec.edges]
+        with pytest.raises(TypeError):
+            tr.errors[spec.edges[0].key] = 0.0
+        plain = dataclasses.replace(
+            tr,
+            states={i: np.ascontiguousarray(x) for i, x in tr.states.items()},
+            errors={k: np.ascontiguousarray(z) for k, z in tr.errors.items()},
+            inputs=dict(tr.inputs),
+        )
+        assert fit_envelope(tr, dec) == fit_envelope(plain, dec)
+        write_trace_csv(tr, dec, tmp_path / "derived.csv")
+        write_trace_csv(plain, dec, tmp_path / "stored.csv")
+        assert (tmp_path / "derived.csv").read_bytes() == (tmp_path / "stored.csv").read_bytes()
 
 
 class TestEnvelope:
@@ -457,7 +553,61 @@ class TestChainResidual:
             chain_residual(tr, chain_decomp, (3, 2), 1)
 
 
+def _error_dynamics_per_edge(trace, spec, decomp, ctrl):
+    """Reference form of `error_dynamics_check`: finite differences of each
+    edge error against A_ref z_ij - P_i + P_j - [j leader] B_j u_j."""
+    times = trace.times
+    A_ref = spec.agent(decomp.renumbering[0]).A
+    P = dict.fromkeys(spec.nodes, 0.0)
+    for i, fc in ctrl.followers.items():
+        Bi = spec.agent(i).B
+        P[i] = sum(trace.errors[(i, s)] @ (Bi @ Ks).T for s, Ks in fc.K.items())
+    h0 = times[1:-1] - times[:-2]
+    h1 = times[2:] - times[1:-1]
+    w_prev = (-h1 / (h0 * (h0 + h1)))[:, None]
+    w_mid = ((h1 - h0) / (h0 * h1))[:, None]
+    w_next = (h0 / (h1 * (h0 + h1)))[:, None]
+    worst = 0.0
+    for (i, j), z in trace.errors.items():
+        rhs = z @ A_ref.T - P[i] + P[j]
+        if j in decomp.leaders:
+            rhs = rhs - trace.inputs[j] @ spec.agent(j).B.T
+        dzdt = w_prev * z[:-2] + w_mid * z[1:-1] + w_next * z[2:]
+        worst = max(worst, float(np.max(np.linalg.norm(dzdt - rhs[1:-1], axis=1))))
+    return worst
+
+
 class TestErrorDynamics:
+    @pytest.mark.parametrize("case", ["chain", "two_parent_triangle", "forced_fork",
+                                      "random_sine"])
+    def test_per_agent_form_matches_the_per_edge_form(
+        self, chain, chain_decomp, chain_ctrl, good_triangle, case
+    ):
+        signals = None
+        if case == "chain":
+            spec, dec, ctrl = chain, chain_decomp, chain_ctrl
+        else:
+            if case == "two_parent_triangle":
+                spec = good_triangle
+                dec = decompose(spec)
+                rep = check(spec, dec)
+            elif case == "forced_fork":
+                spec, dec, rep = _stable_fork()
+            else:  # l=20, two leaders, 74 edges
+                spec = random_feasible_formation(rng=4, max_nodes=22, multi_leader_prob=1.0)
+                dec = decompose(spec)
+                rep = check(spec, dec)
+            ctrl = synthesize(spec, dec, rep)
+            if case != "two_parent_triangle":
+                signals = {s: SinusoidSignal(np.linspace(0.5, -0.7, spec.m), 1.3 + k, 0.4)
+                           for k, s in enumerate(sorted(dec.leaders))}
+        rng = np.random.default_rng(6)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        tr = simulate(spec, dec, ctrl, x0, signals=signals, T=3.0)
+        peak = max(float(np.max(np.linalg.norm(x, axis=1))) for x in tr.states.values())
+        got = error_dynamics_check(tr, spec, dec, ctrl)
+        assert abs(got - _error_dynamics_per_edge(tr, spec, dec, ctrl)) <= 1e-12 * (1.0 + peak)
+
     def _trace(self, chain, chain_decomp, chain_ctrl, dt):
         rng = np.random.default_rng(0)
         x0 = {
