@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingStateError
-from .model import LevelDecomposition
+from .model import FormationSpec, LevelDecomposition
 
 __all__ = [
     "FollowerController",
@@ -75,6 +75,31 @@ def _aggregate(S, K: dict, k, i: int, D: dict) -> tuple:
     """Aggregate gain N_i = S_i + sum_s K_is and offset
     kt_i = k_i - S_i D_i - sum_s K_is D_s of follower i's law (S, K, k)."""
     return S + sum(K.values()), k - S @ D[i] - sum(Ks @ D[s] for s, Ks in K.items())
+
+
+def _check_structure(
+    spec: FormationSpec, decomp: LevelDecomposition, ctrl: ControllerSet
+) -> None:
+    """Raise `ValueError` naming the first way ``ctrl`` does not fit the
+    instance: its (n, m), its follower ids, the shape of an S, or the
+    parents a K is keyed by."""
+    if ctrl.n != spec.n or ctrl.m != spec.m:
+        raise ValueError(
+            f"controller dims ({ctrl.n}, {ctrl.m}) do not match spec ({spec.n}, {spec.m})"
+        )
+    if set(ctrl.followers) != set(decomp.followers()):
+        raise ValueError(
+            f"controller has gains for agents {sorted(ctrl.followers)} "
+            f"but the followers are {sorted(decomp.followers())}"
+        )
+    for i, fc in ctrl.followers.items():
+        if fc.S.shape != (spec.m, spec.n):
+            raise ValueError(f"follower {i}: S has shape {fc.S.shape}")
+        if set(fc.K) != set(spec.parents(i)):
+            raise ValueError(
+                f"follower {i}: per-parent gains keyed {sorted(fc.K)} "
+                f"but parents are {sorted(spec.parents(i))}"
+            )
 
 
 def assemble_controller(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import ControllerSet, _aggregate
+from .controllers import ControllerSet, _aggregate, _check_structure
 from .linalg import (
     DEFAULT_TOLERANCES,
     HurwitzReport,
@@ -367,20 +367,10 @@ def verify_controller(
     Passes when both defects stay within eps_solve * scale and every
     *follower* closed loop A_i + B_i S_i is Hurwitz — leader matrices are
     exempt, since a single-leader formation may be stable around an
-    unstable leader.
+    unstable leader.  A controller that does not fit the instance (dims,
+    follower ids, gain shapes or parent keys) raises `ValueError`.
     """
-    if ctrl.n != spec.n or ctrl.m != spec.m:
-        raise ValueError(
-            f"controller dims ({ctrl.n}, {ctrl.m}) do not match spec ({spec.n}, {spec.m})"
-        )
-    for i, fc in ctrl.followers.items():
-        if fc.S.shape != (spec.m, spec.n):
-            raise ValueError(f"follower {i}: S has shape {fc.S.shape}")
-        if set(fc.K) != set(spec.parents(i)):
-            raise ValueError(
-                f"follower {i}: per-parent gains keyed {sorted(fc.K)} "
-                f"but parents are {sorted(spec.parents(i))}"
-            )
+    _check_structure(spec, decomp, ctrl)
 
     D = decomp.cumulative_offset
     M = {}

@@ -14,7 +14,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import NotStabilizableError, SynthesisFailure
-from .linalg import spectral_abscissa, stabilize
+from .linalg import controllability_matrix, spectral_abscissa, stabilize
 from .model import AgentDynamics, Edge, FormationSpec
 
 __all__ = [
@@ -306,8 +306,5 @@ def random_controllable_pair(rng=0, n: int = 3, m: int = 1):
     while True:
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, m))
-        blocks = [B]
-        for _ in range(n - 1):
-            blocks.append(A @ blocks[-1])
-        if np.linalg.matrix_rank(np.hstack(blocks)) == n:
+        if np.linalg.matrix_rank(controllability_matrix(A, B)) == n:
             return A, B

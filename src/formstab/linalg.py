@@ -266,29 +266,21 @@ def is_stabilizable(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> Stabilizabili
     return StabilizabilityResult(True)
 
 
-def _controllable_staircase(A, B, tol: Tolerances):
-    """Orthonormal split of the state space into controllable/uncontrollable
-    parts: returns (V, W) with range(V) the controllable subspace."""
-    n = A.shape[0]
-    K = controllability_matrix(A, B)
-    if not np.any(K):
-        return np.zeros((n, 0)), np.eye(n)
-    U, s, _ = np.linalg.svd(K)
-    r = _rank_of(s, K.shape, tol)
-    return U[:, :r], U[:, r:]
-
-
 def _bass_gain(A, B, tol: Tolerances) -> np.ndarray:
     """Bass shift gain on the controllable block of a staircase split.
 
-    With beta = ||A||_F + 1 solve (A1 + beta I) P + P (A1 + beta I)^T =
-    2 B1 B1^T and take S1 = -B1^T pinv(P); the uncontrollable block is
+    V spans the controllable subspace (leading left singular vectors of
+    the controllability matrix), A1 = V^T A V and B1 = V^T B.  With
+    beta = ||A||_F + 1 solve (A1 + beta I) P + P (A1 + beta I)^T =
+    2 B1 B1^T and take S = -B1^T pinv(P) V^T; the uncontrollable block is
     left alone (it must already be Hurwitz for a stabilizable pair).
     Places every controllable closed-loop eigenvalue at Re = -beta, which
     can demand very large gains for single-input systems.
     """
     n, m = B.shape
-    V, _ = _controllable_staircase(A, B, tol)
+    K = controllability_matrix(A, B)
+    U, s, _ = np.linalg.svd(K)
+    V = U[:, : _rank_of(s, K.shape, tol)]
     r = V.shape[1]
     if r == 0:
         return np.zeros((m, n))
@@ -304,11 +296,15 @@ def stabilize(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Compute a gain S such that A + B S is Hurwitz.
 
     Primary construction: the Riccati gain S = -B^T P with P the
-    stabilizing solution of A^T P + P A - P B B^T P + I = 0, which works
-    for every stabilizable pair without user-chosen pole locations and
-    keeps gains moderate.  When the Riccati solve fails numerically, the
-    Bass shift construction is used as a fallback.  Either way the closed
-    loop is re-verified before the gain is handed back.  A Hurwitz
+    stabilizing solution of A^T P + P A - P B B^T P + I = 0, which exists
+    for every stabilizable pair and keeps gains moderate without
+    user-chosen pole locations.  When the Riccati solve fails numerically,
+    or its gain fails the Hurwitz check, the Bass shift construction is
+    used as a fallback.  In floating point the solve does fail on some
+    stabilizable pairs: a stable uncontrollable mode within about 1e-8 of
+    the imaginary axis, or an unstable mode reachable only through a tiny
+    input direction; the fallback gain passes on such pairs.  Either way
+    the closed loop is re-verified before the gain is handed back.  A Hurwitz
     A + B S already certifies that (A, B) is stabilizable, so the PBH test
     runs only when neither gain passes, to name the cause of the failure.
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .controllers import ControllerSet, control_input
+from .controllers import ControllerSet, _check_structure, control_input
 from .errors import (
     NonFiniteStateError,
     NotSiblingParentsError,
@@ -451,9 +451,14 @@ def simulate(
     which the trace's per-agent state views share; edge errors and follower
     inputs are not evaluated here but when the trace's mappings are read
     (see `SimulationTrace`).
+
+    A controller that does not fit the instance (see
+    `verify_controller`) or a leader signal whose values are not m-vectors
+    raises `ValueError`.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
+    _check_structure(spec, decomp, ctrl)
     n = spec.n
     order, pos, M, c, leader_cols = _closed_loop_blocks(spec, decomp, ctrl)
 
@@ -464,6 +469,11 @@ def simulate(
         for i, sig in signals.items():
             if i not in sig_map:
                 raise ValueError(f"agent {i} is not a leader; it cannot take a free input")
+            width = np.shape(sig.value(0.0))
+            if width != (spec.m,):
+                raise ValueError(
+                    f"signal of leader {i} has values of shape {width}, expected ({spec.m},)"
+                )
             sig_map[i] = sig
 
     # diagonal blocks of M are the A_i and A_i + B_i S_i of the step cap
@@ -590,9 +600,11 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
     z0n = trace.initial_error_norm()
     tol = 1e-6 * (1.0 + z0n)
 
-    U = np.array(
-        [sum(sig.running_sup(t) for sig in trace.signals.values()) for t in times]
-    )
+    # zero signals add nothing to U; the others are summed per grid point
+    inputs = {a: sig for a, sig in trace.signals.items() if not sig.is_zero}
+    U = np.zeros(len(times))
+    if inputs:
+        U[:] = [sum(sig.running_sup(t) for sig in inputs.values()) for t in times]
     have_input = bool(U[-1] > 0.0)
 
     if z0n <= 1e-300 and not have_input and all(
@@ -637,7 +649,7 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
         C = _lyapunov_constant(M_e, alpha)
         gain = max(
             (float(np.linalg.norm(T @ G[a], 2))
-             for a, sig in trace.signals.items() if sig.running_sup(times[-1]) > 0.0),
+             for a, sig in inputs.items() if sig.running_sup(times[-1]) > 0.0),
             default=0.0,
         )
         row_norms = np.linalg.norm(r, axis=1)

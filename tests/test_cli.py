@@ -221,6 +221,25 @@ class TestSimulate:
         assert main(["simulate", chain_file, "--controller", str(path),
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["followers"].pop("2"),
+         "controller has gains for agents [3] but the followers are [2, 3]"),
+        (lambda doc: doc["followers"].update({"4": doc["followers"]["2"]}),
+         "controller has gains for agents [2, 3, 4] but the followers are [2, 3]"),
+        (lambda doc: doc.update(n=3), "controller dims (3, 1) do not match spec (2, 1)"),
+    ], ids=["missing_follower", "extra_follower", "wrong_n"])
+    def test_controller_that_does_not_fit_exits_one(self, tmp_path, capsys, edit, message):
+        path = str(demo_path("triangle"))
+        assert main(["synthesize", path, "--out", str(tmp_path)]) == 0
+        ctrl_path = tmp_path / "triangle_controller.json"
+        doc = json.loads(ctrl_path.read_text())
+        edit(doc)
+        ctrl_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["simulate", path, "--controller", str(ctrl_path),
+                     "--T", "2", "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestPairwiseAndDemo:
     def test_pairwise_report(self, chain_file, tmp_path, capsys):

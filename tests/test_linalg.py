@@ -212,6 +212,44 @@ class TestStabilize:
         S = stabilize(A, B)
         assert is_hurwitz(A + B @ S).is_hurwitz
 
+    def test_returns_the_riccati_gain(self):
+        A, B = random_controllable_pair(7, 4, 2)
+        P = scipy.linalg.solve_continuous_are(A, B, np.eye(4), np.eye(2))
+        assert np.array_equal(stabilize(A, B), -B.T @ P)
+
+    # 3-4-5 rotation of [[1, 1, 0], [1, 2, 1], [0, 0, -1e-8]], B = e2: the mode
+    # at -1e-8 is uncontrollable yet inside the Hurwitz margin
+    _R = np.array([[0.6, 0.0, -0.8], [0.0, 1.0, 0.0], [0.8, 0.0, 0.6]])
+    _A0 = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 0.0, -1e-8]])
+
+    @pytest.mark.parametrize("A,B", [
+        # controllable, but the unstable mode at 1.6 is reached through 1.2e-8
+        (np.array([[0.6, 1.5], [0.8, 0.4]]), np.array([[1.4e-7], [-1e-7]])),
+        (_R @ _A0 @ _R.T, _R @ np.array([[0.0], [1.0], [0.0]])),
+    ], ids=["weakly_reachable_unstable_mode", "uncontrollable_mode_near_the_axis"])
+    def test_stabilizable_pair_the_riccati_solve_fails_on(self, A, B):
+        # scipy's Riccati solver raises on both pairs; the Bass fallback
+        # gives the gain
+        S = stabilize(A, B)
+        assert is_hurwitz(A + B @ S).is_hurwitz
+
+    @given(seed=st.integers(0, 100_000), margin=st.sampled_from([1e-6, 1e-3, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_stabilizable_uncontrollable_pairs_closed_loop_hurwitz(self, seed, margin):
+        # an orthogonal similarity of [[A11, A12], [0, A22]], [[B1], [0]]
+        # with (A11, B1) controllable and A22 Hurwitz by ``margin``
+        rng = np.random.default_rng(seed)
+        r, q, m = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        A11, B1 = random_controllable_pair(rng, r, m)
+        A22 = rng.standard_normal((q, q))
+        A22 -= (spectral_abscissa(A22) + margin) * np.eye(q)
+        A = np.block([[A11, rng.standard_normal((r, q))], [np.zeros((q, r)), A22]])
+        B = np.vstack([B1, np.zeros((q, m))])
+        Q, _ = np.linalg.qr(rng.standard_normal((r + q, r + q)))
+        A, B = Q @ A @ Q.T, Q @ B
+        S = stabilize(A, B)
+        assert is_hurwitz(A + B @ S).is_hurwitz
+
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
     def test_random_controllable_pairs_closed_loop_hurwitz(self, seed):

@@ -336,6 +336,16 @@ class TestSimulate:
                      {i: np.zeros(2) for i in chain.nodes},
                      signals={2: ConstantSignal([1.0])}, T=1.0)
 
+    @pytest.mark.parametrize("sig", [
+        ConstantSignal([1.0, 2.0]),
+        PiecewiseConstantSignal([0.0, 0.5], [[1.0, 2.0], [0.0, 1.0]]),
+    ], ids=["constant", "piecewise"])
+    def test_rejects_signal_of_the_wrong_width(self, chain, chain_decomp, chain_ctrl, sig):
+        match = r"leader 1 has values of shape \(2,\), expected \(1,\)"
+        with pytest.raises(ValueError, match=match):
+            simulate(chain, chain_decomp, chain_ctrl,
+                     {i: np.zeros(2) for i in chain.nodes}, signals={1: sig}, T=1.0)
+
     def test_stacked_system_is_block_lower_triangular(self, good_triangle):
         # coupling only reaches downward in level order
         from formstab.simulation import _closed_loop_blocks
@@ -435,6 +445,24 @@ class TestEnvelope:
         fit = fit_envelope(tr, chain_decomp)
         assert fit.passed and fit.degenerate
         assert all(a is None for a in fit.alpha.values())
+
+    def test_zero_input_run_evaluates_no_running_sup(
+        self, chain, chain_decomp, chain_ctrl, monkeypatch
+    ):
+        calls = []
+        original = ZeroSignal.running_sup
+
+        def counting(sig, t):
+            calls.append(t)
+            return original(sig, t)
+
+        rng = np.random.default_rng(42)
+        x0 = {i: rng.standard_normal(2) for i in chain.nodes}
+        tr = simulate(chain, chain_decomp, chain_ctrl, x0, T=6.0)
+        monkeypatch.setattr(ZeroSignal, "running_sup", counting)
+        fit = fit_envelope(tr, chain_decomp)
+        assert fit.passed and all(b == 0.0 for b in fit.beta.values())
+        assert calls == []
 
     def test_lone_leader_under_input_has_nothing_to_bound(self):
         spec, dec, ctrl = _single_agent([[-1.0]])
