@@ -304,17 +304,20 @@ def stabilize(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     stabilizable pairs: a stable uncontrollable mode within about 1e-8 of
     the imaginary axis, or an unstable mode reachable only through a tiny
     input direction; the fallback gain passes on such pairs.  Either way
-    the closed loop is re-verified before the gain is handed back.  A Hurwitz
-    A + B S already certifies that (A, B) is stabilizable, so the PBH test
-    runs only when neither gain passes, to name the cause of the failure.
+    the closed loop is re-verified before the gain is handed back.  When
+    neither gain passes but A itself is Hurwitz, the zero gain is returned:
+    on a nearly uncontrollable pair the Bass gain can push a weakly
+    controllable mode near the axis across it.  A Hurwitz A + B S already
+    certifies that (A, B) is stabilizable, so the PBH test runs only when
+    no gain passes, to name the cause of the failure.
 
     Raises
     ------
     NotStabilizableError
-        If neither gain passes and the PBH test fails (witness eigenvalue
+        If no gain passes and the PBH test fails (witness eigenvalue
         attached).
     SynthesisFailure
-        If neither gain passes although the pair is stabilizable.
+        If no gain passes although the pair is stabilizable.
     """
     A = _as_matrix(A)
     B = _as_matrix(B)
@@ -332,6 +335,8 @@ def stabilize(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     S = _bass_gain(A, B, tol)
     if is_hurwitz(A + B @ S, tol).is_hurwitz:
         return S
+    if is_hurwitz(A, tol).is_hurwitz:
+        return np.zeros((m, n))
     verdict = is_stabilizable(A, B, tol)
     if not verdict:
         raise NotStabilizableError(verdict.witness)

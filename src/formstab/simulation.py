@@ -3,11 +3,12 @@
 Propagates the coupled agent dynamics under a follower control law and
 free leader inputs on a fixed-step grid, records the states in one
 time-contiguous array, derives edge errors and follower inputs from them on
-access, and offers three trajectory checks.  Inputs without
-breakpoints whose signals have a linear generator (zero, constant,
-sinusoid) are propagated exactly by matrix exponentials (integrator
-``"expm"``); any other input goes through classic Runge-Kutta steps aligned
-to its breakpoints (integrator ``"rk4"``).  The checks:
+access, and offers three trajectory checks.  Inputs whose signals have a
+linear generator (every built-in signal: zero, constant, sinusoid and
+piecewise constant, whose generator restarts at each breakpoint) are
+propagated exactly by matrix exponentials (integrator ``"expm"``); a
+signal without one makes the run take classic Runge-Kutta steps aligned
+to the breakpoints (integrator ``"rk4"``).  The checks:
 
 * `fit_envelope` certifies per-edge constants (C, alpha, beta) of the
   exponential-plus-input-gain error bound
@@ -27,7 +28,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .controllers import ControllerSet, _check_structure, control_input
 from .errors import (
@@ -83,7 +83,14 @@ class LeaderSignal:
 
     def generator(self):
         """(S, H, w0) with u(t) = H w(t), w' = S w, w(0) = w0, or None when
-        the signal has no such linear generator."""
+        the signal has no such linear generator.
+
+        For a signal with breakpoints, w is its value (H = I_m): at each
+        breakpoint b the state restarts at w(b) = value(b) and then follows
+        w' = S w again.  The restart happens at the grid point the breakpoint
+        sits on, or at the point it was merged into when it lay within grid
+        resolution of one.
+        """
         return None
 
 
@@ -149,8 +156,9 @@ class PiecewiseConstantSignal(LeaderSignal):
     """values[k] on [times[k], times[k+1]); times[0] must be 0.
 
     Discontinuous, hence outside the continuous admissible class for
-    leaders; integration steps align to the breakpoints so every step sees
-    a continuous right-hand side.
+    leaders.  Its generator is w' = 0, u = w, restarted with the new value
+    at every breakpoint, so `simulate` propagates it exactly piece by piece;
+    the grid lands on every breakpoint.
     """
 
     def __init__(self, times, values):
@@ -182,6 +190,10 @@ class PiecewiseConstantSignal(LeaderSignal):
 
     def breakpoints(self, T):
         return tuple(float(t) for t in self.times if 0.0 < t < T)
+
+    def generator(self):
+        m = self.values.shape[1]
+        return np.zeros((m, m)), np.eye(m), self.values[0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +248,8 @@ class SimulationTrace:
     read, and ``inputs`` holds the leader inputs and computes a follower's
     control input when it is read; read each value once and keep it if it
     is needed again.  ``metadata["integrator"]`` names the propagation:
-    ``"expm"`` (exact, breakpoint-free inputs with linear generators) or
-    ``"rk4"`` (every other input).  ``closed_loop`` is the pair
+    ``"expm"`` (exact, every signal with a linear generator) or ``"rk4"``
+    (some signal without one).  ``closed_loop`` is the pair
     ``(M, G)`` of the integrated system y' = M y + c + sum_a G[a] u_a(t):
     the stacked closed-loop matrix with agents in renumbering order, and
     the input map per leader id.  ``free_errors`` is always None; it is
@@ -302,19 +314,23 @@ def _grid_resolution(T: float) -> float:
 
 
 def _build_grid(T: float, dt: float, breakpoints) -> np.ndarray:
-    n_full = int(math.floor(T / dt + 1e-12))
-    times = [k * dt for k in range(n_full + 1)]
-    if T - times[-1] > _grid_resolution(T):
-        times.append(T)
-    times.extend(b for b in breakpoints)
-    times = sorted(set(times))
-    # drop near-duplicates from breakpoint merging
-    out = [times[0]]
-    for t in times[1:]:
-        if t - out[-1] > _grid_resolution(T):
-            out.append(t)
-    out[-1] = min(out[-1], T)
-    return np.asarray(out)
+    """The points k * dt in [0, T], plus T and the breakpoints; a point within
+    grid resolution of the last point kept is dropped."""
+    res = _grid_resolution(T)
+    grid = np.arange(int(math.floor(T / dt + 1e-12)) + 1) * dt
+    extra = [T] if T - grid[-1] > res else []
+    times = np.unique(np.concatenate([grid, extra, np.asarray(breakpoints, dtype=float)]))
+    # only a point within res of its predecessor can be dropped; it is
+    # compared with the last point kept before it
+    keep = np.ones(len(times), dtype=bool)
+    anchor = times[0]
+    for k in np.flatnonzero(np.diff(times) <= res) + 1:
+        if keep[k - 1]:
+            anchor = times[k - 1]
+        keep[k] = times[k] - anchor > res
+    times = times[keep]
+    times[-1] = min(times[-1], T)
+    return times
 
 
 def _integrate(M, c, forcing, times, y0):
@@ -324,9 +340,8 @@ def _integrate(M, c, forcing, times, y0):
     ``y0`` flattened.  Returns the (len(times), dim) trajectory as the
     transposed view of a C-contiguous array of shape
     ``y0.shape + (len(times),)``.  `simulate` uses it (integrator
-    ``"rk4"``) for inputs with breakpoints or without a linear generator;
-    the grid lands on every breakpoint, so each step sees a continuous
-    right-hand side.
+    ``"rk4"``) when some signal has no linear generator; the grid lands on
+    every breakpoint, so each step sees a continuous right-hand side.
     """
     out = np.empty(y0.shape + (len(times),))
     flat = out.reshape(-1, len(times))
@@ -354,62 +369,126 @@ def _integrate(M, c, forcing, times, y0):
     return flat.T
 
 
+# Taylor series below are scaled to a 1-norm of at most _THETA and cut where
+# the remainder falls below unit roundoff (see `_taylor_terms`).
+_THETA = 0.5
+
+
+def _taylor_terms(theta: float) -> int:
+    """Least m with theta^m / (m + 1)! <= 2^-53: the terms of the series
+    of e^Y - I that keep its remainder below unit roundoff relative to
+    ||Y|| for ||Y|| <= theta <= 1; applied to a vector z, below unit
+    roundoff relative to ||z||."""
+    m, bound = 1, theta / 2.0
+    while bound > 2.0**-53:
+        m += 1
+        bound *= theta / (m + 1)
+    return m
+
+
+def _norm1(X: np.ndarray) -> float:
+    return float(np.abs(X).sum(axis=0).max())
+
+
 def _expm_increment(X: np.ndarray) -> np.ndarray:
-    """e^X - I, accurate relative to ||X||: X phi_1(X), with phi_1(X) the
-    top-right block of expm([[X, I], [0, 0]])."""
-    k = X.shape[0]
-    W = np.zeros((2 * k, 2 * k))
-    W[:k, :k] = X
-    W[:k, k:] = np.eye(k)
-    return X @ scipy.linalg.expm(W)[:k, k:]
+    """e^X - I, accurate relative to ||X||, at the size of X.
+
+    The Taylor series of e^Y - I at Y = X / 2^s, with s the least scaling
+    that brings ||Y||_1 under `_THETA`, then s doublings D <- D (D + 2I),
+    since e^{2Y} - I = (e^Y - I)(e^Y + I).
+    """
+    s = max(0, math.frexp(_norm1(X) / _THETA)[1])
+    Y = np.ldexp(X, -s)
+    term = Y
+    D = Y.copy()
+    for j in range(2, _taylor_terms(min(_norm1(Y), _THETA)) + 1):
+        term = (term @ Y) / j
+        D += term
+    for _ in range(s):
+        D = D @ D + 2.0 * D
+    return D
 
 
-def _propagate(M, c, generators, times, y0, dt):
-    """Exact propagation over a uniform-step grid of ydot = M y + c +
-    sum G_s u_s(t), every u_s the output of a linear generator.
+def _step_on_vector(A: np.ndarray, norm: float, h: float, z: np.ndarray) -> np.ndarray:
+    """z + (e^{hA} - I) z without forming a matrix; ``norm`` is ||A||_1.
 
-    ``generators`` lists (G_s, (S_s, H_s, w0_s)) for the nonzero leader
-    inputs, as `LeaderSignal.generator` gives them.
+    Truncated Taylor series of the increment, on the fewest 2^s equal
+    substeps whose 1-norm is under `_THETA` (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 2011).  The number of substeps and terms depends on
+    h ||A||_1 only, never on z, so a non-finite z costs no more; a
+    non-finite A takes one substep and yields a non-finite z.
+    """
+    count = 2 ** max(0, math.frexp(h * norm / _THETA)[1])
+    sub = h / count
+    terms = _taylor_terms(min(sub * norm, _THETA))
+    for _ in range(count):
+        term = z
+        inc = np.zeros_like(z)
+        for j in range(1, terms + 1):
+            term = (sub / j) * (A @ term)
+            inc += term
+        z = z + inc
+    return z
 
-    The augmented state z = [y; 1; w_s...] obeys z' = A z with
-    A = [[M, c, G_s H_s...], [0, 0, 0], [0, 0, S_s...]], so each step is
-    z <- z + (e^{hA} - I) z, with one increment per distinct step length:
-    ``dt``, and the short last step when T/dt is not an integer (Van Loan,
-    IEEE TAC 1978).  y is ``y0`` flattened.  Returns the trajectory as
-    `_integrate` does; raises `NonFiniteStateError` at the first grid time
-    with a non-finite state.
+
+def _propagate(M, c, generators, times, y0, dt, T):
+    """Exact propagation of ydot = M y + c + sum G_s u_s(t) over the grid,
+    every u_s the output of a linear generator.
+
+    ``generators`` lists (G_s, signal, (S_s, H_s, w0_s)) for the nonzero
+    leader inputs, the last as `LeaderSignal.generator` gives it.
+
+    The augmented state z = [y; sigma; w_s...] obeys z' = A z with
+    A = [[M, c / sigma, G_s H_s...], [0, 0, 0], [0, 0, S_s...]] (Van Loan,
+    IEEE TAC 1978).  The constant coordinate sigma is the power of two that
+    brings the column c / sigma to the 1-norm of M, so that a large drift
+    does not inflate ||h A||_1.  A step of length ``dt`` is
+    z <- z + D z with the one increment D = e^{dt A} - I; any other step
+    (beside a breakpoint, or the short last one) is applied to the vector
+    by `_step_on_vector`.  At the grid point of each breakpoint of signal
+    s, w_s restarts at the signal's new value (see
+    `LeaderSignal.generator`).  y is ``y0`` flattened.  Returns the
+    trajectory as `_integrate` does; raises `NonFiniteStateError` at the
+    first grid time with a non-finite state.
     """
     dim = y0.size
-    size = dim + 1 + sum(S.shape[0] for _, (S, _, _) in generators)
+    size = dim + 1 + sum(gen[0].shape[0] for _, _, gen in generators)
+    norm_m, norm_c = _norm1(M), float(np.abs(c).sum())
+    sigma = math.ldexp(1.0, math.frexp(norm_c / norm_m)[1]) if norm_c > norm_m > 0 else 1.0
     A = np.zeros((size, size))
     A[:dim, :dim] = M
-    A[:dim, dim] = c
+    A[:dim, dim] = c / sigma
     z = np.empty(size)
     z[:dim] = y0.reshape(-1)
-    z[dim] = 1.0
+    z[dim] = sigma
+    restarts = {}
     r = dim + 1
-    for G, (S, H, w0) in generators:
+    for G, sig, (S, H, w0) in generators:
         k = S.shape[0]
         A[:dim, r : r + k] = G @ H
         A[r : r + k, r : r + k] = S
         z[r : r + k] = w0
+        for b in sig.breakpoints(T):
+            at = int(np.searchsorted(times, b, side="right")) - 1
+            restarts.setdefault(at, []).append((r, sig.value(b)))
         r += k
 
-    uniform = _expm_increment(dt * A)
-    last = times[-1] - times[-2]
-    if abs(last - dt) <= _grid_resolution(times[-1]):
-        final = uniform
-    else:
-        final = _expm_increment(last * A)
+    increment = _expm_increment(dt * A)
+    norm = _norm1(A)
+    h = np.diff(times)
+    other = set(np.flatnonzero(np.abs(h - dt) > _grid_resolution(times[-1])).tolist())
     out = np.empty(y0.shape + (len(times),))
     flat = out.reshape(dim, len(times))
     flat[:, 0] = z[:dim]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is detected below
-        for step in range(len(times) - 2):
-            z = z + uniform @ z
+        for step in range(len(times) - 1):
+            for r, value in restarts.get(step, ()):
+                z[r : r + len(value)] = value
+            if step in other:
+                z = _step_on_vector(A, norm, float(h[step]), z)
+            else:
+                z = z + increment @ z
             flat[:, step + 1] = z[:dim]
-        z = z + final @ z
-        flat[:, -1] = z[:dim]
     bad = ~np.isfinite(flat).all(axis=0)
     if bad.any():
         raise NonFiniteStateError(float(times[int(np.argmax(bad))]))
@@ -439,13 +518,16 @@ def simulate(
         raises `StepTooLargeError`.
 
     The stacked system is propagated jointly (its coupling is lower
-    triangular in renumbering order) on the grid k * dt, plus T.  When no
-    signal has a breakpoint in (0, T) and every nonzero signal has a linear
-    generator (`ConstantSignal`, `SinusoidSignal`), the trajectory is exact
-    up to roundoff: one matrix exponential per step length (integrator
-    ``"expm"``).  Otherwise classic RK4 steps land exactly on the signal
-    breakpoints, so each step sees a continuous right-hand side (integrator
-    ``"rk4"``).  ``metadata["integrator"]`` names the one used.
+    triangular in renumbering order) on the grid k * dt, plus T and the
+    signal breakpoints in (0, T).  When every nonzero signal has a linear
+    generator (all built-in signals: `ConstantSignal`, `SinusoidSignal`,
+    `PiecewiseConstantSignal`), the trajectory is exact up to roundoff:
+    one matrix exponential increment for the steps of length dt, the other
+    steps applied to the state vector, and the generator states restarted
+    at the breakpoints (integrator ``"expm"``, see `_propagate`).  A signal
+    without a generator makes the whole run take classic RK4 steps, which
+    land on every breakpoint so each step sees a continuous right-hand side
+    (integrator ``"rk4"``).  ``metadata["integrator"]`` names the one used.
 
     Both integrators write one C-contiguous (agents, n, grid points) array,
     which the trace's per-agent state views share; edge errors and follower
@@ -502,10 +584,10 @@ def simulate(
         y0[k] = xi
 
     forcing = [(G, sig_map[s]) for s, G in leader_cols.items() if not sig_map[s].is_zero]
-    generators = [(G, sig.generator()) for G, sig in forcing]
-    exact = not breaks and all(gen is not None for _, gen in generators)
+    generators = [(G, sig, sig.generator()) for G, sig in forcing]
+    exact = all(gen is not None for _, _, gen in generators)
     if exact:
-        traj = _propagate(M, c, generators, times, y0, dt)
+        traj = _propagate(M, c, generators, times, y0, dt, T)
     else:
         traj = _integrate(M, c, forcing, times, y0)
 
@@ -516,7 +598,11 @@ def simulate(
         offsets,
         lambda e, rows: states[e[0]][rows] - states[e[1]][rows] + offsets[e],
     )
-    leader_inputs = {i: np.array([sig.value(t) for t in times]) for i, sig in sig_map.items()}
+    leader_inputs = {
+        i: np.zeros((len(times), spec.m)) if sig.is_zero
+        else np.array([sig.value(t) for t in times])
+        for i, sig in sig_map.items()
+    }
     inputs = _OnAccess(
         order,
         lambda i, rows: leader_inputs[i][rows] if i in leader_inputs

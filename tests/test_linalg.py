@@ -233,6 +233,18 @@ class TestStabilize:
         S = stabilize(A, B)
         assert is_hurwitz(A + B @ S).is_hurwitz
 
+    def test_hurwitz_pair_both_gains_fail_on_gets_the_zero_gain(self):
+        # B = [[B1], [1e-8 B2]] with A22 at -1e-8: the Riccati solve raises
+        # and the Bass gain moves a mode to +2.6e-9, but A is Hurwitz
+        A = np.array([
+            [-3.0, -1.0, -1.0, 2.0],
+            [2.0, -2.0, -2.0, 2.0],
+            [0.0, 0.0, -1e-8, 2.0],
+            [0.0, 0.0, 0.0, -1e-8],
+        ])
+        B = np.array([[-2.0], [0.0], [-1e-8], [0.0]])
+        assert np.array_equal(stabilize(A, B), np.zeros((1, 4)))
+
     @given(seed=st.integers(0, 100_000), margin=st.sampled_from([1e-6, 1e-3, 1.0]))
     @settings(max_examples=40, deadline=None)
     def test_stabilizable_uncontrollable_pairs_closed_loop_hurwitz(self, seed, margin):

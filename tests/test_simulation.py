@@ -36,6 +36,14 @@ from formstab.controllers import assemble_controller
 from formstab.instances import random_feasible_formation, two_leader_fork
 
 
+class _NoGenerator(PiecewiseConstantSignal):
+    """A piecewise-constant input that offers no generator, as any
+    `LeaderSignal` subclass may: `simulate` takes RK4 for it."""
+
+    def generator(self):
+        return None
+
+
 def _single_agent(A):
     A = np.asarray(A, dtype=float)
     spec = FormationSpec(
@@ -158,6 +166,35 @@ class TestSimulate:
         orders = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
         assert min(orders) >= 3.8
 
+    @pytest.mark.parametrize("scale", [1e-9, 0.18, 3.0, 40.0])
+    def test_expm_increment_matches_the_augmented_exponential(self, scale):
+        # e^X - I as X phi_1(X), phi_1(X) the top-right block of
+        # expm([[X, I], [0, 0]]); 3 and 40 take doublings
+        from formstab.simulation import _expm_increment
+
+        rng = np.random.default_rng(8)
+        X = scale * rng.standard_normal((30, 30)) / np.sqrt(30)
+        W = np.zeros((60, 60))
+        W[:30, :30], W[:30, 30:] = X, np.eye(30)
+        oracle = X @ scipy.linalg.expm(W)[:30, 30:]
+        assert np.max(np.abs(_expm_increment(X) - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    def test_expm_increment_memory_stays_at_a_few_matrices(self):
+        # k = 701 is the augmented size at l=175, n=4; one k-square matrix
+        # is 3.9 MB
+        from formstab.simulation import _expm_increment
+
+        k = 701
+        X = 0.18 * np.random.default_rng(0).standard_normal((k, k)) / k
+        tracemalloc.start()
+        try:
+            D = _expm_increment(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert D.shape == (k, k)
+        assert peak <= 32e6
+
     def test_ideal_initial_states_keep_errors_at_zero(
         self, chain, chain_decomp, chain_ctrl
     ):
@@ -243,10 +280,47 @@ class TestSimulate:
     def test_non_finite_state_on_the_rk4_path(self, chain, chain_decomp, chain_ctrl):
         bad = _destabilized(chain, chain_decomp, chain_ctrl)
         huge = {i: 1e300 * np.ones(2) for i in chain.nodes}
-        steps = {1: PiecewiseConstantSignal([0.0, 0.5], [[0.0], [1.0]])}
+        steps = {1: _NoGenerator([0.0, 0.5], [[0.0], [1.0]])}
         with pytest.raises(NonFiniteStateError) as exc:
             simulate(chain, chain_decomp, bad, huge, signals=steps, T=40.0)
         assert 0.0 < exc.value.time < 40.0
+
+    def test_non_finite_state_on_the_exact_path_with_breakpoints(
+        self, chain, chain_decomp, chain_ctrl
+    ):
+        # a breakpoint every 0.013 splits nearly every step of 0.01, so the
+        # overflow happens on short steps; the run that stops one grid point
+        # earlier stays finite
+        from formstab.simulation import _build_grid
+
+        bad = _destabilized(chain, chain_decomp, chain_ctrl)
+        huge = {i: 1e300 * np.ones(2) for i in chain.nodes}
+        breaks = 0.013 * np.arange(2400)
+        steps = {1: PiecewiseConstantSignal(breaks, np.cos(breaks)[:, None])}
+        with pytest.raises(NonFiniteStateError) as exc:
+            simulate(chain, chain_decomp, bad, huge, signals=steps, T=30.0, dt=1e-2)
+        first_bad = exc.value.time
+        assert 0.0 < first_bad < 30.0
+        times = _build_grid(30.0, 1e-2, steps[1].breakpoints(30.0))
+        k = int(np.flatnonzero(times == first_bad)[0])
+        tr = simulate(chain, chain_decomp, bad, huge, signals=steps, T=times[k - 1], dt=1e-2)
+        assert tr.metadata["integrator"] == "expm"
+        assert np.array_equal(tr.times, times[:k])
+        assert all(np.isfinite(x).all() for x in tr.states.values())
+
+    def test_non_finite_gain_on_a_short_first_step(self, chain, chain_decomp, chain_ctrl):
+        # an infinite coupling gain passes the step cap, which reads only
+        # the diagonal blocks; the breakpoint at 0.004 makes the first step
+        # short, so the overflow shows on a step applied to the vector
+        fc = chain_ctrl.followers[3]
+        K = {s: np.full_like(Ks, np.inf) for s, Ks in fc.K.items()}
+        bad = dataclasses.replace(chain_ctrl, followers={
+            **chain_ctrl.followers, 3: dataclasses.replace(fc, K=K)})
+        steps = {1: PiecewiseConstantSignal([0.0, 0.004], [[1.0], [2.0]])}
+        with pytest.raises(NonFiniteStateError) as exc, np.errstate(invalid="ignore"):
+            simulate(chain, chain_decomp, bad, {i: np.ones(2) for i in chain.nodes},
+                     signals=steps, T=1.0, dt=1e-2)
+        assert exc.value.time == 0.004
 
     @pytest.mark.parametrize("kind", ["zero", "const", "sine"])
     @pytest.mark.parametrize("dt", [1e-2, 7e-3])  # T/dt = 300 and 428.6: a short last step
@@ -286,14 +360,78 @@ class TestSimulate:
         exact = np.array([scipy.linalg.expm(t * A)[:dim] @ z0 for t in tr.times])
         assert np.max(np.abs(sim - exact)) <= 1e-12 * np.max(np.abs(exact))
 
+    @pytest.mark.parametrize("case", ["on_grid", "near_grid", "past_T", "two_leaders",
+                                      "steps+sine"])
+    @pytest.mark.parametrize("dt", [1e-2, 7e-3])  # 7e-3: a short last step
+    def test_piecewise_exact_path_matches_per_segment_exponentials(self, case, dt):
+        # two leaders and a follower with an offset; on each piece of the
+        # inputs the oracle takes one expm of the augmented system per grid
+        # time, from the state at the piece's first grid point
+        from formstab.simulation import _closed_loop_blocks
+
+        spec, dec, rep = _stable_fork()
+        ctrl = synthesize(spec, dec, rep)
+        order, _, M, c, G = _closed_loop_blocks(spec, dec, ctrl)
+        first, second = sorted(dec.leaders)
+        T, on_grid = 3.0, 137 * dt
+        pieces = {
+            "on_grid": [0.0, 0.4, on_grid, 2.2],
+            "near_grid": [0.0, on_grid + 1e-12, 1.5],  # merged into 137 dt
+            "past_T": [0.0, 5.0],
+            "two_leaders": [0.0, 0.4, on_grid, 2.2],
+            "steps+sine": [0.0, 0.4, 1.3, 2.9],
+        }[case]
+        signals = {first: PiecewiseConstantSignal(pieces, 0.5 - np.arange(len(pieces))[:, None])}
+        if case == "two_leaders":
+            signals[second] = PiecewiseConstantSignal([0.0, 0.4, 1.1, 2.95],
+                                                      [[0.3], [-1.2], [0.9], [2.0]])
+        omega, phase = 1.7, 0.4
+        if case == "steps+sine":
+            signals[second] = SinusoidSignal([0.8], omega, phase)
+        dim = M.shape[0]
+        base = np.zeros((dim + 3, dim + 3))  # [y; 1; sin; cos]
+        base[:dim, :dim], base[:dim, dim] = M, c
+        base[dim + 1, dim + 2], base[dim + 2, dim + 1] = omega, -omega
+        if case == "steps+sine":
+            base[:dim, dim + 1] = G[second] @ [0.8]
+
+        rng = np.random.default_rng(4)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        tr = simulate(spec, dec, ctrl, x0, signals=signals, T=T, dt=dt)
+        assert tr.metadata["integrator"] == "expm"
+        times = tr.times
+        if case == "near_grid":
+            assert on_grid in times and not any(0.0 < t - on_grid < 1e-9 for t in times)
+        y0 = np.concatenate([x0[i] for i in order])
+        z = np.concatenate([y0, [1.0, np.sin(phase), np.cos(phase)]])
+        exact = [z[:dim]]
+        held = None
+        for a, b in zip(times[:-1], times[1:]):
+            # the inputs on this step: their values at its midpoint
+            u = {s: sig.value(0.5 * (a + b)) for s, sig in signals.items()
+                 if isinstance(sig, PiecewiseConstantSignal)}
+            if held is None or any(not np.array_equal(u[s], held[s]) for s in u):
+                held, start, z_start = u, a, z
+                A = base.copy()
+                for s, v in u.items():
+                    A[:dim, dim] += G[s] @ v
+            z = scipy.linalg.expm((b - start) * A) @ z_start
+            exact.append(z[:dim])
+        exact = np.array(exact)
+        sim = np.hstack([tr.states[i] for i in order])
+        assert np.max(np.abs(sim - exact)) <= 1e-12 * np.max(np.abs(exact))
+
     @pytest.mark.parametrize("signal,integrator", [
         (None, "expm"),
         (ZeroSignal(1), "expm"),
         (ConstantSignal([0.5]), "expm"),
         (SinusoidSignal([0.5], omega=2.0), "expm"),
-        (PiecewiseConstantSignal([0.0, 0.4], [[1.0], [-1.0]]), "rk4"),
-        (PiecewiseConstantSignal([0.0], [[1.0]]), "rk4"),  # no breakpoint, no generator
-        (PiecewiseConstantSignal([0.0, 5.0], [[1.0], [-1.0]]), "rk4"),  # breakpoint past T
+        (_NoGenerator([0.0, 0.4], [[1.0], [-1.0]]), "rk4"),
+        (_NoGenerator([0.0], [[1.0]]), "rk4"),  # no breakpoint
+        (_NoGenerator([0.0, 5.0], [[1.0], [-1.0]]), "rk4"),  # breakpoint past T
+        (PiecewiseConstantSignal([0.0, 0.4], [[1.0], [-1.0]]), "expm"),
+        (PiecewiseConstantSignal([0.0], [[1.0]]), "expm"),
+        (PiecewiseConstantSignal([0.0, 5.0], [[1.0], [-1.0]]), "expm"),
     ])
     def test_integrator_follows_the_input(self, chain, chain_decomp, chain_ctrl,
                                           signal, integrator):
@@ -329,6 +467,59 @@ class TestSimulate:
             prev = b
         assert np.linalg.norm(tr.states[1][-1] - x) <= 1e-8
         assert any(abs(t - 0.737) < 1e-12 for t in tr.times)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_grid_matches_the_pointwise_construction(self, seed):
+        # the loop that built the grid before it was vectorized: the points
+        # k * dt, T, the breakpoints, and a point within resolution of the
+        # last point kept dropped
+        from formstab.simulation import _build_grid, _grid_resolution
+
+        def by_loop(T, dt, breakpoints):
+            n_full = int(math.floor(T / dt + 1e-12))
+            times = [k * dt for k in range(n_full + 1)]
+            if T - times[-1] > _grid_resolution(T):
+                times.append(T)
+            times.extend(breakpoints)
+            times = sorted(set(times))
+            out = [times[0]]
+            for t in times[1:]:
+                if t - out[-1] > _grid_resolution(T):
+                    out.append(t)
+            out[-1] = min(out[-1], T)
+            return np.asarray(out)
+
+        rng = np.random.default_rng(seed)
+        T = float(rng.choice([1.0, 3.0, 20.0]))
+        dt = float(rng.choice([1e-2, 7e-3, 4.46e-3]))
+        res = 1e-12 * T
+        grid = np.arange(int(T / dt)) * dt
+        breaks = list(rng.uniform(0.0, T, 30))
+        breaks += list(rng.choice(grid, 10) + rng.uniform(-2.0, 2.0, 10) * res)  # near grid points
+        breaks += [breaks[0] + 0.6 * res, breaks[0] + 1.2 * res, breaks[1] + 0.5 * res]  # chains
+        breaks += [T - 0.5 * res, T - 3.0 * res, 0.5 * res]
+        breaks = [b for b in breaks if 0.0 < b < T]
+        for points in ([], breaks):
+            new, old = _build_grid(T, dt, points), by_loop(T, dt, points)
+            assert new.tobytes() == old.tobytes()
+
+    def test_zero_leader_inputs_are_filled_without_evaluating_the_signal(
+        self, chain, chain_decomp, chain_ctrl, monkeypatch
+    ):
+        calls = []
+        original = ZeroSignal.value
+
+        def counting(sig, t):
+            calls.append(t)
+            return original(sig, t)
+
+        monkeypatch.setattr(ZeroSignal, "value", counting)
+        x0 = {i: np.ones(2) for i in chain.nodes}
+        tr = simulate(chain, chain_decomp, chain_ctrl, x0, T=1.0)
+        assert calls == []
+        # as one evaluation per grid point gave it
+        pointwise = np.array([original(tr.signals[1], t) for t in tr.times])
+        assert tr.inputs[1].tobytes() == pointwise.tobytes()
 
     def test_rejects_signal_on_follower(self, chain, chain_decomp, chain_ctrl):
         with pytest.raises(ValueError):
