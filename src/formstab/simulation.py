@@ -85,11 +85,12 @@ class LeaderSignal:
         """(S, H, w0) with u(t) = H w(t), w' = S w, w(0) = w0, or None when
         the signal has no such linear generator.
 
-        For a signal with breakpoints, w is its value (H = I_m): at each
-        breakpoint b the state restarts at w(b) = value(b) and then follows
-        w' = S w again.  The restart happens at the grid point the breakpoint
-        sits on, or at the point it was merged into when it lay within grid
-        resolution of one.
+        For a signal with breakpoints, w is its value (S is m-by-m and
+        H = I_m): at each breakpoint b the state restarts at w(b) = value(b)
+        and then follows w' = S w again.  The restart happens at the grid
+        point the breakpoint sits on, or at the point it was merged into
+        when it lay within grid resolution of one.  `simulate` counts a
+        generator of any other form on a signal with breakpoints as none.
         """
         return None
 
@@ -390,44 +391,53 @@ def _norm1(X: np.ndarray) -> float:
     return float(np.abs(X).sum(axis=0).max())
 
 
+def _taylor_increment(Y: np.ndarray, Z: np.ndarray, terms: int) -> np.ndarray:
+    """sum over 1 <= j <= terms of Y^j Z / j!: the series of (e^Y - I) Z."""
+    term = Y @ Z
+    total = term.copy()
+    for j in range(2, terms + 1):
+        term = (Y @ term) / j
+        total += term
+    return total
+
+
 def _expm_increment(X: np.ndarray) -> np.ndarray:
     """e^X - I, accurate relative to ||X||, at the size of X.
 
     The Taylor series of e^Y - I at Y = X / 2^s, with s the least scaling
     that brings ||Y||_1 under `_THETA`, then s doublings D <- D (D + 2I),
-    since e^{2Y} - I = (e^Y - I)(e^Y + I).
+    since e^{2Y} - I = (e^Y - I)(e^Y + I).  The doublings stop once D is
+    non-finite, as it then stays.
     """
     s = max(0, math.frexp(_norm1(X) / _THETA)[1])
     Y = np.ldexp(X, -s)
-    term = Y
-    D = Y.copy()
-    for j in range(2, _taylor_terms(min(_norm1(Y), _THETA)) + 1):
-        term = (term @ Y) / j
-        D += term
+    D = _taylor_increment(Y, np.eye(len(X)), _taylor_terms(min(_norm1(Y), _THETA)))
     for _ in range(s):
+        if not np.isfinite(D).all():
+            break
         D = D @ D + 2.0 * D
     return D
 
 
 def _step_on_vector(A: np.ndarray, norm: float, h: float, z: np.ndarray) -> np.ndarray:
-    """z + (e^{hA} - I) z without forming a matrix; ``norm`` is ||A||_1.
+    """z + (e^{hA} - I) z; ``norm`` is ||A||_1.
 
-    Truncated Taylor series of the increment, on the fewest 2^s equal
-    substeps whose 1-norm is under `_THETA` (Al-Mohy & Higham, SIAM J.
-    Sci. Comput. 2011).  The number of substeps and terms depends on
-    h ||A||_1 only, never on z, so a non-finite z costs no more; a
-    non-finite A takes one substep and yields a non-finite z.
+    Truncated Taylor series of the increment applied to the vector, on the
+    fewest 2^s equal substeps whose 1-norm is under `_THETA` (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 2011).  The substeps grow in number with
+    h ||A||_1; past ``len(z)`` of them, one matrix increment
+    `_expm_increment`, whose cost grows with log h ||A||_1 only, is cheaper
+    and is applied instead.  The counts depend on h ||A||_1 alone, never
+    on z; a non-finite A takes one substep and yields a non-finite z.
     """
     count = 2 ** max(0, math.frexp(h * norm / _THETA)[1])
+    if count > len(z):
+        return z + _expm_increment(h * A) @ z
     sub = h / count
+    Y = sub * A
     terms = _taylor_terms(min(sub * norm, _THETA))
     for _ in range(count):
-        term = z
-        inc = np.zeros_like(z)
-        for j in range(1, terms + 1):
-            term = (sub / j) * (A @ term)
-            inc += term
-        z = z + inc
+        z = z + _taylor_increment(Y, z, terms)
     return z
 
 
@@ -495,6 +505,18 @@ def _propagate(M, c, generators, times, y0, dt, T):
     return flat.T
 
 
+def _generator(sig: LeaderSignal, m: int, T: float):
+    """``sig.generator()``, or None when the signal has breakpoints in
+    (0, T) but its generator state is not its value (S of shape (m, m) and
+    H = I_m), since `_propagate` restarts that state with the value."""
+    gen = sig.generator()
+    if gen is not None and sig.breakpoints(T):
+        S, H, _ = gen
+        if np.shape(S) != (m, m) or not np.array_equal(H, np.eye(m)):
+            return None
+    return gen
+
+
 def simulate(
     spec: FormationSpec,
     decomp: LevelDecomposition,
@@ -525,7 +547,8 @@ def simulate(
     one matrix exponential increment for the steps of length dt, the other
     steps applied to the state vector, and the generator states restarted
     at the breakpoints (integrator ``"expm"``, see `_propagate`).  A signal
-    without a generator makes the whole run take classic RK4 steps, which
+    without a generator, or with breakpoints and a generator whose state is
+    not its value, makes the whole run take classic RK4 steps, which
     land on every breakpoint so each step sees a continuous right-hand side
     (integrator ``"rk4"``).  ``metadata["integrator"]`` names the one used.
 
@@ -584,7 +607,7 @@ def simulate(
         y0[k] = xi
 
     forcing = [(G, sig_map[s]) for s, G in leader_cols.items() if not sig_map[s].is_zero]
-    generators = [(G, sig, sig.generator()) for G, sig in forcing]
+    generators = [(G, sig, _generator(sig, spec.m, T)) for G, sig in forcing]
     exact = all(gen is not None for _, _, gen in generators)
     if exact:
         traj = _propagate(M, c, generators, times, y0, dt, T)

@@ -44,6 +44,24 @@ class _NoGenerator(PiecewiseConstantSignal):
         return None
 
 
+class _SwitchedSinusoid(SinusoidSignal):
+    """A sinusoid whose amplitude triples at t = 0.4.  Its generator state
+    [sin, cos] is not its value, so a restart with the value cannot carry
+    the switch: `simulate` takes RK4 for it."""
+
+    def _scale(self, t, left=False):
+        return 3.0 if (t > 0.4 if left else t >= 0.4) else 1.0
+
+    def value(self, t):
+        return self._scale(t) * super().value(t)
+
+    def left_value(self, t):
+        return self._scale(t, left=True) * super().value(t)
+
+    def breakpoints(self, T):
+        return (0.4,) if 0.4 < T else ()
+
+
 def _single_agent(A):
     A = np.asarray(A, dtype=float)
     spec = FormationSpec(
@@ -321,6 +339,89 @@ class TestSimulate:
             simulate(chain, chain_decomp, bad, {i: np.ones(2) for i in chain.nodes},
                      signals=steps, T=1.0, dt=1e-2)
         assert exc.value.time == 0.004
+
+    def test_huge_finite_gain_beside_a_breakpoint(self, chain, chain_decomp, chain_ctrl):
+        # a coupling gain of 1e300 passes the step cap; the steps beside the
+        # breakpoint have h ||A||_1 near 1e298, which one matrix increment
+        # covers in about 1000 doublings.  The states stay finite (the
+        # coupling is lower triangular) and agree with RK4.
+        fc = chain_ctrl.followers[3]
+        K = {s: np.full_like(Ks, 1e300) for s, Ks in fc.K.items()}
+        huge = dataclasses.replace(chain_ctrl, followers={
+            **chain_ctrl.followers, 3: dataclasses.replace(fc, K=K)})
+        x0 = {i: np.ones(2) for i in chain.nodes}
+        runs = [simulate(chain, chain_decomp, huge, x0, T=1.0, dt=1e-2,
+                         signals={1: cls([0.0, 0.004], [[1.0], [2.0]])})
+                for cls in (PiecewiseConstantSignal, _NoGenerator)]
+        assert [tr.metadata["integrator"] for tr in runs] == ["expm", "rk4"]
+        for i in chain.nodes:
+            exact, rk4 = runs[0].states[i], runs[1].states[i]
+            assert np.isfinite(exact).all()
+            assert np.max(np.abs(exact - rk4)) <= 1e-6 * np.max(np.abs(rk4))
+
+    def test_high_frequency_sinusoid_on_a_short_last_step(self):
+        # omega = 1e12 and T/dt = 142.9: the short last step has
+        # h ||A||_1 near 1e10.  The input moves the states by about 2 / omega.
+        spec, dec, rep = _stable_fork()
+        ctrl = synthesize(spec, dec, rep)
+        leader = sorted(dec.leaders)[0]
+        x0 = {i: np.ones(2) for i in spec.nodes}
+        free = simulate(spec, dec, ctrl, x0, T=1.0, dt=7e-3)
+        tr = simulate(spec, dec, ctrl, x0, signals={leader: SinusoidSignal([1.0], 1e12)},
+                      T=1.0, dt=7e-3)
+        assert tr.metadata["integrator"] == "expm"
+        assert tr.times[-1] - tr.times[-2] < 7e-3
+        assert max(np.max(np.abs(tr.states[i] - free.states[i])) for i in spec.nodes) <= 1e-11
+
+    @pytest.mark.parametrize("h", [1e-3, 0.7, 1e12, 1e300])
+    def test_step_on_vector_takes_at_most_its_size_in_series(self, h, monkeypatch):
+        # past len(z) substeps one matrix increment replaces them, so the
+        # work stays bounded however large h ||A||_1 is
+        from formstab import simulation
+
+        calls = []
+        series = simulation._taylor_increment
+        monkeypatch.setattr(simulation, "_taylor_increment",
+                            lambda *args: calls.append(1) or series(*args))
+        A = np.random.default_rng(5).standard_normal((6, 6))
+        z = np.ones(6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = simulation._step_on_vector(A, simulation._norm1(A), h, z)
+        assert 1 <= len(calls) <= 6
+        if h < 1.0:
+            exact = scipy.linalg.expm(h * A) @ z
+            assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    def test_breakpoints_with_a_generator_state_other_than_the_value_take_rk4(self):
+        # the oracle takes one expm of the augmented system [y; 1; sin; cos]
+        # per grid time, restarted with the tripled amplitude at 0.4
+        from formstab.simulation import _closed_loop_blocks
+
+        spec, dec, rep = _stable_fork()
+        ctrl = synthesize(spec, dec, rep)
+        order, _, M, c, G = _closed_loop_blocks(spec, dec, ctrl)
+        leader = sorted(dec.leaders)[0]
+        omega, phase = 1.7, 0.4
+        x0 = {i: np.ones(2) for i in spec.nodes}
+        tr = simulate(spec, dec, ctrl, x0, T=1.0, dt=1e-2,
+                      signals={leader: _SwitchedSinusoid([0.8], omega, phase)})
+        assert tr.metadata["integrator"] == "rk4"
+        dim = M.shape[0]
+        A = np.zeros((dim + 3, dim + 3))
+        A[:dim, :dim], A[:dim, dim] = M, c
+        A[dim + 1, dim + 2], A[dim + 2, dim + 1] = omega, -omega
+        before, after = A.copy(), A
+        before[:dim, dim + 1] = G[leader] @ [0.8]
+        after[:dim, dim + 1] = G[leader] @ [2.4]
+        z0 = np.concatenate([np.concatenate([x0[i] for i in order]),
+                             [1.0, np.sin(phase), np.cos(phase)]])
+        z_switch = scipy.linalg.expm(0.4 * before) @ z0
+        exact = np.array([
+            (scipy.linalg.expm(t * before) @ z0 if t <= 0.4
+             else scipy.linalg.expm((t - 0.4) * after) @ z_switch)[:dim]
+            for t in tr.times])
+        sim = np.hstack([tr.states[i] for i in order])
+        assert np.max(np.abs(sim - exact)) <= 1e-8 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("kind", ["zero", "const", "sine"])
     @pytest.mark.parametrize("dt", [1e-2, 7e-3])  # T/dt = 300 and 428.6: a short last step
