@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotStabilizableError, SynthesisFailure
 from .linalg import controllability_matrix, spectral_abscissa, stabilize
-from .model import AgentDynamics, Edge, FormationSpec
+from .model import AgentDynamics, Edge, FormationSpec, _components
 
 __all__ = [
     "three_agent_chain",
@@ -122,43 +122,27 @@ DEMO_BUILDERS = {
 }
 
 
-def demo_instance(name: str) -> FormationSpec:
+def _demo_builder(name: str):
     try:
-        return DEMO_BUILDERS[name]()
+        return DEMO_BUILDERS[name]
     except KeyError:
         raise KeyError(
             f"unknown demo {name!r}; available: {', '.join(sorted(DEMO_BUILDERS))}"
         ) from None
 
 
+def demo_instance(name: str) -> FormationSpec:
+    return _demo_builder(name)()
+
+
 def demo_path(name: str):
     """Filesystem path of the bundled JSON file for a demo instance."""
-    if name not in DEMO_BUILDERS:
-        raise KeyError(
-            f"unknown demo {name!r}; available: {', '.join(sorted(DEMO_BUILDERS))}"
-        )
+    _demo_builder(name)
     return resources.files("formstab").joinpath("data", f"{name}.json")
 
 
 # ---------------------------------------------------------------------------
 # Random generators
-
-
-def _weak_components_of(edges, l: int):
-    comp = {i: i for i in range(1, l + 1)}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for i, j in edges:
-        comp[find(i)] = find(j)
-    groups = {}
-    for i in range(1, l + 1):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
 
 
 def _random_edge_structure(rng, l: int, l0: int, extra_edge_prob: float):
@@ -173,7 +157,7 @@ def _random_edge_structure(rng, l: int, l0: int, extra_edge_prob: float):
             edges.add((i, j))
     # merge weak components through node l (the largest follower), keeping
     # every edge pointed from higher to lower id so the graph stays acyclic
-    comps = _weak_components_of(edges, l)
+    comps = _components(range(1, l + 1), edges)
     if len(comps) > 1:
         for group in comps:
             if l not in group:

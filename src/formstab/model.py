@@ -7,6 +7,10 @@ of the graph (levels, order function, designated parents, cumulative
 offsets, leader reach), finds multi-leader witnesses, and reads/writes the
 JSON interchange format used by the rest of the package.
 
+One level peel (Kahn's topological sort, taken a level at a time) decides
+both acyclicity and the levels: `validate` reports a cycle when the peel
+leaves nodes over, and `decompose` takes its levels from that same pass.
+
 Node ids are 1-based everywhere they surface (files, reports); edges point
 from follower to parent.
 """
@@ -147,46 +151,17 @@ class Violation:
         return f"{self.kind}: {self.message}"
 
 
-def _find_cycle(spec: FormationSpec) -> list[int] | None:
-    """Return one directed cycle as a node list [v0, ..., v0], or None."""
-    color = {i: 0 for i in spec.nodes}  # 0 new, 1 on stack, 2 done
-    for start in spec.nodes:
-        if color[start] != 0:
-            continue
-        stack = [(start, iter(spec.parents(start)))]
-        color[start] = 1
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    k = path.index(nxt)
-                    return path[k:] + [nxt]
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, iter(spec.parents(nxt))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                path.pop()
-                stack.pop()
-    return None
-
-
-def weak_components(spec: FormationSpec) -> list[tuple[int, ...]]:
-    """Connected components of the underlying undirected graph, each a
-    sorted tuple of node ids, ordered by smallest member."""
-    neighbours: dict[int, set[int]] = {i: set() for i in spec.nodes}
-    for e in spec.edges:
-        if e.i in neighbours and e.j in neighbours and e.i != e.j:
-            neighbours[e.i].add(e.j)
-            neighbours[e.j].add(e.i)
+def _components(nodes, pairs) -> list[tuple[int, ...]]:
+    """`weak_components` of the graph on ascending ``nodes`` with edges
+    ``pairs``; pairs with an end outside ``nodes`` are ignored."""
+    neighbours: dict[int, set[int]] = {i: set() for i in nodes}
+    for i, j in pairs:
+        if i in neighbours and j in neighbours:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
     seen: set[int] = set()
     components = []
-    for start in spec.nodes:
+    for start in nodes:
         if start in seen:
             continue
         comp = []
@@ -203,21 +178,28 @@ def weak_components(spec: FormationSpec) -> list[tuple[int, ...]]:
     return components
 
 
-def validate(spec: FormationSpec) -> FormationSpec:
-    """Check all structural invariants of a formation instance.
+def weak_components(spec: FormationSpec) -> list[tuple[int, ...]]:
+    """Connected components of the underlying undirected graph, each a
+    sorted tuple of node ids, ordered by smallest member."""
+    return _components(spec.nodes, spec._disp)
 
-    Returns the spec unchanged when everything holds.  Otherwise raises
-    `FormationValidationError` carrying *all* violations found, so callers
-    see every problem at once rather than fixing them one by one.
+
+def _validated_levels(spec: FormationSpec) -> tuple[list[frozenset], dict[int, int]]:
+    """Run every check of `validate`; return the levels and the order
+    function of the level peel that decided acyclicity.
+
+    Parent ids outside 1..l take no part in the peel.  The nodes it leaves
+    over are those with a directed path into a cycle; each has a leftover
+    parent.
     """
     v: list[Violation] = []
-    n, m = spec.n, spec.m
+    n, m, l = spec.n, spec.m, spec.l
 
-    if n <= 0 or m <= 0 or spec.l == 0:
+    if n <= 0 or m <= 0 or l == 0:
         v.append(
             Violation(
                 "dimension_mismatch",
-                f"need positive n, m and at least one agent (n={n}, m={m}, l={spec.l})",
+                f"need positive n, m and at least one agent (n={n}, m={m}, l={l})",
             )
         )
 
@@ -249,7 +231,7 @@ def validate(spec: FormationSpec) -> FormationSpec:
             )
         seen_edges.add(e.key)
         for end in (e.i, e.j):
-            if not 1 <= end <= spec.l:
+            if not 1 <= end <= l:
                 v.append(
                     Violation(
                         "dimension_mismatch",
@@ -266,8 +248,27 @@ def validate(spec: FormationSpec) -> FormationSpec:
                 )
             )
 
-    cycle = _find_cycle(spec)
-    if cycle is not None:
+    parents = {i: frozenset(j for j in spec.parents(i) if 1 <= j <= l) for i in spec.nodes}
+    levels: list[frozenset] = []
+    order: dict[int, int] = {}
+    remaining = set(spec.nodes)
+    while remaining:
+        level = {i for i in remaining if parents[i].isdisjoint(remaining)}
+        if not level:
+            break
+        for i in level:
+            order[i] = len(levels)
+        levels.append(frozenset(level))
+        remaining -= level
+
+    if remaining:
+        # walk from the smallest leftover node through smallest leftover
+        # parents until a node repeats: the cycle a depth-first search over
+        # ascending ids and parents meets first
+        walk = [min(remaining)]
+        while walk[-1] not in walk[:-1]:
+            walk.append(min(parents[walk[-1]] & remaining))
+        cycle = walk[walk.index(walk[-1]) :]
         v.append(
             Violation(
                 "cycle_detected",
@@ -289,6 +290,19 @@ def validate(spec: FormationSpec) -> FormationSpec:
 
     if v:
         raise FormationValidationError(v)
+    return levels, order
+
+
+def validate(spec: FormationSpec) -> FormationSpec:
+    """Check all structural invariants of a formation instance.
+
+    Acyclicity is decided by the level peel that `decompose` reuses; a
+    cycle is reported with a witness node list.  Returns the spec
+    unchanged when everything holds.  Otherwise raises
+    `FormationValidationError` carrying *all* violations found, so callers
+    see every problem at once rather than fixing them one by one.
+    """
+    _validated_levels(spec)
     return spec
 
 
@@ -342,28 +356,17 @@ class LevelDecomposition:
 
 
 def decompose(spec: FormationSpec) -> LevelDecomposition:
-    """Compute the level decomposition of a validated formation.
+    """Compute the level decomposition of a formation, validating it.
 
-    Peels the graph level by level: level 0 is the parentless nodes, and
-    each next level collects the nodes whose parents are all already
-    placed.  The designated parent of a follower is chosen among its
-    parents by (level, id) lexicographic maximum, which lands one level
-    below the follower; offsets accumulate along those designated edges.
+    Takes the levels from the single level peel of `validate` (which
+    raises `FormationValidationError` on an invalid spec): level 0 is the
+    parentless nodes, and each next level collects the nodes whose parents
+    are all already placed.  The designated parent of a follower is chosen
+    among its parents by (level, id) lexicographic maximum, which lands
+    one level below the follower; offsets accumulate along those
+    designated edges.
     """
-    validate(spec)
-
-    placed: set[int] = set()
-    levels: list[frozenset] = []
-    order: dict[int, int] = {}
-    remaining = set(spec.nodes)
-    while remaining:
-        level = {i for i in remaining if set(spec.parents(i)) <= placed}
-        k = len(levels)
-        for i in level:
-            order[i] = k
-        levels.append(frozenset(level))
-        placed |= level
-        remaining -= level
+    levels, order = _validated_levels(spec)
 
     renumbering = tuple(i for level in levels for i in sorted(level))
     leaders = levels[0]
@@ -522,8 +525,14 @@ def split_components(spec: FormationSpec) -> list[tuple[tuple[int, ...], Formati
 
     Returns [(original_ids, sub_spec), ...] where sub_spec renumbers the
     component's nodes 1..k in ascending original id; original_ids[k-1] is
-    the original id of sub-spec node k.
+    the original id of sub-spec node k.  Raises `FormationValidationError`
+    when the instance has any violation other than being disconnected.
     """
+    try:
+        validate(spec)
+    except FormationValidationError as exc:
+        if exc.kinds() != {"not_weakly_connected"}:
+            raise
     out = []
     for comp in weak_components(spec):
         remap = {orig: new for new, orig in enumerate(comp, start=1)}

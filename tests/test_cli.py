@@ -91,6 +91,16 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "component [1]" in out and "component [2]" in out
 
+        # an edge to a node that does not exist is named, not dropped by the split
+        doc["edges"] = [{"from": 2, "to": 1, "d": [0.0]}, {"from": 2, "to": 99, "d": [0.0]}]
+        path.write_text(json.dumps(doc))
+        for extra in ([], ["--split"]):
+            assert main(["check", str(path), *extra, "--out", str(tmp_path)]) == 1
+            assert capsys.readouterr().err == (
+                "invalid formation:\n"
+                "  - dimension_mismatch: edge (2, 99) references unknown node 99\n"
+            )
+
 
 class TestSynthesize:
     def test_writes_verified_controller(self, chain_file, tmp_path):
@@ -253,8 +263,13 @@ class TestPairwiseAndDemo:
     def test_demos_pass(self, name):
         assert main(["demo", name]) == 0
 
-    def test_unknown_demo_exits_one(self):
+    def test_unknown_demo_exits_one(self, capsys):
         assert main(["demo", "nonesuch"]) == 1
+        err = capsys.readouterr().err
+        assert "unknown demo 'nonesuch'; available: example1, example2, remark5, triangle" in err
+        with pytest.raises(KeyError) as exc:
+            demo_path("nonesuch")
+        assert err == f"{exc.value}\n"
 
 
 class TestConfigAndDeterminism:

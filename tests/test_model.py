@@ -73,28 +73,33 @@ class TestValidate:
         assert bad.info == (2, "A", (2, 2), (3, 3))
 
     def test_reporting_is_exhaustive_not_first_only(self):
-        # one instance carrying a cycle, a self loop, a bad d length, and
-        # a disconnected extra node: all four must be reported at once
-        agents = (AgentDynamics(A=np.zeros((2, 2)), B=np.zeros((2, 1))),) * 4
+        # one instance carrying an unknown parent, a cycle, a bad d length,
+        # a self loop and a disconnected extra node: all five must be
+        # reported at once (node 2's parent 99 comes before the cycle in id
+        # order)
+        agents = (AgentDynamics(A=np.zeros((2, 2)), B=np.zeros((2, 1))),) * 5
         spec = FormationSpec(
             n=2,
             m=1,
             agents=agents,
             edges=(
-                Edge(1, 2, [0.0, 0.0]),
                 Edge(2, 1, [0.0, 0.0]),
-                Edge(3, 3, [0.0, 0.0]),
+                Edge(2, 99, [0.0, 0.0]),
+                Edge(3, 4, [0.0, 0.0]),
+                Edge(4, 3, [0.0, 0.0]),
                 Edge(3, 1, [0.0]),
+                Edge(5, 5, [0.0, 0.0]),
             ),
         )
         with pytest.raises(FormationValidationError) as exc:
             validate(spec)
-        assert {
-            "cycle_detected",
-            "self_loop",
-            "dimension_mismatch",
-            "not_weakly_connected",
-        } <= exc.value.kinds()
+        assert [str(v) for v in exc.value.violations] == [
+            "dimension_mismatch: edge (2, 99) references unknown node 99",
+            "dimension_mismatch: edge (3, 1): d has shape (1,), expected (2,)",
+            "self_loop: edge (5, 5)",
+            "cycle_detected: directed cycle 3 -> 4 -> 3",
+            "not_weakly_connected: 2 weak components: {1, 2, 3, 4}, {5}",
+        ]
 
 
 class TestDecompose:
@@ -189,6 +194,43 @@ def test_witness_exists_iff_multiple_leaders(seed):
             assert path[0] == witness.i and path[-1] == leader
             for a, b in zip(path[:-1], path[1:]):
                 assert spec.has_edge(a, b)
+
+
+def _cycle_witness(spec):
+    try:
+        validate(spec)
+    except FormationValidationError as exc:
+        return next((v.info for v in exc.violations if v.kind == "cycle_detected"), None)
+    return None
+
+
+@given(
+    l=st.integers(1, 7),
+    raw=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 10)), max_size=24),
+)
+@settings(max_examples=300, deadline=None)
+def test_cycle_witness_is_a_simple_cycle_of_the_spec(l, raw):
+    # self loops, repeated edges, several cycles and parent ids past l
+    spec = _simple_spec([Edge(i, j, [0.0, 0.0]) for i, j in raw if i <= l], l=l)
+    witness = _cycle_witness(spec)
+    if witness is not None:
+        assert witness[0] == witness[-1]
+        assert len(set(witness[:-1])) == len(witness) - 1
+        assert all(spec.has_edge(a, b) for a, b in zip(witness[:-1], witness[1:]))
+
+    # drop the unknown parents and repeats, and add node l+1 following one
+    # node of each weak component: it has no followers, so it closes no
+    # cycle, and a cycle is then the only violation left
+    pairs = sorted({(i, j) for i, j in raw if i <= l and j <= l})
+    hub = [(l + 1, comp[0]) for comp in weak_components(spec)]
+    clean = _simple_spec([Edge(i, j, [0.0, 0.0]) for i, j in pairs + hub], l=l + 1)
+    assert _cycle_witness(clean) == witness
+    if witness is None:
+        _check_decomposition_invariants(clean)
+    else:
+        with pytest.raises(FormationValidationError) as exc:
+            decompose(clean)
+        assert "cycle_detected" in exc.value.kinds()
 
 
 class TestWitnessExamples:
