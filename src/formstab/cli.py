@@ -235,8 +235,8 @@ def cmd_simulate(args) -> int:
     signals = {i: sig for i in sorted(decomp.leaders)}
 
     trace = simulate(spec, decomp, ctrl, x0, signals=signals, T=cfg.T, dt=cfg.dt)
+    fit = fit_envelope(trace, decomp)  # a fit that raises writes no trace
     write_trace_csv(trace, decomp, out / f"{stem}_trace.csv")
-    fit = fit_envelope(trace, decomp)
     _write_json(out / f"{stem}_envelope.json", fit.to_dict())
     if args.plot:
         _write_error_svg(trace, decomp, Path(args.plot))

@@ -223,13 +223,14 @@ def _validated_levels(spec: FormationSpec) -> tuple[list[frozenset], dict[int, i
 
     seen_edges: set[tuple[int, int]] = set()
     for e in spec.edges:
+        key = e.key
         if e.i == e.j:
             v.append(Violation("self_loop", f"edge ({e.i}, {e.j})", info=(e.i,)))
-        if e.key in seen_edges:
+        if key in seen_edges:
             v.append(
-                Violation("duplicate_edge", f"edge ({e.i}, {e.j}) repeated", info=e.key)
+                Violation("duplicate_edge", f"edge ({e.i}, {e.j}) repeated", info=key)
             )
-        seen_edges.add(e.key)
+        seen_edges.add(key)
         for end in (e.i, e.j):
             if not 1 <= end <= l:
                 v.append(
@@ -244,7 +245,7 @@ def _validated_levels(spec: FormationSpec) -> tuple[list[frozenset], dict[int, i
                 Violation(
                     "dimension_mismatch",
                     f"edge ({e.i}, {e.j}): d has shape {e.d.shape}, expected ({n},)",
-                    info=(e.key, e.d.shape),
+                    info=(key, e.d.shape),
                 )
             )
 

@@ -77,6 +77,16 @@ class LeaderSignal:
         """sup over [0, t] of ||u(tau)||, in closed form."""
         raise NotImplementedError
 
+    def sample(self, times) -> np.ndarray:
+        """value(t) at each of the times, one row each.  Built-in signals
+        compute it at once, bitwise equal to `value`; a subclass may do the
+        same for speed."""
+        return np.array([self.value(t) for t in times])
+
+    def running_sups(self, times) -> np.ndarray:
+        """running_sup(t) at each of the times, as `sample` is to `value`."""
+        return np.array([self.running_sup(t) for t in times], dtype=float)
+
     def breakpoints(self, T: float) -> tuple:
         """Discontinuity times inside (0, T) the integrator must land on."""
         return ()
@@ -107,6 +117,12 @@ class ZeroSignal(LeaderSignal):
     def running_sup(self, t):
         return 0.0
 
+    def sample(self, times):
+        return np.zeros((len(times), self.m))
+
+    def running_sups(self, times):
+        return np.zeros(len(times))
+
 
 class ConstantSignal(LeaderSignal):
     def __init__(self, c):
@@ -119,8 +135,19 @@ class ConstantSignal(LeaderSignal):
     def running_sup(self, t):
         return self._norm
 
+    def sample(self, times):
+        return np.repeat(self.c[None], len(times), axis=0)
+
+    def running_sups(self, times):
+        return np.full(len(times), self._norm)
+
     def generator(self):
         return np.zeros((1, 1)), self.c[:, None], np.ones(1)
+
+
+def _sines(arg: np.ndarray) -> np.ndarray:
+    """math.sin of each element of a 1-d array."""
+    return np.fromiter(map(math.sin, arg), float, len(arg))
 
 
 class SinusoidSignal(LeaderSignal):
@@ -145,6 +172,26 @@ class SinusoidSignal(LeaderSignal):
         if math.pi / 2.0 + k * math.pi <= hi:
             return a
         return a * max(abs(math.sin(lo)), abs(math.sin(hi)))
+
+    # The grid-wide forms repeat the scalar arithmetic elementwise and take
+    # each sine from math.sin, so they equal `value` and `running_sup`
+    # bitwise whatever sine numpy's build uses.
+
+    def sample(self, times):
+        arg = self.omega * np.asarray(times, dtype=float) + self.phase
+        return _sines(arg)[:, None] * self.amplitude
+
+    def running_sups(self, times):
+        a = self._norm
+        if self.omega == 0.0:
+            return np.full(len(times), a * abs(math.sin(self.phase)))
+        end = self.phase + self.omega * np.asarray(times, dtype=float)
+        lo, hi = np.minimum(self.phase, end), np.maximum(self.phase, end)
+        k = np.ceil((lo - math.pi / 2.0) / math.pi)
+        rest = ~(math.pi / 2.0 + k * math.pi <= hi)  # no peak inside [lo, hi]
+        sups = np.full(len(end), a)
+        sups[rest] = a * np.maximum(np.abs(_sines(lo[rest])), np.abs(_sines(hi[rest])))
+        return sups
 
     def generator(self):
         # w = [sin(omega t + phase), cos(omega t + phase)]
@@ -175,10 +222,10 @@ class PiecewiseConstantSignal(LeaderSignal):
             [float(np.linalg.norm(v)) for v in self.values]
         )
 
-    def _segment(self, t: float, left: bool = False) -> int:
-        side = "left" if left else "right"
-        k = int(np.searchsorted(self.times, t, side=side)) - 1
-        return min(max(k, 0), len(self.values) - 1)
+    def _segment(self, t, left: bool = False):
+        """Index of the value on at time t, or at each of the times t."""
+        k = np.searchsorted(self.times, t, side="left" if left else "right") - 1
+        return np.clip(k, 0, len(self.values) - 1)
 
     def value(self, t):
         return self.values[self._segment(t)]
@@ -188,6 +235,12 @@ class PiecewiseConstantSignal(LeaderSignal):
 
     def running_sup(self, t):
         return float(self._running_max[self._segment(t)])
+
+    def sample(self, times):
+        return self.values[self._segment(times)]
+
+    def running_sups(self, times):
+        return self._running_max[self._segment(times)]
 
     def breakpoints(self, T):
         return tuple(float(t) for t in self.times if 0.0 < t < T)
@@ -246,11 +299,12 @@ class SimulationTrace:
     (n, grid points) slab, so each state component is contiguous in time.
     Nothing else of that size is stored.  ``errors`` is a read-only mapping
     that computes z_ij = x_i - x_j + d_ij from the states when an edge is
-    read, and ``inputs`` holds the leader inputs and computes a follower's
-    control input when it is read; read each value once and keep it if it
-    is needed again.  ``metadata["integrator"]`` names the propagation:
-    ``"expm"`` (exact, every signal with a linear generator) or ``"rk4"``
-    (some signal without one).  ``closed_loop`` is the pair
+    read, and ``inputs`` one that samples a leader's signal
+    (`LeaderSignal.sample`) or computes a follower's control input when it
+    is read; read each value once and keep it if it is needed again.
+    ``metadata["integrator"]`` names the propagation: ``"expm"`` (exact,
+    every signal with a linear generator) or ``"rk4"`` (some signal
+    without one).  ``closed_loop`` is the pair
     ``(M, G)`` of the integrated system y' = M y + c + sum_a G[a] u_a(t):
     the stacked closed-loop matrix with agents in renumbering order, and
     the input map per leader id.  ``free_errors`` is always None; it is
@@ -478,9 +532,10 @@ def _propagate(M, c, generators, times, y0, dt, T):
         A[:dim, r : r + k] = G @ H
         A[r : r + k, r : r + k] = S
         z[r : r + k] = w0
-        for b in sig.breakpoints(T):
+        breaks = sig.breakpoints(T)
+        for b, value in zip(breaks, sig.sample(breaks)):
             at = int(np.searchsorted(times, b, side="right")) - 1
-            restarts.setdefault(at, []).append((r, sig.value(b)))
+            restarts.setdefault(at, []).append((r, value))
         r += k
 
     increment = _expm_increment(dt * A)
@@ -553,9 +608,10 @@ def simulate(
     (integrator ``"rk4"``).  ``metadata["integrator"]`` names the one used.
 
     Both integrators write one C-contiguous (agents, n, grid points) array,
-    which the trace's per-agent state views share; edge errors and follower
-    inputs are not evaluated here but when the trace's mappings are read
-    (see `SimulationTrace`).
+    which the trace's per-agent state views share; edge errors and the
+    leader and follower inputs are not evaluated here but when the trace's
+    mappings are read (see `SimulationTrace`).  The built-in signals are
+    evaluated only through their grid-wide methods.
 
     A controller that does not fit the instance (see
     `verify_controller`) or a leader signal whose values are not m-vectors
@@ -574,7 +630,7 @@ def simulate(
         for i, sig in signals.items():
             if i not in sig_map:
                 raise ValueError(f"agent {i} is not a leader; it cannot take a free input")
-            width = np.shape(sig.value(0.0))
+            width = np.shape(sig.sample(np.zeros(1)))[1:]
             if width != (spec.m,):
                 raise ValueError(
                     f"signal of leader {i} has values of shape {width}, expected ({spec.m},)"
@@ -621,14 +677,14 @@ def simulate(
         offsets,
         lambda e, rows: states[e[0]][rows] - states[e[1]][rows] + offsets[e],
     )
-    leader_inputs = {
-        i: np.zeros((len(times), spec.m)) if sig.is_zero
-        else np.array([sig.value(t) for t in times])
-        for i, sig in sig_map.items()
-    }
+
+    def leader_input(i, rows):
+        t = times[rows]
+        return sig_map[i].sample(np.reshape(t, -1)).reshape(np.shape(t) + (spec.m,))
+
     inputs = _OnAccess(
         order,
-        lambda i, rows: leader_inputs[i][rows] if i in leader_inputs
+        lambda i, rows: leader_input(i, rows) if i in sig_map
         else control_input(ctrl, i, states)[rows],
     )
 
@@ -697,23 +753,29 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
         beta_ij = ||R_ij|| C max_a ||G_e,a|| / alpha,
 
     where U(t) sums the exact running sups of the leader inputs (no grid
-    sampling) and the max runs over leaders with a nonzero signal.  Each
-    edge is checked on the grid against its bound plus the float
-    resolution 64 eps (1 + max_k ||x_k(t)||) of the recorded errors.  The
-    fit fails when some excess is above 1e-6 * (1 + ||z(0)||), or when
-    M_e is not Hurwitz; then alpha is 0.0 and each edge's growth is
-    measured against its initial error.
+    sampling, `LeaderSignal.running_sups`) and the max runs over leaders
+    with a nonzero signal.  Each edge is checked on the grid against its
+    bound plus the float resolution 64 eps (1 + max_k ||x_k(t)||) of the
+    recorded errors.  The fit fails when some excess is above
+    1e-6 * (1 + ||z(0)||), or when M_e is not Hurwitz; then alpha is 0.0
+    and each edge's growth is measured against its initial error.  An edge
+    whose norms overflow has a NaN excess, which counts as an infinite
+    violation.
     """
     times = trace.times
     edges = decomp.edge_order(trace.errors)
     z0n = trace.initial_error_norm()
     tol = 1e-6 * (1.0 + z0n)
 
-    # zero signals add nothing to U; the others are summed per grid point
-    inputs = {a: sig for a, sig in trace.signals.items() if not sig.is_zero}
+    # zero signals add nothing to U; the others are added in signal order
     U = np.zeros(len(times))
-    if inputs:
-        U[:] = [sum(sig.running_sup(t) for sig in inputs.values()) for t in times]
+    driven = []  # leaders whose input is nonzero somewhere on the grid
+    for a, sig in trace.signals.items():
+        if not sig.is_zero:
+            sups = sig.running_sups(times)
+            U += sups
+            if sups[-1] > 0.0:
+                driven.append(a)
     have_input = bool(U[-1] > 0.0)
 
     if z0n <= 1e-300 and not have_input and all(
@@ -756,11 +818,7 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
     if hurwitz.is_hurwitz:
         alpha = -0.5 * hurwitz.spectral_abscissa
         C = _lyapunov_constant(M_e, alpha)
-        gain = max(
-            (float(np.linalg.norm(T @ G[a], 2))
-             for a, sig in inputs.items() if sig.running_sup(times[-1]) > 0.0),
-            default=0.0,
-        )
+        gain = max((float(np.linalg.norm(T @ G[a], 2)) for a in driven), default=0.0)
         row_norms = np.linalg.norm(r, axis=1)
         s_min = float(np.linalg.svd(r, compute_uv=False)[-1])
         C_map = {e: float(w) * C / s_min for e, w in zip(edges, row_norms)}
@@ -775,17 +833,21 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
         }
         b_map = dict.fromkeys(edges, 0.0)
 
-    state_norm = np.zeros(len(times))
-    for x in trace.states.values():
-        np.maximum(state_norm, np.linalg.norm(x, axis=1), out=state_norm)
-    floor = 64.0 * np.finfo(float).eps * (1.0 + state_norm)
-    decay = np.exp(-alpha * times) * z0n
+    # a growing trace can overflow the norms to inf, and inf - inf is NaN:
+    # such an excess counts as +inf, whatever the edge order
+    with np.errstate(over="ignore", invalid="ignore"):
+        state_norm = np.zeros(len(times))
+        for x in trace.states.values():
+            np.maximum(state_norm, np.linalg.norm(x, axis=1), out=state_norm)
+        floor = 64.0 * np.finfo(float).eps * (1.0 + state_norm)
+        decay = np.exp(-alpha * times) * z0n
 
-    max_violation = -math.inf
-    for e in edges:
-        z = np.linalg.norm(trace.errors[e], axis=1)
-        envelope = C_map[e] * decay + b_map[e] * U + floor
-        max_violation = max(max_violation, float(np.max(z - envelope)))
+        max_violation = -math.inf
+        for e in edges:
+            z = np.linalg.norm(trace.errors[e], axis=1)
+            envelope = C_map[e] * decay + b_map[e] * U + floor
+            excess = float(np.max(z - envelope))
+            max_violation = max(max_violation, math.inf if math.isnan(excess) else excess)
 
     return EnvelopeFit(
         C=C_map,
@@ -866,7 +928,9 @@ def error_dynamics_check(
 
     The Q_a are formed once per agent, in the trace's time-contiguous
     layout (one row per state component), so each edge costs one
-    difference and one norm; the closed-loop matrix is not used.
+    difference and one norm; the closed-loop matrix is not used.  A gain
+    K_as that is exactly zero and a zero leader input add exact zeros, so
+    their terms are left out; on a finite trace the result is the same.
     """
     times = trace.times
     if len(times) < 3:
@@ -890,8 +954,9 @@ def error_dynamics_check(
         if fc is not None:
             Ba = spec.agent(a).B
             for s, Ks in fc.K.items():
-                q += (Ba @ Ks) @ _rows(trace.errors, (a, s), interior).T
-        if a in decomp.leaders:
+                if Ks.any():
+                    q += (Ba @ Ks) @ _rows(trace.errors, (a, s), interior).T
+        if a in decomp.leaders and not trace.signals[a].is_zero:
             q -= spec.agent(a).B @ _rows(trace.inputs, a, interior).T
         Q[a] = q
 

@@ -1,11 +1,13 @@
 """Command-line interface: exit-code contract, file outputs, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from formstab import save_controller, save_formation
+import formstab.cli
+from formstab import CertificateError, save_controller, save_formation
 from formstab.cli import main
 from formstab.controllers import assemble_controller
 from formstab.instances import demo_path, three_agent_chain
@@ -190,6 +192,33 @@ class TestSimulate:
         code = main(["simulate", chain_file, "--controller", str(ctrl_path),
                      "--seed", "1", "--T", "6", "--out", str(tmp_path)])
         assert code == 3
+
+    def test_overflowing_run_exits_three_with_infinite_violation(self, tmp_path, capsys):
+        path = str(demo_path("triangle"))
+        assert main(["synthesize", path, "--out", str(tmp_path)]) == 0
+        ctrl_path = tmp_path / "triangle_controller.json"
+        doc = json.loads(ctrl_path.read_text())
+        for fc in doc["followers"].values():
+            fc["S"] = (5.0 - np.asarray(fc["S"])).tolist()
+        ctrl_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", path, "--controller", str(ctrl_path),
+                         "--T", "20", "--out", str(tmp_path)])
+        assert code == 3
+        assert "max violation inf" in capsys.readouterr().out
+        fit = json.loads((tmp_path / "triangle_envelope.json").read_text())
+        assert fit["passed"] is False and fit["max_violation"] == float("inf")
+
+    def test_fit_that_raises_writes_no_trace(self, chain_file, tmp_path, monkeypatch):
+        def failing(trace, decomp):
+            raise CertificateError("Lyapunov solution is not positive definite")
+
+        monkeypatch.setattr(formstab.cli, "fit_envelope", failing)
+        assert main(["simulate", chain_file, "--T", "2", "--out", str(tmp_path)]) == 1
+        assert list(tmp_path.glob("*_trace.csv")) == []
+        assert list(tmp_path.glob("*_envelope.json")) == []
 
     def test_sinusoid_signals_and_svg_plot(self, tmp_path):
         fork_stable = {

@@ -3,18 +3,23 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formstab import (
     AgentDynamics,
     ConstantSignal,
     ControllerSet,
+    UNIFORM,
     Edge,
     FormationSpec,
+    LeaderSignal,
     NonFiniteStateError,
     NotSiblingParentsError,
     PiecewiseConstantSignal,
@@ -29,11 +34,16 @@ from formstab import (
     ideal_initial_states,
     is_hurwitz,
     simulate,
+    state_only_controller,
     synthesize,
     write_trace_csv,
 )
-from formstab.controllers import assemble_controller
-from formstab.instances import random_feasible_formation, two_leader_fork
+from formstab.controllers import assemble_controller, controller_from_dict, controller_to_dict
+from formstab.instances import (
+    demo_instance,
+    random_feasible_formation,
+    two_leader_fork,
+)
 
 
 class _NoGenerator(PiecewiseConstantSignal):
@@ -158,6 +168,70 @@ class TestSignals:
             PiecewiseConstantSignal([0.5, 1.0], [[1.0], [2.0]])
         with pytest.raises(ValueError):
             PiecewiseConstantSignal([0.0, 0.0], [[1.0], [2.0]])
+
+
+_TIMES = st.lists(st.floats(0.0, 50.0), max_size=30)
+_VECTORS = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3)
+
+
+def _assert_grid_methods_match_scalar(sig, times):
+    """sample / running_sups equal the scalar methods stacked, bitwise."""
+    times = [0.0] + list(times)
+    grid = np.array(times)
+    stacked = np.stack([sig.value(t) for t in times])
+    sups = np.array([sig.running_sup(t) for t in times])
+    sampled, sampled_sups = sig.sample(grid), sig.running_sups(grid)
+    assert sampled.shape == stacked.shape and sampled.tobytes() == stacked.tobytes()
+    assert sampled_sups.shape == sups.shape and sampled_sups.tobytes() == sups.tobytes()
+
+
+class TestGridSignals:
+    """The grid-wide signal methods are the scalar ones, bitwise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=_VECTORS, times=_TIMES)
+    def test_zero_and_constant(self, c, times):
+        _assert_grid_methods_match_scalar(ZeroSignal(len(c)), times)
+        _assert_grid_methods_match_scalar(ConstantSignal(c), times)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        amplitude=_VECTORS,
+        omega=st.one_of(st.just(0.0), st.floats(-6.0, 6.0)),
+        phase=st.one_of(
+            st.floats(-10.0, 10.0),
+            # next to an odd multiple of pi/2
+            st.tuples(st.integers(-6, 6), st.integers(-3, 3)).map(
+                lambda kj: (math.pi / 2.0 + kj[0] * math.pi) + kj[1] * 1e-15
+            ),
+        ),
+        times=_TIMES,
+    )
+    def test_sinusoid(self, amplitude, omega, phase, times):
+        sig = SinusoidSignal(amplitude, omega, phase)
+        if omega != 0.0:  # the times at which the argument meets a peak of |sin|
+            times = times + [
+                t for k in range(-3, 12)
+                if 0.0 <= (t := (math.pi / 2.0 + k * math.pi - phase) / omega) <= 100.0
+            ]
+        _assert_grid_methods_match_scalar(sig, times)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(st.floats(1e-3, 5.0), max_size=8),
+        data=st.data(),
+        times=_TIMES,
+    )
+    def test_piecewise_constant(self, steps, data, times):
+        m = data.draw(st.integers(1, 3))
+        breaks = np.concatenate([[0.0], np.cumsum(steps)])
+        values = data.draw(st.lists(
+            st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m),
+            min_size=len(breaks), max_size=len(breaks)))
+        sig = PiecewiseConstantSignal(breaks, values)
+        # the breakpoints exactly, and points past the last one
+        times = times + breaks.tolist() + [breaks[-1] + 1.0, breaks[-1] + 100.0]
+        _assert_grid_methods_match_scalar(sig, times)
 
 
 class TestSimulate:
@@ -718,6 +792,96 @@ class TestTraceStorage:
         assert (tmp_path / "derived.csv").read_bytes() == (tmp_path / "stored.csv").read_bytes()
 
 
+class _Saturating(LeaderSignal):
+    """u(t) = c (1 - e^{-t}): a custom signal with only the scalar methods,
+    and no generator, so `simulate` takes RK4 for it."""
+
+    def __init__(self, c):
+        self.c = np.asarray(c, dtype=float)
+        self.calls = 0
+
+    def value(self, t):
+        self.calls += 1
+        return self.c * -math.expm1(-t)
+
+    def running_sup(self, t):
+        return float(np.linalg.norm(self.c)) * -math.expm1(-max(t, 0.0))
+
+
+def _signal_kinds(m):
+    return {
+        "zero": ZeroSignal(m),
+        "constant": ConstantSignal(np.linspace(0.5, -0.4, m)),
+        "sinusoid": SinusoidSignal(np.linspace(0.8, -0.3, m), omega=-1.7, phase=0.3),
+        "piecewise": PiecewiseConstantSignal(
+            [0.0, 0.3, 1.1, 2.05], np.outer([0.4, -1.0, 0.7, 0.2], np.ones(m))),
+        "custom": _Saturating(np.linspace(0.6, 0.1, m)),
+    }
+
+
+class TestLeaderInputs:
+    """Leader inputs are sampled from their signals when read."""
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "sinusoid", "piecewise", "custom"])
+    def test_reads_match_the_array_a_run_once_stored(self, kind):
+        spec, dec, rep = _stable_fork()
+        ctrl = synthesize(spec, dec, rep)
+        first, second = sorted(dec.leaders)
+        sig = _signal_kinds(spec.m)[kind]
+        rng = np.random.default_rng(3)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        tr = simulate(spec, dec, ctrl, x0, signals={first: sig}, T=2.5)
+        # the arrays `simulate` stored per leader before inputs were read lazily
+        stored = {first: np.array([sig.value(t) for t in tr.times]),
+                  second: np.zeros((len(tr.times), spec.m))}
+        for a, old in stored.items():
+            for rows in (slice(None), 0, -1, len(tr.times) // 2, slice(1, -1), slice(4, 4)):
+                got = tr.inputs.rows(a, rows)
+                assert got.shape == old[rows].shape
+                assert got.tobytes() == old[rows].tobytes()
+            assert tr.inputs[a].tobytes() == old.tobytes()
+
+    def test_custom_signal_runs_through_the_scalar_methods(self):
+        spec, dec, rep = _stable_fork()
+        ctrl = synthesize(spec, dec, rep)
+        sig = {s: _Saturating([0.6 + 0.2 * k]) for k, s in enumerate(sorted(dec.leaders))}
+        rng = np.random.default_rng(5)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        tr = simulate(spec, dec, ctrl, x0, signals=sig, T=4.0)
+        assert tr.metadata["integrator"] == "rk4"
+        fit = fit_envelope(tr, dec)
+        assert fit.passed and any(b > 0 for b in fit.beta.values())
+        defect = error_dynamics_check(tr, spec, dec, ctrl)
+        dt = tr.metadata["dt"]
+        peak = max(float(np.max(np.abs(x))) for x in tr.states.values())
+        assert defect <= 1e3 * dt * dt * (1.0 + peak)
+        assert abs(defect - _error_dynamics_per_edge(tr, spec, dec, ctrl)) <= 1e-12 * (1.0 + peak)
+        assert all(s.calls > len(tr.times) for s in sig.values())
+
+    @pytest.mark.parametrize("pair", [("constant", "sinusoid"), ("piecewise", "zero")])
+    def test_builtin_signals_take_no_scalar_calls(self, monkeypatch, pair):
+        spec = random_feasible_formation(rng=0, max_nodes=12, multi_leader_prob=1.0)
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        kinds = _signal_kinds(spec.m)
+        signals = {a: kinds[kind] for a, kind in zip(sorted(dec.leaders), pair)}
+        rng = np.random.default_rng(8)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        calls = []
+        for cls in (ZeroSignal, ConstantSignal, SinusoidSignal, PiecewiseConstantSignal):
+            for name in ("value", "left_value", "running_sup"):
+                original = getattr(cls, name)
+                monkeypatch.setattr(
+                    cls, name,
+                    lambda sig, t, _f=original, _n=name: calls.append(_n) or _f(sig, t),
+                )
+        tr = simulate(spec, dec, ctrl, x0, signals=signals, T=3.0)
+        assert tr.metadata["integrator"] == "expm"
+        assert calls == []
+        assert fit_envelope(tr, dec).passed
+        assert calls == []
+
+
 class TestEnvelope:
     def test_decay_run_passes_with_positive_rates(
         self, chain, chain_decomp, chain_ctrl
@@ -782,6 +946,24 @@ class TestEnvelope:
         fit = fit_envelope(tr, chain_decomp)
         assert not fit.passed
         assert fit.max_violation > fit.tolerance
+
+    def test_overflowing_trace_fails_with_infinite_violation(self):
+        # each own gain S replaced by 5 - S: the states grow past 1e154, so
+        # edge norms overflow to inf and the floor is inf; inf - inf is NaN
+        spec = demo_instance("triangle")
+        dec = decompose(spec)
+        doc = controller_to_dict(synthesize(spec, dec, check(spec, dec)))
+        for fc in doc["followers"].values():
+            fc["S"] = (5.0 - np.asarray(fc["S"])).tolist()
+        rng = np.random.default_rng(0)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        tr = simulate(spec, dec, controller_from_dict(doc), x0, T=20.0)
+        assert max(float(np.max(np.abs(x))) for x in tr.states.values()) > 1e155
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_envelope(tr, dec)
+        assert not fit.passed
+        assert fit.max_violation == math.inf
 
     def test_forced_run_bounds_input_contribution(self):
         # stable two-leader instance driven by sinusoids: the bound's
@@ -897,7 +1079,62 @@ def _error_dynamics_per_edge(trace, spec, decomp, ctrl):
     return worst
 
 
+def _error_dynamics_every_term(trace, spec, decomp, ctrl):
+    """`error_dynamics_check` with every term, before it skipped the gains
+    K_as that are exactly zero and the leaders whose input is zero."""
+    times = trace.times
+    A_ref = spec.agent(decomp.renumbering[0]).A
+    h0 = times[1:-1] - times[:-2]
+    h1 = times[2:] - times[1:-1]
+    w_prev = -h1 / (h0 * (h0 + h1))
+    w_mid = (h1 - h0) / (h0 * h1)
+    w_next = h0 / (h1 * (h0 + h1))
+    Q = {}
+    for a in spec.nodes:
+        x = trace.states[a].T
+        q = w_prev * x[:, :-2] + w_mid * x[:, 1:-1] + w_next * x[:, 2:]
+        q -= A_ref @ x[:, 1:-1]
+        fc = ctrl.followers.get(a)
+        if fc is not None:
+            Ba = spec.agent(a).B
+            for s, Ks in fc.K.items():
+                q += (Ba @ Ks) @ trace.errors.rows((a, s), slice(1, -1)).T
+        if a in decomp.leaders:
+            q -= spec.agent(a).B @ trace.inputs.rows(a, slice(1, -1)).T
+        Q[a] = q
+    worst = 0.0
+    for e in spec.edges:
+        defect = np.linalg.norm(Q[e.i] - Q[e.j] - (A_ref @ e.d)[:, None], axis=0)
+        worst = max(worst, float(np.max(defect)))
+    return worst
+
+
 class TestErrorDynamics:
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_skipping_zero_terms_keeps_the_value(self, forced):
+        spec = random_feasible_formation(rng=4, max_nodes=22, multi_leader_prob=1.0)
+        dec = decompose(spec)
+        rep = check(spec, dec)
+        controllers = {
+            "parent-only": synthesize(spec, dec, rep),
+            "uniform": synthesize(spec, dec, rep, strategy=UNIFORM),
+            "state-only": state_only_controller(spec, dec, rep),
+        }
+        first, second = sorted(dec.leaders)
+        signals = None
+        if forced:  # the second leader keeps the zero input
+            signals = {first: SinusoidSignal(np.linspace(0.5, -0.7, spec.m), 1.3, 0.4)}
+        rng = np.random.default_rng(2)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        zero_gains = 0
+        for ctrl in controllers.values():
+            zero_gains += sum(not Ks.any() for fc in ctrl.followers.values()
+                              for Ks in fc.K.values())
+            tr = simulate(spec, dec, ctrl, x0, signals=signals, T=2.0)
+            got = error_dynamics_check(tr, spec, dec, ctrl)
+            assert got == _error_dynamics_every_term(tr, spec, dec, ctrl)
+        assert zero_gains > 0
+
     @pytest.mark.parametrize("case", ["chain", "two_parent_triangle", "forced_fork",
                                       "random_sine"])
     def test_per_agent_form_matches_the_per_edge_form(
