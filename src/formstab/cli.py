@@ -130,8 +130,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _write_json(path: Path, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _load_instance(path: str):

@@ -193,8 +193,7 @@ def controller_from_dict(data: dict) -> ControllerSet:
 
 def save_controller(ctrl: ControllerSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(controller_to_dict(ctrl), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(controller_to_dict(ctrl), indent=2) + "\n")
 
 
 def load_controller(path) -> ControllerSet:

@@ -153,12 +153,20 @@ def eigenvalues(A) -> np.ndarray:
     n, m = A.shape
     if n != m:
         raise ValueError("matrix must be square")
+    return _sorted_eigenvalues(A)
+
+
+def _sorted_eigenvalues(A: np.ndarray) -> np.ndarray:
+    """`eigenvalues` of a square matrix, or of every matrix of a stack of
+    shape (k, n, n), all in one sorted array."""
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix must not contain infs or NaNs")
     try:
         eigs = np.linalg.eigvals(A).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
+    if eigs.ndim > 1:
+        eigs = eigs.reshape(-1)
     return eigs[np.lexsort((eigs.imag, eigs.real))]
 
 
@@ -173,7 +181,32 @@ def is_hurwitz(A, tol: Tolerances = DEFAULT_TOLERANCES) -> HurwitzReport:
     The verdict uses a strict margin: Hurwitz iff the spectral abscissa is
     below ``-tol.eps_hurwitz``.
     """
-    eigs = eigenvalues(A)
+    return _hurwitz_report(eigenvalues(A), tol)
+
+
+def _is_block_triangular_hurwitz(A, n: int, tol: Tolerances = DEFAULT_TOLERANCES) -> HurwitzReport:
+    """`is_hurwitz` of a block-lower-triangular matrix with n-by-n diagonal
+    blocks, from one stacked eigenvalue computation over those blocks.
+
+    The spectrum of such a matrix is the union of its diagonal blocks'
+    spectra.  Small blocks give their eigenvalues more accurately than the
+    dense QR iteration gives those of a strongly non-normal whole, and at
+    a fraction of its cost.  Raises `ValueError` on non-finite entries, as
+    `is_hurwitz` does, and when a block above the diagonal is nonzero.
+    """
+    A = _as_matrix(A)
+    k = len(A) // n
+    if A.shape != (k * n, k * n):
+        raise ValueError(f"expected a square matrix of {n}-by-{n} blocks, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):  # off the diagonal blocks too
+        raise ValueError("matrix must not contain infs or NaNs")
+    if any(A[r : r + n, r + n :].any() for r in range(0, k * n, n)):
+        raise ValueError("matrix is not block lower triangular")
+    blocks = A.reshape(k, n, k, n)[np.arange(k), :, np.arange(k), :]
+    return _hurwitz_report(_sorted_eigenvalues(blocks), tol)
+
+
+def _hurwitz_report(eigs: np.ndarray, tol: Tolerances) -> HurwitzReport:
     abscissa = float(np.max(eigs.real)) if eigs.size else -np.inf
     return HurwitzReport(
         spectral_abscissa=abscissa,

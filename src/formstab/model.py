@@ -517,8 +517,7 @@ def load_formation(path) -> FormationSpec:
 
 def save_formation(spec: FormationSpec, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(formation_to_dict(spec), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(formation_to_dict(spec), indent=2) + "\n")
 
 
 def split_components(spec: FormationSpec) -> list[tuple[tuple[int, ...], FormationSpec]]:

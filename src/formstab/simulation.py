@@ -35,7 +35,7 @@ from .errors import (
     NotSiblingParentsError,
     StepTooLargeError,
 )
-from .linalg import _lyapunov_constant, is_hurwitz
+from .linalg import _is_block_triangular_hurwitz, _lyapunov_constant
 from .model import FormationSpec, LevelDecomposition
 
 __all__ = [
@@ -278,6 +278,13 @@ class _OnAccess(Mapping):
 
     def __len__(self):
         return len(self._keys)
+
+
+def _norms(z: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms along ``axis`` of a real array: the arithmetic of
+    ``np.linalg.norm(z, axis=axis)``, bitwise, without its conjugate copy."""
+    sq = np.add.reduce(z * z, axis)
+    return np.sqrt(sq, out=sq)
 
 
 def _rows(values: Mapping, key, rows) -> np.ndarray:
@@ -673,10 +680,13 @@ def simulate(
     slab = traj.T.reshape(len(order), n, len(times))  # a view of the one stored array
     states = {i: slab[k].T for k, i in enumerate(order)}
     offsets = {e.key: e.d for e in spec.edges}
-    errors = _OnAccess(
-        offsets,
-        lambda e, rows: states[e[0]][rows] - states[e[1]][rows] + offsets[e],
-    )
+
+    def edge_error(e, rows):
+        z = states[e[0]][rows] - states[e[1]][rows]
+        z += offsets[e]
+        return z
+
+    errors = _OnAccess(offsets, edge_error)
 
     def leader_input(i, rows):
         t = times[rows]
@@ -735,6 +745,30 @@ class EnvelopeFit:
         }
 
 
+def _error_coordinates(M: np.ndarray, decomp: LevelDecomposition, edges: list):
+    """(T, M_e, r) of the error coordinates xi = T y of `fit_envelope`:
+    M_e = T M P is the error loop, and row (i, j) of r maps xi to the
+    edge error, z_ij = (r kron I)_ij xi."""
+    # T = T1 kron I and P = P1 kron I; z_ij = y_i - y_j, so R = r kron I
+    # with row (i, j) of r the difference of rows i and j of P1
+    order = decomp.renumbering
+    col = {i: k for k, i in enumerate(order)}
+    ref = order[0]
+    T1 = np.zeros((len(order) - 1, len(order)))
+    P1 = np.zeros((len(order), len(order) - 1))
+    for i in order[1:]:
+        anchor = ref if i in decomp.leaders else decomp.leader_reach[i]
+        T1[col[i] - 1, col[i]] = 1.0
+        T1[col[i] - 1, col[anchor]] = -1.0
+        P1[col[i], col[i] - 1] = 1.0
+        if anchor != ref:
+            P1[col[i], col[anchor] - 1] = 1.0
+    r = P1[[col[i] for i, _ in edges]] - P1[[col[j] for _, j in edges]]
+    eye = np.eye(M.shape[0] // len(order))
+    T = np.kron(T1, eye)
+    return T, T @ M @ np.kron(P1, eye), r
+
+
 def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> EnvelopeFit:
     """Certify the exponential-plus-input-gain bound and check it on a trace.
 
@@ -743,10 +777,14 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
     w_a = y_a - y_ref for each leader other than the reference leader
     (first in the renumbering); the edge errors are z = R xi.  With P the
     0/1 right inverse of T that maps xi to y - y_ref, a verified controller
-    gives xi' = M_e xi + G_e u with M_e = T M P and G_e = T G, which is
-    block-lower-triangular with the Hurwitz diagonal blocks A_i + B_i S_i.  With alpha = -spectral_abscissa(M_e) / 2 and the
-    Lyapunov constant C of `linalg.exp_envelope`, ||exp(t M_e)|| <=
-    C e^{-alpha t}, so every edge obeys
+    gives xi' = M_e xi + G_e u with M_e = T M P and G_e = T G.  M_e is
+    block-lower-triangular, and its diagonal blocks are those of M for
+    every agent but the reference leader: A_i + B_i S_i for a follower,
+    A_a for another leader.  So the Hurwitz verdict and
+    alpha = -spectral_abscissa(M_e) / 2 come from the eigenvalues of those
+    n-by-n blocks (`linalg._is_block_triangular_hurwitz`), and C from one
+    dense Lyapunov solve on M_e (`linalg._lyapunov_constant`), which
+    certifies ||exp(t M_e)|| <= C e^{-alpha t}.  So every edge obeys
 
         ||z_ij(t)|| <= C_ij e^{-alpha t} ||z(0)|| + beta_ij U(t),
         C_ij = ||R_ij|| C / sigma_min(R),
@@ -760,7 +798,8 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
     1e-6 * (1 + ||z(0)||), or when M_e is not Hurwitz; then alpha is 0.0
     and each edge's growth is measured against its initial error.  An edge
     whose norms overflow has a NaN excess, which counts as an infinite
-    violation.
+    violation.  The bound holds for all t >= 0, so a horizon too short for
+    the transient to die out cannot make a fit fail.
     """
     times = trace.times
     edges = decomp.edge_order(trace.errors)
@@ -794,27 +833,10 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
     if not edges:  # a lone leader under an input has no error to bound
         return EnvelopeFit({}, {}, {}, True, 0.0, False, z0n, tol)
 
-    # T = T1 kron I and P = P1 kron I; z_ij = y_i - y_j, so R = r kron I
-    # with row (i, j) of r the difference of rows i and j of P1
     M, G = trace.closed_loop
-    order = decomp.renumbering
-    col = {i: k for k, i in enumerate(order)}
-    ref = order[0]
-    T1 = np.zeros((len(order) - 1, len(order)))
-    P1 = np.zeros((len(order), len(order) - 1))
-    for i in order[1:]:
-        anchor = ref if i in decomp.leaders else decomp.leader_reach[i]
-        T1[col[i] - 1, col[i]] = 1.0
-        T1[col[i] - 1, col[anchor]] = -1.0
-        P1[col[i], col[i] - 1] = 1.0
-        if anchor != ref:
-            P1[col[i], col[anchor] - 1] = 1.0
-    r = P1[[col[i] for i, _ in edges]] - P1[[col[j] for _, j in edges]]
-    eye = np.eye(M.shape[0] // len(order))
-    T = np.kron(T1, eye)
-    M_e = T @ M @ np.kron(P1, eye)
-
-    hurwitz = is_hurwitz(M_e)
+    n = M.shape[0] // len(decomp.renumbering)
+    T, M_e, r = _error_coordinates(M, decomp, edges)
+    hurwitz = _is_block_triangular_hurwitz(M_e, n)
     if hurwitz.is_hurwitz:
         alpha = -0.5 * hurwitz.spectral_abscissa
         C = _lyapunov_constant(M_e, alpha)
@@ -838,15 +860,22 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
     with np.errstate(over="ignore", invalid="ignore"):
         state_norm = np.zeros(len(times))
         for x in trace.states.values():
-            np.maximum(state_norm, np.linalg.norm(x, axis=1), out=state_norm)
+            np.maximum(state_norm, _norms(x, 1), out=state_norm)
         floor = 64.0 * np.finfo(float).eps * (1.0 + state_norm)
         decay = np.exp(-alpha * times) * z0n
 
+        # C_ij and beta_ij scale one certificate by the few distinct norms
+        # ||R_ij||, so edges share their envelopes C_ij decay + beta_ij U + floor
+        envelopes = {}
         max_violation = -math.inf
         for e in edges:
-            z = np.linalg.norm(trace.errors[e], axis=1)
-            envelope = C_map[e] * decay + b_map[e] * U + floor
-            excess = float(np.max(z - envelope))
+            envelope = envelopes.get((C_map[e], b_map[e]))
+            if envelope is None:
+                envelope = C_map[e] * decay + b_map[e] * U + floor
+                envelopes[C_map[e], b_map[e]] = envelope
+            z = _norms(trace.errors[e], 1)
+            z -= envelope
+            excess = float(np.max(z))
             max_violation = max(max_violation, math.inf if math.isnan(excess) else excess)
 
     return EnvelopeFit(
@@ -883,25 +912,26 @@ def chain_residual(
     consistency (criterion condition 3) to be meaningful.
     """
     i, j = edge
-    parents = {key[1] for key in trace.errors if key[0] == i}
-    if j not in parents or s not in parents:
+    if (i, j) not in trace.errors or (i, s) not in trace.errors:
+        parents = sorted(key[1] for key in trace.errors if key[0] == i)
         raise NotSiblingParentsError(
-            f"nodes {j} and {s} are not both parents of {i} (parents: {sorted(parents)})"
+            f"nodes {j} and {s} are not both parents of {i} (parents: {parents})"
         )
 
     def chain_sum(start):
         chain = decomp.parent_chain(start)
-        total = 0.0
+        total = np.zeros_like(trace.states[i])  # the layout of the errors
         for a, b in zip(chain[:-1], chain[1:]):
-            total = total + trace.errors[(a, b)]
+            total += trace.errors[(a, b)]
         return total
 
-    R = chain_sum(j) - chain_sum(s)
-    lj = decomp.leader_reach[j]
-    ls = decomp.leader_reach[s]
-    leader_diff = trace.states[lj] - trace.states[ls]
-    resid = trace.errors[(i, s)] - trace.errors[(i, j)] - R - leader_diff
-    return np.linalg.norm(resid, axis=1)
+    # resid = z_is - z_ij - R - (x_lj - x_ls), R = S_j - S_s, in that order
+    R = chain_sum(j)
+    R -= chain_sum(s)
+    resid = trace.errors[(i, s)] - trace.errors[(i, j)]
+    resid -= R
+    resid -= trace.states[decomp.leader_reach[j]] - trace.states[decomp.leader_reach[s]]
+    return _norms(resid, 1)
 
 
 def error_dynamics_check(
@@ -948,7 +978,9 @@ def error_dynamics_check(
     Q = {}
     for a in spec.nodes:
         x = trace.states[a].T  # (n, grid points)
-        q = w_prev * x[:, :-2] + w_mid * x[:, 1:-1] + w_next * x[:, 2:]
+        q = w_prev * x[:, :-2]
+        q += w_mid * x[:, 1:-1]
+        q += w_next * x[:, 2:]
         q -= A_ref @ x[:, 1:-1]
         fc = ctrl.followers.get(a)
         if fc is not None:
@@ -960,10 +992,14 @@ def error_dynamics_check(
             q -= spec.agent(a).B @ _rows(trace.inputs, a, interior).T
         Q[a] = q
 
+    # the largest column norm is the root of the largest squared norm, as
+    # sqrt is monotone and correctly rounded
     worst = 0.0
     for e in spec.edges:
-        defect = np.linalg.norm(Q[e.i] - Q[e.j] - (A_ref @ e.d)[:, None], axis=0)
-        worst = max(worst, float(np.max(defect)))
+        defect = Q[e.i] - Q[e.j]
+        defect -= (A_ref @ e.d)[:, None]
+        defect *= defect
+        worst = max(worst, math.sqrt(float(np.max(np.add.reduce(defect, 0)))))
     return worst
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit-code contract, file outputs, determinism."""
 
+import io
 import json
 import warnings
 
@@ -9,8 +10,10 @@ import pytest
 import formstab.cli
 from formstab import CertificateError, save_controller, save_formation
 from formstab.cli import main
-from formstab.controllers import assemble_controller
-from formstab.instances import demo_path, three_agent_chain
+from formstab.controllers import assemble_controller, controller_to_dict
+from formstab.instances import demo_instance, demo_path, three_agent_chain
+from formstab.model import formation_to_dict
+from formstab.pairwise import cross_compare
 from formstab import check, decompose, is_hurwitz, synthesize
 
 
@@ -299,6 +302,35 @@ class TestPairwiseAndDemo:
         with pytest.raises(KeyError) as exc:
             demo_path("nonesuch")
         assert err == f"{exc.value}\n"
+
+
+class TestJsonFiles:
+    """Each JSON file is written in one call, with the bytes `json.dump`
+    writes followed by a newline."""
+
+    @staticmethod
+    def _dumped(payload):
+        buf = io.StringIO()
+        json.dump(payload, buf, indent=2)
+        return (buf.getvalue() + "\n").encode()
+
+    def test_controller_file(self, tmp_path):
+        spec = demo_instance("triangle")
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        save_controller(ctrl, tmp_path / "ctrl.json")
+        assert (tmp_path / "ctrl.json").read_bytes() == self._dumped(controller_to_dict(ctrl))
+
+    def test_formation_file(self, tmp_path):
+        spec = demo_instance("remark5")
+        save_formation(spec, tmp_path / "spec.json")
+        assert (tmp_path / "spec.json").read_bytes() == self._dumped(formation_to_dict(spec))
+
+    def test_cross_comparison_report(self, chain_file, tmp_path):
+        assert main(["pairwise", chain_file, "--out", str(tmp_path)]) == 0
+        spec = three_agent_chain()
+        cross = cross_compare(spec, decompose(spec))
+        assert (tmp_path / "chain_pairwise.json").read_bytes() == self._dumped(cross.to_dict())
 
 
 class TestConfigAndDeterminism:

@@ -26,6 +26,7 @@ from formstab import (
     stabilize,
 )
 from formstab.instances import random_controllable_pair, three_agent_chain
+from formstab.linalg import _is_block_triangular_hurwitz
 
 CHAIN = three_agent_chain()
 A1, A2, A3 = (CHAIN.agent(i).A for i in (1, 2, 3))
@@ -100,6 +101,60 @@ class TestHurwitz:
         tol = Tolerances(eps_hurwitz=1e-3)
         assert not is_hurwitz(np.diag([-1e-3, -1.0]), tol).is_hurwitz
         assert is_hurwitz(np.diag([-2e-3, -1.0]), tol).is_hurwitz
+
+
+def _block_lower_triangular(seed, n, k, shift=0.0):
+    rng = np.random.default_rng(seed)
+    A = np.tril(rng.standard_normal((n * k, n * k)), k=-1)
+    for r in range(0, n * k, n):
+        A[r : r + n, r : r + n] = rng.standard_normal((n, n)) - shift * np.eye(n)
+    return A
+
+
+class TestBlockTriangularHurwitz:
+    @given(seed=st.integers(0, 100_000), n=st.integers(1, 4), k=st.integers(1, 6),
+           shift=st.sampled_from([0.0, 3.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_dense_test(self, seed, n, k, shift):
+        A = _block_lower_triangular(seed, n, k, shift)
+        dense = is_hurwitz(A)
+        blocks = _is_block_triangular_hurwitz(A, n)
+        assert blocks.is_hurwitz == dense.is_hurwitz
+        assert blocks.spectral_abscissa == pytest.approx(dense.spectral_abscissa, rel=1e-8, abs=1e-10)
+        assert len(blocks.eigenvalues) == n * k
+
+    def test_margin_semantics(self):
+        tol = Tolerances(eps_hurwitz=1e-3)
+        A = np.array([[-1.0, 0.0], [5.0, -1e-3]])
+        assert not _is_block_triangular_hurwitz(A, 1, tol).is_hurwitz
+        A[1, 1] = -2e-3
+        assert _is_block_triangular_hurwitz(A, 1, tol).is_hurwitz
+
+    @pytest.mark.parametrize("at", [(0, 0), (3, 0)], ids=["diagonal", "below"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, at, bad):
+        A = _block_lower_triangular(0, 2, 2, 3.0)
+        A[at] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _is_block_triangular_hurwitz(A, 2)
+
+    def test_nonzero_block_above_the_diagonal_rejected(self):
+        A = _block_lower_triangular(0, 2, 3, 3.0)
+        A[1, 4] = 1e-300
+        with pytest.raises(ValueError, match="not block lower triangular"):
+            _is_block_triangular_hurwitz(A, 2)
+
+    def test_size_not_a_multiple_of_the_block_rejected(self):
+        with pytest.raises(ValueError, match="2-by-2 blocks"):
+            _is_block_triangular_hurwitz(-np.eye(3), 2)
+
+    def test_lapack_non_convergence_is_convergence_failure(self, monkeypatch):
+        def no_convergence(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        with pytest.raises(ConvergenceFailure):
+            _is_block_triangular_hurwitz(-np.eye(4), 2)
 
 
 class TestSolveMatrixEquation:

@@ -29,16 +29,20 @@ from formstab import (
     chain_residual,
     check,
     decompose,
+    enumerate_family,
     error_dynamics_check,
     fit_envelope,
     ideal_initial_states,
     is_hurwitz,
     simulate,
+    spectral_abscissa,
     state_only_controller,
     synthesize,
     write_trace_csv,
 )
 from formstab.controllers import assemble_controller, controller_from_dict, controller_to_dict
+from formstab.linalg import _is_block_triangular_hurwitz
+from formstab.simulation import _closed_loop_blocks, _error_coordinates
 from formstab.instances import (
     demo_instance,
     random_feasible_formation,
@@ -714,8 +718,6 @@ class TestSimulate:
 
     def test_stacked_system_is_block_lower_triangular(self, good_triangle):
         # coupling only reaches downward in level order
-        from formstab.simulation import _closed_loop_blocks
-
         dec = decompose(good_triangle)
         rep = check(good_triangle, dec)
         ctrl = synthesize(good_triangle, dec, rep)
@@ -1236,3 +1238,205 @@ class TestCsvExport:
         assert first[0] == 0.0
         assert np.allclose(first[1:3], tr.states[1][0])
         assert np.allclose(first[7:9], tr.errors[(2, 1)][0])
+
+
+# ---------------------------------------------------------------------------
+# The error loop of `fit_envelope` and the array work of the trace checks
+
+
+def _stable_instances():
+    """Stable bundled instances and generated ones with one and with several
+    leaders."""
+    specs = {name: demo_instance(name) for name in ("example2", "triangle")}
+    for prob in (0.0, 1.0):
+        for seed in (1, 2, 3):
+            specs[f"random{seed}-p{prob:g}"] = random_feasible_formation(
+                rng=seed, max_nodes=12, multi_leader_prob=prob)
+    return specs
+
+
+_STABLE = _stable_instances()
+
+
+def _controllers(spec):
+    dec = decompose(spec)
+    rep = check(spec, dec)
+    assert rep.stable
+    ctrls = {"synthesize": synthesize(spec, dec, rep)}
+    if rep.condition4.hurwitz.is_hurwitz:  # state-only needs a Hurwitz A_ref
+        ctrls["state-only"] = state_only_controller(spec, dec, rep)
+    for k, ctrl in enumerate(enumerate_family(spec, dec, rep, count=4)):
+        ctrls[f"family{k}"] = ctrl
+    return dec, ctrls
+
+
+def _error_loop(spec, dec, ctrl):
+    """The stacked closed loop M and the error loop M_e that `fit_envelope`
+    certifies."""
+    _, _, M, _, _ = _closed_loop_blocks(spec, dec, ctrl)
+    _, M_e, _ = _error_coordinates(M, dec, dec.edge_order([e.key for e in spec.edges]))
+    return M, M_e
+
+
+def _destabilized_triangle():
+    """triangle with each own gain S replaced by 5 - S."""
+    spec = demo_instance("triangle")
+    dec = decompose(spec)
+    doc = controller_to_dict(synthesize(spec, dec, check(spec, dec)))
+    for fc in doc["followers"].values():
+        fc["S"] = (5.0 - np.asarray(fc["S"])).tolist()
+    return spec, dec, controller_from_dict(doc)
+
+
+class TestErrorLoopBlocks:
+    """M_e is block-lower-triangular, and its diagonal blocks are M's for
+    every agent but the reference leader, so its spectrum is theirs."""
+
+    @pytest.mark.parametrize("name", sorted(_STABLE))
+    def test_diagonal_blocks_are_the_closed_loop_blocks(self, name):
+        spec = _STABLE[name]
+        dec, ctrls = _controllers(spec)
+        n, k = spec.n, spec.l - 1
+        for ctrl in ctrls.values():
+            M, M_e = _error_loop(spec, dec, ctrl)
+            blocks = M_e.reshape(k, n, k, n)
+            for r in range(k):
+                assert not blocks[r, :, r + 1 :, :].any()
+                # M_e's block r is agent r + 1 in the renumbering
+                p = (r + 1) * n
+                assert np.array_equal(blocks[r, :, r, :], M[p : p + n, p : p + n])
+
+    @pytest.mark.parametrize("name", sorted(_STABLE) + ["cascade"])
+    def test_block_abscissa_matches_the_dense_one(self, name, cascade):
+        if name == "cascade":
+            spec, dec, ctrl = cascade
+            ctrls = {"synthesize": ctrl}
+        else:
+            spec = _STABLE[name]
+            dec, ctrls = _controllers(spec)
+        for ctrl in ctrls.values():
+            _, M_e = _error_loop(spec, dec, ctrl)
+            dense = spectral_abscissa(M_e)
+            blocks = _is_block_triangular_hurwitz(M_e, spec.n)
+            assert abs(blocks.spectral_abscissa - dense) <= 1e-10 * abs(dense)
+            assert blocks.is_hurwitz == is_hurwitz(M_e).is_hurwitz
+
+    def test_destabilized_loop_fails_the_fit_with_zero_rate(self):
+        spec, dec, bad = _destabilized_triangle()
+        _, M_e = _error_loop(spec, dec, bad)
+        blocks = _is_block_triangular_hurwitz(M_e, spec.n)
+        assert not blocks.is_hurwitz and not is_hurwitz(M_e).is_hurwitz
+        assert abs(blocks.spectral_abscissa - spectral_abscissa(M_e)) <= (
+            1e-10 * abs(blocks.spectral_abscissa))
+        rng = np.random.default_rng(0)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        fit = fit_envelope(simulate(spec, dec, bad, x0, T=6.0), dec)
+        assert not fit.passed
+        assert set(fit.alpha.values()) == {0.0}
+
+
+def _max_violation_by_norms(trace, decomp, fit):
+    """The grid check of `fit_envelope` with its constants given, as it was
+    written before its envelopes were shared between edges: one
+    `np.linalg.norm` and one envelope per edge."""
+    times = trace.times
+    alpha = next(iter(fit.alpha.values()))
+    U = np.zeros(len(times))
+    for sig in trace.signals.values():
+        if not sig.is_zero:
+            U += sig.running_sups(times)
+    state_norm = np.zeros(len(times))
+    for x in trace.states.values():
+        np.maximum(state_norm, np.linalg.norm(x, axis=1), out=state_norm)
+    floor = 64.0 * np.finfo(float).eps * (1.0 + state_norm)
+    decay = np.exp(-alpha * times) * fit.z0_norm
+    worst = -math.inf
+    for e in decomp.edge_order(trace.errors):
+        z = np.linalg.norm(trace.errors[e], axis=1)
+        envelope = fit.C[e] * decay + fit.beta[e] * U + floor
+        excess = float(np.max(z - envelope))
+        worst = max(worst, math.inf if math.isnan(excess) else excess)
+    return worst
+
+
+def _chain_residual_by_sums(trace, decomp, edge, s):
+    """`chain_residual` as it was written before it summed in place."""
+    i, j = edge
+
+    def chain_sum(start):
+        chain = decomp.parent_chain(start)
+        total = 0.0
+        for a, b in zip(chain[:-1], chain[1:]):
+            total = total + trace.errors[(a, b)]
+        return total
+
+    R = chain_sum(j) - chain_sum(s)
+    leader_diff = trace.states[decomp.leader_reach[j]] - trace.states[decomp.leader_reach[s]]
+    resid = trace.errors[(i, s)] - trace.errors[(i, j)] - R - leader_diff
+    return np.linalg.norm(resid, axis=1)
+
+
+def _sibling_pairs(spec, dec):
+    return [(i, spec.parents(i)[0], spec.parents(i)[1])
+            for i in dec.followers() if len(spec.parents(i)) >= 2]
+
+
+def _check_runs(cascade):
+    """(spec, dec, ctrl, trace) on a zero-input cascade (l=45), sinusoid and
+    piecewise-constant inputs on two leaders, and a destabilized loop."""
+    spec, dec, ctrl = cascade
+    rng = np.random.default_rng(4)
+    x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+    yield spec, dec, ctrl, simulate(spec, dec, ctrl, x0, T=2.0)
+    spec = random_feasible_formation(rng=4, max_nodes=22, multi_leader_prob=1.0)
+    dec = decompose(spec)
+    ctrl = synthesize(spec, dec, check(spec, dec))
+    kinds = _signal_kinds(spec.m)
+    first, second = sorted(dec.leaders)
+    x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+    signals = {first: kinds["sinusoid"], second: kinds["piecewise"]}
+    yield spec, dec, ctrl, simulate(spec, dec, ctrl, x0, signals=signals, T=3.0)
+    spec, dec, bad = _destabilized_triangle()
+    x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+    yield spec, dec, bad, simulate(spec, dec, bad, x0, T=6.0)
+
+
+class TestTraceChecksArrayWork:
+    """The trace checks compute what the per-edge formulas they replaced
+    computed, bit for bit, and write to no array they did not allocate."""
+
+    def test_grid_check_and_chain_residual_match_the_plain_formulas(self, cascade):
+        for spec, dec, ctrl, tr in _check_runs(cascade):
+            fit = fit_envelope(tr, dec)
+            assert fit.max_violation == _max_violation_by_norms(tr, dec, fit)
+            pairs = _sibling_pairs(spec, dec)
+            for i, j, s in pairs:
+                got = chain_residual(tr, dec, (i, j), s)
+                assert got.tobytes() == _chain_residual_by_sums(tr, dec, (i, j), s).tobytes()
+            assert pairs or spec.l == 3
+
+    def test_edge_errors_are_the_difference_plus_offset(self, cascade):
+        for spec, _, _, tr in _check_runs(cascade):
+            for e in spec.edges:
+                for rows in (slice(None), 0, -1, slice(1, -1)):
+                    old = tr.states[e.i][rows] - tr.states[e.j][rows] + e.d
+                    assert tr.errors.rows(e.key, rows).tobytes() == old.tobytes()
+
+    def test_checks_leave_stored_arrays_untouched(self, cascade, tmp_path):
+        for spec, dec, ctrl, tr in _check_runs(cascade):
+            stored = dataclasses.replace(
+                tr,
+                states={i: x.copy() for i, x in tr.states.items()},
+                errors={k: z.copy() for k, z in tr.errors.items()},
+                inputs=dict(tr.inputs),
+            )
+            before = {name: {k: v.tobytes() for k, v in getattr(stored, name).items()}
+                      for name in ("states", "errors", "inputs")}
+            fit_envelope(stored, dec)
+            error_dynamics_check(stored, spec, dec, ctrl)
+            for i, j, s in _sibling_pairs(spec, dec):
+                chain_residual(stored, dec, (i, j), s)
+            stored.initial_error_norm()
+            write_trace_csv(stored, dec, tmp_path / "stored.csv")
+            for name, arrays in before.items():
+                assert {k: v.tobytes() for k, v in getattr(stored, name).items()} == arrays
