@@ -87,6 +87,23 @@ def _single_agent(A):
     return spec, decompose(spec), ControllerSet(n=A.shape[0], m=1, followers={})
 
 
+def _count_increments(monkeypatch):
+    """Record the number of increments D_0, D_1, ... each `simulate` call
+    on the exact path builds for its blocks of dt steps."""
+    from formstab import simulation
+
+    built = []
+    powers = simulation._increment_powers
+
+    def counted(D, count):
+        out = powers(D, count)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(simulation, "_increment_powers", counted)
+    return built
+
+
 def _destabilized(chain, chain_decomp, ctrl):
     """Flip the sign of the first follower's own gain; breaks its closed
     loop's Hurwitz property while keeping the matching identities."""
@@ -403,6 +420,135 @@ class TestSimulate:
         assert tr.metadata["integrator"] == "expm"
         assert np.array_equal(tr.times, times[:k])
         assert all(np.isfinite(x).all() for x in tr.states.values())
+
+    def test_non_finite_state_on_a_pure_dt_run(self, chain, chain_decomp, chain_ctrl,
+                                               monkeypatch):
+        # T = 4000 dt and no breakpoints: every step has length dt, so the
+        # overflow happens inside blocks of doubled steps; the reported time
+        # is the first non-finite grid point, and the run that stops one
+        # grid point earlier stays finite
+        from formstab import simulation
+
+        built = _count_increments(monkeypatch)
+        bad = _destabilized(chain, chain_decomp, chain_ctrl)
+        huge = {i: 1e300 * np.ones(2) for i in chain.nodes}
+        times = simulation._build_grid(40.0, 1e-2, ())
+        assert np.all(np.abs(np.diff(times) - 1e-2) <= simulation._grid_resolution(40.0))
+        with pytest.raises(NonFiniteStateError) as exc:
+            simulate(chain, chain_decomp, bad, huge, T=40.0, dt=1e-2)
+        assert built == [simulation._MAX_DOUBLINGS]  # blocks of 64 steps
+        k = int(np.flatnonzero(times == exc.value.time)[0])
+        assert 0 < k < len(times) - 1
+        tr = simulate(chain, chain_decomp, bad, huge, T=times[k - 1], dt=1e-2)
+        assert tr.metadata["integrator"] == "expm"
+        assert np.array_equal(tr.times, times[:k])
+        assert all(np.isfinite(x).all() for x in tr.states.values())
+
+    def test_blocked_steps_match_expm_at_each_grid_time(self, monkeypatch):
+        # steps with breakpoints inside blocks of 64 dt steps (0.437 and
+        # 1.2003 off the grid, 2.0 on it), a sinusoid on the second leader
+        # and a short last step (T = 2.957).  The oracle restarts the
+        # generator of the steps at each breakpoint and takes one expm of
+        # the augmented system from there to each grid time.
+        from formstab import simulation
+
+        built = _count_increments(monkeypatch)
+        spec = random_feasible_formation(rng=3, max_nodes=12, multi_leader_prob=1.0)
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        first, second = sorted(dec.leaders)[:2]
+        m = spec.m
+        breaks = [0.0, 0.437, 1.2003, 2.0]
+        values = np.outer([0.6, -1.1, 0.3, 0.9], np.linspace(1.0, -0.5, m))
+        amp, omega, phase = np.linspace(0.7, -0.2, m), 2.3, 0.4
+        signals = {first: PiecewiseConstantSignal(breaks, values),
+                   second: SinusoidSignal(amp, omega, phase)}
+        rng = np.random.default_rng(6)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        T, dt = 2.957, 1e-2
+        tr = simulate(spec, dec, ctrl, x0, signals=signals, T=T, dt=dt)
+        assert tr.metadata["integrator"] == "expm"
+        assert built == [simulation._MAX_DOUBLINGS]  # blocks of 64 steps
+        assert tr.times[-1] - tr.times[-2] < dt
+
+        order, _, M, c, G = _closed_loop_blocks(spec, dec, ctrl)
+        dim = M.shape[0]
+        A = np.zeros((dim + 1 + m + 2,) * 2)
+        A[:dim, :dim], A[:dim, dim] = M, c
+        A[:dim, dim + 1 : dim + 1 + m] = G[first]
+        A[:dim, -2] = G[second] @ amp
+        A[-2:, -2:] = [[0.0, omega], [-omega, 0.0]]
+        z = np.concatenate([np.concatenate([x0[i] for i in order]), [1.0], values[0],
+                            [math.sin(phase), math.cos(phase)]])
+        oracle = np.empty((len(tr.times), dim))
+        start, piece = 0.0, 0
+        for k, t in enumerate(tr.times):
+            if piece + 1 < len(breaks) and t >= breaks[piece + 1]:
+                z = scipy.linalg.expm((breaks[piece + 1] - start) * A) @ z
+                piece += 1
+                start = breaks[piece]
+                z[dim + 1 : dim + 1 + m] = values[piece]
+            oracle[k] = (scipy.linalg.expm((t - start) * A) @ z)[:dim]
+        got = np.hstack([tr.states[i] for i in order])
+        assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    def test_large_augmented_size_builds_no_power_beyond_the_step(self, monkeypatch):
+        # doubled increments cost one size-square product each; with few dt
+        # steps next to the size (701 next to 258 at l=175, T=1) none is built
+        from formstab import simulation
+
+        assert simulation._block_doublings(701, 258, 258) == 0
+        assert simulation._block_doublings(181, 4483, 4483) == simulation._MAX_DOUBLINGS
+        # J is 0 or 6: no run of 32 steps, no block
+        assert simulation._block_doublings(181, 4483, 31) == 0
+        assert simulation._block_doublings(181, 4483, 32) == simulation._MAX_DOUBLINGS
+        built = _count_increments(monkeypatch)
+        spec, dec, ctrl = _single_agent(-np.eye(60))
+        x0 = {1: np.ones(60)}
+        short = simulate(spec, dec, ctrl, x0, T=0.2, dt=1e-2)
+        long = simulate(spec, dec, ctrl, x0, T=20.0, dt=1e-2)
+        assert built == [1, simulation._MAX_DOUBLINGS]
+        for tr in (short, long):
+            exact = np.exp(-tr.times)[:, None] * np.ones(60)
+            assert np.max(np.abs(tr.states[1] - exact)) <= 1e-13
+
+    def test_steps_that_would_make_a_narrow_block_go_one_at_a_time(self):
+        # blocks narrower than 32 steps run below single-step speed, so a
+        # short run, and the last steps of a run past its full blocks, take
+        # the single-step product z + D_0 z bit for bit
+        from formstab import simulation
+
+        rng = np.random.default_rng(2)
+        k = 12
+        A = rng.standard_normal((k, k)) - 3.0 * np.eye(k)
+        powers = simulation._increment_powers(simulation._expm_increment(1e-2 * A),
+                                              simulation._MAX_DOUBLINGS)
+        block = np.empty((k, 2 ** simulation._MAX_DOUBLINGS), order="F")
+        z0 = rng.standard_normal(k)
+
+        def single(z, count):
+            cols = np.empty((k, count))
+            for t in range(count):
+                z = z + powers[0] @ z
+                cols[:, t] = z
+            return cols
+
+        def run(count):
+            out = np.empty((k, count))
+            return out, simulation._dt_run(powers, block, z0, out)
+
+        out, z = run(31)
+        assert out.tobytes() == single(z0, 31).tobytes()
+        assert z.tobytes() == out[:, -1].tobytes()
+        _, z64 = run(64)
+        out, z = run(70)  # a block of 64, then 6 single steps
+        assert out[:, 64:].tobytes() == single(z64, 6).tobytes()
+        assert z.tobytes() == out[:, -1].tobytes()
+        for count in (70, 100):  # 100: blocks of 64 and 36
+            out, _ = run(count)
+            ref = single(z0, count)
+            assert not np.array_equal(out[:, :64], ref[:, :64])
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_non_finite_gain_on_a_short_first_step(self, chain, chain_decomp, chain_ctrl):
         # an infinite coupling gain passes the step cap, which reads only
@@ -1359,18 +1505,23 @@ def _max_violation_by_norms(trace, decomp, fit):
     return worst
 
 
-def _chain_residual_by_sums(trace, decomp, edge, s):
-    """`chain_residual` as it was written before it summed in place."""
+def _chain_residual_by_sums(trace, decomp, edge, s, full=False):
+    """`chain_residual` as it was written before it summed in place: each
+    parent chain summed down to the node where the two chains meet, or to
+    its leader with ``full``."""
     i, j = edge
+    chain_j, chain_s = decomp.parent_chain(j), decomp.parent_chain(s)
+    meet = None if full else next((a for a in chain_j if a in chain_s), None)
 
-    def chain_sum(start):
-        chain = decomp.parent_chain(start)
+    def chain_sum(chain):
         total = 0.0
         for a, b in zip(chain[:-1], chain[1:]):
+            if a == meet:
+                break
             total = total + trace.errors[(a, b)]
         return total
 
-    R = chain_sum(j) - chain_sum(s)
+    R = chain_sum(chain_j) - chain_sum(chain_s)
     leader_diff = trace.states[decomp.leader_reach[j]] - trace.states[decomp.leader_reach[s]]
     resid = trace.errors[(i, s)] - trace.errors[(i, j)] - R - leader_diff
     return np.linalg.norm(resid, axis=1)
@@ -1414,6 +1565,32 @@ class TestTraceChecksArrayWork:
                 got = chain_residual(tr, dec, (i, j), s)
                 assert got.tobytes() == _chain_residual_by_sums(tr, dec, (i, j), s).tobytes()
             assert pairs or spec.l == 3
+
+    def test_chain_residual_reads_only_the_edges_before_the_chains_meet(self, cascade):
+        # the edges the two parent chains share cancel in S_j - S_s, so
+        # they are not read, and the full sums agree to roundoff
+        shared = 0
+        for spec, dec, ctrl, tr in _check_runs(cascade):
+            reads = []
+
+            class Counted(dict):
+                def __getitem__(self, key):
+                    reads.append(key)
+                    return super().__getitem__(key)
+
+            counted = dataclasses.replace(tr, errors=Counted(tr.errors))
+            peak = max(float(np.max(np.abs(x))) for x in tr.states.values())
+            for i, j, s in _sibling_pairs(spec, dec):
+                chain_j, chain_s = dec.parent_chain(j), dec.parent_chain(s)
+                tail = [a for a in chain_j if a in chain_s]
+                reads.clear()
+                got = chain_residual(counted, dec, (i, j), s)
+                # both chains down to where they meet, z_ij and z_is
+                assert len(reads) == len(chain_j) + len(chain_s) - 2 * max(len(tail) - 1, 0)
+                shared += max(len(tail) - 1, 0)
+                full = _chain_residual_by_sums(tr, dec, (i, j), s, full=True)
+                assert np.max(np.abs(got - full)) <= 1e-12 * peak
+        assert shared > 0
 
     def test_edge_errors_are_the_difference_plus_offset(self, cascade):
         for spec, _, _, tr in _check_runs(cascade):
