@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from . import criterion, instances, pairwise, synthesis
 from .controllers import load_controller, save_controller
 from .errors import FormationValidationError, FormstabError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .model import decompose, load_formation, split_components
+from .model import _write_json, decompose, load_formation, split_components
 from .simulation import (
     ConstantSignal,
     SinusoidSignal,
@@ -52,6 +53,10 @@ class RunConfig:
     out: str = "."
 
     def __post_init__(self):
+        for name in ("T", "dt"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
         if self.T <= 0:
             raise ValueError("horizon T must be positive")
         if self.dt is not None and not 0 < self.dt < self.T:
@@ -126,11 +131,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_json(path: Path, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _load_instance(path: str):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingStateError
-from .model import FormationSpec, LevelDecomposition
+from .model import FormationSpec, LevelDecomposition, _frozen_array, _write_json
 
 __all__ = [
     "FollowerController",
@@ -29,12 +29,6 @@ __all__ = [
     "load_controller",
     "save_controller",
 ]
-
-
-def _arr(x) -> np.ndarray:
-    a = np.array(x, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -49,11 +43,11 @@ class FollowerController:
     k_tilde: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "S", _arr(self.S))
-        object.__setattr__(self, "K", {int(s): _arr(Ks) for s, Ks in self.K.items()})
-        object.__setattr__(self, "k", _arr(self.k))
-        object.__setattr__(self, "N", _arr(self.N))
-        object.__setattr__(self, "k_tilde", _arr(self.k_tilde))
+        object.__setattr__(self, "S", _frozen_array(self.S))
+        object.__setattr__(self, "K", {int(s): _frozen_array(Ks) for s, Ks in self.K.items()})
+        object.__setattr__(self, "k", _frozen_array(self.k))
+        object.__setattr__(self, "N", _frozen_array(self.N))
+        object.__setattr__(self, "k_tilde", _frozen_array(self.k_tilde))
 
 
 @dataclass(frozen=True)
@@ -192,8 +186,7 @@ def controller_from_dict(data: dict) -> ControllerSet:
 
 
 def save_controller(ctrl: ControllerSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(controller_to_dict(ctrl), indent=2) + "\n")
+    _write_json(path, controller_to_dict(ctrl))
 
 
 def load_controller(path) -> ControllerSet:

@@ -515,9 +515,14 @@ def load_formation(path) -> FormationSpec:
         return formation_from_dict(json.load(fh))
 
 
-def save_formation(spec: FormationSpec, path) -> None:
+def _write_json(path, payload: dict) -> None:
+    """Write ``payload`` as JSON indented by two spaces, with a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(formation_to_dict(spec), indent=2) + "\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
+
+
+def save_formation(spec: FormationSpec, path) -> None:
+    _write_json(path, formation_to_dict(spec))
 
 
 def split_components(spec: FormationSpec) -> list[tuple[tuple[int, ...], FormationSpec]]:

@@ -61,7 +61,8 @@ __all__ = [
 
 
 class LeaderSignal:
-    """Base class for exogenous leader inputs on [0, T]."""
+    """Base class for exogenous leader inputs on [0, T].  A subclass defines
+    `value` and `running_sup`; the grid-wide methods loop over them."""
 
     is_zero = False
 
@@ -105,35 +106,21 @@ class LeaderSignal:
         return None
 
 
-class ZeroSignal(LeaderSignal):
-    is_zero = True
-
-    def __init__(self, m: int):
-        self.m = int(m)
-
-    def value(self, t):
-        return np.zeros(self.m)
+class _BuiltinSignal(LeaderSignal):
+    """A built-in signal: its running sups have one closed form, the
+    grid-wide `running_sups`, which `running_sup` reads at one time."""
 
     def running_sup(self, t):
-        return 0.0
-
-    def sample(self, times):
-        return np.zeros((len(times), self.m))
-
-    def running_sups(self, times):
-        return np.zeros(len(times))
+        return float(self.running_sups(np.array([t], dtype=float))[0])
 
 
-class ConstantSignal(LeaderSignal):
+class ConstantSignal(_BuiltinSignal):
     def __init__(self, c):
         self.c = np.asarray(c, dtype=float)
         self._norm = float(np.linalg.norm(self.c))
 
     def value(self, t):
         return self.c
-
-    def running_sup(self, t):
-        return self._norm
 
     def sample(self, times):
         return np.repeat(self.c[None], len(times), axis=0)
@@ -145,12 +132,21 @@ class ConstantSignal(LeaderSignal):
         return np.zeros((1, 1)), self.c[:, None], np.ones(1)
 
 
+class ZeroSignal(ConstantSignal):
+    """The zero constant on m channels, marked so that its terms are skipped."""
+
+    is_zero = True
+
+    def __init__(self, m: int):
+        super().__init__(np.zeros(m))
+
+
 def _sines(arg: np.ndarray) -> np.ndarray:
     """math.sin of each element of a 1-d array."""
     return np.fromiter(map(math.sin, arg), float, len(arg))
 
 
-class SinusoidSignal(LeaderSignal):
+class SinusoidSignal(_BuiltinSignal):
     """u(t) = amplitude * sin(omega t + phase), amplitude an m-vector."""
 
     def __init__(self, amplitude, omega: float, phase: float = 0.0):
@@ -162,20 +158,8 @@ class SinusoidSignal(LeaderSignal):
     def value(self, t):
         return self.amplitude * math.sin(self.omega * t + self.phase)
 
-    def running_sup(self, t):
-        a = self._norm
-        if self.omega == 0.0:
-            return a * abs(math.sin(self.phase))
-        lo, hi = sorted((self.phase, self.phase + self.omega * t))
-        # |sin| peaks at odd multiples of pi/2; is one inside [lo, hi]?
-        k = math.ceil((lo - math.pi / 2.0) / math.pi)
-        if math.pi / 2.0 + k * math.pi <= hi:
-            return a
-        return a * max(abs(math.sin(lo)), abs(math.sin(hi)))
-
-    # The grid-wide forms repeat the scalar arithmetic elementwise and take
-    # each sine from math.sin, so they equal `value` and `running_sup`
-    # bitwise whatever sine numpy's build uses.
+    # `sample` takes each sine from math.sin, so it equals `value` bitwise
+    # whatever sine numpy's build uses.
 
     def sample(self, times):
         arg = self.omega * np.asarray(times, dtype=float) + self.phase
@@ -200,7 +184,7 @@ class SinusoidSignal(LeaderSignal):
         return S, H, np.array([math.sin(self.phase), math.cos(self.phase)])
 
 
-class PiecewiseConstantSignal(LeaderSignal):
+class PiecewiseConstantSignal(_BuiltinSignal):
     """values[k] on [times[k], times[k+1]); times[0] must be 0.
 
     Discontinuous, hence outside the continuous admissible class for
@@ -232,9 +216,6 @@ class PiecewiseConstantSignal(LeaderSignal):
 
     def left_value(self, t):
         return self.values[self._segment(t, left=True)]
-
-    def running_sup(self, t):
-        return float(self._running_max[self._segment(t)])
 
     def sample(self, times):
         return self.values[self._segment(times)]
@@ -395,20 +376,16 @@ def _build_grid(T: float, dt: float, breakpoints) -> np.ndarray:
     return times
 
 
-def _integrate(M, c, forcing, times, y0):
+def _integrate(M, c, forcing, times, out):
     """Fixed-step RK4 over the given grid for ydot = M y + c + sum G_s u_s(t).
 
-    ``forcing`` lists (G_s, signal) for the nonzero leader inputs, and y is
-    ``y0`` flattened.  Returns the (len(times), dim) trajectory as the
-    transposed view of a C-contiguous array of shape
-    ``y0.shape + (len(times),)``.  `simulate` uses it (integrator
+    ``forcing`` lists (G_s, signal) for the nonzero leader inputs.  The
+    steps fill the (dim, len(times)) trajectory ``out`` from y(0) in its
+    column 0, and go on past an overflow.  `simulate` uses it (integrator
     ``"rk4"``) when some signal has no linear generator; the grid lands on
     every breakpoint, so each step sees a continuous right-hand side.
     """
-    out = np.empty(y0.shape + (len(times),))
-    flat = out.reshape(-1, len(times))
-    y = y0.reshape(-1)
-    flat[:, 0] = y
+    y = out[:, 0].copy()
 
     def rhs(t, y, end=False):
         dy = M @ y + c
@@ -416,19 +393,14 @@ def _integrate(M, c, forcing, times, y0):
             dy += G @ (sig.left_value(t) if end else sig.value(t))
         return dy
 
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is detected below
-        for step in range(len(times) - 1):
-            a, b = times[step], times[step + 1]
-            h = b - a
-            k1 = rhs(a, y)
-            k2 = rhs(a + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(a + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(b, y + h * k3, end=True)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise NonFiniteStateError(b)
-            flat[:, step + 1] = y
-    return flat.T
+    for step, (a, b) in enumerate(zip(times[:-1], times[1:]), 1):
+        h = b - a
+        k1 = rhs(a, y)
+        k2 = rhs(a + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(a + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(b, y + h * k3, end=True)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[:, step] = y
 
 
 # Taylor series below are scaled to a 1-norm of at most _THETA and cut where
@@ -586,7 +558,7 @@ def _step_on_vector(A: np.ndarray, norm: float, h: float, z: np.ndarray) -> np.n
     return z
 
 
-def _propagate(M, c, generators, times, y0, dt, T):
+def _propagate(M, c, generators, times, out, dt, T):
     """Exact propagation of ydot = M y + c + sum G_s u_s(t) over the grid,
     every u_s the output of a linear generator.
 
@@ -610,11 +582,10 @@ def _propagate(M, c, generators, times, y0, dt, T):
     D_j = e^{2^j dt A} - I of `_increment_powers`, in place of one
     matrix-vector product per step.  J comes from the augmented size and
     the runs (`_block_doublings`); J = 0, a run shorter than 32 steps and
-    the last few steps of a run step one at a time.  y is ``y0``
-    flattened.  Returns the trajectory as `_integrate` does; raises
-    `NonFiniteStateError` at the first grid time with a non-finite state.
+    the last few steps of a run step one at a time.  ``out`` is filled as
+    `_integrate` fills it.
     """
-    dim = y0.size
+    dim = len(out)
     size = dim + 1 + sum(gen[0].shape[0] for _, _, gen in generators)
     norm_m, norm_c = _norm1(M), float(np.abs(c).sum())
     sigma = math.ldexp(1.0, math.frexp(norm_c / norm_m)[1]) if norm_c > norm_m > 0 else 1.0
@@ -622,7 +593,7 @@ def _propagate(M, c, generators, times, y0, dt, T):
     A[:dim, :dim] = M
     A[:dim, dim] = c / sigma
     z = np.empty(size)
-    z[:dim] = y0.reshape(-1)
+    z[:dim] = out[:, 0]
     z[dim] = sigma
     restarts = {}
     r = dim + 1
@@ -646,23 +617,15 @@ def _propagate(M, c, generators, times, y0, dt, T):
     starts = [0] + [b + (b in other) for b in ends[:-1]]
     longest = max(b - a for a, b in zip(starts, ends))
     J = _block_doublings(size, len(h) - len(other), longest)
-    out = np.empty(y0.shape + (len(times),))
-    flat = out.reshape(dim, len(times))
-    flat[:, 0] = z[:dim]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is detected below
-        powers = _increment_powers(_expm_increment(dt * A), J)
-        block = np.empty((size, 2 ** min(J, len(powers))), order="F")
-        for start, end in zip(starts, ends):
-            z = _dt_run(powers, block, z, flat[:, start + 1 : end + 1])
-            for r, value in restarts.get(end, ()):
-                z[r : r + len(value)] = value
-            if end in other:
-                z = _step_on_vector(A, norm, float(h[end]), z)
-                flat[:, end + 1] = z[:dim]
-    bad = ~np.isfinite(flat).all(axis=0)
-    if bad.any():
-        raise NonFiniteStateError(float(times[int(np.argmax(bad))]))
-    return flat.T
+    powers = _increment_powers(_expm_increment(dt * A), J)
+    block = np.empty((size, 2 ** min(J, len(powers))), order="F")
+    for start, end in zip(starts, ends):
+        z = _dt_run(powers, block, z, out[:, start + 1 : end + 1])
+        for r, value in restarts.get(end, ()):
+            z[r : r + len(value)] = value
+        if end in other:
+            z = _step_on_vector(A, norm, float(h[end]), z)
+            out[:, end + 1] = z[:dim]
 
 
 def _generator(sig: LeaderSignal, m: int, T: float):
@@ -691,12 +654,12 @@ def simulate(
     Parameters
     ----------
     x0 : dict
-        Initial state per agent id (n-vectors).
+        Initial state per agent id (finite n-vectors).
     signals : dict, optional
         LeaderSignal per leader id; omitted leaders get the zero input.
     T, dt : float
-        Horizon and step.  Default dt = min(1e-2, 0.1 / (1 + max ||A_i +
-        B_i S_i||_F)); an explicit dt with dt * max||A_i + B_i S_i||_F > 1
+        Horizon and step, finite.  Default dt = min(1e-2, 0.1 / (1 +
+        max ||A_i + B_i S_i||_F)); an explicit dt with dt * max||A_i + B_i S_i||_F > 1
         raises `StepTooLargeError`.
 
     The stacked system is propagated jointly (its coupling is lower
@@ -716,25 +679,27 @@ def simulate(
     land on every breakpoint so each step sees a continuous right-hand side
     (integrator ``"rk4"``).  ``metadata["integrator"]`` names the one used.
 
-    Both integrators write one C-contiguous (agents, n, grid points) array,
-    which the trace's per-agent state views share; edge errors and the
-    leader and follower inputs are not evaluated here but when the trace's
-    mappings are read (see `SimulationTrace`).  The built-in signals are
-    evaluated only through their grid-wide methods.
+    Both integrators fill one C-contiguous (agents, n, grid points) array
+    from the initial states in its first column, and neither stops at an
+    overflow: one scan afterwards raises `NonFiniteStateError` at the first
+    non-finite grid time.  The trace's per-agent state views share that
+    array; edge errors and the leader and follower inputs are not evaluated
+    here but when the trace's mappings are read (see `SimulationTrace`).
+    The built-in signals are evaluated only through their grid-wide methods.
 
-    A controller that does not fit the instance (see
-    `verify_controller`) or a leader signal whose values are not m-vectors
-    raises `ValueError`.
+    A controller that does not fit the instance (see `verify_controller`),
+    a leader signal whose values are not m-vectors, a non-finite T or dt,
+    or a missing or non-finite initial state raises `ValueError`.
     """
+    if not math.isfinite(T):
+        raise ValueError(f"horizon T must be finite, got {T}")
     if T <= 0:
         raise ValueError("horizon T must be positive")
     _check_structure(spec, decomp, ctrl)
     n = spec.n
     order, pos, M, c, leader_cols = _closed_loop_blocks(spec, decomp, ctrl)
 
-    sig_map = {}
-    for i in sorted(decomp.leaders):
-        sig_map[i] = ZeroSignal(spec.m)
+    sig_map = {i: ZeroSignal(spec.m) for i in sorted(decomp.leaders)}
     if signals:
         for i, sig in signals.items():
             if i not in sig_map:
@@ -750,6 +715,8 @@ def simulate(
     worst = max(float(np.linalg.norm(M[r : r + n, r : r + n], "fro")) for r in pos.values())
     if dt is None:
         dt = min(1e-2, 0.1 / (1.0 + worst))
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if dt >= T:
@@ -764,22 +731,30 @@ def simulate(
         breaks.extend(sig.breakpoints(T))
     times = _build_grid(T, dt, breaks)
 
-    y0 = np.empty((len(order), n))
+    slab = np.empty((len(order), n, len(times)))
     for k, i in enumerate(order):
+        if i not in x0:
+            raise ValueError(f"x0 has no initial state for agent {i}")
         xi = np.asarray(x0[i], dtype=float)
         if xi.shape != (n,):
             raise ValueError(f"x0[{i}] has shape {xi.shape}, expected ({n},)")
-        y0[k] = xi
+        if not np.isfinite(xi).all():
+            raise ValueError(f"initial state x0[{i}] is not finite: {xi.tolist()}")
+        slab[k, :, 0] = xi
 
     forcing = [(G, sig_map[s]) for s, G in leader_cols.items() if not sig_map[s].is_zero]
     generators = [(G, sig, _generator(sig, spec.m, T)) for G, sig in forcing]
     exact = all(gen is not None for _, _, gen in generators)
-    if exact:
-        traj = _propagate(M, c, generators, times, y0, dt, T)
-    else:
-        traj = _integrate(M, c, forcing, times, y0)
+    traj = slab.reshape(-1, len(times))  # a view: the integrators fill the slab
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is detected below
+        if exact:
+            _propagate(M, c, generators, times, traj, dt, T)
+        else:
+            _integrate(M, c, forcing, times, traj)
+    bad = ~np.isfinite(traj).all(axis=0)
+    if bad.any():
+        raise NonFiniteStateError(float(times[int(np.argmax(bad))]))
 
-    slab = traj.T.reshape(len(order), n, len(times))  # a view of the one stored array
     states = {i: slab[k].T for k, i in enumerate(order)}
     offsets = {e.key: e.d for e in spec.edges}
 

@@ -360,6 +360,30 @@ class TestConfigAndDeterminism:
         assert main(["simulate", chain_file, "--config", str(cfg),
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("flags,config,message", [
+        (["--T", "inf"], None, "T must be finite, got inf"),
+        (["--T", "nan"], None, "T must be finite, got nan"),
+        (["--dt", "nan"], None, "dt must be finite, got nan"),
+        ([], '{"T": Infinity}', "T must be finite, got inf"),
+        ([], '{"dt": NaN}', "dt must be finite, got nan"),
+    ], ids=["T_inf", "T_nan", "dt_nan", "config_T_inf", "config_dt_nan"])
+    def test_non_finite_horizon_or_step_exits_one(self, chain_file, tmp_path, capsys,
+                                                  flags, config, message):
+        if config is not None:  # json accepts Infinity and NaN
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            flags = flags + ["--config", str(cfg)]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["simulate", chain_file, "--out", str(out)] + flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["T", "dt"])
+    def test_run_config_rejects_non_finite_values(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+            formstab.cli.RunConfig(**{field: float("inf")})
+
     def test_config_tolerances_apply(self, tmp_path):
         # example1 fails only its displacement condition; a loose enough
         # eps_solve accepts the defect

@@ -274,8 +274,10 @@ class TestSimulate:
         errs = []
         for dt in (1e-2, 5e-3, 2.5e-3):
             times = np.linspace(0.0, 2.0, round(2.0 / dt) + 1)
-            traj = _integrate(A, np.zeros(2), [], times, x0)
-            errs.append(np.linalg.norm(traj[-1] - exact))
+            traj = np.empty((2, len(times)))
+            traj[:, 0] = x0
+            _integrate(A, np.zeros(2), [], times, traj)
+            errs.append(np.linalg.norm(traj[:, -1] - exact))
         orders = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
         assert min(orders) >= 3.8
 
@@ -397,6 +399,53 @@ class TestSimulate:
         with pytest.raises(NonFiniteStateError) as exc:
             simulate(chain, chain_decomp, bad, huge, signals=steps, T=40.0)
         assert 0.0 < exc.value.time < 40.0
+
+    def test_rk4_overflow_reports_the_first_non_finite_grid_time(
+        self, chain, chain_decomp, chain_ctrl
+    ):
+        # RK4 steps on past the overflow to T; the reported time is the first
+        # non-finite grid point, and the run that stops one grid point
+        # earlier on the same grid stays finite
+        from formstab.simulation import _build_grid
+
+        bad = _destabilized(chain, chain_decomp, chain_ctrl)
+        huge = {i: 1e300 * np.ones(2) for i in chain.nodes}
+        steps = {1: _NoGenerator([0.0, 0.5], [[0.0], [1.0]])}
+        with pytest.raises(NonFiniteStateError) as exc:
+            simulate(chain, chain_decomp, bad, huge, signals=steps, T=40.0, dt=1e-2)
+        times = _build_grid(40.0, 1e-2, steps[1].breakpoints(40.0))
+        k = int(np.flatnonzero(times == exc.value.time)[0])
+        assert 1 < k < len(times) - 1
+        tr = simulate(chain, chain_decomp, bad, huge, signals=steps, T=times[k - 1], dt=1e-2)
+        assert tr.metadata["integrator"] == "rk4"
+        assert np.array_equal(tr.times, times[:k])
+        assert all(np.isfinite(x).all() for x in tr.states.values())
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"T": math.inf}, "horizon T must be finite, got inf"),
+        ({"T": math.nan}, "horizon T must be finite, got nan"),
+        ({"T": 1.0, "dt": math.nan}, "dt must be finite, got nan"),
+        ({"T": 1.0, "dt": math.inf}, "dt must be finite, got inf"),
+    ], ids=["T_inf", "T_nan", "dt_nan", "dt_inf"])
+    def test_rejects_a_non_finite_horizon_or_step(self, chain, chain_decomp, chain_ctrl,
+                                                  kw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate(chain, chain_decomp, chain_ctrl,
+                     {i: np.zeros(2) for i in chain.nodes}, **kw)
+
+    def test_rejects_a_missing_initial_state(self, chain, chain_decomp, chain_ctrl):
+        x0 = {i: np.zeros(2) for i in chain.nodes if i != 3}
+        with pytest.raises(ValueError, match="^x0 has no initial state for agent 3$"):
+            simulate(chain, chain_decomp, chain_ctrl, x0, T=1.0)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_a_non_finite_initial_state(self, chain, chain_decomp, chain_ctrl, entry):
+        # an input error, not a state that blew up at t=0
+        x0 = {i: np.zeros(2) for i in chain.nodes}
+        x0[2] = np.array([entry, 1.0])
+        message = rf"^initial state x0\[2\] is not finite: \[{entry}, 1.0\]$"
+        with pytest.raises(ValueError, match=message):
+            simulate(chain, chain_decomp, chain_ctrl, x0, T=1.0)
 
     def test_non_finite_state_on_the_exact_path_with_breakpoints(
         self, chain, chain_decomp, chain_ctrl
@@ -956,6 +1005,26 @@ class _Saturating(LeaderSignal):
         return float(np.linalg.norm(self.c)) * -math.expm1(-max(t, 0.0))
 
 
+class _ScalarOnly(LeaderSignal):
+    """Forwards the scalar methods and the breakpoints of a signal, and
+    nothing else: no generator and no grid-wide methods of its own."""
+
+    def __init__(self, sig):
+        self.sig = sig
+
+    def value(self, t):
+        return self.sig.value(t)
+
+    def left_value(self, t):
+        return self.sig.left_value(t)
+
+    def running_sup(self, t):
+        return self.sig.running_sup(t)
+
+    def breakpoints(self, T):
+        return self.sig.breakpoints(T)
+
+
 def _signal_kinds(m):
     return {
         "zero": ZeroSignal(m),
@@ -1005,6 +1074,27 @@ class TestLeaderInputs:
         assert defect <= 1e3 * dt * dt * (1.0 + peak)
         assert abs(defect - _error_dynamics_per_edge(tr, spec, dec, ctrl)) <= 1e-12 * (1.0 + peak)
         assert all(s.calls > len(tr.times) for s in sig.values())
+
+    @pytest.mark.parametrize("kind", ["sinusoid", "piecewise"])
+    def test_rk4_run_with_a_builtin_signal_matches_its_scalar_methods(self, kind):
+        # a custom signal without a generator makes the run take RK4, which
+        # evaluates the built-in on the other leader through its scalar
+        # methods; wrapping it so that only those are left changes no bit
+        spec, dec, rep = _stable_fork()
+        ctrl = synthesize(spec, dec, rep)
+        first, second = sorted(dec.leaders)
+        kinds = _signal_kinds(spec.m)
+        custom, builtin = kinds["custom"], kinds[kind]
+        rng = np.random.default_rng(11)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        runs = [simulate(spec, dec, ctrl, x0, signals={first: custom, second: sig}, T=2.5)
+                for sig in (builtin, _ScalarOnly(builtin))]
+        assert [tr.metadata["integrator"] for tr in runs] == ["rk4", "rk4"]
+        assert runs[0].times.tobytes() == runs[1].times.tobytes()
+        for i in spec.nodes:
+            assert runs[0].states[i].tobytes() == runs[1].states[i].tobytes()
+        assert runs[0].inputs[second].tobytes() == runs[1].inputs[second].tobytes()
+        assert fit_envelope(runs[0], dec) == fit_envelope(runs[1], dec)
 
     @pytest.mark.parametrize("pair", [("constant", "sinusoid"), ("piecewise", "zero")])
     def test_builtin_signals_take_no_scalar_calls(self, monkeypatch, pair):
