@@ -82,6 +82,8 @@ def _load_config(args) -> RunConfig:
                 continue
             if isinstance(val, bool) or not isinstance(val, _CONFIG_TYPES.get(key, (int, float))):
                 raise ValueError(f"config key {key!r} has invalid value {val!r}")
+            if key not in _CONFIG_TYPES and isinstance(val, int) and abs(val) > sys.float_info.max:
+                raise ValueError(f"config key {key!r} is an integer too large for a float")
         tol = {k: data.pop(k) for k in _TOLERANCE_KEYS if k in data}
         cfg = RunConfig(tolerances=Tolerances(**tol), **data)
     overrides = {}

@@ -30,9 +30,11 @@ from .linalg import (
     LinearSolveReport,
     StabilizabilityResult,
     Tolerances,
+    _frobenius_norms,
+    _hurwitz_reports,
+    _solve_blocks,
     is_hurwitz,
     is_stabilizable,
-    solve_matrix_equation,
 )
 from .model import FormationSpec, LevelDecomposition
 
@@ -234,9 +236,30 @@ def classify(spec: FormationSpec, decomp: LevelDecomposition) -> str:
     return CASE_NONE
 
 
-def _defect_scale(spec: FormationSpec, A_ref: np.ndarray) -> float:
-    max_d = max((float(np.linalg.norm(e.d)) for e in spec.edges), default=0.0)
+def _displacements(spec: FormationSpec) -> np.ndarray:
+    """The edge displacements d_ij as rows, in edge order."""
+    return np.array([e.d for e in spec.edges]).reshape(len(spec.edges), spec.n)
+
+
+def _edge_ends(spec: FormationSpec) -> tuple:
+    """Row indices i - 1 and j - 1 of every edge's endpoints, in edge order."""
+    ends = np.array([e.key for e in spec.edges], dtype=int).reshape(-1, 2) - 1
+    return ends[:, 0], ends[:, 1]
+
+
+def _defect_scale(d: np.ndarray, A_ref: np.ndarray) -> float:
+    max_d = float(np.max(_frobenius_norms(d), initial=0.0))
     return 1.0 + float(np.linalg.norm(A_ref, "fro")) + max_d
+
+
+def _pbh(spec: FormationSpec, nodes, tol: Tolerances) -> tuple:
+    """`is_stabilizable` of the pairs (A_i, B_i) of ``nodes``, as one stack."""
+    agents = [spec.agent(i) for i in nodes]
+    return is_stabilizable(
+        np.array([ag.A for ag in agents]).reshape(len(agents), spec.n, spec.n),
+        np.array([ag.B for ag in agents]).reshape(len(agents), spec.n, spec.m),
+        tol,
+    )
 
 
 def check(
@@ -252,45 +275,45 @@ def check(
     multi-leader case with conditions 2 and 4 passing, condition 1 is
     implied (take S_i = N_i) and reported as such, though the PBH test is
     still run for diagnostics.
+
+    Each fact is evaluated over a per-instance stack, with results bitwise
+    those of per-item calls: one PBH test over all followers, one
+    least-squares solve per follower for both of its equations, and one
+    norm computation over all edge defects.
     """
     ref = decomp.renumbering[0]
     A_ref = spec.agent(ref).A
-    scale = _defect_scale(spec, A_ref)
+    d = _displacements(spec)
+    scale = _defect_scale(d, A_ref)
     special_case = classify(spec, decomp)
     D = decomp.cumulative_offset
+    followers = decomp.followers()
 
+    stab_results = _pbh(spec, followers, tol)
     cond2 = []
-    stab_results = {}
-    for i in decomp.followers():
+    for i in followers:
         ag = spec.agent(i)
-        stab_results[i] = is_stabilizable(ag.A, ag.B, tol)
-        cond2.append(
-            GainEquationCheck(
-                node=i,
-                gain_solve=solve_matrix_equation(ag.B, A_ref - ag.A, tol),
-                offset_solve=solve_matrix_equation(ag.B, ag.A @ D[i], tol),
-            )
-        )
+        gain, offset = _solve_blocks(ag.B, (A_ref - ag.A, ag.A @ D[i]), tol)
+        cond2.append(GainEquationCheck(node=i, gain_solve=gain, offset_solve=offset))
     cond2_ok = all(c.passed for c in cond2)
 
-    cond3 = []
-    for e in spec.edges:
-        defect = e.d - (D[e.i] - D[e.j])
-        norm = float(np.linalg.norm(defect))
-        cond3.append(
-            DisplacementCheck(
-                edge=e.key,
-                defect=defect,
-                defect_norm=norm,
-                passed=bool(norm <= tol.eps_solve * scale),
-            )
+    offsets = np.array([D[i] for i in spec.nodes])
+    ends_i, ends_j = _edge_ends(spec)
+    defects = d - (offsets[ends_i] - offsets[ends_j])
+    cond3 = [
+        DisplacementCheck(
+            edge=e.key,
+            defect=defect,
+            defect_norm=float(norm),
+            passed=bool(norm <= tol.eps_solve * scale),
         )
+        for e, defect, norm in zip(spec.edges, defects, _frobenius_norms(defects))
+    ]
     cond3_ok = all(c.passed for c in cond3)
 
     leaders = sorted(decomp.leaders)
-    defects = {
-        i: float(np.linalg.norm(spec.agent(i).A - A_ref, "fro")) for i in leaders
-    }
+    leader_A = np.array([spec.agent(i).A for i in leaders])
+    defects = dict(zip(leaders, _frobenius_norms(leader_A - A_ref).tolist()))
     hw = is_hurwitz(A_ref, tol)
     binding = decomp.l0 > 1
     cond4_ok = (not binding) or (
@@ -302,8 +325,8 @@ def check(
 
     implied = special_case == CASE_MULTI_LEADER and cond2_ok and cond4_ok
     cond1 = [
-        StabilizabilityCheck(node=i, result=stab_results[i], implied=implied)
-        for i in decomp.followers()
+        StabilizabilityCheck(node=i, result=result, implied=implied)
+        for i, result in zip(followers, stab_results)
     ]
     cond1_ok = all(c.passed for c in cond1)
 
@@ -369,35 +392,44 @@ def verify_controller(
     exempt, since a single-leader formation may be stable around an
     unstable leader.  A controller that does not fit the instance (dims,
     follower ids, gain shapes or parent keys) raises `ValueError`.
+
+    The Hurwitz tests run as one stack over all followers, and the edge
+    defects as one norm computation over stacked M_i and m_i indexed by
+    edge; the results are bitwise those of per-item calls.
     """
     _check_structure(spec, decomp, ctrl)
 
     D = decomp.cumulative_offset
-    M = {}
-    mvec = {}
-    hurwitz = {}
+    M = []
+    mvec = []
+    followers = []
+    closed = []  # A_i + B_i S_i of each follower
     for i in spec.nodes:
         ag = spec.agent(i)
         fc = ctrl.followers.get(i)
         if fc is None:
-            M[i] = ag.A
-            mvec[i] = -ag.A @ D[i]
+            M.append(ag.A)
+            mvec.append(-ag.A @ D[i])
         else:
             N, kt = _aggregate(fc.S, fc.K, fc.k, i, D)
-            M[i] = ag.A + ag.B @ N
-            mvec[i] = ag.B @ kt - ag.A @ D[i]
-            hurwitz[i] = is_hurwitz(ag.A + ag.B @ fc.S, tol)
+            M.append(ag.A + ag.B @ N)
+            mvec.append(ag.B @ kt - ag.A @ D[i])
+            followers.append(i)
+            closed.append(ag.A + ag.B @ fc.S)
+    hurwitz = dict(zip(followers, _hurwitz_reports(
+        np.array(closed).reshape(len(closed), spec.n, spec.n), tol)))
 
-    edge_M = {}
-    edge_m = {}
-    for e in spec.edges:
-        edge_M[e.key] = float(np.linalg.norm(M[e.i] - M[e.j], "fro"))
-        edge_m[e.key] = float(np.linalg.norm(mvec[e.i] - mvec[e.j]))
+    ends_i, ends_j = _edge_ends(spec)
+    M = np.array(M)
+    mvec = np.array(mvec)
+    keys = [e.key for e in spec.edges]
+    edge_M = dict(zip(keys, _frobenius_norms(M[ends_i] - M[ends_j]).tolist()))
+    edge_m = dict(zip(keys, _frobenius_norms(mvec[ends_i] - mvec[ends_j]).tolist()))
 
     max_M = max(edge_M.values(), default=0.0)
     max_m = max(edge_m.values(), default=0.0)
     ref = decomp.renumbering[0]
-    scale = _defect_scale(spec, spec.agent(ref).A)
+    scale = _defect_scale(_displacements(spec), spec.agent(ref).A)
     passed = (
         max_M <= tol.eps_solve * scale
         and max_m <= tol.eps_solve * scale

@@ -156,17 +156,24 @@ def eigenvalues(A) -> np.ndarray:
     return _sorted_eigenvalues(A)
 
 
-def _sorted_eigenvalues(A: np.ndarray) -> np.ndarray:
-    """`eigenvalues` of a square matrix, or of every matrix of a stack of
-    shape (k, n, n), all in one sorted array."""
+def _sorted_eigenvalues(A: np.ndarray, merged: bool = False) -> np.ndarray:
+    """`eigenvalues` of a square matrix, or of each matrix of a stack of
+    shape (k, n, n) as the k rows of a (k, n) array, bitwise those of k
+    separate calls; ``merged`` sorts the stack's eigenvalues as one array."""
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix must not contain infs or NaNs")
     try:
         eigs = np.linalg.eigvals(A).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    if eigs.ndim > 1:
-        eigs = eigs.reshape(-1)
+    if eigs.ndim > 1 and not merged:
+        # eigvals drops the imaginary parts only when the whole stack is
+        # real; a single call drops them for each real spectrum
+        real = np.all(eigs.imag == 0, axis=-1)
+        eigs[real] = eigs[real].real
+        order = np.lexsort((eigs.imag, eigs.real), axis=-1)
+        return np.take_along_axis(eigs, order, axis=-1)
+    eigs = eigs.reshape(-1)
     return eigs[np.lexsort((eigs.imag, eigs.real))]
 
 
@@ -182,6 +189,12 @@ def is_hurwitz(A, tol: Tolerances = DEFAULT_TOLERANCES) -> HurwitzReport:
     below ``-tol.eps_hurwitz``.
     """
     return _hurwitz_report(eigenvalues(A), tol)
+
+
+def _hurwitz_reports(A: np.ndarray, tol: Tolerances) -> tuple:
+    """`is_hurwitz` of each matrix of the stack A (k, n, n), from one
+    eigenvalue computation; bitwise the reports of k separate calls."""
+    return tuple(_hurwitz_report(eigs, tol) for eigs in _sorted_eigenvalues(A))
 
 
 def _is_block_triangular_hurwitz(A, n: int, tol: Tolerances = DEFAULT_TOLERANCES) -> HurwitzReport:
@@ -203,7 +216,7 @@ def _is_block_triangular_hurwitz(A, n: int, tol: Tolerances = DEFAULT_TOLERANCES
     if any(A[r : r + n, r + n :].any() for r in range(0, k * n, n)):
         raise ValueError("matrix is not block lower triangular")
     blocks = A.reshape(k, n, k, n)[np.arange(k), :, np.arange(k), :]
-    return _hurwitz_report(_sorted_eigenvalues(blocks), tol)
+    return _hurwitz_report(_sorted_eigenvalues(blocks, merged=True), tol)
 
 
 def _hurwitz_report(eigs: np.ndarray, tol: Tolerances) -> HurwitzReport:
@@ -229,26 +242,56 @@ def solve_matrix_equation(B, C, tol: Tolerances = DEFAULT_TOLERANCES) -> LinearS
     -------
     LinearSolveReport
         Infeasibility is a report state (``solvable=False``), never an error.
+
+    Evaluated as a one-block stack of `_solve_blocks`, which the criterion
+    and the pairwise analysis call with every right-hand side of one
+    follower at once; the reports are bitwise those of separate calls.
+    """
+    return _solve_blocks(B, (C,), tol)[0]
+
+
+def _solve_blocks(B, Cs, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """`solve_matrix_equation` of B X = C for each C of ``Cs``, from one
+    least-squares solve over the column-stacked right-hand sides.
+
+    Each block's residual ``||B X_k - C_k||`` is taken from a contiguous
+    copy of its own X_k: a block sliced out of the whole product
+    ``B X - C`` can differ from a separate solve's residual in the last bit.
     """
     B = _as_matrix(B)
-    C = np.asarray(C, dtype=float)
-    vector_rhs = C.ndim == 1
-    C2 = C[:, None] if vector_rhs else C
-    if C2.ndim != 2 or B.shape[0] != C2.shape[0]:
-        raise ValueError(f"row counts must match: B is {B.shape}, C is {C.shape}")
+    blocks = []
+    for C in Cs:
+        C = np.asarray(C, dtype=float)
+        C2 = C[:, None] if C.ndim == 1 else C
+        if C2.ndim != 2 or B.shape[0] != C2.shape[0]:
+            raise ValueError(f"row counts must match: B is {B.shape}, C is {C.shape}")
+        blocks.append((C.ndim == 1, C2))
+    X, _, rank, _ = np.linalg.lstsq(B, np.hstack([C2 for _, C2 in blocks]), rcond=None)
 
-    X, _, rank, _ = np.linalg.lstsq(B, C2, rcond=None)
-    residual = float(np.linalg.norm(B @ X - C2))
-    rel = residual / (1.0 + float(np.linalg.norm(C2)))
-    if vector_rhs:
-        X = X[:, 0]
-    return LinearSolveReport(
-        solution=X,
-        residual_norm=residual,
-        relative_residual=rel,
-        solvable=bool(rel <= tol.eps_solve),
-        rank_B=int(rank),
-    )
+    reports = []
+    end = 0
+    for vector_rhs, C2 in blocks:
+        start, end = end, end + C2.shape[1]
+        Xk = np.ascontiguousarray(X[:, start:end])
+        residual = float(np.linalg.norm(B @ Xk - C2))
+        rel = residual / (1.0 + float(np.linalg.norm(C2)))
+        reports.append(LinearSolveReport(
+            solution=Xk[:, 0] if vector_rhs else Xk,
+            residual_norm=residual,
+            relative_residual=rel,
+            solvable=bool(rel <= tol.eps_solve),
+            rank_B=int(rank),
+        ))
+    return tuple(reports)
+
+
+def _frobenius_norms(Z) -> np.ndarray:
+    """Frobenius norm of each item of the stack Z, bitwise
+    ``np.linalg.norm`` of each item: both take the square root of one BLAS
+    dot product of the item's entries in C order."""
+    Z = np.ascontiguousarray(Z, dtype=float)
+    f = Z.reshape(len(Z), 1, Z[:1].size)
+    return np.sqrt(np.matmul(f, f.transpose(0, 2, 1))[:, 0, 0])
 
 
 def matrix_rank(M, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
@@ -259,15 +302,15 @@ def matrix_rank(M, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     M = np.atleast_2d(np.asarray(M))
     if M.size == 0:
         return 0
-    return _rank_of(np.linalg.svd(M, compute_uv=False), M.shape, tol)
+    return int(_ranks(np.linalg.svd(M, compute_uv=False), M.shape, tol))
 
 
-def _rank_of(s, shape, tol: Tolerances) -> int:
+def _ranks(s, shape, tol: Tolerances):
     """Count of the descending singular values ``s`` of a matrix of the
     given shape above the cutoff ``tol.rank_cutoff * max(shape) * eps *
-    sigma_max``."""
-    cutoff = tol.rank_cutoff * max(shape) * np.finfo(float).eps * s[0]
-    return int(np.sum(s > cutoff))
+    sigma_max``; for a stack of such matrices, one count per row of ``s``."""
+    cutoff = tol.rank_cutoff * max(shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    return np.sum(s > cutoff, axis=-1)
 
 
 def controllability_matrix(A, B) -> np.ndarray:
@@ -281,22 +324,47 @@ def controllability_matrix(A, B) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def is_stabilizable(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> StabilizabilityResult:
+def is_stabilizable(A, B, tol: Tolerances = DEFAULT_TOLERANCES):
     """PBH test: (A, B) is stabilizable iff rank [A - lambda I, B] = n for
-    every eigenvalue lambda of A with Re(lambda) >= -eps_hurwitz."""
-    A = _as_matrix(A)
-    B = _as_matrix(B)
-    n = A.shape[0]
-    if A.shape[1] != n or B.shape[0] != n:
+    every eigenvalue lambda of A with Re(lambda) >= -eps_hurwitz.
+
+    A and B may also be stacks of k pairs, of shapes (k, n, n) and
+    (k, n, m); the result is then a tuple of k verdicts, bitwise those of
+    k separate calls.  Either way the pairs are evaluated as one stack:
+    one eigenvalue computation, and one singular-value computation over
+    every pencil at an eigenvalue on or right of the margin.  A failing
+    verdict names the first failing eigenvalue in sorted order.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    single = A.ndim == 2
+    if single:
+        A, B = A[None], B[None]
+    if A.ndim != 3 or B.ndim != 3 or A.shape[2] != A.shape[1] or B.shape[:2] != A.shape[:2]:
         raise ValueError("A must be n x n and B must be n x m")
-    eye = np.eye(n)
-    for lam in eigenvalues(A):
-        if lam.real < -tol.eps_hurwitz:
-            continue
-        pencil = np.hstack([A - lam * eye, B.astype(complex)])
-        if matrix_rank(pencil, tol) < n:
-            return StabilizabilityResult(False, witness=complex(lam))
-    return StabilizabilityResult(True)
+    results = _pbh_results(A, B, tol)
+    return results[0] if single else results
+
+
+def _pbh_results(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> tuple:
+    """PBH verdicts of the pairs of the stacks A (k, n, n) and B (k, n, m)."""
+    k, n = A.shape[:2]
+    eigs = _sorted_eigenvalues(A)
+    item, col = np.nonzero(eigs.real >= -tol.eps_hurwitz)  # by item, then in sorted order
+    witness = {}
+    if len(item):
+        lam = eigs[item, col]
+        pencils = np.concatenate(
+            [A[item] - lam[:, None, None] * np.eye(n), B[item].astype(complex)], axis=2
+        )
+        ranks = _ranks(np.linalg.svd(pencils, compute_uv=False), pencils.shape, tol)
+        for i, z in zip(item[ranks < n], lam[ranks < n]):
+            witness.setdefault(int(i), complex(z))
+    return tuple(
+        StabilizabilityResult(False, witness=witness[i]) if i in witness
+        else StabilizabilityResult(True)
+        for i in range(k)
+    )
 
 
 def _bass_gain(A, B, tol: Tolerances) -> np.ndarray:
@@ -313,7 +381,7 @@ def _bass_gain(A, B, tol: Tolerances) -> np.ndarray:
     n, m = B.shape
     K = controllability_matrix(A, B)
     U, s, _ = np.linalg.svd(K)
-    V = U[:, : _rank_of(s, K.shape, tol)]
+    V = U[:, : int(_ranks(s, K.shape, tol))]
     r = V.shape[1]
     if r == 0:
         return np.zeros((m, n))

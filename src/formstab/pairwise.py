@@ -11,15 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from . import criterion as _criterion
 from .linalg import (
     DEFAULT_TOLERANCES,
     LinearSolveReport,
     StabilizabilityResult,
     Tolerances,
-    is_stabilizable,
-    solve_matrix_equation,
+    _solve_blocks,
 )
 from .model import FormationSpec, LevelDecomposition
 
@@ -102,23 +100,34 @@ def analyze_pairs(
     """Analyze every edge as an isolated two-agent formation.
 
     Independent of the global level decomposition: the follower's offset
-    equation uses the edge displacement d_ij directly.
+    equation uses the edge displacement d_ij directly.  The PBH tests run
+    as one stack over the edges' followers, and each follower's equations
+    as one least-squares solve; the results are bitwise those of per-item
+    calls.
     """
-    stab = {}
-    for i in {e.i for e in spec.edges}:
-        ag = spec.agent(i)
-        stab[i] = is_stabilizable(ag.A, ag.B, tol)
-    return _analyze_edges(spec, stab, tol)
+    followers = sorted({e.i for e in spec.edges})
+    stab = _criterion._pbh(spec, followers, tol)
+    return _analyze_edges(spec, dict(zip(followers, stab)), tol)
 
 
 def _analyze_edges(spec: FormationSpec, stab: dict, tol: Tolerances) -> PairwiseReport:
-    """Edge analyses from per-follower PBH verdicts ``stab`` (id -> result)."""
+    """Edge analyses from per-follower PBH verdicts ``stab`` (id -> result),
+    with one solve per follower over all of its edges' equations."""
+    by_follower = {}
+    for e in spec.edges:
+        by_follower.setdefault(e.i, []).append(e)
+    solves = {}
+    for i, edges in by_follower.items():
+        ai = spec.agent(i)
+        rhs = []
+        for e in edges:
+            rhs += [spec.agent(e.j).A - ai.A, ai.A @ e.d]
+        reports = _solve_blocks(ai.B, rhs, tol)
+        for k, e in enumerate(edges):
+            solves[e.key] = reports[2 * k : 2 * k + 2]
     entries = []
     for e in spec.edges:
-        ai = spec.agent(e.i)
-        aj = spec.agent(e.j)
-        gain = solve_matrix_equation(ai.B, aj.A - ai.A, tol)
-        offset = solve_matrix_equation(ai.B, ai.A @ e.d, tol)
+        gain, offset = solves[e.key]
         entries.append(
             EdgeAnalysis(
                 edge=e.key,
@@ -156,7 +165,12 @@ def cross_compare(
     decomp: LevelDecomposition,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CrossComparison:
-    """Classify the instance by formation-vs-pairwise (dis)agreement."""
+    """Classify the instance by formation-vs-pairwise (dis)agreement.
+
+    The pairwise analysis reuses the criterion's PBH verdicts; both sides
+    evaluate per-instance stacks (see `check` and `analyze_pairs`), with
+    results bitwise those of per-item calls.
+    """
     rep = _criterion.check(spec, decomp, tol)
     pw = _analyze_edges(spec, {c.node: c.result for c in rep.condition1}, tol)
     f_ok = rep.stable

@@ -23,6 +23,7 @@ to the breakpoints (integrator ``"rk4"``).  The checks:
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -205,17 +206,20 @@ class PiecewiseConstantSignal(_BuiltinSignal):
         self._running_max = np.maximum.accumulate(
             [float(np.linalg.norm(v)) for v in self.values]
         )
+        self._breaks = tuple(self.times.tolist())
 
-    def _segment(self, t, left: bool = False):
-        """Index of the value on at time t, or at each of the times t."""
-        k = np.searchsorted(self.times, t, side="left" if left else "right") - 1
+    def _segment(self, times):
+        """Index of the value on at each of the times."""
+        k = np.searchsorted(self.times, times, side="right") - 1
         return np.clip(k, 0, len(self.values) - 1)
 
     def value(self, t):
-        return self.values[self._segment(t)]
+        return self.values[max(bisect.bisect_right(self._breaks, t) - 1, 0)]
 
     def left_value(self, t):
-        return self.values[self._segment(t, left=True)]
+        # bisect_left puts a NaN first; the value at NaN is the last one, as in `sample`
+        side = bisect.bisect_left if t == t else bisect.bisect_right
+        return self.values[max(side(self._breaks, t) - 1, 0)]
 
     def sample(self, times):
         return self.values[self._segment(times)]

@@ -379,6 +379,19 @@ class TestConfigAndDeterminism:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["T", "dt", "eps_solve", "eps_hurwitz", "rank_cutoff"])
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_config_integer_too_large_for_a_float_exits_one(self, chain_file, tmp_path, capsys,
+                                                            key, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"%s": 1%s}' % (key, "0" * 400))  # json reads it as an int
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, chain_file, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config key {key!r} is an integer too large for a float\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["T", "dt"])
     def test_run_config_rejects_non_finite_values(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):

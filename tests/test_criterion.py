@@ -12,10 +12,12 @@ from formstab import (
     Edge,
     FollowerController,
     FormationSpec,
+    analyze_pairs,
     check,
     classify,
     controller_from_dict,
     controller_to_dict,
+    cross_compare,
     decompose,
     synthesize,
     verify_controller,
@@ -24,6 +26,7 @@ from formstab.instances import (
     random_feasible_formation,
     random_in_tree_formation,
 )
+from formstab.pairwise import BOTH_STABLE
 
 
 class TestChainInstance:
@@ -208,6 +211,19 @@ class TestVerifyController:
         ver = verify_controller(spec, dec, ControllerSet(n=1, m=1, followers={}))
         assert ver.passed
         assert ver.max_matrix_defect == 0.0 and ver.max_offset_defect == 0.0
+
+    def test_single_agent_has_empty_stacks(self):
+        # no follower and no edge: every stacked kernel gets an empty stack
+        spec = FormationSpec(n=2, m=1, agents=(AgentDynamics(A=np.eye(2), B=[[0.0], [1.0]]),),
+                             edges=())
+        dec = decompose(spec)
+        rep = check(spec, dec)
+        assert rep.stable and rep.condition1 == rep.condition2 == rep.condition3 == ()
+        assert rep.scale == 1.0 + np.sqrt(2.0)
+        cross = cross_compare(spec, dec)
+        assert cross.pattern == BOTH_STABLE and analyze_pairs(spec).edges == ()
+        ctrl = synthesize(spec, dec, rep)
+        assert verify_controller(spec, dec, ctrl).follower_hurwitz == {}
 
     def test_dimension_mismatch(self, chain, chain_decomp):
         with pytest.raises(ValueError):

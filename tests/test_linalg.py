@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formstab import (
@@ -25,8 +25,23 @@ from formstab import (
     spectral_abscissa,
     stabilize,
 )
-from formstab.instances import random_controllable_pair, three_agent_chain
-from formstab.linalg import _is_block_triangular_hurwitz
+from formstab import decompose
+from formstab.instances import (
+    random_controllable_pair,
+    random_dag_formation,
+    random_feasible_formation,
+    three_agent_chain,
+)
+from formstab.linalg import (
+    DEFAULT_TOLERANCES,
+    HurwitzReport,
+    LinearSolveReport,
+    StabilizabilityResult,
+    _frobenius_norms,
+    _hurwitz_reports,
+    _is_block_triangular_hurwitz,
+    _solve_blocks,
+)
 
 CHAIN = three_agent_chain()
 A1, A2, A3 = (CHAIN.agent(i).A for i in (1, 2, 3))
@@ -390,3 +405,147 @@ def test_tolerances_must_be_positive():
         Tolerances(eps_solve=0.0)
     with pytest.raises(ValueError):
         Tolerances(eps_hurwitz=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# The stacked kernels against plain per-item references, bit for bit.  The
+# references are the one-call-per-item arithmetic the kernels replace.
+
+
+def _ref_eigenvalues(A):
+    eigs = np.linalg.eigvals(A).astype(complex)
+    return eigs[np.lexsort((eigs.imag, eigs.real))]
+
+
+def _ref_hurwitz(A, tol=DEFAULT_TOLERANCES):
+    eigs = _ref_eigenvalues(A)
+    abscissa = float(np.max(eigs.real))
+    return HurwitzReport(abscissa, tuple(eigs), bool(abscissa < -tol.eps_hurwitz), tol.eps_hurwitz)
+
+
+def _ref_pbh(A, B, tol=DEFAULT_TOLERANCES):
+    n = len(A)
+    for lam in _ref_eigenvalues(A):
+        if lam.real < -tol.eps_hurwitz:
+            continue
+        pencil = np.hstack([A - lam * np.eye(n), B.astype(complex)])
+        s = np.linalg.svd(pencil, compute_uv=False)
+        cutoff = tol.rank_cutoff * max(pencil.shape) * np.finfo(float).eps * s[0]
+        if int(np.sum(s > cutoff)) < n:
+            return StabilizabilityResult(False, witness=complex(lam))
+    return StabilizabilityResult(True)
+
+
+def _ref_solve(B, C, tol=DEFAULT_TOLERANCES):
+    C2 = C[:, None] if C.ndim == 1 else C
+    X, _, rank, _ = np.linalg.lstsq(B, C2, rcond=None)
+    residual = float(np.linalg.norm(B @ X - C2))
+    rel = residual / (1.0 + float(np.linalg.norm(C2)))
+    return LinearSolveReport(X[:, 0] if C.ndim == 1 else X, residual, rel,
+                             bool(rel <= tol.eps_solve), int(rank))
+
+
+def _bits(value):
+    """A string that tells apart any two different floats, -0.0 and 0.0 too."""
+    if isinstance(value, (HurwitzReport, LinearSolveReport)):
+        value = value.to_dict()
+    if isinstance(value, StabilizabilityResult):
+        value = (value.stabilizable, value.witness)
+    return repr(value)
+
+
+def _stacks(spec):
+    """Every follower's (A, B), and the right-hand sides `check` and
+    `analyze_pairs` solve against each follower's B."""
+    decomp = decompose(spec)
+    A_ref = spec.agent(decomp.renumbering[0]).A
+    D = decomp.cumulative_offset
+    followers = decomp.followers()
+    rhs = {
+        i: [A_ref - spec.agent(i).A, spec.agent(i).A @ D[i]]
+        + [C for e in spec.edges if e.i == i
+           for C in (spec.agent(e.j).A - spec.agent(i).A, spec.agent(i).A @ e.d)]
+        for i in followers
+    }
+    A = np.array([spec.agent(i).A for i in followers])
+    B = np.array([spec.agent(i).B for i in followers])
+    return A, B, rhs
+
+
+_INSTANCES = st.one_of(
+    st.builds(lambda s: random_feasible_formation(s, max_nodes=12), st.integers(0, 10_000)),
+    st.builds(lambda s: random_dag_formation(s, max_nodes=12, n=3, m=1), st.integers(0, 10_000)),
+)
+
+
+class TestStackedKernels:
+    @given(spec=_INSTANCES)
+    @settings(max_examples=12, deadline=None)
+    def test_pbh_stack_is_bitwise_per_pair(self, spec):
+        A, B, _ = _stacks(spec)
+        B[::2] = 0.0  # mix in failing pairs, some with several failing modes
+        stacked = is_stabilizable(A, B)
+        assert [_bits(r) for r in stacked] == [_bits(_ref_pbh(a, b)) for a, b in zip(A, B)]
+
+    @given(spec=_INSTANCES)
+    @settings(max_examples=12, deadline=None)
+    def test_hurwitz_stack_is_bitwise_per_matrix(self, spec):
+        A, B, _ = _stacks(spec)
+        for stack in (A, A - 3.0 * np.eye(A.shape[1])):
+            reports = _hurwitz_reports(stack, DEFAULT_TOLERANCES)
+            assert [_bits(r) for r in reports] == [_bits(_ref_hurwitz(a)) for a in stack]
+
+    @given(spec=_INSTANCES)
+    @settings(max_examples=12, deadline=None)
+    def test_block_solve_is_bitwise_per_block(self, spec):
+        A, B, rhs = _stacks(spec)
+        for b, blocks in zip(B, rhs.values()):
+            reports = _solve_blocks(b, blocks)
+            assert [_bits(r) for r in reports] == [_bits(_ref_solve(b, C)) for C in blocks]
+
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 6), rows=st.integers(1, 9),
+           cols=st.integers(1, 9))
+    @settings(max_examples=30, deadline=None)
+    @example(seed=0, k=2, rows=4, cols=4)  # an einsum sum of squares differs here
+    def test_norms_are_bitwise_linalg_norm(self, seed, k, rows, cols):
+        Z = np.random.default_rng(seed).standard_normal((k, rows, cols))
+        for stack in (Z, Z[:, :, 0]):  # matrices, and strided vectors
+            expected = [float(np.linalg.norm(z)) for z in stack]
+            assert _frobenius_norms(stack).tolist() == expected
+
+    def test_uncontrollable_pair_names_its_first_failing_mode(self):
+        A = np.array([np.diag([2.0, 1.0, -1.0]), np.diag([-3.0, 3.0, 0.5])])
+        B = np.array([[[0.0], [0.0], [1.0]], [[0.0], [0.0], [1.0]]])
+        first, second = is_stabilizable(A, B)
+        assert not first and first.witness == 1.0
+        assert not second and second.witness == 3.0
+        assert [_bits(r) for r in (first, second)] == [_bits(_ref_pbh(a, b)) for a, b in zip(A, B)]
+
+    def test_zero_input_matrix(self):
+        A = np.array([np.diag([1.0, 2.0]), np.diag([-1.0, -2.0]), [[0.0, 1.0], [-1.0, 0.0]]])
+        results = is_stabilizable(A, np.zeros((3, 2, 1)))
+        assert [bool(r) for r in results] == [False, True, False]
+        assert results[0].witness == 1.0 and results[2].witness == -1j
+        report = _solve_blocks(np.zeros((2, 1)), (np.eye(2), np.ones(2)))
+        assert [_bits(r) for r in report] == [
+            _bits(_ref_solve(np.zeros((2, 1)), C)) for C in (np.eye(2), np.ones(2))]
+
+    def test_empty_stacks(self):
+        assert is_stabilizable(np.zeros((0, 2, 2)), np.zeros((0, 2, 1))) == ()
+        assert _hurwitz_reports(np.zeros((0, 2, 2)), DEFAULT_TOLERANCES) == ()
+        assert _frobenius_norms(np.zeros((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        A = np.array([-np.eye(2), -np.eye(2)])
+        A[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            is_stabilizable(A, np.ones((2, 2, 1)))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _hurwitz_reports(A, DEFAULT_TOLERANCES)
+        with pytest.raises(ValueError):
+            _solve_blocks(A[1], (np.eye(2), np.ones(2)))
+
+    def test_stack_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="n x m"):
+            is_stabilizable(np.zeros((2, 2, 2)), np.zeros((3, 2, 1)))

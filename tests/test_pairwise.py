@@ -15,10 +15,8 @@ from formstab import (
     decompose,
     solve_matrix_equation,
 )
-from formstab import criterion as criterion_module
-from formstab import pairwise as pairwise_module
+from formstab import linalg as linalg_module
 from formstab.instances import random_feasible_formation
-from formstab.linalg import DEFAULT_TOLERANCES, is_stabilizable
 from formstab.pairwise import (
     BOTH_STABLE,
     BOTH_UNSTABLE,
@@ -153,32 +151,36 @@ class TestAgreementWithCriterion:
 
 class TestOnePbhTestPerFollower:
     @pytest.fixture
-    def pbh_calls(self, monkeypatch):
-        calls = []
+    def pbh_matrices(self, monkeypatch):
+        """Every A that reaches the stacked PBH kernel, in order."""
+        seen = []
+        original = linalg_module._pbh_results
 
-        def counting(A, B, tol=DEFAULT_TOLERANCES):
-            calls.append(1)
-            return is_stabilizable(A, B, tol)
+        def counting(A, B, tol):
+            seen.extend(A)
+            return original(A, B, tol)
 
-        for module in (pairwise_module, criterion_module):
-            monkeypatch.setattr(module, "is_stabilizable", counting)
-        return calls
+        monkeypatch.setattr(linalg_module, "_pbh_results", counting)
+        return seen
 
     @pytest.mark.parametrize("seed", [0, 5, 9])
-    def test_analyze_pairs_tests_each_follower_once(self, pbh_calls, seed):
+    def test_analyze_pairs_tests_each_follower_once(self, pbh_matrices, seed):
         spec = random_feasible_formation(seed, max_nodes=15)
-        followers = {e.i for e in spec.edges}
+        followers = sorted({e.i for e in spec.edges})
         assert len(spec.edges) > len(followers)
         analyze_pairs(spec)
-        assert len(pbh_calls) == len(followers)
+        assert [A.tobytes() for A in pbh_matrices] == [
+            spec.agent(i).A.tobytes() for i in followers]
 
     @pytest.mark.parametrize("seed", [0, 5, 9])
-    def test_cross_compare_adds_no_pbh_test_to_check(self, pbh_calls, seed):
+    def test_cross_compare_adds_no_pbh_test_to_check(self, pbh_matrices, seed):
         spec = random_feasible_formation(seed, max_nodes=15)
         dec = decompose(spec)
         check(spec, dec)
-        by_check = len(pbh_calls)
+        assert [A.tobytes() for A in pbh_matrices] == [
+            spec.agent(i).A.tobytes() for i in dec.followers()]
+        by_check = len(pbh_matrices)
         res = cross_compare(spec, dec)
-        assert len(pbh_calls) - by_check <= by_check
+        assert len(pbh_matrices) - by_check == by_check
         direct = analyze_pairs(spec)
         assert res.pairwise.verdicts() == direct.verdicts()

@@ -190,6 +190,23 @@ class TestSignals:
         with pytest.raises(ValueError):
             PiecewiseConstantSignal([0.0, 0.0], [[1.0], [2.0]])
 
+    def test_piecewise_scalar_values_are_bitwise_the_grid_values(self):
+        breaks = np.array([0.0, 0.3, 1.0 / 3.0, 2.0, 7.25])
+        sig = PiecewiseConstantSignal(breaks, np.arange(10.0).reshape(5, 2) - 4.5)
+        probes = [-1.0, -0.0, np.inf, -np.inf, 1e300, np.nan]
+        for b in breaks:
+            probes += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+        for t in probes:
+            t = float(t)
+            assert sig.value(t).tobytes() == sig.sample(np.array([t]))[0].tobytes(), t
+            # left_value: the value on just before t, as searchsorted reads it
+            k = int(np.searchsorted(breaks, t, side="left")) - 1
+            expected = sig.values[min(max(k, 0), len(breaks) - 1)]
+            assert sig.left_value(t).tobytes() == expected.tobytes(), t
+        # at NaN both read the last value
+        assert sig.value(math.nan).tobytes() == sig.values[-1].tobytes()
+        assert sig.left_value(math.nan).tobytes() == sig.values[-1].tobytes()
+
 
 _TIMES = st.lists(st.floats(0.0, 50.0), max_size=30)
 _VECTORS = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3)

@@ -27,7 +27,6 @@ from formstab import (
 from formstab import linalg as linalg_module
 from formstab import synthesis as synthesis_module
 from formstab.instances import random_feasible_formation
-from formstab.linalg import DEFAULT_TOLERANCES
 
 
 class TestSynthesize:
@@ -94,17 +93,17 @@ class TestNoRepeatedPbhTest:
         spec = random_feasible_formation(seed, max_nodes=15)
         dec = decompose(spec)
         rep = check(spec, dec)
-        calls = []
-        original = linalg_module.is_stabilizable
+        matrices = []  # every A that reaches the stacked PBH kernel
+        original = linalg_module._pbh_results
 
-        def counting(A, B, tol=DEFAULT_TOLERANCES):
-            calls.append(1)
+        def counting(A, B, tol):
+            matrices.extend(A)
             return original(A, B, tol)
 
-        monkeypatch.setattr(linalg_module, "is_stabilizable", counting)
+        monkeypatch.setattr(linalg_module, "_pbh_results", counting)
         ctrl = synthesize(spec, dec, rep)
         assert verify_controller(spec, dec, ctrl).passed
-        assert calls == []
+        assert matrices == []
 
 
 def _stable_multi_leader():
