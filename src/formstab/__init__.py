@@ -31,6 +31,7 @@ from .errors import (
     RateTooAggressive,
     StepTooLargeError,
     SynthesisFailure,
+    TraceWriteError,
 )
 from .linalg import (
     DEFAULT_TOLERANCES,

@@ -207,6 +207,9 @@ def cmd_synthesize(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg)
+    plot = Path(args.plot) if args.plot else None
+    if plot:  # made before anything is written, as _out_dir makes --out
+        plot.parent.mkdir(parents=True, exist_ok=True)
     stem = Path(args.spec).stem
     spec, decomp = _load_instance(args.spec)
 
@@ -239,8 +242,8 @@ def cmd_simulate(args) -> int:
     fit = fit_envelope(trace, decomp)  # a fit that raises writes no trace
     write_trace_csv(trace, decomp, out / f"{stem}_trace.csv")
     _write_json(out / f"{stem}_envelope.json", fit.to_dict())
-    if args.plot:
-        _write_error_svg(trace, decomp, Path(args.plot))
+    if plot:
+        _write_error_svg(trace, decomp, plot)
     print(
         f"envelope: {'pass' if fit.passed else 'FAIL'}  "
         f"max violation {fit.max_violation:.3e}  ||z(0)|| = {fit.z0_norm:.6g}"

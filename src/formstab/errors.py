@@ -68,6 +68,10 @@ class StepTooLargeError(FormstabError):
     """Integration step exceeds the stability cap for the closed-loop dynamics."""
 
 
+class TraceWriteError(FormstabError, OSError):
+    """The trace CSV could not be written; no partial file is left."""
+
+
 class NonFiniteStateError(FormstabError):
     """Integration produced a non-finite state (overflow or NaN)."""
 

@@ -24,7 +24,12 @@ to the breakpoints (integrator ``"rk4"``).  The checks:
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
+import os
+import shutil
+import signal
+import tempfile
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -35,6 +40,7 @@ from .errors import (
     NonFiniteStateError,
     NotSiblingParentsError,
     StepTooLargeError,
+    TraceWriteError,
 )
 from .linalg import _is_block_triangular_hurwitz, _lyapunov_constant
 from .model import FormationSpec, LevelDecomposition
@@ -1098,6 +1104,32 @@ def error_dynamics_check(
 
 
 _CSV_BLOCK = 64  # rows formatted per stacked block; bounds the extra memory
+_CSV_FORK_VALUES = 20_000  # fewest values in a chunk worth a forked worker
+
+
+def _csv_workers(values: int) -> int:
+    """Chunks to format a trace of `values` numbers in: one per CPU this
+    process may run on, none with fewer than _CSV_FORK_VALUES values, and
+    one where fork or the CPU affinity is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), values // _CSV_FORK_VALUES))
+
+
+def _fork_rows(write_rows, part, lo: int, hi: int) -> int:
+    """Fork a child that writes rows [lo, hi) into the file `part` and exits
+    with status 0 on success; returns its pid.  The child never returns
+    into the caller and never flushes a buffer it inherited."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            with open(part.fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as out:
+                write_rows(out, lo, hi)
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
 
 
 def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) -> None:
@@ -1105,7 +1137,15 @@ def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) ->
     then per-edge error columns z_<i>_<j>[k].  Agents follow renumbering
     order; edges sort by their endpoints' renumbered indices.  Floats use
     repr so rewrites of the same trace are byte-identical.  Edge errors
-    are computed block by block, so no full edge array is held."""
+    are computed block by block, so no full edge array is held.
+
+    The rows go in contiguous chunks, one per CPU the process may run on
+    (fewer for a short trace).  Forked children format every chunk but the
+    first into unnamed temporary files next to `path` while this process
+    formats the first; the parts are then appended in order.  A row's text
+    depends only on its values, so the bytes do not depend on the number
+    of CPUs.  If a child fails or formatting raises, every child is reaped,
+    the partial file is removed and `TraceWriteError` is raised."""
     order = list(decomp.renumbering)
     edge_order = decomp.edge_order(trace.errors)
     n = next(iter(trace.states.values())).shape[1]
@@ -1116,13 +1156,49 @@ def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) ->
     for (i, j) in edge_order:
         header.extend(f"z_{i}_{j}[{k}]" for k in range(1, n + 1))
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(trace.times), _CSV_BLOCK):
-            rows = slice(start, start + _CSV_BLOCK)
+    def write_rows(fh, lo, hi):
+        for start in range(lo, hi, _CSV_BLOCK):
+            rows = slice(start, min(start + _CSV_BLOCK, hi))
             block = np.hstack(
                 [trace.times[rows, None]]
                 + [trace.states[i][rows] for i in order]
                 + [_rows(trace.errors, e, rows) for e in edge_order]
             )
             fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
+
+    steps = len(trace.times)
+    workers = _csv_workers(steps * len(header))
+    cuts = [steps * k // workers for k in range(workers + 1)]
+    chunks = list(zip(cuts, cuts[1:]))
+    folder = os.path.dirname(os.path.abspath(path))
+    pids, parts = [], []  # pids of the children not yet reaped
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(",".join(header) + "\n")
+            for lo, hi in chunks[1:]:
+                parts.append(tempfile.TemporaryFile(dir=folder))
+                pids.append(_fork_rows(write_rows, parts[-1], lo, hi))
+            write_rows(fh, *chunks[0])
+            for lo, hi in chunks[1:]:
+                status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+                del pids[0]
+                if status:
+                    raise TraceWriteError(
+                        f"worker for trace rows {lo}-{hi - 1} exited with status {status}")
+            fh.flush()
+            for part in parts:
+                part.seek(0)
+                shutil.copyfileobj(part, fh.buffer)
+    except BaseException as exc:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        if isinstance(exc, Exception) and not isinstance(exc, TraceWriteError):
+            raise TraceWriteError(f"trace {os.fspath(path)} not written: {exc}") from exc
+        raise
+    finally:
+        for part in parts:
+            part.close()

@@ -2,12 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import formstab
 import formstab.cli
+import formstab.simulation
 from formstab import CertificateError, save_controller, save_formation
 from formstab.cli import main
 from formstab.controllers import assemble_controller, controller_to_dict
@@ -223,6 +229,32 @@ class TestSimulate:
         assert list(tmp_path.glob("*_trace.csv")) == []
         assert list(tmp_path.glob("*_envelope.json")) == []
 
+    def test_failed_trace_worker_exits_one_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        parent, rows = os.getpid(), formstab.simulation._rows
+
+        def rows_failing_in_children(values, key, index):
+            if os.getpid() != parent:
+                raise MemoryError("formatting failed")
+            return rows(values, key, index)
+
+        monkeypatch.setattr(formstab.simulation, "_csv_workers", lambda _: 2)
+        monkeypatch.setattr(formstab.simulation, "_rows", rows_failing_in_children)
+        path = str(demo_path("triangle"))
+        assert main(["simulate", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: worker for trace rows")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_plot_into_new_nested_directory(self, chain_file, tmp_path):
+        svg = tmp_path / "plots" / "run" / "errors.svg"
+        code = main(["simulate", chain_file, "--T", "2", "--plot", str(svg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert svg.read_text().startswith("<svg")
+
     def test_sinusoid_signals_and_svg_plot(self, tmp_path):
         fork_stable = {
             "n": 2,
@@ -405,6 +437,29 @@ class TestConfigAndDeterminism:
             {"eps_solve": 1e6, "eps_hurwitz": 1e-9, "rank_cutoff": 1.0, "out": str(tmp_path)}
         ))
         assert main(["check", str(demo_path("example1")), "--config", str(cfg)]) == 0
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs sched_setaffinity and two usable CPUs")
+    def test_trace_bytes_do_not_depend_on_cpu_count(self, tmp_path):
+        """The contract: inputs, config, seed and BLAS thread count fix the
+        bytes; the CPUs the process may use do not.  OpenBLAS sizes its pool
+        from the CPU affinity, so the thread count is pinned here."""
+        cpu = min(os.sched_getaffinity(0))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(formstab.__file__).parents[1]))
+        traces = []
+        for label, pin in (("pinned", lambda: os.sched_setaffinity(0, {cpu})), ("free", None)):
+            out = tmp_path / label
+            subprocess.run(
+                [sys.executable, "-m", "formstab.cli", "simulate",
+                 str(demo_path("triangle")), "--out", str(out)],
+                env=env, preexec_fn=pin, check=True, capture_output=True)
+            traces.append((out / "triangle_trace.csv").read_bytes())
+        lines = traces[1].splitlines()
+        values = len(lines[1:]) * len(lines[0].split(b","))
+        assert values >= 2 * formstab.simulation._CSV_FORK_VALUES  # forks when free
+        assert traces[0] == traces[1]
 
     def test_byte_identical_reruns(self, chain_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

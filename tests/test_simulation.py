@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import tracemalloc
 import warnings
 from collections.abc import Mapping
@@ -25,6 +26,7 @@ from formstab import (
     PiecewiseConstantSignal,
     SinusoidSignal,
     StepTooLargeError,
+    TraceWriteError,
     ZeroSignal,
     chain_residual,
     check,
@@ -40,6 +42,7 @@ from formstab import (
     synthesize,
     write_trace_csv,
 )
+import formstab.simulation
 from formstab.controllers import assemble_controller, controller_from_dict, controller_to_dict
 from formstab.linalg import _is_block_triangular_hurwitz
 from formstab.simulation import _closed_loop_blocks, _error_coordinates
@@ -1491,6 +1494,62 @@ class TestCsvExport:
         assert first[0] == 0.0
         assert np.allclose(first[1:3], tr.states[1][0])
         assert np.allclose(first[7:9], tr.errors[(2, 1)][0])
+
+    @pytest.fixture(scope="class")
+    def triangle_traces(self):
+        """The bundled triangle at T=20, above the fork threshold, and at a
+        horizon of two grid points, fewer rows than workers."""
+        spec = demo_instance("triangle")
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        rng = np.random.default_rng(3)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        long = simulate(spec, dec, ctrl, x0, T=20.0)
+        tr = simulate(spec, dec, ctrl, x0, T=0.02, dt=0.01)
+        short = dataclasses.replace(
+            tr, times=tr.times[:2],
+            states={i: x[:2] for i, x in tr.states.items()},
+            errors={k: z[:2] for k, z in tr.errors.items()},
+        )
+        columns = 1 + spec.n * (spec.l + len(spec.edges))
+        assert len(long.times) * columns >= 2 * formstab.simulation._CSV_FORK_VALUES
+        assert len(short.times) == 2
+        return dec, long, short
+
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, triangle_traces):
+        dec, long, short = triangle_traces
+        for name, tr in (("long", long), ("short", short)):
+            written = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(formstab.simulation, "_csv_workers", lambda _, w=workers: w)
+                path = tmp_path / f"{name}{workers}.csv"
+                write_trace_csv(tr, dec, path)
+                written.append(path.read_bytes())
+            assert written[0].count(b"\n") == len(tr.times) + 1
+            assert written[1] == written[0] and written[2] == written[0]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failed_write_reaps_workers_and_leaves_no_file(
+            self, tmp_path, monkeypatch, triangle_traces, failing):
+        dec, long, _ = triangle_traces
+        parent, rows = os.getpid(), formstab.simulation._rows
+
+        def rows_failing_in_one_process(values, key, index):
+            if (os.getpid() == parent) == (failing == "parent"):
+                raise MemoryError("formatting failed")
+            return rows(values, key, index)
+
+        monkeypatch.setattr(formstab.simulation, "_csv_workers", lambda _: 3)
+        monkeypatch.setattr(formstab.simulation, "_rows", rows_failing_in_one_process)
+        path = tmp_path / "x_trace.csv"
+        with pytest.raises(TraceWriteError) as info:
+            write_trace_csv(long, dec, path)
+        assert isinstance(info.value, OSError)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
