@@ -18,13 +18,14 @@ import numpy as np
 
 from . import criterion, instances, pairwise, synthesis
 from .controllers import load_controller, save_controller
-from .errors import FormationValidationError, FormstabError
+from .errors import FormationValidationError, FormstabError, NonFiniteStateError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .model import _write_json, decompose, load_formation, split_components
 from .simulation import (
     ConstantSignal,
     SinusoidSignal,
     ZeroSignal,
+    _error_loop_hurwitz,
     chain_residual,
     fit_envelope,
     ideal_initial_states,
@@ -238,7 +239,24 @@ def cmd_simulate(args) -> int:
     sig = _parse_signal(args.signals, spec.m)
     signals = {i: sig for i in sorted(decomp.leaders)}
 
-    trace = simulate(spec, decomp, ctrl, x0, signals=signals, T=cfg.T, dt=cfg.dt)
+    try:
+        trace = simulate(spec, decomp, ctrl, x0, signals=signals, T=cfg.T, dt=cfg.dt)
+    except NonFiniteStateError as exc:
+        # the cause is non-decay when the error loop is not Hurwitz, else the
+        # growth every agent shares with the leaders
+        loop = _error_loop_hurwitz(spec, decomp, ctrl)
+        if not loop.is_hurwitz:
+            print(
+                f"envelope: FAIL  non-decay: the error loop is not Hurwitz (spectral "
+                f"abscissa {loop.spectral_abscissa:.3e}); non-finite state at t={exc.time}"
+            )
+            return EXIT_ENVELOPE_FAIL
+        print(
+            f"error: T={cfg.T} exceeds the float range of the leaders' own growth: "
+            f"non-finite state at t={exc.time}, while the error loop decays",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT_ERROR
     fit = fit_envelope(trace, decomp)  # a fit that raises writes no trace
     write_trace_csv(trace, decomp, out / f"{stem}_trace.csv")
     _write_json(out / f"{stem}_envelope.json", fit.to_dict())

@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
 
-from formstab import check, decompose
+from formstab import check, decompose, simulation
 from formstab.instances import (
     consistent_triangle,
     three_agent_chain,
     triangle_mismatched_offsets,
     two_leader_fork,
 )
+
+
+@pytest.fixture(autouse=True)
+def _empty_closed_loop_stores():
+    """Each test starts with the per-process stores of certified constants
+    and step increments in `formstab.simulation` empty, so no test reuses
+    what another one built."""
+    simulation._certificates.clear()
+    simulation._increments.clear()
 
 
 @pytest.fixture(scope="session")

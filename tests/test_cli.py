@@ -202,7 +202,10 @@ class TestSimulate:
                      "--seed", "1", "--T", "6", "--out", str(tmp_path)])
         assert code == 3
 
-    def test_overflowing_run_exits_three_with_infinite_violation(self, tmp_path, capsys):
+    @staticmethod
+    def _triangle_with_unstable_controller(tmp_path):
+        """triangle.json and its synthesized controller with each S edited to
+        5 - S, which makes the error loop grow."""
         path = str(demo_path("triangle"))
         assert main(["synthesize", path, "--out", str(tmp_path)]) == 0
         ctrl_path = tmp_path / "triangle_controller.json"
@@ -210,6 +213,10 @@ class TestSimulate:
         for fc in doc["followers"].values():
             fc["S"] = (5.0 - np.asarray(fc["S"])).tolist()
         ctrl_path.write_text(json.dumps(doc))
+        return path, ctrl_path
+
+    def test_overflowing_run_exits_three_with_infinite_violation(self, tmp_path, capsys):
+        path, ctrl_path = self._triangle_with_unstable_controller(tmp_path)
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -219,6 +226,29 @@ class TestSimulate:
         assert "max violation inf" in capsys.readouterr().out
         fit = json.loads((tmp_path / "triangle_envelope.json").read_text())
         assert fit["passed"] is False and fit["max_violation"] == float("inf")
+
+    def test_non_finite_state_of_a_growing_error_loop_exits_three(self, tmp_path, capsys):
+        # at T=400 the state overflows before any fit: the cause is non-decay
+        path, ctrl_path = self._triangle_with_unstable_controller(tmp_path)
+        capsys.readouterr()
+        code = main(["simulate", path, "--controller", str(ctrl_path),
+                     "--T", "400", "--dt", "0.01", "--out", str(tmp_path)])
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "non-decay" in out and "not Hurwitz" in out and "t=" in out
+        assert list(tmp_path.glob("*_trace.csv")) == []
+
+    def test_non_finite_state_of_a_decaying_error_loop_names_the_horizon(self, tmp_path,
+                                                                        capsys):
+        # the stable triangle's leader grows like exp(2t): at T=400 its state
+        # leaves the float range while the errors decay
+        code = main(["simulate", str(demo_path("triangle")), "--T", "400",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "T=400.0 exceeds the float range of the leaders' own growth" in err
+        assert "non-finite state at t=355." in err
+        assert list(tmp_path.glob("*_trace.csv")) == []
 
     def test_fit_that_raises_writes_no_trace(self, chain_file, tmp_path, monkeypatch):
         def failing(trace, decomp):

@@ -1783,3 +1783,167 @@ class TestTraceChecksArrayWork:
             write_trace_csv(stored, dec, tmp_path / "stored.csv")
             for name, arrays in before.items():
                 assert {k: v.tobytes() for k, v in getattr(stored, name).items()} == arrays
+
+
+def _empty_stores():
+    formstab.simulation._certificates.clear()
+    formstab.simulation._increments.clear()
+
+
+class TestClosedLoopReuse:
+    """`fit_envelope` solves for C once per error loop and `_propagate`
+    builds the dt increments once per run of calls on one closed loop; what
+    they reuse is keyed by the matrices' content and equals, bit for bit,
+    what a fresh computation returns."""
+
+    @staticmethod
+    def _run(spec, dec, ctrl, x0):
+        tr = simulate(spec, dec, ctrl, x0, T=5.0)
+        states = b"".join(x.tobytes() for x in tr.states.values())
+        fit = repr(fit_envelope(tr, dec).to_dict())
+        return states, fit, repr(error_dynamics_check(tr, spec, dec, ctrl))
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        from formstab import simulation
+
+        solves = []
+        solve = simulation._lyapunov_constant
+
+        def counted(A, alpha):
+            solves.append(alpha)
+            return solve(A, alpha)
+
+        monkeypatch.setattr(simulation, "_lyapunov_constant", counted)
+        return solves
+
+    def test_reused_constant_and_increments_match_fresh_runs(self, cascade, monkeypatch):
+        from formstab import simulation
+
+        spec, dec, ctrl = cascade
+        x0s = [{i: np.random.default_rng(seed).standard_normal(spec.n) for i in spec.nodes}
+               for seed in range(3)]
+        fresh = []
+        for x0 in x0s:
+            _empty_stores()
+            fresh.append(self._run(spec, dec, ctrl, x0))
+        _empty_stores()
+        built = _count_increments(monkeypatch)
+        solves = self._count_solves(monkeypatch)
+        reused = [self._run(spec, dec, ctrl, x0) for x0 in x0s]
+        assert reused == fresh
+        # C is solved for once; the increments are built on the first two
+        # steppings of the loop and kept from the second
+        assert len(solves) == 1
+        assert built == [simulation._MAX_DOUBLINGS] * 2
+
+    @staticmethod
+    def _moved_by_one_ulp(decomp, ctrl):
+        """ctrl with one gain entry moved up by one ulp.  A gain toward the
+        reference leader drops out of the error loop, so the moved gain is
+        one toward another parent."""
+        ref = decomp.renumbering[0]
+        i, s = next((i, s) for i in decomp.followers() for s in ctrl.gains(i).K if s != ref)
+        fc = ctrl.gains(i)
+        K = {p: np.array(g) for p, g in fc.K.items()}
+        K[s][0, 0] = np.nextafter(K[s][0, 0], np.inf)
+        return ControllerSet(ctrl.n, ctrl.m, {**ctrl.followers, i: dataclasses.replace(fc, K=K)})
+
+    def test_gain_moved_by_one_ulp_misses_both_stores(self, chain, chain_decomp,
+                                                      chain_ctrl, monkeypatch):
+        solves = self._count_solves(monkeypatch)
+        moved = self._moved_by_one_ulp(chain_decomp, chain_ctrl)
+        x0 = {a: np.ones(chain.n) for a in chain.nodes}
+        order = (chain_ctrl, chain_ctrl, moved, moved, chain_ctrl, moved)
+        runs = [self._run(chain, chain_decomp, ctrl, x0) for ctrl in order]
+        assert len(solves) == 2
+        assert solves[0] == solves[1]  # the same rate: only the key's digest differs
+        assert runs[0][0] != runs[2][0]
+        for ctrl, got in zip(order, runs):
+            _empty_stores()
+            assert self._run(chain, chain_decomp, ctrl, x0) == got
+
+    def test_failed_certificate_is_solved_again(self, chain, chain_decomp, chain_ctrl,
+                                                monkeypatch):
+        from formstab import CertificateError, simulation
+
+        solve = simulation._lyapunov_constant
+        calls = []
+
+        def failing_once(A, alpha):
+            calls.append(alpha)
+            if len(calls) == 1:
+                raise CertificateError("Lyapunov solution is not positive definite")
+            return solve(A, alpha)
+
+        monkeypatch.setattr(simulation, "_lyapunov_constant", failing_once)
+        x0 = {a: np.ones(chain.n) for a in chain.nodes}
+        tr = simulate(chain, chain_decomp, chain_ctrl, x0, T=2.0)
+        with pytest.raises(CertificateError):
+            fit_envelope(tr, chain_decomp)
+        assert simulation._certificates == {}
+        assert fit_envelope(tr, chain_decomp).passed
+        assert fit_envelope(tr, chain_decomp).passed
+        assert len(calls) == 2
+
+    def test_at_most_one_increments_set_is_held(self, cascade, chain, chain_decomp,
+                                                chain_ctrl):
+        from formstab import simulation
+
+        def held():
+            return [v for v in simulation._increments.values() if v is not None]
+
+        spec, dec, ctrl = cascade
+        x0 = {i: np.ones(spec.n) for i in spec.nodes}
+        simulate(spec, dec, ctrl, x0, T=5.0)
+        assert held() == []  # a loop stepped once leaves no matrix held
+        simulate(spec, dec, ctrl, x0, T=5.0)
+        (first,) = held()
+        size = first[0].shape[0]
+        x0 = {a: np.ones(chain.n) for a in chain.nodes}
+        for _ in range(2):
+            simulate(chain, chain_decomp, chain_ctrl, x0, T=5.0)
+            assert len(simulation._increments) == 1
+            assert len(held()) <= 1
+        (second,) = held()
+        assert second[0].shape[0] < size
+
+    def test_threads_keep_the_bounds_and_the_bits(self, chain, chain_decomp, chain_ctrl):
+        import sys
+        import threading
+
+        from formstab import simulation
+
+        loops = (chain_ctrl, self._moved_by_one_ulp(chain_decomp, chain_ctrl))
+        x0 = {a: np.ones(chain.n) for a in chain.nodes}
+        fresh = []
+        for ctrl in loops:
+            _empty_stores()
+            fresh.append(self._run(chain, chain_decomp, ctrl, x0))
+        _empty_stores()
+        problems = []
+
+        def work(w):
+            try:
+                for r in range(6):
+                    k = (w + r // 2) % 2
+                    if self._run(chain, chain_decomp, loops[k], x0) != fresh[k]:
+                        problems.append(f"thread {w} run {r}: bits differ")
+                    if len(simulation._increments) > 1:
+                        problems.append(f"thread {w} run {r}: two increments sets")
+            except Exception as exc:  # reported below, not lost with the thread
+                problems.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert problems == []
+        assert len(simulation._certificates) == 2
