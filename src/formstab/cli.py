@@ -62,6 +62,8 @@ class RunConfig:
             raise ValueError("horizon T must be positive")
         if self.dt is not None and not 0 < self.dt < self.T:
             raise ValueError("need T > dt > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 _TOLERANCE_KEYS = ("eps_solve", "eps_hurwitz", "rank_cutoff")
@@ -99,9 +101,8 @@ def _load_config(args) -> RunConfig:
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 means "unstable" here
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_INPUT_ERROR)
+    def exit(self, status=0, message=None):
+        super().exit(EXIT_INPUT_ERROR if status == 2 else status, message)
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -113,20 +114,13 @@ def _parse_signal(text: str, m: int):
     if text == "zero":
         return ZeroSignal(m)
     if text.startswith("const:"):
-        c = _parse_vector(text[len("const:") :])
-        if c.shape != (m,):
-            raise ValueError(f"constant signal needs {m} components, got {c.shape[0]}")
-        return ConstantSignal(c)
+        return ConstantSignal(_parse_vector(text[len("const:") :]))
     if text.startswith("sin:"):
         body = text[len("sin:") :].split("@")
         if len(body) not in (2, 3):
             raise ValueError("sinusoid format is sin:a1,a2,...@omega[@phase]")
-        amp = _parse_vector(body[0])
-        if amp.shape != (m,):
-            raise ValueError(f"sinusoid amplitude needs {m} components, got {amp.shape[0]}")
-        omega = float(body[1])
         phase = float(body[2]) if len(body) == 3 else 0.0
-        return SinusoidSignal(amp, omega, phase)
+        return SinusoidSignal(_parse_vector(body[0]), float(body[1]), phase)
     raise ValueError(f"unknown signal spec {text!r}")
 
 
@@ -180,24 +174,19 @@ def cmd_synthesize(args) -> int:
         print("instance is unstable; no controller exists", file=sys.stderr)
         return EXIT_UNSTABLE
 
-    strategy = {
-        "parent-only": synthesis.PARENT_ONLY,
-        "uniform": synthesis.UNIFORM,
-    }[args.strategy]
+    split = {"parent-only": synthesis.PARENT_ONLY, "uniform": synthesis.UNIFORM}[args.strategy]
     # the verification that synthesis already ran is the one printed
-    if args.family > 1:
-        family = synthesis._enumerate_family(
-            spec, decomp, rep, args.family, cfg.seed, cfg.tolerances
-        )
+    family = synthesis._enumerate_family(
+        spec, decomp, rep, args.family, cfg.seed, cfg.tolerances, split
+    )
+    if len(family) == 1:
+        save_controller(family[0][0], out / f"{stem}_controller.json")
+        print(f"wrote controller to {out / (stem + '_controller.json')}")
+    else:
         for k, (ctrl, _) in enumerate(family):
             save_controller(ctrl, out / f"{stem}_controller_{k}.json")
         print(f"wrote {len(family)} controllers to {out}")
-        ver = family[0][1]
-    else:
-        ctrl, ver = synthesis._synthesize(spec, decomp, rep, strategy, cfg.tolerances)
-        save_controller(ctrl, out / f"{stem}_controller.json")
-        print(f"wrote controller to {out / (stem + '_controller.json')}")
-
+    ver = family[0][1]
     print(
         f"verification: {'pass' if ver.passed else 'FAIL'}  "
         f"matrix defect {ver.max_matrix_defect:.3e}  offset defect {ver.max_offset_defect:.3e}"
@@ -291,11 +280,7 @@ def _expect(condition: bool, message: str):
 
 def cmd_demo(args) -> int:
     cfg = _load_config(args)
-    try:
-        spec = instances.demo_instance(args.name)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    spec = instances.demo_instance(args.name)
     tol = cfg.tolerances
     decomp = decompose(spec)
     cross = pairwise.cross_compare(spec, decomp, tol)
@@ -479,24 +464,17 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # usage errors, --help and demo mismatches
+        return int(exc.code or 0)
     except FormationValidationError as exc:
         print("invalid formation:", file=sys.stderr)
         for v in exc.violations:
             print(f"  - {v}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except FormstabError as exc:
+    except (FormstabError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -116,17 +116,35 @@ class LeaderSignal:
 
 
 class _BuiltinSignal(LeaderSignal):
-    """A built-in signal: its running sups have one closed form, the
-    grid-wide `running_sups`, which `running_sup` reads at one time."""
+    """A built-in signal: its parameters are finite, and its running sups
+    have one closed form, the grid-wide `running_sups`, which `running_sup`
+    reads at one time."""
 
     def running_sup(self, t):
         return float(self.running_sups(np.array([t], dtype=float))[0])
 
+    def _finite(self, name, value) -> np.ndarray:
+        """``value`` as a float array; a NaN or infinite entry raises
+        `ValueError` naming the parameter."""
+        arr = np.asarray(value, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{type(self).__name__} {name} must be finite, got {arr.tolist()}")
+        return arr
+
+    def _finite_norm(self, name, v) -> float:
+        """``np.linalg.norm(v)``, bitwise; a norm that overflows raises
+        `ValueError` naming the parameter."""
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(v))
+        if math.isinf(norm):
+            raise ValueError(f"{type(self).__name__} {name} {v.tolist()} overflows its norm")
+        return norm
+
 
 class ConstantSignal(_BuiltinSignal):
     def __init__(self, c):
-        self.c = np.asarray(c, dtype=float)
-        self._norm = float(np.linalg.norm(self.c))
+        self.c = self._finite("value", c)
+        self._norm = self._finite_norm("value", self.c)
 
     def value(self, t):
         return self.c
@@ -159,10 +177,10 @@ class SinusoidSignal(_BuiltinSignal):
     """u(t) = amplitude * sin(omega t + phase), amplitude an m-vector."""
 
     def __init__(self, amplitude, omega: float, phase: float = 0.0):
-        self.amplitude = np.asarray(amplitude, dtype=float)
-        self.omega = float(omega)
-        self.phase = float(phase)
-        self._norm = float(np.linalg.norm(self.amplitude))
+        self.amplitude = self._finite("amplitude", amplitude)
+        self.omega = float(self._finite("omega", omega))
+        self.phase = float(self._finite("phase", phase))
+        self._norm = self._finite_norm("amplitude", self.amplitude)
 
     def value(self, t):
         return self.amplitude * math.sin(self.omega * t + self.phase)
@@ -203,8 +221,8 @@ class PiecewiseConstantSignal(_BuiltinSignal):
     """
 
     def __init__(self, times, values):
-        self.times = np.asarray(times, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        self.times = self._finite("times", times)
+        self.values = self._finite("values", values)
         if self.times.ndim != 1 or len(self.times) != len(self.values):
             raise ValueError("times and values must have equal length")
         if len(self.times) == 0 or self.times[0] != 0.0:
@@ -212,7 +230,7 @@ class PiecewiseConstantSignal(_BuiltinSignal):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         self._running_max = np.maximum.accumulate(
-            [float(np.linalg.norm(v)) for v in self.values]
+            [self._finite_norm("value", v) for v in self.values]
         )
         self._breaks = tuple(self.times.tolist())
 

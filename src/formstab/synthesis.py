@@ -120,7 +120,8 @@ def synthesize(
     strategy: SplitStrategy = PARENT_ONLY,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ControllerSet:
-    """Build the default stabilizing controller for a stable instance.
+    """Build the default stabilizing controller for a stable instance: the
+    family's member 0 (see `enumerate_family`), split by ``strategy``.
 
     S_i comes from `stabilize` on (A_i, B_i) (the Riccati gain, with a
     Bass-shift fallback), N_i and kt_i are the report's minimum-norm
@@ -128,16 +129,7 @@ def synthesize(
     offsets k_i close the construction identities.  The result is
     re-verified before being returned.
     """
-    return _synthesize(spec, decomp, report, strategy, tol)[0]
-
-
-def _synthesize(spec, decomp, report, strategy, tol) -> tuple:
-    """`synthesize`, returning the controller with its verification."""
-    _require_stable(report)
-    followers = decomp.followers()
-    S = {i: stabilize(spec.agent(i).A, spec.agent(i).B, tol) for i in followers}
-    N, kt = _solutions(report, followers)
-    return _verified(spec, decomp, S, N, kt, strategy.resolve(spec, decomp), tol)
+    return _enumerate_family(spec, decomp, report, 1, None, tol, strategy)[0][0]
 
 
 def state_only_controller(
@@ -186,8 +178,8 @@ def enumerate_family(
 ) -> list[ControllerSet]:
     """Sample ``count`` members of the admissible controller family.
 
-    The first member is always the deterministic `synthesize` output with
-    the default parent-only split.  Further members draw, per follower:
+    Member 0 is the deterministic `synthesize` output with the default
+    parent-only split.  Further members draw, per follower:
 
     * a random Hurwitz-preserving perturbation of the default gain S_i,
     * a random kernel move of the equation solutions: N_i + V R and
@@ -202,17 +194,19 @@ def enumerate_family(
     return [ctrl for ctrl, _ in _enumerate_family(spec, decomp, report, count, rng, tol)]
 
 
-def _enumerate_family(spec, decomp, report, count, rng, tol) -> list:
-    """`enumerate_family`, as (controller, verification) pairs."""
+def _enumerate_family(spec, decomp, report, count, rng, tol, split=PARENT_ONLY) -> list:
+    """`enumerate_family`, as (controller, verification) pairs, with member
+    0 split by ``split``; a one-member family draws no random numbers."""
     _require_stable(report)
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
-
-    out = [_synthesize(spec, decomp, report, PARENT_ONLY, tol)]
     followers = decomp.followers()
-    base_S = {i: out[0][0].gains(i).S for i in followers}
+    base_S = {i: stabilize(spec.agent(i).A, spec.agent(i).B, tol) for i in followers}
     N0, kt0 = _solutions(report, followers)
+    out = [_verified(spec, decomp, base_S, N0, kt0, split.resolve(spec, decomp), tol)]
+    if count == 1:
+        return out
+    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
     # orthonormal bases of null(B_i): directions invisible to the follower's input
     kernels = {i: scipy.linalg.null_space(spec.agent(i).B) for i in followers}
 

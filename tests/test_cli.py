@@ -79,6 +79,28 @@ class TestCheck:
         assert main(["check"]) == 1
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "SPEC", "--T", "abc"],
+         "formstab simulate: error: argument --T: invalid float value: 'abc'\n"),
+        (["simulate", "SPEC", "--frob"], "formstab: error: unrecognized arguments: --frob\n"),
+        (["simulate"], "formstab simulate: error: the following arguments are required: spec\n"),
+        (["synthesize", "SPEC", "--strategy", "nope"],
+         "formstab synthesize: error: argument --strategy: invalid choice: 'nope'"),
+    ], ids=["bad_float", "unknown_flag", "missing_spec", "bad_choice"])
+    def test_usage_error_names_its_cause(self, chain_file, capsys, argv, message):
+        argv = [chain_file if a == "SPEC" else a for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: formstab")
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_exits_zero_with_usage_on_stdout(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: formstab")
+        assert captured.err == ""
+
     @pytest.mark.parametrize("argv", [
         ["check", "--T", "5"],
         ["check", "--seed", "1"],
@@ -147,6 +169,23 @@ class TestSynthesize:
         assert main(["synthesize", chain_file, "--out", str(tmp_path)] + extra) == 0
         assert len(calls) == controllers
         assert "verification: pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_family_below_one_exits_one_and_writes_nothing(self, chain_file, tmp_path, capsys,
+                                                           count):
+        capsys.readouterr()
+        assert main(["synthesize", chain_file, "--family", count, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: count must be at least 1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_strategy_sets_member_zero_of_the_family(self, tmp_path):
+        path = str(demo_path("triangle"))
+        one, many = tmp_path / "one", tmp_path / "many"
+        assert main(["synthesize", path, "--strategy", "uniform", "--out", str(one)]) == 0
+        assert main(["synthesize", path, "--strategy", "uniform", "--family", "3",
+                     "--out", str(many)]) == 0
+        assert ((many / "triangle_controller_0.json").read_bytes()
+                == (one / "triangle_controller.json").read_bytes())
 
     def test_uniform_strategy(self, tmp_path):
         code = main(["synthesize", str(demo_path("triangle")), "--strategy",
@@ -318,6 +357,22 @@ class TestSimulate:
         assert main(["simulate", chain_file, "--signals", "ramp:1",
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("signal,message", [
+        ("sin:1@nan", "SinusoidSignal omega must be finite, got nan"),
+        ("const:inf", "ConstantSignal value must be finite, got [inf]"),
+        ("sin:1@1@inf", "SinusoidSignal phase must be finite, got inf"),
+        ("const:1e308", "ConstantSignal value [1e+308] overflows its norm"),
+        ("const:1,2", "signal of leader 1 has values of shape (2,), expected (1,)"),
+        ("sin:1,2@1", "signal of leader 1 has values of shape (2,), expected (1,)"),
+    ], ids=["sin_nan_omega", "const_inf", "sin_inf_phase", "const_norm_overflow",
+            "const_wrong_width", "sin_wrong_width"])
+    def test_bad_signal_parameter_names_its_cause(self, tmp_path, capsys, signal, message):
+        capsys.readouterr()
+        assert main(["simulate", str(demo_path("triangle")), "--signals", signal,
+                     "--T", "2", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("doc", [[1], {"n": 2, "m": 1, "followers": [1]}])
     def test_malformed_controller_file_exits_one(self, chain_file, tmp_path, doc):
         path = tmp_path / "ctrl.json"
@@ -363,7 +418,7 @@ class TestPairwiseAndDemo:
         assert "unknown demo 'nonesuch'; available: example1, example2, remark5, triangle" in err
         with pytest.raises(KeyError) as exc:
             demo_path("nonesuch")
-        assert err == f"{exc.value}\n"
+        assert err == f"error: {exc.value}\n"
 
 
 class TestJsonFiles:
@@ -458,6 +513,32 @@ class TestConfigAndDeterminism:
     def test_run_config_rejects_non_finite_values(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
             formstab.cli.RunConfig(**{field: float("inf")})
+
+    def test_run_config_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            formstab.cli.RunConfig(seed=-1)
+
+    @pytest.mark.parametrize("argv,config", [
+        (["simulate", "SPEC", "--seed", "-1"], None),
+        (["simulate", "SPEC"], '{"seed": -1}'),
+        (["demo", "triangle", "--seed", "-1"], None),
+    ], ids=["simulate_flag", "simulate_config", "demo_flag"])
+    def test_negative_seed_exits_one_before_any_output(self, chain_file, tmp_path, capsys,
+                                                       argv, config):
+        argv = [chain_file if a == "SPEC" else a for a in argv]
+        out = tmp_path / "out"
+        if argv[0] == "simulate":
+            argv += ["--out", str(out)]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be non-negative, got -1\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_config_tolerances_apply(self, tmp_path):
         # example1 fails only its displacement condition; a loose enough

@@ -193,6 +193,45 @@ class TestSignals:
         with pytest.raises(ValueError):
             PiecewiseConstantSignal([0.0, 0.0], [[1.0], [2.0]])
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ConstantSignal([math.inf]), "ConstantSignal value must be finite, got [inf]"),
+        (lambda: SinusoidSignal([1.0], math.nan), "SinusoidSignal omega must be finite, got nan"),
+        (lambda: SinusoidSignal([1.0], 1.0, -math.inf),
+         "SinusoidSignal phase must be finite, got -inf"),
+        (lambda: SinusoidSignal([math.nan, 1.0], 1.0),
+         "SinusoidSignal amplitude must be finite, got [nan, 1.0]"),
+        (lambda: PiecewiseConstantSignal([0.0, 1.0], [[1.0], [math.nan]]),
+         "PiecewiseConstantSignal values must be finite, got [[1.0], [nan]]"),
+        (lambda: PiecewiseConstantSignal([0.0, 1.0], [[1.0], [math.inf]]),
+         "PiecewiseConstantSignal values must be finite, got [[1.0], [inf]]"),
+        (lambda: PiecewiseConstantSignal([0.0, math.nan], [[1.0], [2.0]]),
+         "PiecewiseConstantSignal times must be finite, got [0.0, nan]"),
+        (lambda: PiecewiseConstantSignal([0.0, math.inf], [[1.0], [2.0]]),
+         "PiecewiseConstantSignal times must be finite, got [0.0, inf]"),
+    ], ids=["const_inf", "sin_nan_omega", "sin_inf_phase", "sin_nan_amplitude",
+            "piecewise_nan_value", "piecewise_inf_value", "piecewise_nan_break",
+            "piecewise_inf_break"])
+    def test_non_finite_parameter_is_named(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("build", [
+        lambda: ConstantSignal([1e308, 1.0]),
+        lambda: SinusoidSignal([1e200], 2.0),
+        lambda: PiecewiseConstantSignal([0.0, 1.0], [[1.0], [-1e300]]),
+    ], ids=["constant", "sinusoid", "piecewise"])
+    def test_norm_that_overflows_is_rejected(self, build):
+        with pytest.raises(ValueError, match="overflows its norm$"):
+            build()
+
+    @pytest.mark.parametrize("v", [[3.0, 4.0], [1e150, -1e150], [1e-170, 2e-170], [0.1] * 7])
+    def test_finite_norm_is_bitwise_numpys(self, v):
+        norm = float(np.linalg.norm(np.array(v)))
+        assert ConstantSignal(v).running_sup(0.0) == norm
+        assert SinusoidSignal(v, 1.0).running_sup(2.0) == norm  # the peak is inside [0, 2]
+        assert PiecewiseConstantSignal([0.0], [v]).running_sup(0.0) == norm
+
     def test_piecewise_scalar_values_are_bitwise_the_grid_values(self):
         breaks = np.array([0.0, 0.3, 1.0 / 3.0, 2.0, 7.25])
         sig = PiecewiseConstantSignal(breaks, np.arange(10.0).reshape(5, 2) - 4.5)

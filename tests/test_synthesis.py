@@ -8,8 +8,10 @@ import pytest
 
 from formstab import (
     ControllerSet,
+    DEFAULT_TOLERANCES,
     MissingStateError,
     NotStableError,
+    PARENT_ONLY,
     SplitStrategy,
     SynthesisFailure,
     UNIFORM,
@@ -195,6 +197,31 @@ class TestControlInput:
 
 
 class TestFamily:
+    @pytest.mark.parametrize("split", [PARENT_ONLY, UNIFORM], ids=["parent_only", "uniform"])
+    def test_synthesize_is_member_zero(self, good_triangle, split):
+        dec = decompose(good_triangle)
+        rep = check(good_triangle, dec)
+        family = synthesis_module._enumerate_family(
+            good_triangle, dec, rep, 4, 7, DEFAULT_TOLERANCES, split)
+        expected = controller_to_dict(synthesize(good_triangle, dec, rep, split))
+        assert controller_to_dict(family[0][0]) == expected
+        if split is PARENT_ONLY:
+            public = enumerate_family(good_triangle, dec, rep, 4, rng=7)
+            assert controller_to_dict(public[0]) == expected
+        else:  # the two-parent follower makes the splits differ
+            assert expected != controller_to_dict(synthesize(good_triangle, dec, rep))
+
+    def test_synthesize_sets_up_no_sampler(self, good_triangle, monkeypatch):
+        dec = decompose(good_triangle)
+        rep = check(good_triangle, dec)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("synthesize set up the family sampler")
+
+        monkeypatch.setattr(synthesis_module.scipy.linalg, "null_space", refused)
+        monkeypatch.setattr(synthesis_module.np.random, "default_rng", refused)
+        assert verify_controller(good_triangle, dec, synthesize(good_triangle, dec, rep)).passed
+
     def test_single_sample_equals_default(self, chain, chain_decomp, chain_report):
         only = enumerate_family(chain, chain_decomp, chain_report, 1, rng=7)
         base = synthesize(chain, chain_decomp, chain_report)
