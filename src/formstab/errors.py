@@ -65,7 +65,8 @@ class NotSiblingParentsError(FormstabError):
 
 
 class StepTooLargeError(FormstabError):
-    """Integration step exceeds the stability cap for the closed-loop dynamics."""
+    """Integration step exceeds the stability cap for the closed-loop dynamics,
+    or its increment e^(dt A) - I overflows (a leader input of huge frequency)."""
 
 
 class TraceWriteError(FormstabError, OSError):

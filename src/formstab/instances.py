@@ -123,12 +123,9 @@ DEMO_BUILDERS = {
 
 
 def _demo_builder(name: str):
-    try:
-        return DEMO_BUILDERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown demo {name!r}; available: {', '.join(sorted(DEMO_BUILDERS))}"
-        ) from None
+    if name not in DEMO_BUILDERS:
+        raise ValueError(f"unknown demo {name!r}; available: {', '.join(sorted(DEMO_BUILDERS))}")
+    return DEMO_BUILDERS[name]
 
 
 def demo_instance(name: str) -> FormationSpec:

@@ -23,7 +23,6 @@ to the breakpoints (integrator ``"rk4"``).  The checks:
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import hashlib
 import math
@@ -89,8 +88,8 @@ class LeaderSignal:
 
     def sample(self, times) -> np.ndarray:
         """value(t) at each of the times, one row each.  Built-in signals
-        compute it at once, bitwise equal to `value`; a subclass may do the
-        same for speed."""
+        compute it at once and read `value` from it; a subclass may compute
+        it at once for speed."""
         return np.array([self.value(t) for t in times])
 
     def running_sups(self, times) -> np.ndarray:
@@ -116,9 +115,15 @@ class LeaderSignal:
 
 
 class _BuiltinSignal(LeaderSignal):
-    """A built-in signal: its parameters are finite, and its running sups
-    have one closed form, the grid-wide `running_sups`, which `running_sup`
-    reads at one time."""
+    """A built-in signal: its parameters are finite, and its values and
+    running sups have one form each, the grid-wide `sample` and
+    `running_sups`, which `value` and `running_sup` read at one time."""
+
+    def value(self, t):
+        # as quiet as Python float arithmetic: omega * t may overflow and
+        # 0 * inf is NaN; `sample` then returns a NaN or math.sin raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.sample(np.array([t], dtype=float))[0]
 
     def running_sup(self, t):
         return float(self.running_sups(np.array([t], dtype=float))[0])
@@ -145,9 +150,6 @@ class ConstantSignal(_BuiltinSignal):
     def __init__(self, c):
         self.c = self._finite("value", c)
         self._norm = self._finite_norm("value", self.c)
-
-    def value(self, t):
-        return self.c
 
     def sample(self, times):
         return np.repeat(self.c[None], len(times), axis=0)
@@ -182,10 +184,7 @@ class SinusoidSignal(_BuiltinSignal):
         self.phase = float(self._finite("phase", phase))
         self._norm = self._finite_norm("amplitude", self.amplitude)
 
-    def value(self, t):
-        return self.amplitude * math.sin(self.omega * t + self.phase)
-
-    # `sample` takes each sine from math.sin, so it equals `value` bitwise
+    # `sample` takes each sine from math.sin, so its bits are libm's
     # whatever sine numpy's build uses.
 
     def sample(self, times):
@@ -232,20 +231,14 @@ class PiecewiseConstantSignal(_BuiltinSignal):
         self._running_max = np.maximum.accumulate(
             [self._finite_norm("value", v) for v in self.values]
         )
-        self._breaks = tuple(self.times.tolist())
 
-    def _segment(self, times):
-        """Index of the value on at each of the times."""
-        k = np.searchsorted(self.times, times, side="right") - 1
+    def _segment(self, times, side="right"):
+        """Index of the value on at each of the times (just before, on side="left")."""
+        k = np.searchsorted(self.times, times, side=side) - 1
         return np.clip(k, 0, len(self.values) - 1)
 
-    def value(self, t):
-        return self.values[max(bisect.bisect_right(self._breaks, t) - 1, 0)]
-
     def left_value(self, t):
-        # bisect_left puts a NaN first; the value at NaN is the last one, as in `sample`
-        side = bisect.bisect_left if t == t else bisect.bisect_right
-        return self.values[max(side(self._breaks, t) - 1, 0)]
+        return self.values[self._segment(t, side="left")]
 
     def sample(self, times):
         return self.values[self._segment(times)]
@@ -687,6 +680,11 @@ def _propagate(M, c, generators, times, out, dt, T):
     longest = max(b - a for a, b in zip(starts, ends))
     J = _block_doublings(size, len(h) - len(other), longest)
     powers = _step_increments(dt * A, J)
+    if not np.isfinite(powers[0]).all() and np.isfinite(A).all():
+        raise StepTooLargeError(
+            f"dt={dt} is too large a step for the inputs: the step increment "
+            f"e^(dt A) - I overflows at ||dt A||_1 = {dt * norm:.3e}"
+        )
     block = np.empty((size, 2 ** min(J, len(powers))), order="F")
     for start, end in zip(starts, ends):
         z = _dt_run(powers, block, z, out[:, start + 1 : end + 1])
@@ -729,7 +727,8 @@ def simulate(
     T, dt : float
         Horizon and step, finite.  Default dt = min(1e-2, 0.1 / (1 +
         max ||A_i + B_i S_i||_F)); an explicit dt with dt * max||A_i + B_i S_i||_F > 1
-        raises `StepTooLargeError`.
+        raises `StepTooLargeError`, as does a dt whose step increment overflows
+        (a sinusoid of huge omega).
 
     The stacked system is propagated jointly (its coupling is lower
     triangular in renumbering order) on the grid k * dt, plus T and the

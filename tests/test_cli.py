@@ -353,6 +353,23 @@ class TestSimulate:
                      "--T", "4", "--out", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("x0", ["0,0;-2,-1", "0,0;-2,-1;-4,-4;1,1", "0,0;-2;-4,-4"],
+                             ids=["two_groups", "four_groups", "short_group"])
+    def test_x0_of_the_wrong_size_exits_one(self, chain_file, tmp_path, capsys, x0):
+        capsys.readouterr()
+        assert main(["simulate", chain_file, "--x0", x0, "--T", "4",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --x0 needs 3 groups of 2 values separated by ';'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["example1", "remark5"])
+    def test_unstable_instance_exits_two_and_writes_nothing(self, name, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["simulate", str(demo_path(name)), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "instance is unstable; cannot auto-synthesize\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_signal_spec_exits_one(self, chain_file, tmp_path):
         assert main(["simulate", chain_file, "--signals", "ramp:1",
                      "--out", str(tmp_path)]) == 1
@@ -364,8 +381,12 @@ class TestSimulate:
         ("const:1e308", "ConstantSignal value [1e+308] overflows its norm"),
         ("const:1,2", "signal of leader 1 has values of shape (2,), expected (1,)"),
         ("sin:1,2@1", "signal of leader 1 has values of shape (2,), expected (1,)"),
+        ("sin:1@2@3@4", "sinusoid format is sin:a1,a2,...@omega[@phase]"),
+        # a finite omega whose step increment e^(dt A) - I overflows
+        ("sin:1@1e308", "dt=0.0038736707454286954 is too large a step for the inputs: the "
+                        "step increment e^(dt A) - I overflows at ||dt A||_1 = 3.874e+305"),
     ], ids=["sin_nan_omega", "const_inf", "sin_inf_phase", "const_norm_overflow",
-            "const_wrong_width", "sin_wrong_width"])
+            "const_wrong_width", "sin_wrong_width", "sin_too_many_fields", "sin_huge_omega"])
     def test_bad_signal_parameter_names_its_cause(self, tmp_path, capsys, signal, message):
         capsys.readouterr()
         assert main(["simulate", str(demo_path("triangle")), "--signals", signal,
@@ -386,7 +407,11 @@ class TestSimulate:
         (lambda doc: doc["followers"].update({"4": doc["followers"]["2"]}),
          "controller has gains for agents [2, 3, 4] but the followers are [2, 3]"),
         (lambda doc: doc.update(n=3), "controller dims (3, 1) do not match spec (2, 1)"),
-    ], ids=["missing_follower", "extra_follower", "wrong_n"])
+        (lambda doc: doc["followers"]["2"].update(S=[[1.0, 2.0, 3.0]]),
+         "follower 2: S has shape (1, 3)"),
+        (lambda doc: doc["followers"]["2"].update(K={"3": doc["followers"]["2"]["K"]["1"]}),
+         "follower 2: per-parent gains keyed [3] but parents are [1]"),
+    ], ids=["missing_follower", "extra_follower", "wrong_n", "wrong_S_shape", "K_not_a_parent"])
     def test_controller_that_does_not_fit_exits_one(self, tmp_path, capsys, edit, message):
         path = str(demo_path("triangle"))
         assert main(["synthesize", path, "--out", str(tmp_path)]) == 0
@@ -415,8 +440,9 @@ class TestPairwiseAndDemo:
     def test_unknown_demo_exits_one(self, capsys):
         assert main(["demo", "nonesuch"]) == 1
         err = capsys.readouterr().err
-        assert "unknown demo 'nonesuch'; available: example1, example2, remark5, triangle" in err
-        with pytest.raises(KeyError) as exc:
+        assert err == ("error: unknown demo 'nonesuch'; "
+                       "available: example1, example2, remark5, triangle\n")
+        with pytest.raises(ValueError) as exc:
             demo_path("nonesuch")
         assert err == f"error: {exc.value}\n"
 
@@ -483,7 +509,8 @@ class TestConfigAndDeterminism:
         (["--dt", "nan"], None, "dt must be finite, got nan"),
         ([], '{"T": Infinity}', "T must be finite, got inf"),
         ([], '{"dt": NaN}', "dt must be finite, got nan"),
-    ], ids=["T_inf", "T_nan", "dt_nan", "config_T_inf", "config_dt_nan"])
+        (["--dt", "5", "--T", "2"], None, "need T > dt > 0"),
+    ], ids=["T_inf", "T_nan", "dt_nan", "config_T_inf", "config_dt_nan", "dt_not_below_T"])
     def test_non_finite_horizon_or_step_exits_one(self, chain_file, tmp_path, capsys,
                                                   flags, config, message):
         if config is not None:  # json accepts Infinity and NaN

@@ -232,6 +232,15 @@ class TestSignals:
         assert SinusoidSignal(v, 1.0).running_sup(2.0) == norm  # the peak is inside [0, 2]
         assert PiecewiseConstantSignal([0.0], [v]).running_sup(0.0) == norm
 
+    def test_scalar_value_is_as_quiet_as_float_arithmetic(self):
+        # omega * t overflows and 0 * inf is NaN without a RuntimeWarning; a
+        # sine of an infinite argument is math.sin's own ValueError
+        frozen = SinusoidSignal([1.0, -3.0], 0.0, 0.7)
+        assert np.isnan(frozen.value(math.inf)).all()
+        assert np.isnan(frozen.left_value(-math.inf)).all()
+        with pytest.raises(ValueError, match="^math domain error$"):
+            SinusoidSignal([2.0], 1e12, 1.1).value(1e300)
+
     def test_piecewise_scalar_values_are_bitwise_the_grid_values(self):
         breaks = np.array([0.0, 0.3, 1.0 / 3.0, 2.0, 7.25])
         sig = PiecewiseConstantSignal(breaks, np.arange(10.0).reshape(5, 2) - 4.5)
@@ -441,6 +450,18 @@ class TestSimulate:
             simulate(chain, chain_decomp, chain_ctrl,
                      {i: np.zeros(2) for i in chain.nodes}, T=10.0, dt=1.0)
 
+    @pytest.mark.parametrize("omega,norm", [(1e302, "1.000e+300"), (1e308, "1.000e+306")])
+    def test_step_increment_that_overflows_names_the_step(self, chain, chain_decomp,
+                                                          chain_ctrl, omega, norm):
+        # dt passes the step cap, but the sinusoid's generator makes ||dt A||_1
+        # so large that e^(dt A) - I overflows
+        with pytest.raises(StepTooLargeError) as exc:
+            simulate(chain, chain_decomp, chain_ctrl, {i: np.zeros(2) for i in chain.nodes},
+                     signals={1: SinusoidSignal([1.0], omega)}, T=1.0, dt=1e-2)
+        assert str(exc.value) == (
+            "dt=0.01 is too large a step for the inputs: the step increment "
+            f"e^(dt A) - I overflows at ||dt A||_1 = {norm}")
+
     def test_non_finite_state_reports_first_bad_time(
         self, chain, chain_decomp, chain_ctrl
     ):
@@ -485,7 +506,13 @@ class TestSimulate:
         ({"T": math.nan}, "horizon T must be finite, got nan"),
         ({"T": 1.0, "dt": math.nan}, "dt must be finite, got nan"),
         ({"T": 1.0, "dt": math.inf}, "dt must be finite, got inf"),
-    ], ids=["T_inf", "T_nan", "dt_nan", "dt_inf"])
+        ({"T": 0.0}, "horizon T must be positive"),
+        ({"T": -1.0}, "horizon T must be positive"),
+        ({"T": 1.0, "dt": 0.0}, "dt must be positive"),
+        ({"T": 1.0, "dt": -0.1}, "dt must be positive"),
+        ({"T": 1.0, "dt": 1.0}, "dt must be smaller than T"),
+    ], ids=["T_inf", "T_nan", "dt_nan", "dt_inf", "T_zero", "T_negative", "dt_zero",
+            "dt_negative", "dt_not_below_T"])
     def test_rejects_a_non_finite_horizon_or_step(self, chain, chain_decomp, chain_ctrl,
                                                   kw, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -497,12 +524,16 @@ class TestSimulate:
         with pytest.raises(ValueError, match="^x0 has no initial state for agent 3$"):
             simulate(chain, chain_decomp, chain_ctrl, x0, T=1.0)
 
-    @pytest.mark.parametrize("entry", [math.nan, math.inf])
-    def test_rejects_a_non_finite_initial_state(self, chain, chain_decomp, chain_ctrl, entry):
+    @pytest.mark.parametrize("x2,message", [
+        ([math.nan, 1.0], r"^initial state x0\[2\] is not finite: \[nan, 1.0\]$"),
+        ([math.inf, 1.0], r"^initial state x0\[2\] is not finite: \[inf, 1.0\]$"),
+        ([1.0, 2.0, 3.0], r"^x0\[2\] has shape \(3,\), expected \(2,\)$"),
+    ], ids=["nan", "inf", "wrong_shape"])
+    def test_rejects_a_non_finite_initial_state(self, chain, chain_decomp, chain_ctrl,
+                                                x2, message):
         # an input error, not a state that blew up at t=0
         x0 = {i: np.zeros(2) for i in chain.nodes}
-        x0[2] = np.array([entry, 1.0])
-        message = rf"^initial state x0\[2\] is not finite: \[{entry}, 1.0\]$"
+        x0[2] = np.array(x2)
         with pytest.raises(ValueError, match=message):
             simulate(chain, chain_decomp, chain_ctrl, x0, T=1.0)
 
