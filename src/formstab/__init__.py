@@ -24,6 +24,7 @@ from .errors import (
     FormationValidationError,
     FormstabError,
     MissingStateError,
+    NonDecayError,
     NonFiniteStateError,
     NotSiblingParentsError,
     NotStabilizableError,

@@ -49,7 +49,8 @@ class RateTooAggressive(FormstabError):
 
 
 class CertificateError(FormstabError):
-    """A numerically computed decay certificate failed its sampling check."""
+    """A numerically computed decay certificate failed its sampling check,
+    or its Lyapunov solution is not positive definite."""
 
 
 class NotStableError(FormstabError):
@@ -66,7 +67,9 @@ class NotSiblingParentsError(FormstabError):
 
 class StepTooLargeError(FormstabError):
     """Integration step exceeds the stability cap for the closed-loop dynamics,
-    or its increment e^(dt A) - I overflows (a leader input of huge frequency)."""
+    or its increment e^(dt A) - I overflows: a leader input of huge
+    frequency, or an input map G H that overflows (the closed loop itself
+    is finite, see `simulate`)."""
 
 
 class TraceWriteError(FormstabError, OSError):
@@ -74,8 +77,22 @@ class TraceWriteError(FormstabError, OSError):
 
 
 class NonFiniteStateError(FormstabError):
-    """Integration produced a non-finite state (overflow or NaN)."""
+    """Integration produced a non-finite state (overflow or NaN); raised as
+    this class when the error loop decays, so T exceeds the float range of
+    the leaders' own growth.  Carries the first non-finite grid ``time``
+    and the ``error_loop`` verdict (see `NonDecayError`)."""
 
-    def __init__(self, time):
+    _format = ("T={T} exceeds the float range of the leaders' own growth: "
+               "non-finite state at t={time}, while the error loop decays")
+
+    def __init__(self, time, T, error_loop):
         self.time = time
-        super().__init__(f"non-finite state first detected at t={time}")
+        self.error_loop = error_loop
+        super().__init__(self._format.format(T=T, time=time, loop=error_loop))
+
+
+class NonDecayError(NonFiniteStateError):
+    """A non-finite state whose cause is non-decay: the error loop is not Hurwitz."""
+
+    _format = ("non-decay: the error loop is not Hurwitz (spectral abscissa "
+               "{loop.spectral_abscissa:.3e}); non-finite state at t={time}")

@@ -38,6 +38,7 @@ import numpy as np
 
 from .controllers import ControllerSet, _check_structure, control_input
 from .errors import (
+    NonDecayError,
     NonFiniteStateError,
     NotSiblingParentsError,
     StepTooLargeError,
@@ -195,7 +196,8 @@ class SinusoidSignal(_BuiltinSignal):
         a = self._norm
         if self.omega == 0.0:
             return np.full(len(times), a * abs(math.sin(self.phase)))
-        end = self.phase + self.omega * np.asarray(times, dtype=float)
+        with np.errstate(over="ignore"):  # an infinite end holds a peak
+            end = self.phase + self.omega * np.asarray(times, dtype=float)
         lo, hi = np.minimum(self.phase, end), np.maximum(self.phase, end)
         k = np.ceil((lo - math.pi / 2.0) / math.pi)
         rest = ~(math.pi / 2.0 + k * math.pi <= hi)  # no peak inside [lo, hi]
@@ -680,7 +682,7 @@ def _propagate(M, c, generators, times, out, dt, T):
     longest = max(b - a for a, b in zip(starts, ends))
     J = _block_doublings(size, len(h) - len(other), longest)
     powers = _step_increments(dt * A, J)
-    if not np.isfinite(powers[0]).all() and np.isfinite(A).all():
+    if not np.isfinite(powers[0]).all():
         raise StepTooLargeError(
             f"dt={dt} is too large a step for the inputs: the step increment "
             f"e^(dt A) - I overflows at ||dt A||_1 = {dt * norm:.3e}"
@@ -728,7 +730,7 @@ def simulate(
         Horizon and step, finite.  Default dt = min(1e-2, 0.1 / (1 +
         max ||A_i + B_i S_i||_F)); an explicit dt with dt * max||A_i + B_i S_i||_F > 1
         raises `StepTooLargeError`, as does a dt whose step increment overflows
-        (a sinusoid of huge omega).
+        (a sinusoid of huge omega, or an input map G H that overflows).
 
     The stacked system is propagated jointly (its coupling is lower
     triangular in renumbering order) on the grid k * dt, plus T and the
@@ -754,15 +756,19 @@ def simulate(
 
     Both integrators fill one C-contiguous (agents, n, grid points) array
     from the initial states in its first column, and neither stops at an
-    overflow: one scan afterwards raises `NonFiniteStateError` at the first
-    non-finite grid time.  The trace's per-agent state views share that
+    overflow: one scan afterwards raises at the first non-finite grid time,
+    `NonDecayError` if the error loop is not Hurwitz (the verdict
+    `fit_envelope` takes), else `NonFiniteStateError`, for the horizon.
+    The trace's per-agent state views share that
     array; edge errors and the leader and follower inputs are not evaluated
     here but when the trace's mappings are read (see `SimulationTrace`).
     The built-in signals are evaluated only through their grid-wide methods.
 
-    A controller that does not fit the instance (see `verify_controller`),
-    a leader signal whose values are not m-vectors, a non-finite T or dt,
-    or a missing or non-finite initial state raises `ValueError`.
+    A controller that does not fit the instance (see `verify_controller`)
+    or whose closed loop is not finite (named by its first such agent,
+    before any step), a leader signal whose values are not m-vectors, a
+    non-finite T or dt, or a missing or non-finite initial state raises
+    `ValueError`.
     """
     if not math.isfinite(T):
         raise ValueError(f"horizon T must be finite, got {T}")
@@ -770,7 +776,14 @@ def simulate(
         raise ValueError("horizon T must be positive")
     _check_structure(spec, decomp, ctrl)
     n = spec.n
-    order, pos, M, c, leader_cols = _closed_loop_blocks(spec, decomp, ctrl)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        order, pos, M, c, leader_cols = _closed_loop_blocks(spec, decomp, ctrl)
+    finite = np.isfinite(M).all(axis=1) & np.isfinite(c)
+    if not finite.all():
+        raise ValueError(
+            f"the closed loop of agent {order[int(np.argmin(finite)) // n]} is not "
+            "finite: a gain or matrix entry is NaN or infinite, or overflows"
+        )
 
     sig_map = {i: ZeroSignal(spec.m) for i in sorted(decomp.leaders)}
     if signals:
@@ -826,7 +839,9 @@ def simulate(
             _integrate(M, c, forcing, times, traj)
     bad = ~np.isfinite(traj).all(axis=0)
     if bad.any():
-        raise NonFiniteStateError(float(times[int(np.argmax(bad))]))
+        loop = _is_block_triangular_hurwitz(_error_coordinates(M, decomp, [])[1], n)
+        cause = NonFiniteStateError if loop.is_hurwitz else NonDecayError
+        raise cause(float(times[int(np.argmax(bad))]), T, loop)
 
     states = {i: slab[k].T for k, i in enumerate(order)}
     offsets = {e.key: e.d for e in spec.edges}
@@ -937,13 +952,6 @@ def _certified_constant(M_e: np.ndarray, alpha: float) -> float:
                 del _certificates[next(iter(_certificates))]
             _certificates[key] = C
     return C
-
-
-def _error_loop_hurwitz(spec: FormationSpec, decomp: LevelDecomposition, ctrl: ControllerSet):
-    """The Hurwitz verdict `fit_envelope` takes on the error loop M_e of the
-    closed loop under ``ctrl``, without a trace."""
-    M = _closed_loop_blocks(spec, decomp, ctrl)[2]
-    return _is_block_triangular_hurwitz(_error_coordinates(M, decomp, [])[1], spec.n)
 
 
 def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> EnvelopeFit:

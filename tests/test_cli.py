@@ -17,7 +17,12 @@ import formstab.simulation
 from formstab import CertificateError, save_controller, save_formation
 from formstab.cli import main
 from formstab.controllers import assemble_controller, controller_to_dict
-from formstab.instances import demo_instance, demo_path, three_agent_chain
+from formstab.instances import (
+    demo_instance,
+    demo_path,
+    three_agent_chain,
+    triangle_mismatched_offsets,
+)
 from formstab.model import formation_to_dict
 from formstab.pairwise import cross_compare
 from formstab import check, decompose, is_hurwitz, synthesize
@@ -411,7 +416,15 @@ class TestSimulate:
          "follower 2: S has shape (1, 3)"),
         (lambda doc: doc["followers"]["2"].update(K={"3": doc["followers"]["2"]["K"]["1"]}),
          "follower 2: per-parent gains keyed [3] but parents are [1]"),
-    ], ids=["missing_follower", "extra_follower", "wrong_n", "wrong_S_shape", "K_not_a_parent"])
+        # json writes and reads Infinity and NaN
+        (lambda doc: doc["followers"]["2"]["S"][0].__setitem__(0, float("inf")),
+         "error: the closed loop of agent 2 is not finite: a gain or matrix entry "
+         "is NaN or infinite, or overflows\n"),
+        (lambda doc: doc["followers"]["2"]["K"]["1"][0].__setitem__(0, float("nan")),
+         "error: the closed loop of agent 2 is not finite: a gain or matrix entry "
+         "is NaN or infinite, or overflows\n"),
+    ], ids=["missing_follower", "extra_follower", "wrong_n", "wrong_S_shape", "K_not_a_parent",
+            "S_infinite", "K_nan"])
     def test_controller_that_does_not_fit_exits_one(self, tmp_path, capsys, edit, message):
         path = str(demo_path("triangle"))
         assert main(["synthesize", path, "--out", str(tmp_path)]) == 0
@@ -423,6 +436,7 @@ class TestSimulate:
         assert main(["simulate", path, "--controller", str(ctrl_path),
                      "--T", "2", "--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["triangle_controller.json"]
 
 
 class TestPairwiseAndDemo:
@@ -436,6 +450,13 @@ class TestPairwiseAndDemo:
     @pytest.mark.parametrize("name", ["example1", "example2", "remark5", "triangle"])
     def test_demos_pass(self, name):
         assert main(["demo", name]) == 0
+
+    def test_demo_whose_expectation_fails_exits_one(self, capsys, monkeypatch):
+        # example2's expectations read on an unstable triangle
+        monkeypatch.setitem(formstab.instances.DEMO_BUILDERS, "example2",
+                            triangle_mismatched_offsets)
+        assert main(["demo", "example2"]) == 1
+        assert capsys.readouterr().err == "DEMO MISMATCH: formation is stable\n"
 
     def test_unknown_demo_exits_one(self, capsys):
         assert main(["demo", "nonesuch"]) == 1
@@ -483,6 +504,14 @@ class TestConfigAndDeterminism:
         assert main(["simulate", chain_file, "--config", str(cfg)]) == 0
         rows = (tmp_path / "chain_trace.csv").read_text().splitlines()
         assert float(rows[-1].split(",")[0]) == 6.0
+
+    def test_config_dt_null_takes_the_default_step(self, chain_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt": None, "T": 6.0}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", chain_file, "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["simulate", chain_file, "--T", "6", "--out", str(b)]) == 0
+        assert (a / "chain_trace.csv").read_bytes() == (b / "chain_trace.csv").read_bytes()
 
     def test_invalid_config_exits_one(self, chain_file, tmp_path):
         cfg = tmp_path / "cfg.json"

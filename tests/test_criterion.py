@@ -38,6 +38,10 @@ class TestChainInstance:
         assert rep.gain_solution(2).k_tilde[0] == pytest.approx(-1.0, abs=1e-8)
         assert rep.gain_solution(3).k_tilde[0] == pytest.approx(-4.0, abs=1e-8)
 
+    def test_gain_solution_of_a_leader_is_a_key_error(self, chain_report):
+        with pytest.raises(KeyError, match="node 1 is not a follower of this instance"):
+            chain_report.gain_solution(1)
+
     def test_in_tree_classification(self, chain, chain_decomp, chain_report):
         assert classify(chain, chain_decomp) == "in_tree"
         assert chain_report.applicable_corollary == "in_tree"

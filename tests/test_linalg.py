@@ -26,6 +26,7 @@ from formstab import (
     stabilize,
 )
 from formstab import decompose
+from formstab import linalg as linalg_module
 from formstab.instances import (
     random_controllable_pair,
     random_dag_formation,
@@ -94,6 +95,15 @@ class TestEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
         with pytest.raises(ConvergenceFailure):
             eigenvalues(np.eye(2))
+
+    @pytest.mark.parametrize("A,message", [
+        (np.ones(3), "expected a 2-d matrix, got shape (3,)"),
+        (np.ones((2, 3)), "matrix must be square"),
+    ], ids=["vector", "non_square"])
+    def test_shape_rejected(self, A, message):
+        with pytest.raises(ValueError) as exc:
+            eigenvalues(A)
+        assert str(exc.value) == message
 
 
 class TestHurwitz:
@@ -376,6 +386,16 @@ class TestExpEnvelope:
         with pytest.raises(CertificateError, match="positive definite"):
             exp_envelope(-np.eye(2), 0.5)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_non_positive_rate_rejected(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            exp_envelope(-np.eye(2), alpha)
+
+    def test_constant_below_the_sampled_norm_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg_module, "_lyapunov_constant", lambda A, alpha: 0.5)
+        with pytest.raises(CertificateError, match="^certificate violated at t=0.0: "):
+            exp_envelope(-np.eye(2), 0.5)
+
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=25, deadline=None)
     def test_certificate_samples_hold(self, seed):
@@ -398,6 +418,9 @@ class TestRank:
 
     def test_rank_deficient(self):
         assert matrix_rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
+
+    def test_empty_matrix(self):
+        assert matrix_rank(np.zeros((0, 3))) == 0
 
 
 def test_tolerances_must_be_positive():

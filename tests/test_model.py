@@ -72,6 +72,19 @@ class TestValidate:
         bad = next(v for v in exc.value.violations if v.kind == "dimension_mismatch")
         assert bad.info == (2, "A", (2, 2), (3, 3))
 
+    @pytest.mark.parametrize("n,agents,message", [
+        (0, 1, "need positive n, m and at least one agent (n=0, m=1, l=1)"),
+        (2, 0, "need positive n, m and at least one agent (n=2, m=1, l=0)"),
+        (2, 1, "agent 1: B has shape (2, 2), expected (2, 1)"),
+    ], ids=["n_zero", "no_agents", "B_shape"])
+    def test_dimension_mismatch_of_sizes_and_input_matrix(self, n, agents, message):
+        B = np.zeros((2, 2)) if message.startswith("agent") else np.zeros((n, 1))
+        spec = FormationSpec(
+            n=n, m=1, agents=(AgentDynamics(A=np.zeros((n, n)), B=B),) * agents, edges=())
+        with pytest.raises(FormationValidationError) as exc:
+            validate(spec)
+        assert f"dimension_mismatch: {message}" in [str(v) for v in exc.value.violations]
+
     def test_reporting_is_exhaustive_not_first_only(self):
         # one instance carrying an unknown parent, a cycle, a bad d length,
         # a self loop and a disconnected extra node: all five must be

@@ -41,6 +41,10 @@ class TestAnalyzePairs:
         assert not bad.gain_solve.solvable and bad.gain_solve.relative_residual > 1e-2
         assert not bad.offset_solve.solvable and bad.offset_solve.relative_residual > 1e-2
 
+    def test_entry_of_a_missing_edge_is_a_key_error(self, chain):
+        with pytest.raises(KeyError, match=r"edge \(1, 2\) not in report"):
+            analyze_pairs(chain).entry((1, 2))
+
     def test_trivial_identical_agents_zero_displacement(self):
         ag = AgentDynamics(A=-np.eye(2), B=[[1.0], [0.0]])
         spec = FormationSpec(n=2, m=1, agents=(ag, ag), edges=(Edge(2, 1, [0.0, 0.0]),))

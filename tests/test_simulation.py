@@ -21,6 +21,7 @@ from formstab import (
     Edge,
     FormationSpec,
     LeaderSignal,
+    NonDecayError,
     NonFiniteStateError,
     NotSiblingParentsError,
     PiecewiseConstantSignal,
@@ -190,6 +191,8 @@ class TestSignals:
     def test_piecewise_validation(self):
         with pytest.raises(ValueError):
             PiecewiseConstantSignal([0.5, 1.0], [[1.0], [2.0]])
+        with pytest.raises(ValueError, match="^times and values must have equal length$"):
+            PiecewiseConstantSignal([0.0, 1.0], [[1.0]])
         with pytest.raises(ValueError):
             PiecewiseConstantSignal([0.0, 0.0], [[1.0], [2.0]])
 
@@ -231,6 +234,13 @@ class TestSignals:
         assert ConstantSignal(v).running_sup(0.0) == norm
         assert SinusoidSignal(v, 1.0).running_sup(2.0) == norm  # the peak is inside [0, 2]
         assert PiecewiseConstantSignal([0.0], [v]).running_sup(0.0) == norm
+
+    @pytest.mark.parametrize("omega", [1.7e308, -1.7e308])
+    def test_running_sups_where_omega_t_overflows(self, omega):
+        # omega * t is infinite at t = 2: the range holds a peak, and the
+        # suite's warning filter fails on an overflow warning
+        sups = SinusoidSignal([1.0], omega).running_sups([0.0, 0.5, 2.0])
+        assert sups.tolist() == [0.0, 1.0, 1.0]
 
     def test_scalar_value_is_as_quiet_as_float_arithmetic(self):
         # omega * t overflows and 0 * inf is NaN without a RuntimeWarning; a
@@ -462,6 +472,39 @@ class TestSimulate:
             "dt=0.01 is too large a step for the inputs: the step increment "
             f"e^(dt A) - I overflows at ||dt A||_1 = {norm}")
 
+    def test_non_finite_state_of_a_decaying_error_loop_names_the_horizon(self):
+        # the stable triangle's leader grows like exp(2t): at T=400 its state
+        # leaves the float range while the errors decay
+        spec = demo_instance("triangle")
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        rng = np.random.default_rng(0)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        with pytest.raises(NonFiniteStateError) as exc:
+            simulate(spec, dec, ctrl, x0, T=400.0)
+        assert type(exc.value) is NonFiniteStateError
+        assert exc.value.error_loop.is_hurwitz
+        assert exc.value.time == 355.8857523947705
+        assert str(exc.value) == (
+            "T=400.0 exceeds the float range of the leaders' own growth: non-finite "
+            "state at t=355.8857523947705, while the error loop decays")
+
+    def test_non_finite_state_of_a_growing_error_loop_is_non_decay(self):
+        spec, dec, ctrl = _destabilized_triangle()
+        rng = np.random.default_rng(0)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        with pytest.raises(NonDecayError) as exc:
+            simulate(spec, dec, ctrl, x0, T=400.0, dt=0.01)
+        loop = exc.value.error_loop
+        assert not loop.is_hurwitz
+        # the verdict `fit_envelope` takes on the same closed loop
+        M = _closed_loop_blocks(spec, dec, ctrl)[2]
+        assert loop == _is_block_triangular_hurwitz(_error_coordinates(M, dec, [])[1], spec.n)
+        assert exc.value.time == 38.95
+        assert str(exc.value) == (
+            f"non-decay: the error loop is not Hurwitz (spectral abscissa "
+            f"{loop.spectral_abscissa:.3e}); non-finite state at t=38.95")
+
     def test_non_finite_state_reports_first_bad_time(
         self, chain, chain_decomp, chain_ctrl
     ):
@@ -689,19 +732,38 @@ class TestSimulate:
             assert not np.array_equal(out[:, :64], ref[:, :64])
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_non_finite_gain_on_a_short_first_step(self, chain, chain_decomp, chain_ctrl):
-        # an infinite coupling gain passes the step cap, which reads only
-        # the diagonal blocks; the breakpoint at 0.004 makes the first step
-        # short, so the overflow shows on a step applied to the vector
+    @pytest.mark.parametrize("gain", [np.inf, 1e308], ids=["infinite", "overflowing"])
+    def test_non_finite_closed_loop_is_rejected_before_any_step(
+        self, chain, chain_decomp, chain_ctrl, monkeypatch, gain
+    ):
+        # a coupling gain off the diagonal blocks, which the step cap reads;
+        # 1e308 is finite, but B_3 = [1, 2] times it overflows
+        built = _count_increments(monkeypatch)
         fc = chain_ctrl.followers[3]
-        K = {s: np.full_like(Ks, np.inf) for s, Ks in fc.K.items()}
+        K = {s: np.full_like(Ks, gain) for s, Ks in fc.K.items()}
         bad = dataclasses.replace(chain_ctrl, followers={
             **chain_ctrl.followers, 3: dataclasses.replace(fc, K=K)})
         steps = {1: PiecewiseConstantSignal([0.0, 0.004], [[1.0], [2.0]])}
-        with pytest.raises(NonFiniteStateError) as exc, np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError) as exc:
             simulate(chain, chain_decomp, bad, {i: np.ones(2) for i in chain.nodes},
                      signals=steps, T=1.0, dt=1e-2)
-        assert exc.value.time == 0.004
+        assert str(exc.value) == (
+            "the closed loop of agent 3 is not finite: a gain or matrix entry "
+            "is NaN or infinite, or overflows")
+        assert built == []
+
+    def test_input_map_that_overflows_names_the_step(self):
+        # the closed loop is finite, but the leader's B times the sinusoid's
+        # amplitude, the input map G H of the generator, overflows
+        spec = FormationSpec(n=2, m=1, edges=(), agents=(
+            AgentDynamics(A=-np.eye(2), B=np.array([[1e160], [0.0]])),))
+        ctrl = ControllerSet(n=2, m=1, followers={})
+        with pytest.raises(StepTooLargeError) as exc:
+            simulate(spec, decompose(spec), ctrl, {1: np.zeros(2)},
+                     signals={1: SinusoidSignal([1e150], 1.0)}, T=1.0, dt=1e-2)
+        assert str(exc.value) == (
+            "dt=0.01 is too large a step for the inputs: the step increment "
+            "e^(dt A) - I overflows at ||dt A||_1 = inf")
 
     def test_huge_finite_gain_beside_a_breakpoint(self, chain, chain_decomp, chain_ctrl):
         # a coupling gain of 1e300 passes the step cap; the steps beside the
@@ -1067,6 +1129,8 @@ class TestTraceStorage:
         assert list(tr.errors) == [e.key for e in spec.edges]
         with pytest.raises(TypeError):
             tr.errors[spec.edges[0].key] = 0.0
+        with pytest.raises(KeyError):
+            tr.errors.rows((0, 0), slice(None))
         plain = dataclasses.replace(
             tr,
             states={i: np.ascontiguousarray(x) for i, x in tr.states.items()},
@@ -1538,6 +1602,13 @@ class TestErrorDynamics:
         assert d1 <= 1e-4
         assert d1 / d2 >= 3.5
 
+    def test_two_point_grid_has_no_interior_defect(self):
+        # T - dt is below the grid resolution, so T adds no point
+        spec, dec, ctrl = _single_agent([[-0.5, 0.0], [0.0, -0.25]])
+        tr = simulate(spec, dec, ctrl, {1: np.ones(2)}, T=1.0, dt=1.0 - 1e-13)
+        assert tr.times.tolist() == [0.0, 1.0 - 1e-13]
+        assert error_dynamics_check(tr, spec, dec, ctrl) == 0.0
+
     def test_zero_trace_zero_defect(self, chain, chain_decomp, chain_ctrl):
         tr = simulate(chain, chain_decomp, chain_ctrl,
                       ideal_initial_states(chain_decomp, np.zeros(2)), T=1.0)
@@ -1599,6 +1670,14 @@ class TestCsvExport:
             assert written[1] == written[0] and written[2] == written[0]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_one_worker_without_cpu_affinity(self, tmp_path, monkeypatch, triangle_traces):
+        dec, long, _ = triangle_traces
+        write_trace_csv(long, dec, tmp_path / "free.csv")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert formstab.simulation._csv_workers(10**9) == 1
+        write_trace_csv(long, dec, tmp_path / "one.csv")
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "free.csv").read_bytes()
 
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_failed_write_reaps_workers_and_leaves_no_file(

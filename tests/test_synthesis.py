@@ -86,6 +86,17 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             SplitStrategy("sideways")
 
+    @pytest.mark.parametrize("weights,message", [
+        ({3: {1: 0.5, 2: 0.5}}, "custom strategy is missing weights for follower 2"),
+        ({3: {1: 0.5, 2: 0.5}, 2: {1: 1.0, 3: 0.5}},
+         "weights for follower 2 reference non-parents [3]"),
+    ], ids=["missing_follower", "non_parent"])
+    def test_custom_weights_name_their_fault(self, good_triangle, weights, message):
+        dec = decompose(good_triangle)
+        with pytest.raises(ValueError) as exc:
+            SplitStrategy("custom", weights=weights).resolve(good_triangle, dec)
+        assert str(exc.value) == message
+
 
 class TestNoRepeatedPbhTest:
     @pytest.mark.parametrize("seed", [0, 5, 9])
@@ -239,6 +250,16 @@ class TestFamily:
             assert verify_controller(chain, chain_decomp, ctrl).passed
         s2 = [tuple(np.round(c.gains(2).S.ravel(), 9)) for c in family]
         assert len(set(s2)) >= 2
+
+    def test_rejected_draws_fall_back_to_the_base_gain(
+        self, chain, chain_decomp, chain_report, monkeypatch
+    ):
+        rejecting = dataclasses.replace(is_hurwitz(-np.eye(1)), is_hurwitz=False)
+        monkeypatch.setattr(synthesis_module, "is_hurwitz", lambda *args: rejecting)
+        family = enumerate_family(chain, chain_decomp, chain_report, 3, rng=2)
+        for ctrl in family[1:]:
+            for i in (2, 3):
+                assert np.array_equal(ctrl.gains(i).S, family[0].gains(i).S)
 
     def test_determinism(self, chain, chain_decomp, chain_report):
         a = enumerate_family(chain, chain_decomp, chain_report, 4, rng=11)
