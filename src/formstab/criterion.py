@@ -19,6 +19,7 @@ falls into (multi-leader, or in-tree where condition 3 is vacuous).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,8 +249,19 @@ def _edge_ends(spec: FormationSpec) -> tuple:
 
 
 def _defect_scale(d: np.ndarray, A_ref: np.ndarray) -> float:
-    max_d = float(np.max(_frobenius_norms(d), initial=0.0))
-    return 1.0 + float(np.linalg.norm(A_ref, "fro")) + max_d
+    """1 + ||A_ref||_F + max ||d_ij||, the scale of the defect tolerances of
+    conditions 3 and 4 and of `verify_controller`.  Raises `ValueError`
+    when it overflows, since every defect would pass against an infinite
+    scale."""
+    with np.errstate(over="ignore"):
+        max_d = float(np.max(_frobenius_norms(d), initial=0.0))
+        scale = 1.0 + float(np.linalg.norm(A_ref, "fro")) + max_d
+    if not math.isfinite(scale):
+        raise ValueError(
+            "the defect scale 1 + ||A_ref||_F + max ||d_ij|| overflows: the "
+            "reference leader's matrix or a displacement is too large for the float range"
+        )
+    return scale
 
 
 def _pbh(spec: FormationSpec, nodes, tol: Tolerances) -> tuple:
@@ -279,7 +291,8 @@ def check(
     Each fact is evaluated over a per-instance stack, with results bitwise
     those of per-item calls: one PBH test over all followers, one
     least-squares solve per follower for both of its equations, and one
-    norm computation over all edge defects.
+    norm computation over all edge defects.  Data so large that the defect
+    scale overflows raises `ValueError`.
     """
     ref = decomp.renumbering[0]
     A_ref = spec.agent(ref).A
@@ -391,13 +404,15 @@ def verify_controller(
     *follower* closed loop A_i + B_i S_i is Hurwitz — leader matrices are
     exempt, since a single-leader formation may be stable around an
     unstable leader.  A controller that does not fit the instance (dims,
-    follower ids, gain shapes or parent keys) raises `ValueError`.
+    follower ids, gain shapes or parent keys) raises `ValueError`, as does
+    a defect scale that overflows.
 
     The Hurwitz tests run as one stack over all followers, and the edge
     defects as one norm computation over stacked M_i and m_i indexed by
     edge; the results are bitwise those of per-item calls.
     """
     _check_structure(spec, decomp, ctrl)
+    scale = _defect_scale(_displacements(spec), spec.agent(decomp.renumbering[0]).A)
 
     D = decomp.cumulative_offset
     M = []
@@ -428,8 +443,6 @@ def verify_controller(
 
     max_M = max(edge_M.values(), default=0.0)
     max_m = max(edge_m.values(), default=0.0)
-    ref = decomp.renumbering[0]
-    scale = _defect_scale(_displacements(spec), spec.agent(ref).A)
     passed = (
         max_M <= tol.eps_solve * scale
         and max_m <= tol.eps_solve * scale

@@ -13,8 +13,9 @@ class FormationValidationError(FormstabError):
     Validation is exhaustive: ``violations`` lists every problem found,
     not just the first one.  Each violation is a `Violation` record with a
     ``kind`` tag (``cycle_detected``, ``dimension_mismatch``,
-    ``not_weakly_connected``, ``duplicate_edge``, ``self_loop``), a
-    ``message`` and an ``info`` tuple holding the witness.
+    ``not_weakly_connected``, ``duplicate_edge``, ``self_loop``,
+    ``non_finite``), a ``message`` and an ``info`` tuple holding the
+    witness.
     """
 
     def __init__(self, violations):

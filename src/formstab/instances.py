@@ -1,7 +1,8 @@
 """Bundled demo instances and random instance generators.
 
-The four bundled instances exercise every verdict pattern the analysis can
-produce; the random generators build arbitrary weakly connected acyclic
+The four bundled instances are the files under ``data/``, which the
+builders parse; they exercise every verdict pattern the analysis can
+produce.  The random generators build arbitrary weakly connected acyclic
 formations (for structural property tests) and stable-by-construction
 instances (the oracle used to exercise the criterion and the simulation
 envelope end to end).
@@ -9,13 +10,14 @@ envelope end to end).
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 
 import numpy as np
 
 from .errors import NotStabilizableError, SynthesisFailure
 from .linalg import controllability_matrix, spectral_abscissa, stabilize
-from .model import AgentDynamics, Edge, FormationSpec, _components
+from .model import AgentDynamics, Edge, FormationSpec, _components, formation_from_dict
 
 __all__ = [
     "three_agent_chain",
@@ -32,86 +34,52 @@ __all__ = [
 ]
 
 
+def _bundled(name: str) -> FormationSpec:
+    """The instance in the bundled ``data/<name>.json``."""
+    return formation_from_dict(json.loads(demo_path(name).read_text(encoding="utf-8")))
+
+
 def three_agent_chain() -> FormationSpec:
-    """Chain 3 -> 2 -> 1 with one (uncontrolled, unstable) leader.
+    """Chain 3 -> 2 -> 1 with one (uncontrolled, unstable) leader: the
+    bundled ``data/example2.json``.
 
     The whole formation is stable, yet the (3, 2) pair taken alone is not:
     neither of its pairwise equations is solvable.  The follower equations
     have N_2 = N_3 = [1, 1], kt_2 = -1, kt_3 = -4.
     """
-    return FormationSpec(
-        n=2,
-        m=1,
-        agents=(
-            AgentDynamics(A=[[1.0, 0.0], [0.0, 2.0]], B=[[0.0], [0.0]]),
-            AgentDynamics(A=[[0.0, -1.0], [-1.0, 1.0]], B=[[1.0], [1.0]]),
-            AgentDynamics(A=[[0.0, -1.0], [-2.0, 0.0]], B=[[1.0], [2.0]]),
-        ),
-        edges=(
-            Edge(2, 1, [2.0, 1.0]),
-            Edge(3, 2, [2.0, 3.0]),
-        ),
-    )
+    return _bundled("example2")
 
 
-def triangle_mismatched_offsets(n: int = 2) -> FormationSpec:
-    """Triangle 2 -> 1, 3 -> 1, 3 -> 2 with identical displacements.
+def triangle_mismatched_offsets() -> FormationSpec:
+    """Triangle 2 -> 1, 3 -> 1, 3 -> 2 with identical displacements: the
+    bundled ``data/example1.json``.
 
     All agents share the Hurwitz matrix -I and every pair taken alone is
     stable, but equal displacements on all three edges cannot close the
     triangle (the (3, 1) displacement would have to be the sum of the
     other two), so the formation is unstable.
     """
-    A = -np.eye(n)
-    d = np.zeros(n)
-    d[0] = 1.0
-    B = (A @ d)[:, None]
-    agent = AgentDynamics(A=A, B=B)
-    return FormationSpec(
-        n=n,
-        m=1,
-        agents=(agent, agent, agent),
-        edges=(Edge(2, 1, d), Edge(3, 1, d), Edge(3, 2, d)),
-    )
+    return _bundled("example1")
 
 
 def two_leader_fork() -> FormationSpec:
-    """Two leaders 1, 2 and one follower 3 tracking both.
+    """Two leaders 1, 2 and one follower 3 tracking both: the bundled
+    ``data/remark5.json``.
 
-    Leader matrices are equal and Hurwitz and the follower equations are
-    solvable, but the two displacement demands differ, which no control
-    can reconcile: the instance fails exactly the displacement condition.
+    Leader matrices are equal (A_lead = -I) and Hurwitz, and the follower
+    equations are solvable (A_3 = A_lead - B_3 [1 1]), but the two
+    displacement demands differ, which no control can reconcile: the
+    instance fails exactly the displacement condition.
     """
-    A_lead = -np.eye(2)
-    B_lead = np.array([[1.0], [1.0]])
-    A3 = np.array([[-2.0, -1.0], [0.0, -1.0]])  # A_lead - B3 @ [[1, 1]]
-    B3 = np.array([[1.0], [0.0]])
-    return FormationSpec(
-        n=2,
-        m=1,
-        agents=(
-            AgentDynamics(A=A_lead, B=B_lead),
-            AgentDynamics(A=A_lead, B=B_lead),
-            AgentDynamics(A=A3, B=B3),
-        ),
-        edges=(
-            Edge(3, 1, [1.0, 0.0]),
-            Edge(3, 2, [2.0, 0.0]),
-        ),
-    )
+    return _bundled("remark5")
 
 
 def consistent_triangle() -> FormationSpec:
     """The chain instance plus a closing edge 3 -> 1 whose displacement is
     consistent (the sum of the other two), giving a stable single-leader
-    formation whose graph is not an in-tree."""
-    base = three_agent_chain()
-    return FormationSpec(
-        n=base.n,
-        m=base.m,
-        agents=base.agents,
-        edges=base.edges + (Edge(3, 1, [4.0, 4.0]),),
-    )
+    formation whose graph is not an in-tree: the bundled
+    ``data/triangle.json``."""
+    return _bundled("triangle")
 
 
 DEMO_BUILDERS = {

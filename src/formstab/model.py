@@ -139,8 +139,9 @@ class Violation:
     """One structural violation found by `validate`.
 
     kind is one of: cycle_detected, dimension_mismatch, not_weakly_connected,
-    duplicate_edge, self_loop.  ``info`` carries the witness (cycle node
-    list, component lists, agent index with expected/actual shapes, ...).
+    duplicate_edge, self_loop, non_finite.  ``info`` carries the witness
+    (cycle node list, component lists, agent index with expected/actual
+    shapes, ...).
     """
 
     kind: str
@@ -249,6 +250,17 @@ def _validated_levels(spec: FormationSpec) -> tuple[list[frozenset], dict[int, i
                 )
             )
 
+    # one pass over every number; only a failing instance is searched per
+    # matrix and edge, so the report names each one that holds a NaN or inf
+    values = [x.ravel() for ag in spec.agents for x in (ag.A, ag.B)]
+    values += [e.d.ravel() for e in spec.edges]
+    if values and not np.isfinite(np.concatenate(values)).all():
+        named = [(f"agent {idx}: {name}", (idx, name), getattr(ag, name))
+                 for idx, ag in enumerate(spec.agents, start=1) for name in ("A", "B")]
+        named += [(f"edge ({e.i}, {e.j}): d", (e.key,), e.d) for e in spec.edges]
+        v.extend(Violation("non_finite", f"{what} has a NaN or infinite entry", info=info)
+                 for what, info, x in named if not np.isfinite(x).all())
+
     parents = {i: frozenset(j for j in spec.parents(i) if 1 <= j <= l) for i in spec.nodes}
     levels: list[frozenset] = []
     order: dict[int, int] = {}
@@ -295,7 +307,8 @@ def _validated_levels(spec: FormationSpec) -> tuple[list[frozenset], dict[int, i
 
 
 def validate(spec: FormationSpec) -> FormationSpec:
-    """Check all structural invariants of a formation instance.
+    """Check all structural invariants of a formation instance, and that
+    every entry of its matrices and displacements is finite.
 
     Acyclicity is decided by the level peel that `decompose` reuses; a
     cycle is reported with a witness node list.  Returns the spec
@@ -365,7 +378,9 @@ def decompose(spec: FormationSpec) -> LevelDecomposition:
     are all already placed.  The designated parent of a follower is chosen
     among its parents by (level, id) lexicographic maximum, which lands
     one level below the follower; offsets accumulate along those
-    designated edges.
+    designated edges.  An offset that overflows raises
+    `FormationValidationError` with a ``non_finite`` violation naming the
+    first such agent in the renumbering.
     """
     levels, order = _validated_levels(spec)
 
@@ -381,14 +396,20 @@ def decompose(spec: FormationSpec) -> LevelDecomposition:
 
     cumulative: dict[int, np.ndarray] = {}
     reach: dict[int, int] = {}
-    for i in renumbering:  # parents are processed before children
-        if order[i] == 0:
-            cumulative[i] = _frozen_array(np.zeros(spec.n))
-            reach[i] = i
-        else:
-            p = parent[i]
-            cumulative[i] = _frozen_array(spec.displacement(i, p) + cumulative[p])
-            reach[i] = reach[p]
+    with np.errstate(over="ignore"):  # an offset that overflows is named below
+        for i in renumbering:  # parents are processed before children
+            if order[i] == 0:
+                cumulative[i] = _frozen_array(np.zeros(spec.n))
+                reach[i] = i
+            else:
+                p = parent[i]
+                cumulative[i] = _frozen_array(spec.displacement(i, p) + cumulative[p])
+                reach[i] = reach[p]
+    finite = np.isfinite([cumulative[i] for i in renumbering]).all(axis=1)
+    if not finite.all():
+        i = renumbering[int(np.argmin(finite))]
+        raise FormationValidationError([Violation(
+            "non_finite", f"agent {i}: the cumulative offset D_{i} overflows", info=(i,))])
 
     return LevelDecomposition(
         levels=tuple(levels),

@@ -839,7 +839,7 @@ def simulate(
             _integrate(M, c, forcing, times, traj)
     bad = ~np.isfinite(traj).all(axis=0)
     if bad.any():
-        loop = _is_block_triangular_hurwitz(_error_coordinates(M, decomp, [])[1], n)
+        loop = _is_block_triangular_hurwitz(M[n:, n:], n)
         cause = NonFiniteStateError if loop.is_hurwitz else NonDecayError
         raise cause(float(times[int(np.argmax(bad))]), T, loop)
 
@@ -967,8 +967,10 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
     every agent but the reference leader: A_i + B_i S_i for a follower,
     A_a for another leader.  So the Hurwitz verdict and
     alpha = -spectral_abscissa(M_e) / 2 come from the eigenvalues of those
-    n-by-n blocks (`linalg._is_block_triangular_hurwitz`), and C from one
-    dense Lyapunov solve on M_e (`linalg._lyapunov_constant`), which
+    n-by-n blocks, read off M without the reference leader's rows and
+    columns (`linalg._is_block_triangular_hurwitz`).  Only a Hurwitz loop
+    builds M_e, for C from one dense Lyapunov solve on M_e
+    (`linalg._lyapunov_constant`), which
     certifies ||exp(t M_e)|| <= C e^{-alpha t}.  So every edge obeys
 
         ||z_ij(t)|| <= C_ij e^{-alpha t} ||z(0)|| + beta_ij U(t),
@@ -1026,9 +1028,9 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
 
     M, G = trace.closed_loop
     n = M.shape[0] // len(decomp.renumbering)
-    T, M_e, r = _error_coordinates(M, decomp, edges)
-    hurwitz = _is_block_triangular_hurwitz(M_e, n)
+    hurwitz = _is_block_triangular_hurwitz(M[n:, n:], n)
     if hurwitz.is_hurwitz:
+        T, M_e, r = _error_coordinates(M, decomp, edges)
         alpha = -0.5 * hurwitz.spectral_abscissa
         C = _certified_constant(M_e, alpha)
         gain = max((float(np.linalg.norm(T @ G[a], 2)) for a in driven), default=0.0)

@@ -35,15 +35,6 @@ def chain_file(tmp_path_factory):
     return str(path)
 
 
-def test_bundled_files_match_builders():
-    from formstab.instances import DEMO_BUILDERS
-    from formstab.model import formation_to_dict
-
-    for name, builder in DEMO_BUILDERS.items():
-        with open(demo_path(name), "r", encoding="utf-8") as fh:
-            assert json.load(fh) == formation_to_dict(builder())
-
-
 class TestCheck:
     def test_stable_instance_exits_zero(self, tmp_path):
         code = main(["check", str(demo_path("example2")), "--out", str(tmp_path)])
@@ -79,6 +70,31 @@ class TestCheck:
         path = tmp_path / "cyclic.json"
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 1
+
+    def test_non_finite_displacement_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        doc = json.loads(demo_path("triangle").read_text(encoding="utf-8"))
+        doc["edges"][0]["d"][0] = float("nan")
+        path = tmp_path / "nan_d.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for command in ("check", "pairwise", "simulate"):
+            assert main([command, str(path), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "invalid formation:\n"
+                "  - non_finite: edge (2, 1): d has a NaN or infinite entry\n")
+        assert list(out.iterdir()) == []
+
+    def test_defect_scale_that_overflows_exits_one(self, tmp_path, capsys):
+        # the paper's unstable triangle, its displacements scaled by 1e200
+        doc = json.loads(demo_path("example1").read_text(encoding="utf-8"))
+        for edge in doc["edges"]:
+            edge["d"] = [x * 1e200 for x in edge["d"]]
+        path = tmp_path / "huge_d.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "the defect scale 1 + ||A_ref||_F + max ||d_ij|| overflows" in (
+            capsys.readouterr().err)
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_usage_error_exits_one(self):
         assert main(["check"]) == 1

@@ -84,6 +84,16 @@ class TestBadTriangle:
         assert all(c.passed for c in rep.condition1)
         assert all(c.passed for c in rep.condition2)
 
+    def test_defect_scale_that_overflows_is_an_error_not_a_pass(self, bad_triangle):
+        # scaled by 1e200 the displacements stay finite, but the scale
+        # 1 + ||A_ref|| + max ||d_ij|| overflows, and against an infinite
+        # scale the (3, 1) defect would pass condition 3
+        spec = FormationSpec(
+            n=2, m=1, agents=bad_triangle.agents,
+            edges=tuple(Edge(e.i, e.j, e.d * 1e200) for e in bad_triangle.edges))
+        with pytest.raises(ValueError, match="defect scale"):
+            check(spec, decompose(spec))
+
 
 class TestFork:
     def test_unstable_via_displacement_only(self, fork):
@@ -170,6 +180,15 @@ class TestVerifyController:
         assert ver.passed
         assert ver.max_matrix_defect <= 1e-10
         assert ver.max_offset_defect <= 1e-10
+
+    def test_defect_scale_that_overflows_is_an_error(self, chain, chain_decomp,
+                                                      chain_report):
+        ctrl = synthesize(chain, chain_decomp, chain_report)
+        huge = FormationSpec(
+            n=2, m=1, agents=chain.agents,
+            edges=tuple(Edge(e.i, e.j, e.d * 1e200) for e in chain.edges))
+        with pytest.raises(ValueError, match="defect scale"):
+            verify_controller(huge, decompose(huge), ctrl)
 
     def test_zero_controller_fails(self, chain, chain_decomp):
         zero = ControllerSet(

@@ -87,16 +87,16 @@ class TestValidate:
 
     def test_reporting_is_exhaustive_not_first_only(self):
         # one instance carrying an unknown parent, a cycle, a bad d length,
-        # a self loop and a disconnected extra node: all five must be
-        # reported at once (node 2's parent 99 comes before the cycle in id
-        # order)
+        # a self loop, a NaN displacement and a disconnected extra node: all
+        # six must be reported at once (node 2's parent 99 comes before the
+        # cycle in id order)
         agents = (AgentDynamics(A=np.zeros((2, 2)), B=np.zeros((2, 1))),) * 5
         spec = FormationSpec(
             n=2,
             m=1,
             agents=agents,
             edges=(
-                Edge(2, 1, [0.0, 0.0]),
+                Edge(2, 1, [np.nan, 0.0]),
                 Edge(2, 99, [0.0, 0.0]),
                 Edge(3, 4, [0.0, 0.0]),
                 Edge(4, 3, [0.0, 0.0]),
@@ -110,9 +110,39 @@ class TestValidate:
             "dimension_mismatch: edge (2, 99) references unknown node 99",
             "dimension_mismatch: edge (3, 1): d has shape (1,), expected (2,)",
             "self_loop: edge (5, 5)",
+            "non_finite: edge (2, 1): d has a NaN or infinite entry",
             "cycle_detected: directed cycle 3 -> 4 -> 3",
             "not_weakly_connected: 2 weak components: {1, 2, 3, 4}, {5}",
         ]
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where,message", [
+        ("A", "agent 2: A has a NaN or infinite entry"),
+        ("B", "agent 3: B has a NaN or infinite entry"),
+        ("d", "edge (2, 1): d has a NaN or infinite entry"),
+    ], ids=["A", "B", "d"])
+    def test_non_finite_entry_is_named(self, where, message, value):
+        doc = formation_to_dict(_simple_spec([Edge(2, 1, [1.0, 0.0]), Edge(3, 2, [0.0, 1.0])]))
+        if where == "d":
+            doc["edges"][0]["d"][0] = value
+        else:
+            doc["agents"][1 if where == "A" else 2][where][1][0] = value
+        spec = formation_from_dict(doc)
+        for call in (validate, decompose):
+            with pytest.raises(FormationValidationError) as exc:
+                call(spec)
+            assert [str(v) for v in exc.value.violations] == [f"non_finite: {message}"]
+
+    def test_cumulative_offset_that_overflows_is_named(self):
+        # every entry is finite, but D_3 = d_32 + d_21 leaves the float range
+        spec = _simple_spec([Edge(2, 1, [1e308, 0.0]), Edge(3, 2, [1e308, 0.0])])
+        assert validate(spec) is spec
+        with pytest.raises(FormationValidationError) as exc:
+            decompose(spec)
+        assert [str(v) for v in exc.value.violations] == [
+            "non_finite: agent 3: the cumulative offset D_3 overflows"]
+        assert exc.value.violations[0].info == (3,)
 
 
 class TestDecompose:
