@@ -31,6 +31,7 @@ from .linalg import (
     LinearSolveReport,
     StabilizabilityResult,
     Tolerances,
+    _FloatRangeError,
     _frobenius_norms,
     _hurwitz_reports,
     _solve_blocks,
@@ -265,13 +266,26 @@ def _defect_scale(d: np.ndarray, A_ref: np.ndarray) -> float:
 
 
 def _pbh(spec: FormationSpec, nodes, tol: Tolerances) -> tuple:
-    """`is_stabilizable` of the pairs (A_i, B_i) of ``nodes``, as one stack."""
+    """`is_stabilizable` of the pairs (A_i, B_i) of ``nodes``, as one stack.
+    A pair too large for the float range is a `ValueError` naming its node."""
     agents = [spec.agent(i) for i in nodes]
-    return is_stabilizable(
-        np.array([ag.A for ag in agents]).reshape(len(agents), spec.n, spec.n),
-        np.array([ag.B for ag in agents]).reshape(len(agents), spec.n, spec.m),
-        tol,
-    )
+    try:
+        return is_stabilizable(
+            np.array([ag.A for ag in agents]).reshape(len(agents), spec.n, spec.n),
+            np.array([ag.B for ag in agents]).reshape(len(agents), spec.n, spec.m),
+            tol,
+        )
+    except _FloatRangeError as exc:
+        raise ValueError(f"follower {nodes[exc.item]}: {exc}") from None
+
+
+def _follower_solves(i: int, B, Cs, tol: Tolerances) -> tuple:
+    """`_solve_blocks` of follower i's equations B X = C for each C of
+    ``Cs``; data too large for the float range is a `ValueError` naming i."""
+    try:
+        return _solve_blocks(B, Cs, tol)
+    except _FloatRangeError as exc:
+        raise ValueError(f"follower {i}: {exc}") from None
 
 
 def check(
@@ -292,7 +306,8 @@ def check(
     those of per-item calls: one PBH test over all followers, one
     least-squares solve per follower for both of its equations, and one
     norm computation over all edge defects.  Data so large that the defect
-    scale overflows raises `ValueError`.
+    scale, a follower's PBH test or its equations overflow raises
+    `ValueError` naming the cause.
     """
     ref = decomp.renumbering[0]
     A_ref = spec.agent(ref).A
@@ -304,10 +319,11 @@ def check(
 
     stab_results = _pbh(spec, followers, tol)
     cond2 = []
-    for i in followers:
-        ag = spec.agent(i)
-        gain, offset = _solve_blocks(ag.B, (A_ref - ag.A, ag.A @ D[i]), tol)
-        cond2.append(GainEquationCheck(node=i, gain_solve=gain, offset_solve=offset))
+    with np.errstate(over="ignore", invalid="ignore"):  # the solves name an overflow
+        for i in followers:
+            ag = spec.agent(i)
+            gain, offset = _follower_solves(i, ag.B, (A_ref - ag.A, ag.A @ D[i]), tol)
+            cond2.append(GainEquationCheck(node=i, gain_solve=gain, offset_solve=offset))
     cond2_ok = all(c.passed for c in cond2)
 
     offsets = np.array([D[i] for i in spec.nodes])

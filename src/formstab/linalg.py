@@ -9,10 +9,13 @@ so front-ends can thread one configuration object through every check.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     CertificateError,
@@ -126,6 +129,15 @@ class ExpEnvelope:
 
     C: float
     alpha: float
+
+
+class _FloatRangeError(ValueError):
+    """A stacked kernel got finite input but computed a non-finite result:
+    the data of stack item ``item`` is too large for the float range."""
+
+    def __init__(self, item: int, what: str):
+        self.item = int(item)
+        super().__init__(f"{what} overflows: the data is too large for the float range")
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -243,11 +255,18 @@ def solve_matrix_equation(B, C, tol: Tolerances = DEFAULT_TOLERANCES) -> LinearS
     LinearSolveReport
         Infeasibility is a report state (``solvable=False``), never an error.
 
+    Raises
+    ------
+    ValueError
+        If B is finite but the residual or ``||C||`` overflows: the data is
+        too large for the float range.
+
     Evaluated as a one-block stack of `_solve_blocks`, which the criterion
     and the pairwise analysis call with every right-hand side of one
     follower at once; the reports are bitwise those of separate calls.
     """
-    return _solve_blocks(B, (C,), tol)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _solve_blocks(B, (C,), tol)[0]
 
 
 def _solve_blocks(B, Cs, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
@@ -257,6 +276,11 @@ def _solve_blocks(B, Cs, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     Each block's residual ``||B X_k - C_k||`` is taken from a contiguous
     copy of its own X_k: a block sliced out of the whole product
     ``B X - C`` can differ from a separate solve's residual in the last bit.
+    With B finite, a residual or ``||C_k||`` that is not finite (C_k
+    overflowed, or the norms do) raises `_FloatRangeError` with ``item``
+    k.  Callers run it under ``np.errstate(over="ignore",
+    invalid="ignore")``, once around all of their solves, so that no
+    warning leaks.
     """
     B = _as_matrix(B)
     blocks = []
@@ -270,11 +294,14 @@ def _solve_blocks(B, Cs, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
 
     reports = []
     end = 0
-    for vector_rhs, C2 in blocks:
+    for k, (vector_rhs, C2) in enumerate(blocks):
         start, end = end, end + C2.shape[1]
         Xk = np.ascontiguousarray(X[:, start:end])
         residual = float(np.linalg.norm(B @ Xk - C2))
-        rel = residual / (1.0 + float(np.linalg.norm(C2)))
+        c_norm = float(np.linalg.norm(C2))
+        if not math.isfinite(residual + c_norm) and np.isfinite(B).all():
+            raise _FloatRangeError(k, "the residual or the right-hand side of B X = C")
+        rel = residual / (1.0 + c_norm)
         reports.append(LinearSolveReport(
             solution=Xk[:, 0] if vector_rhs else Xk,
             residual_norm=residual,
@@ -333,7 +360,10 @@ def is_stabilizable(A, B, tol: Tolerances = DEFAULT_TOLERANCES):
     k separate calls.  Either way the pairs are evaluated as one stack:
     one eigenvalue computation, and one singular-value computation over
     every pencil at an eigenvalue on or right of the margin.  A failing
-    verdict names the first failing eigenvalue in sorted order.
+    verdict names the first failing eigenvalue in sorted order.  A finite
+    pair whose pencil at such an eigenvalue, or the pencil's singular
+    values, overflow raises `_FloatRangeError` (a `ValueError`) naming its
+    item, and leaks no warning.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -354,10 +384,18 @@ def _pbh_results(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> tuple:
     witness = {}
     if len(item):
         lam = eigs[item, col]
-        pencils = np.concatenate(
-            [A[item] - lam[:, None, None] * np.eye(n), B[item].astype(complex)], axis=2
-        )
-        ranks = _ranks(np.linalg.svd(pencils, compute_uv=False), pencils.shape, tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pencils = np.concatenate(
+                [A[item] - lam[:, None, None] * np.eye(n), B[item].astype(complex)], axis=2
+            )
+        if not np.isfinite(pencils).all():  # an eigenvalue, or A - zI, overflowed
+            bad = ~np.isfinite(pencils).all(axis=(1, 2))
+            raise _FloatRangeError(item[bad][0], "the PBH pencil [A - zI, B]")
+        s = np.linalg.svd(pencils, compute_uv=False)
+        if not np.isfinite(s).all():
+            bad = ~np.isfinite(s).all(axis=-1)
+            raise _FloatRangeError(item[bad][0], "a singular value of the PBH pencil [A - zI, B]")
+        ranks = _ranks(s, pencils.shape, tol)
         for i, z in zip(item[ranks < n], lam[ranks < n]):
             witness.setdefault(int(i), complex(z))
     return tuple(
@@ -393,18 +431,102 @@ def _bass_gain(A, B, tol: Tolerances) -> np.ndarray:
     return -(B1.T @ np.linalg.pinv(P)) @ V.T
 
 
+def _queried(f, *args, **kwargs):
+    """The LAPACK wrapper ``f`` called with the workspace that its own
+    ``lwork=-1`` query returns, as scipy calls it."""
+    lwork = f(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
+    return f(*args, lwork=lwork, **kwargs)
+
+
+def _riccati(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_continuous_are(A, B, I, I)`` through LAPACK
+    directly: the same bits, exceptions and `LinAlgWarning`.
+
+    These are scipy's steps without its argument validation and batch
+    wrappers, which cost about half of a small solve: the pencil (H, J),
+    symplectic balancing (``dgebal``), QR deflation (``dgeqrf``,
+    ``dorgqr``), the QZ form (``dgges``) reordered for the left half-plane
+    (``dtgsen``), then ``lu``, the condition test, two ``dtrtrs`` solves
+    and the symmetry test.  Operand layouts and ``lwork`` queries are
+    scipy's: BLAS and LAPACK block their arithmetic by layout and
+    workspace, so another choice can move the last bits of P.
+    """
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise ValueError("array must not contain infs or NaNs")
+    n, m = B.shape
+    H = np.zeros((2 * n + m, 2 * n + m))
+    H[:n, :n], H[:n, 2 * n :] = A, B
+    H[n : 2 * n, :n], H[n : 2 * n, n : 2 * n] = -np.eye(n), -A.conj().T
+    H[2 * n :, n : 2 * n], H[2 * n :, 2 * n :] = B.conj().T, np.eye(m)
+    J = np.diag(np.repeat([1.0, 0.0], [2 * n, m]))
+
+    M = np.abs(H) + np.abs(J)
+    np.fill_diagonal(M, 0.0)
+    sca = lapack.dgebal(M, scale=1, permute=0)[3]
+    if not np.allclose(sca, np.ones_like(sca)):
+        sca = np.log2(sca)
+        s = np.round((sca[n : 2 * n] - sca[:n]) / 2)
+        sca = 2 ** np.r_[s, -s, sca[2 * n :]]
+        elwisescale = sca[:, None] * np.reciprocal(sca)
+        H *= elwisescale
+        J *= elwisescale
+
+    qr, tau = _queried(lapack.dgeqrf, np.asarray_chkfinite(H[:, -m:]))[:2]
+    q = np.empty((2 * n + m, 2 * n + m))
+    q[:, :m] = qr
+    q = _queried(lapack.dorgqr, q, tau, overwrite_a=1)[0]
+    H = q[:, m:].conj().T.dot(H[:, : 2 * n])
+    J = q[: 2 * n, m:].conj().T.dot(J[: 2 * n, : 2 * n])
+
+    AA, BB, _, alphar, alphai, beta, Q, Z, _, info = _queried(
+        lapack.dgges, lambda x: None, H, J, overwrite_a=True, overwrite_b=True, sort_t=0
+    )
+    if 0 < info <= 2 * n:
+        warnings.warn(f"the QZ iteration failed (dgges info {info})", scipy.linalg.LinAlgWarning)
+    elif info > 2 * n:
+        raise np.linalg.LinAlgError(f"dgges failed with info {info}")
+    alpha, lhp = alphar + alphai * 1.0j, np.zeros(2 * n, dtype=bool)
+    finite = beta != 0  # an infinite eigenvalue is not selected
+    lhp[finite] = np.real(alpha[finite] / beta[finite]) < 0.0
+    u, info = lapack.dtgsen(lhp, AA, BB, Q, Z, ijob=0, lwork=8 * n + 16, liwork=1)[6::5]
+    if info == 1:
+        raise ValueError("reordering the QZ form failed: the pencil is too ill-conditioned")
+
+    u00, u10 = u[:n, :n], u[n:, :n]
+    up, ul, uu = scipy.linalg.lu(u00)
+    if 1 / np.linalg.cond(uu) < np.spacing(1.0):
+        raise np.linalg.LinAlgError("Failed to find a finite solution.")
+    y, info = lapack.dtrtrs(uu.conj().T, np.asarray_chkfinite(u10.conj().T), lower=1)
+    if info:
+        raise np.linalg.LinAlgError("singular matrix in the triangular solve")
+    y = lapack.dtrtrs(ul.conj().T, y, unitdiag=1)[0]  # unit diagonal: never singular
+    x = y.conj().T.dot(up.conj().T)
+    x *= sca[:n, None] * sca[:n]
+
+    u_sym = u00.conj().T.dot(u10)
+    n_u_sym = np.linalg.norm(u_sym, 1)
+    u_sym = u_sym - u_sym.conj().T
+    if np.linalg.norm(u_sym, 1) > np.max([np.spacing(1000.0), 0.1 * n_u_sym]):
+        raise np.linalg.LinAlgError("the Hamiltonian pencil has eigenvalues too close to the axis")
+    return (x + x.conj().T) / 2
+
+
 def stabilize(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Compute a gain S such that A + B S is Hurwitz.
 
     Primary construction: the Riccati gain S = -B^T P with P the
     stabilizing solution of A^T P + P A - P B B^T P + I = 0, which exists
     for every stabilizable pair and keeps gains moderate without
-    user-chosen pole locations.  When the Riccati solve fails numerically,
-    or its gain fails the Hurwitz check, the Bass shift construction is
-    used as a fallback.  In floating point the solve does fail on some
-    stabilizable pairs: a stable uncontrollable mode within about 1e-8 of
-    the imaginary axis, or an unstable mode reachable only through a tiny
-    input direction; the fallback gain passes on such pairs.  Either way
+    user-chosen pole locations.  P comes from `_riccati`, scipy's CARE
+    algorithm run through LAPACK directly: bitwise
+    ``solve_continuous_are(A, B, I, I)``, raising where it raises (a
+    property test pins both), so the Bass fallback below takes over on
+    exactly the pairs it did with scipy's solver.  When the Riccati solve
+    fails numerically, or its gain fails the Hurwitz check, the Bass shift
+    construction is used as a fallback.  In floating point the solve does
+    fail on some stabilizable pairs: a stable uncontrollable mode within
+    about 1e-8 of the imaginary axis, or an unstable mode reachable only
+    through a tiny input direction; the fallback gain passes on such pairs.  Either way
     the closed loop is re-verified before the gain is handed back.  When
     neither gain passes but A itself is Hurwitz, the zero gain is returned:
     on a nearly uncontrollable pair the Bass gain can push a weakly
@@ -425,8 +547,8 @@ def stabilize(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     n, m = B.shape
     if np.any(B):
         try:
-            P = scipy.linalg.solve_continuous_are(A, B, np.eye(n), np.eye(m))
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
+            P = _riccati(A, B)
+        except (np.linalg.LinAlgError, ValueError):
             pass
         else:
             S = -B.T @ P

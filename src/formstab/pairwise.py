@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import criterion as _criterion
 from .linalg import (
     DEFAULT_TOLERANCES,
     LinearSolveReport,
     StabilizabilityResult,
     Tolerances,
-    _solve_blocks,
 )
 from .model import FormationSpec, LevelDecomposition
 
@@ -117,14 +118,15 @@ def _analyze_edges(spec: FormationSpec, stab: dict, tol: Tolerances) -> Pairwise
     for e in spec.edges:
         by_follower.setdefault(e.i, []).append(e)
     solves = {}
-    for i, edges in by_follower.items():
-        ai = spec.agent(i)
-        rhs = []
-        for e in edges:
-            rhs += [spec.agent(e.j).A - ai.A, ai.A @ e.d]
-        reports = _solve_blocks(ai.B, rhs, tol)
-        for k, e in enumerate(edges):
-            solves[e.key] = reports[2 * k : 2 * k + 2]
+    with np.errstate(over="ignore", invalid="ignore"):  # the solves name an overflow
+        for i, edges in by_follower.items():
+            ai = spec.agent(i)
+            rhs = []
+            for e in edges:
+                rhs += [spec.agent(e.j).A - ai.A, ai.A @ e.d]
+            reports = _criterion._follower_solves(i, ai.B, rhs, tol)
+            for k, e in enumerate(edges):
+                solves[e.key] = reports[2 * k : 2 * k + 2]
     entries = []
     for e in spec.edges:
         gain, offset = solves[e.key]

@@ -96,6 +96,21 @@ class TestCheck:
             capsys.readouterr().err)
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_follower_data_too_large_for_floats_exits_one(self, tmp_path, capsys):
+        # example 2 with A_3 = A_ref - B_3 [1e200, 1e200]: its gain equation is
+        # exactly solvable, but the residual overflows
+        doc = json.loads(demo_path("example2").read_text(encoding="utf-8"))
+        A_ref, B3 = np.array(doc["agents"][0]["A"]), np.array(doc["agents"][2]["B"])
+        doc["agents"][2]["A"] = (A_ref - B3 @ np.array([[1e200, 1e200]])).tolist()
+        path = tmp_path / "huge_A3.json"
+        path.write_text(json.dumps(doc))
+        for command in ("check", "pairwise"):
+            out = tmp_path / command
+            assert main([command, str(path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: follower 3: ") and "float range" in err
+            assert not out.exists() or list(out.iterdir()) == []
+
     def test_usage_error_exits_one(self):
         assert main(["check"]) == 1
         assert main(["frobnicate"]) == 1

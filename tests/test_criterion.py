@@ -69,6 +69,34 @@ class TestChainInstance:
         assert "verdict: stable" in table and "condition 4" in table
 
 
+class TestFollowerDataTooLargeForFloats:
+    # example 2 with one follower's A replaced by finite but huge entries
+    @staticmethod
+    def _with_follower_A(chain, i, A):
+        agents = list(chain.agents)
+        agents[i - 1] = AgentDynamics(A=A, B=chain.agent(i).B)
+        return FormationSpec(n=2, m=1, agents=tuple(agents), edges=chain.edges)
+
+    @pytest.mark.parametrize("A3", [
+        # A_3 = A_ref - B_3 [1e200, 1e200]: the gain equation is exactly
+        # solvable, but its residual and right-hand side norms overflow
+        lambda chain: chain.agent(1).A - chain.agent(3).B @ np.array([[1e200, 1e200]]),
+        # A_3 D_3 overflows as the offset equation is built
+        lambda chain: np.diag([-1e308, -1e308]),
+    ], ids=["solvable_gain_equation", "offset_product"])
+    def test_follower_equation_that_overflows_is_named(self, chain, A3):
+        spec = self._with_follower_A(chain, 3, A3(chain))
+        for analysis in (lambda: check(spec, decompose(spec)), lambda: analyze_pairs(spec)):
+            with pytest.raises(ValueError, match="^follower 3: .* float range"):
+                analysis()
+
+    def test_pbh_test_that_overflows_is_named(self, chain):
+        # the eigenvalue 2e308 of A_2 overflows
+        spec = self._with_follower_A(chain, 2, np.full((2, 2), 1e308))
+        with pytest.raises(ValueError, match="^follower 2: the PBH pencil .* float range"):
+            check(spec, decompose(spec))
+
+
 class TestBadTriangle:
     def test_unstable_with_exact_defect(self, bad_triangle):
         dec = decompose(bad_triangle)

@@ -2,6 +2,7 @@
 gain synthesis, decay certificates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,9 +39,11 @@ from formstab.linalg import (
     HurwitzReport,
     LinearSolveReport,
     StabilizabilityResult,
+    _FloatRangeError,
     _frobenius_norms,
     _hurwitz_reports,
     _is_block_triangular_hurwitz,
+    _riccati,
     _solve_blocks,
 )
 
@@ -297,10 +300,57 @@ class TestStabilize:
         P = scipy.linalg.solve_continuous_are(A, B, np.eye(4), np.eye(2))
         assert np.array_equal(stabilize(A, B), -B.T @ P)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        m=st.integers(1, 3),
+        scale=st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e3]),
+        family=st.sampled_from(["plain", "zeroed_input_column", "skew_symmetric_A", "tiny_B"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_riccati_is_bitwise_scipys_solver(self, seed, n, m, scale, family):
+        # scipy raises on about one pair in eight of these families
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n)) * scale
+        B = rng.standard_normal((n, m)) * rng.choice([1e-3, 1.0, 1e3])
+        if family == "zeroed_input_column":
+            B[:, rng.integers(m)] = 0.0
+        elif family == "skew_symmetric_A":
+            A = A - A.T
+        elif family == "tiny_B":
+            B *= 1e-8
+        assert _care_outcome(_riccati, A, B) == _care_outcome(_scipy_care, A, B)
+
     # 3-4-5 rotation of [[1, 1, 0], [1, 2, 1], [0, 0, -1e-8]], B = e2: the mode
     # at -1e-8 is uncontrollable yet inside the Hurwitz margin
     _R = np.array([[0.6, 0.0, -0.8], [0.0, 1.0, 0.0], [0.8, 0.0, 0.6]])
     _A0 = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 0.0, -1e-8]])
+
+    @pytest.mark.parametrize("A,B", [
+        (np.array([[0.6, 1.5], [0.8, 0.4]]), np.array([[1.4e-7], [-1e-7]])),
+        (_R @ _A0 @ _R.T, _R @ np.array([[0.0], [1.0], [0.0]])),
+        (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 1))),
+    ], ids=["weakly_reachable_unstable_mode", "uncontrollable_mode_near_the_axis",
+            "undamped_oscillator_without_input"])
+    def test_riccati_raises_what_scipys_solver_raises(self, A, B):
+        expected = _care_outcome(_scipy_care, A, B)
+        assert isinstance(expected, type) and issubclass(expected, Exception)
+        assert _care_outcome(_riccati, A, B) is expected
+
+    @pytest.mark.parametrize("info,raised", [
+        (1, scipy.linalg.LinAlgWarning),  # a failed QZ iteration, 1 <= info <= N
+        (5, np.linalg.LinAlgError),  # info = N + 1: the deflated pencil of a 2-state pair has N = 4
+    ], ids=["qz_iteration_failed", "other_failure"])
+    def test_failed_qz_step(self, monkeypatch, info, raised):
+        dgges = linalg_module.lapack.dgges
+        monkeypatch.setattr(linalg_module.lapack, "dgges",
+                            lambda *args, **kwargs: (*dgges(*args, **kwargs)[:-1], info))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # as pyproject.toml sets it
+            with pytest.raises(raised):
+                _riccati(A2, B2)
+        if raised is np.linalg.LinAlgError:  # the Bass gain takes over
+            assert is_hurwitz(A2 + B2 @ stabilize(A2, B2)).is_hurwitz
 
     @pytest.mark.parametrize("A,B", [
         # controllable, but the unstable mode at 1.6 is reached through 1.2e-8
@@ -351,6 +401,22 @@ class TestStabilize:
         A, B = random_controllable_pair(rng, n, m)
         S = stabilize(A, B)
         assert is_hurwitz(A + B @ S).is_hurwitz
+
+
+def _scipy_care(A, B):
+    return scipy.linalg.solve_continuous_are(A, B, np.eye(len(A)), np.eye(B.shape[1]))
+
+
+def _care_outcome(solve, A, B):
+    """The bytes of P, or the class of what the solve raised, with warnings
+    turned into errors."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = solve(A, B)
+    except (ValueError, np.linalg.LinAlgError, Warning) as exc:
+        return type(exc)
+    return P.dtype, P.shape, P.tobytes()
 
 
 class TestExpEnvelope:
@@ -568,6 +634,23 @@ class TestStackedKernels:
             _hurwitz_reports(A, DEFAULT_TOLERANCES)
         with pytest.raises(ValueError):
             _solve_blocks(A[1], (np.eye(2), np.ones(2)))
+
+    def test_finite_data_that_overflows_names_its_item(self):
+        # the second pair's eigenvalue 2e308 overflows; the third's pencil
+        # A - zI at z = 1e308 overflows
+        A = np.array([-np.eye(2), np.full((2, 2), 1e308), np.diag([-1.7e308, 1e308])])
+        with pytest.raises(_FloatRangeError, match="float range") as exc:
+            is_stabilizable(A, np.ones((3, 2, 1)))
+        assert exc.value.item == 1
+        with pytest.raises(_FloatRangeError, match="PBH pencil .* float range") as exc:
+            is_stabilizable(A[::2], np.ones((2, 2, 1)))
+        assert exc.value.item == 1
+        # ||C|| of the second block overflows, though B X = C is solvable
+        with np.errstate(over="ignore"), pytest.raises(_FloatRangeError, match="float range") as exc:
+            _solve_blocks(np.ones((2, 1)), (np.eye(2), np.full((2, 2), 1e200)))
+        assert exc.value.item == 1
+        with pytest.raises(_FloatRangeError, match="float range"):
+            solve_matrix_equation(np.ones((2, 1)), np.full((2, 2), 1e200))
 
     def test_stack_shapes_must_agree(self):
         with pytest.raises(ValueError, match="n x m"):
