@@ -112,18 +112,21 @@ def assemble_controller(
     summing to 1), and the offset follows
     k_i = kt_i + S_i D_i + sum_s K_is D_s.  The stored derived fields are
     recomputed from (S, K, k) so the construction identities hold by
-    definition.
+    definition, as `_aggregate` sums them; N_i - S_i, S_i D_i and
+    sum_s K_is D_s are formed once and serve both k_i and kt_i.
     """
     D = decomp.cumulative_offset
     followers = {}
     for i in decomp.followers():
         Si = np.asarray(S[i], dtype=float)
-        Ni = np.asarray(N[i], dtype=float)
-        kti = np.asarray(k_tilde[i], dtype=float)
-        K = {s: w * (Ni - Si) for s, w in split_weights[i].items()}
-        ki = kti + Si @ D[i] + sum(Ks @ D[s] for s, Ks in K.items())
-        N_i, kt_i = _aggregate(Si, K, ki, i, D)
-        followers[i] = FollowerController(S=Si, K=K, k=ki, N=N_i, k_tilde=kt_i)
+        parent_gain = np.asarray(N[i], dtype=float) - Si
+        K = {s: w * parent_gain for s, w in split_weights[i].items()}
+        SD = Si @ D[i]
+        KD = sum(Ks @ D[s] for s, Ks in K.items())
+        ki = np.asarray(k_tilde[i], dtype=float) + SD + KD
+        followers[i] = FollowerController(
+            S=Si, K=K, k=ki, N=Si + sum(K.values()), k_tilde=ki - SD - KD
+        )
     return ControllerSet(n=n, m=m, followers=followers)
 
 

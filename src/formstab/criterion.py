@@ -238,17 +238,6 @@ def classify(spec: FormationSpec, decomp: LevelDecomposition) -> str:
     return CASE_NONE
 
 
-def _displacements(spec: FormationSpec) -> np.ndarray:
-    """The edge displacements d_ij as rows, in edge order."""
-    return np.array([e.d for e in spec.edges]).reshape(len(spec.edges), spec.n)
-
-
-def _edge_ends(spec: FormationSpec) -> tuple:
-    """Row indices i - 1 and j - 1 of every edge's endpoints, in edge order."""
-    ends = np.array([e.key for e in spec.edges], dtype=int).reshape(-1, 2) - 1
-    return ends[:, 0], ends[:, 1]
-
-
 def _defect_scale(d: np.ndarray, A_ref: np.ndarray) -> float:
     """1 + ||A_ref||_F + max ||d_ij||, the scale of the defect tolerances of
     conditions 3 and 4 and of `verify_controller`.  Raises `ValueError`
@@ -268,13 +257,9 @@ def _defect_scale(d: np.ndarray, A_ref: np.ndarray) -> float:
 def _pbh(spec: FormationSpec, nodes, tol: Tolerances) -> tuple:
     """`is_stabilizable` of the pairs (A_i, B_i) of ``nodes``, as one stack.
     A pair too large for the float range is a `ValueError` naming its node."""
-    agents = [spec.agent(i) for i in nodes]
+    rows = np.array(nodes, dtype=int) - 1
     try:
-        return is_stabilizable(
-            np.array([ag.A for ag in agents]).reshape(len(agents), spec.n, spec.n),
-            np.array([ag.B for ag in agents]).reshape(len(agents), spec.n, spec.m),
-            tol,
-        )
+        return is_stabilizable(spec.A_stack[rows], spec.B_stack[rows], tol)
     except _FloatRangeError as exc:
         raise ValueError(f"follower {nodes[exc.item]}: {exc}") from None
 
@@ -311,8 +296,7 @@ def check(
     """
     ref = decomp.renumbering[0]
     A_ref = spec.agent(ref).A
-    d = _displacements(spec)
-    scale = _defect_scale(d, A_ref)
+    scale = _defect_scale(spec.d_rows, A_ref)
     special_case = classify(spec, decomp)
     D = decomp.cumulative_offset
     followers = decomp.followers()
@@ -327,21 +311,21 @@ def check(
     cond2_ok = all(c.passed for c in cond2)
 
     offsets = np.array([D[i] for i in spec.nodes])
-    ends_i, ends_j = _edge_ends(spec)
-    defects = d - (offsets[ends_i] - offsets[ends_j])
+    ends_i, ends_j = spec.edge_ends
+    defects = spec.d_rows - (offsets[ends_i] - offsets[ends_j])
     cond3 = [
         DisplacementCheck(
-            edge=e.key,
+            edge=key,
             defect=defect,
             defect_norm=float(norm),
             passed=bool(norm <= tol.eps_solve * scale),
         )
-        for e, defect, norm in zip(spec.edges, defects, _frobenius_norms(defects))
+        for key, defect, norm in zip(spec.edge_keys, defects, _frobenius_norms(defects))
     ]
     cond3_ok = all(c.passed for c in cond3)
 
     leaders = sorted(decomp.leaders)
-    leader_A = np.array([spec.agent(i).A for i in leaders])
+    leader_A = spec.A_stack[np.array(leaders) - 1]
     defects = dict(zip(leaders, _frobenius_norms(leader_A - A_ref).tolist()))
     hw = is_hurwitz(A_ref, tol)
     binding = decomp.l0 > 1
@@ -423,42 +407,41 @@ def verify_controller(
     follower ids, gain shapes or parent keys) raises `ValueError`, as does
     a defect scale that overflows.
 
-    The Hurwitz tests run as one stack over all followers, and the edge
-    defects as one norm computation over stacked M_i and m_i indexed by
-    edge; the results are bitwise those of per-item calls.
+    The aggregate sums stay per follower (`controllers._aggregate`); the
+    products A_i + B_i N_i, B_i kt_i - A_i D_i and A_i + B_i S_i are
+    stacked matmuls over the followers, the Hurwitz tests one stack and
+    the edge defects one norm computation; the results are bitwise those
+    of per-item calls.  A NaN defect fails the check.
     """
     _check_structure(spec, decomp, ctrl)
-    scale = _defect_scale(_displacements(spec), spec.agent(decomp.renumbering[0]).A)
+    scale = _defect_scale(spec.d_rows, spec.agent(decomp.renumbering[0]).A)
 
     D = decomp.cumulative_offset
-    M = []
-    mvec = []
-    followers = []
-    closed = []  # A_i + B_i S_i of each follower
-    for i in spec.nodes:
-        ag = spec.agent(i)
-        fc = ctrl.followers.get(i)
-        if fc is None:
-            M.append(ag.A)
-            mvec.append(-ag.A @ D[i])
-        else:
-            N, kt = _aggregate(fc.S, fc.K, fc.k, i, D)
-            M.append(ag.A + ag.B @ N)
-            mvec.append(ag.B @ kt - ag.A @ D[i])
-            followers.append(i)
-            closed.append(ag.A + ag.B @ fc.S)
-    hurwitz = dict(zip(followers, _hurwitz_reports(
-        np.array(closed).reshape(len(closed), spec.n, spec.n), tol)))
+    followers = sorted(ctrl.followers)
+    laws = [ctrl.followers[i] for i in followers]
+    sums = [_aggregate(fc.S, fc.K, fc.k, i, D) for i, fc in zip(followers, laws)]
+    k, n, m = len(followers), spec.n, spec.m
+    N = np.array([Ni for Ni, _ in sums]).reshape(k, m, n)
+    kt = np.array([kti for _, kti in sums]).reshape(k, m, 1)
+    S = np.array([fc.S for fc in laws]).reshape(k, m, n)
+    A, B, rows = spec.A_stack, spec.B_stack, np.array(followers, dtype=int) - 1
+    A_f, B_f = A[rows], B[rows]
+    offsets = np.array([D[i] for i in spec.nodes]).reshape(spec.l, n, 1)
+    M = A.copy()  # a leader's gains are zero
+    M[rows] = A_f + B_f @ N
+    mvec = -A @ offsets
+    mvec[rows] = B_f @ kt - A_f @ offsets[rows]
+    hurwitz = dict(zip(followers, _hurwitz_reports(A_f + B_f @ S, tol)))
 
-    ends_i, ends_j = _edge_ends(spec)
-    M = np.array(M)
-    mvec = np.array(mvec)
-    keys = [e.key for e in spec.edges]
-    edge_M = dict(zip(keys, _frobenius_norms(M[ends_i] - M[ends_j]).tolist()))
-    edge_m = dict(zip(keys, _frobenius_norms(mvec[ends_i] - mvec[ends_j]).tolist()))
+    ends_i, ends_j = spec.edge_ends
+    matrix_defects = _frobenius_norms(M[ends_i] - M[ends_j])
+    offset_defects = _frobenius_norms(mvec[ends_i] - mvec[ends_j])
+    edge_M = dict(zip(spec.edge_keys, matrix_defects.tolist()))
+    edge_m = dict(zip(spec.edge_keys, offset_defects.tolist()))
 
-    max_M = max(edge_M.values(), default=0.0)
-    max_m = max(edge_m.values(), default=0.0)
+    # np.max, unlike max(), propagates a NaN defect, which then fails
+    max_M = float(np.max(matrix_defects, initial=0.0))
+    max_m = float(np.max(offset_defects, initial=0.0))
     passed = (
         max_M <= tol.eps_solve * scale
         and max_m <= tol.eps_solve * scale

@@ -205,8 +205,12 @@ def is_hurwitz(A, tol: Tolerances = DEFAULT_TOLERANCES) -> HurwitzReport:
 
 def _hurwitz_reports(A: np.ndarray, tol: Tolerances) -> tuple:
     """`is_hurwitz` of each matrix of the stack A (k, n, n), from one
-    eigenvalue computation; bitwise the reports of k separate calls."""
-    return tuple(_hurwitz_report(eigs, tol) for eigs in _sorted_eigenvalues(A))
+    eigenvalue computation and one maximum over the stack; bitwise the
+    reports of k separate calls."""
+    eigs = _sorted_eigenvalues(A)
+    abscissas = np.max(eigs.real, axis=-1, initial=-np.inf).tolist()
+    eps = tol.eps_hurwitz
+    return tuple(HurwitzReport(a, tuple(e), a < -eps, eps) for a, e in zip(abscissas, eigs))
 
 
 def _is_block_triangular_hurwitz(A, n: int, tol: Tolerances = DEFAULT_TOLERANCES) -> HurwitzReport:
@@ -276,6 +280,7 @@ def _solve_blocks(B, Cs, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     Each block's residual ``||B X_k - C_k||`` is taken from a contiguous
     copy of its own X_k: a block sliced out of the whole product
     ``B X - C`` can differ from a separate solve's residual in the last bit.
+    Both norms are ``np.linalg.norm``'s arithmetic without its wrapper.
     With B finite, a residual or ``||C_k||`` that is not finite (C_k
     overflowed, or the norms do) raises `_FloatRangeError` with ``item``
     k.  Callers run it under ``np.errstate(over="ignore",
@@ -297,8 +302,8 @@ def _solve_blocks(B, Cs, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     for k, (vector_rhs, C2) in enumerate(blocks):
         start, end = end, end + C2.shape[1]
         Xk = np.ascontiguousarray(X[:, start:end])
-        residual = float(np.linalg.norm(B @ Xk - C2))
-        c_norm = float(np.linalg.norm(C2))
+        r, c = (B @ Xk - C2).ravel(order="K"), C2.ravel(order="K")
+        residual, c_norm = math.sqrt(r.dot(r)), math.sqrt(c.dot(c))
         if not math.isfinite(residual + c_norm) and np.isfinite(B).all():
             raise _FloatRangeError(k, "the residual or the right-hand side of B X = C")
         rel = residual / (1.0 + c_norm)
@@ -442,14 +447,15 @@ def _riccati(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``scipy.linalg.solve_continuous_are(A, B, I, I)`` through LAPACK
     directly: the same bits, exceptions and `LinAlgWarning`.
 
-    These are scipy's steps without its argument validation and batch
-    wrappers, which cost about half of a small solve: the pencil (H, J),
-    symplectic balancing (``dgebal``), QR deflation (``dgeqrf``,
-    ``dorgqr``), the QZ form (``dgges``) reordered for the left half-plane
-    (``dtgsen``), then ``lu``, the condition test, two ``dtrtrs`` solves
-    and the symmetry test.  Operand layouts and ``lwork`` queries are
-    scipy's: BLAS and LAPACK block their arithmetic by layout and
-    workspace, so another choice can move the last bits of P.
+    These are scipy's steps without its validation and wrappers, which
+    cost more than half of a small solve: the pencil (H, J), symplectic
+    balancing (``dgebal``, skipped when every power-of-2 scale is 1), QR
+    deflation (``dgeqrf``, ``dorgqr``), the QZ form (``dgges``) reordered
+    for the left half-plane (``dtgsen``), then ``lu`` as ``dgetrf``, the
+    condition test as U's singular-value ratio, two ``dtrtrs`` solves and
+    the symmetry test with 1-norms as column sums.  Operand layouts and
+    ``lwork`` queries are scipy's: BLAS and LAPACK block their arithmetic
+    by layout and workspace, so another choice can move the last bits of P.
     """
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise ValueError("array must not contain infs or NaNs")
@@ -463,10 +469,10 @@ def _riccati(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     M = np.abs(H) + np.abs(J)
     np.fill_diagonal(M, 0.0)
     sca = lapack.dgebal(M, scale=1, permute=0)[3]
-    if not np.allclose(sca, np.ones_like(sca)):
+    if not (sca == 1).all():  # scipy's allclose test: the scales are powers of 2
         sca = np.log2(sca)
         s = np.round((sca[n : 2 * n] - sca[:n]) / 2)
-        sca = 2 ** np.r_[s, -s, sca[2 * n :]]
+        sca = 2 ** np.concatenate((s, -s, sca[2 * n :]))
         elwisescale = sca[:, None] * np.reciprocal(sca)
         H *= elwisescale
         J *= elwisescale
@@ -493,8 +499,18 @@ def _riccati(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError("reordering the QZ form failed: the pencil is too ill-conditioned")
 
     u00, u10 = u[:n, :n], u[n:, :n]
-    up, ul, uu = scipy.linalg.lu(u00)
-    if 1 / np.linalg.cond(uu) < np.spacing(1.0):
+    lu, piv = lapack.dgetrf(np.asarray_chkfinite(u00))[:2]  # scipy's lu, as P, L, U
+    rows = list(range(n))
+    for k, p in enumerate(piv.tolist()):  # P from the row swaps, in order
+        rows[k], rows[p] = rows[p], rows[k]
+    up = np.zeros((n, n))
+    up[rows, range(n)] = 1.0
+    ul, uu = np.tril(lu, -1), np.triu(lu)
+    np.fill_diagonal(ul, 1.0)
+    sv = np.linalg.svd(uu, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[0] / sv[-1]  # np.linalg.cond, which counts a NaN ratio as infinite
+    if np.isnan(cond) or 1 / cond < np.spacing(1.0):
         raise np.linalg.LinAlgError("Failed to find a finite solution.")
     y, info = lapack.dtrtrs(uu.conj().T, np.asarray_chkfinite(u10.conj().T), lower=1)
     if info:
@@ -504,9 +520,9 @@ def _riccati(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     x *= sca[:n, None] * sca[:n]
 
     u_sym = u00.conj().T.dot(u10)
-    n_u_sym = np.linalg.norm(u_sym, 1)
+    n_u_sym = np.abs(u_sym).sum(0).max()  # the 1-norms of np.linalg.norm
     u_sym = u_sym - u_sym.conj().T
-    if np.linalg.norm(u_sym, 1) > np.max([np.spacing(1000.0), 0.1 * n_u_sym]):
+    if np.abs(u_sym).sum(0).max() > np.max([np.spacing(1000.0), 0.1 * n_u_sym]):
         raise np.linalg.LinAlgError("the Hamiltonian pencil has eigenvalues too close to the axis")
     return (x + x.conj().T) / 2
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +44,10 @@ __all__ = [
 ]
 
 
-def _frozen_array(x, dtype=float) -> np.ndarray:
+def _frozen_array(x, dtype=float, shape=None) -> np.ndarray:
     a = np.array(x, dtype=dtype)
+    if shape is not None:
+        a = a.reshape(shape)
     a.setflags(write=False)
     return a
 
@@ -87,6 +90,11 @@ class FormationSpec:
     Agents are implicitly numbered 1..l by their position in ``agents``.
     Construction does not validate; call `validate` to get an exhaustive
     report of structural violations.
+
+    Read-only stacks are derived on first use, since an unvalidated spec
+    can be ragged, and kept: ``A_stack`` (l, n, n), ``B_stack`` (l, n, m),
+    ``d_rows`` (edges, n), ``edge_keys`` and ``edge_ends`` (the row
+    indices i - 1 and j - 1 of every edge), in agent or edge order.
     """
 
     n: int
@@ -132,6 +140,28 @@ class FormationSpec:
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self._disp
+
+    @cached_property
+    def A_stack(self) -> np.ndarray:
+        return _frozen_array([ag.A for ag in self.agents], shape=(self.l, self.n, self.n))
+
+    @cached_property
+    def B_stack(self) -> np.ndarray:
+        return _frozen_array([ag.B for ag in self.agents], shape=(self.l, self.n, self.m))
+
+    @cached_property
+    def d_rows(self) -> np.ndarray:
+        return _frozen_array([e.d for e in self.edges], shape=(len(self.edges), self.n))
+
+    @cached_property
+    def edge_keys(self) -> tuple:
+        return tuple(e.key for e in self.edges)
+
+    @cached_property
+    def edge_ends(self) -> tuple:
+        ends = np.array(self.edge_keys, dtype=int).reshape(-1, 2) - 1
+        ends.setflags(write=False)
+        return ends[:, 0], ends[:, 1]
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ class SplitStrategy:
     ``parent_only`` puts all of it on the designated parent (minimal
     communication: each follower listens to one agent), ``uniform``
     spreads it evenly, ``custom`` uses explicit per-follower weight maps
-    (parent -> weight, summing to 1).
+    (parent -> finite weight, summing to 1).
     """
 
     tag: str = "parent_only"
@@ -63,16 +63,19 @@ class SplitStrategy:
             else:
                 if i not in self.weights:
                     raise ValueError(f"custom strategy is missing weights for follower {i}")
-                w = {s: float(self.weights[i].get(s, 0.0)) for s in parents}
-                total = sum(w.values())
-                if abs(total - 1.0) > 1e-12:
-                    raise ValueError(
-                        f"weights for follower {i} sum to {total}, expected 1"
-                    )
                 unknown = set(self.weights[i]) - set(parents)
                 if unknown:
                     raise ValueError(
                         f"weights for follower {i} reference non-parents {sorted(unknown)}"
+                    )
+                w = {s: float(self.weights[i].get(s, 0.0)) for s in parents}
+                for s, ws in w.items():
+                    if not np.isfinite(ws):
+                        raise ValueError(f"weight of parent {s} for follower {i} is {ws}")
+                total = sum(w.values())
+                if abs(total - 1.0) > 1e-12:
+                    raise ValueError(
+                        f"weights for follower {i} sum to {total}, expected 1"
                     )
             out[i] = w
         return out

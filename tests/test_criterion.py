@@ -251,6 +251,22 @@ class TestVerifyController:
         assert not ver.passed
         assert ver.edge_matrix_defects[(2, 1)] > 1.0
 
+    @pytest.mark.parametrize("field", ["K", "k"])
+    def test_nan_gain_or_offset_fails(self, good_triangle, field):
+        # the edges are (2, 1), (3, 2), (3, 1): the first defect stays
+        # finite, and a NaN after it must still fail the check
+        dec = decompose(good_triangle)
+        data = controller_to_dict(synthesize(good_triangle, dec, check(good_triangle, dec)))
+        if field == "K":
+            data["followers"]["3"]["K"]["2"][0][0] = float("nan")
+        else:
+            data["followers"]["3"]["k"][0] = float("nan")
+        ver = verify_controller(good_triangle, dec, controller_from_dict(data))
+        assert not ver.passed
+        assert ver.edge_offset_defects[(2, 1)] == 0.0
+        assert np.isnan(ver.max_offset_defect)
+        assert np.isnan(ver.max_matrix_defect) == (field == "K")
+
     def test_single_agent_vacuous(self):
         spec = FormationSpec(
             n=1,

@@ -419,6 +419,53 @@ def _care_outcome(solve, A, B):
     return P.dtype, P.shape, P.tobytes()
 
 
+class TestRiccatiBranches:
+    """Explicit pairs that reach each branch at the end of `_riccati`, each
+    bitwise scipy's solver.  Spies on the LAPACK wrappers show the branch
+    taken; scipy's outcome is taken before they are installed."""
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        seen = []
+        f = getattr(linalg_module.lapack, name)
+
+        def spy(*args, **kwargs):
+            seen.append(f(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(linalg_module.lapack, name, spy)
+        return seen
+
+    def _outcomes(self, monkeypatch, A, B):
+        expected = _care_outcome(_scipy_care, A, B)
+        balanced = self._spy(monkeypatch, "dgebal")
+        factored = self._spy(monkeypatch, "dgetrf")
+        got = _care_outcome(_riccati, A, B)
+        return expected, got, balanced[0][3], factored[0]
+
+    def test_unit_scales_skip_the_rescaling_and_the_lu_pivots(self, monkeypatch):
+        A, B = np.array([[0.0, 1.0], [-2.0, -3.0]]), np.array([[0.0], [1.0]])
+        expected, got, scales, (_, piv, info) = self._outcomes(monkeypatch, A, B)
+        assert (scales == 1).all()
+        assert info == 0 and piv.tolist() != list(range(len(piv)))  # a row swap
+        assert isinstance(got, tuple) and got == expected
+
+    def test_power_of_two_scales_rescale(self, monkeypatch):
+        A, B = np.array([[0.0, 1.0], [-2.0, -3.0]]), np.array([[0.0], [1e3]])
+        expected, got, scales, _ = self._outcomes(monkeypatch, A, B)
+        assert not (scales == 1).all()
+        assert np.array_equal(np.exp2(np.round(np.log2(scales))), scales)
+        assert isinstance(got, tuple) and got == expected
+
+    def test_singular_u00_raises_linalg_error(self, monkeypatch):
+        # no input and unstable modes: the stable subspace of the pencil has
+        # no graph form, and u00 is exactly singular
+        A, B = np.diag([1.0, 2.0]), np.zeros((2, 1))
+        expected, got, _, (_, _, info) = self._outcomes(monkeypatch, A, B)
+        assert info > 0
+        assert got is expected is np.linalg.LinAlgError
+
+
 class TestExpEnvelope:
     def test_negative_identity_tight(self):
         env = exp_envelope(-np.eye(2), 0.5)
@@ -651,6 +698,24 @@ class TestStackedKernels:
         assert exc.value.item == 1
         with pytest.raises(_FloatRangeError, match="float range"):
             solve_matrix_equation(np.ones((2, 1)), np.full((2, 2), 1e200))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "column"])
+    def test_block_norms_are_bitwise_linalg_norm(self, layout):
+        rng = np.random.default_rng(3)
+        B = rng.standard_normal((5, 2))
+        C = rng.standard_normal((5, 3))
+        C = {"C": C, "F": np.asfortranarray(C), "column": C[:, 1]}[layout]
+        assert [_bits(r) for r in _solve_blocks(B, (C, 2 * C))] == [
+            _bits(_ref_solve(B, C)), _bits(_ref_solve(B, 2 * C))]
+
+    def test_first_overflowing_block_is_named(self):
+        huge = np.full((2, 2), 1e200)
+        with np.errstate(over="ignore"):
+            for blocks, item in (((huge, np.eye(2)), 0),
+                                 ((np.eye(2), np.full(2, 1e300), huge), 1)):
+                with pytest.raises(_FloatRangeError, match="float range") as exc:
+                    _solve_blocks(np.ones((2, 1)), blocks)
+                assert exc.value.item == item
 
     def test_stack_shapes_must_agree(self):
         with pytest.raises(ValueError, match="n x m"):

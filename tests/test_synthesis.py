@@ -90,12 +90,23 @@ class TestSynthesize:
         ({3: {1: 0.5, 2: 0.5}}, "custom strategy is missing weights for follower 2"),
         ({3: {1: 0.5, 2: 0.5}, 2: {1: 1.0, 3: 0.5}},
          "weights for follower 2 reference non-parents [3]"),
-    ], ids=["missing_follower", "non_parent"])
+        # named before the sum, which leaves the non-parent out
+        ({2: {1: 1.0}, 3: {1: 0.5, 99: 0.5}}, "weights for follower 3 reference non-parents [99]"),
+        # a NaN passed the sum test, and the controller then verified
+        ({2: {1: 1.0}, 3: {1: float("nan"), 2: 0.5}}, "weight of parent 1 for follower 3 is nan"),
+        # inf - inf passed the sum test, and assembly leaked a RuntimeWarning
+        ({2: {1: 1.0}, 3: {1: float("inf"), 2: -float("inf")}},
+         "weight of parent 1 for follower 3 is inf"),
+    ], ids=["missing_follower", "non_parent", "non_parent_before_sum", "nan_weight",
+            "infinite_weights"])
     def test_custom_weights_name_their_fault(self, good_triangle, weights, message):
         dec = decompose(good_triangle)
         with pytest.raises(ValueError) as exc:
             SplitStrategy("custom", weights=weights).resolve(good_triangle, dec)
         assert str(exc.value) == message
+        with pytest.raises(ValueError):
+            synthesize(good_triangle, dec, check(good_triangle, dec),
+                       SplitStrategy("custom", weights=weights))
 
 
 class TestNoRepeatedPbhTest:
