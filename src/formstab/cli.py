@@ -227,8 +227,9 @@ def cmd_simulate(args) -> int:
     sig = _parse_signal(args.signals, spec.m)
     signals = {i: sig for i in sorted(decomp.leaders)}
 
-    trace = simulate(spec, decomp, ctrl, x0, signals=signals, T=cfg.T, dt=cfg.dt)
-    fit = fit_envelope(trace, decomp)  # a fit that raises writes no trace
+    trace = simulate(spec, decomp, ctrl, x0, signals=signals, T=cfg.T, dt=cfg.dt,
+                     tol=cfg.tolerances)
+    fit = fit_envelope(trace, decomp, cfg.tolerances)  # a fit that raises writes no trace
     write_trace_csv(trace, decomp, out / f"{stem}_trace.csv")
     _write_json(out / f"{stem}_envelope.json", fit.to_dict())
     if plot:
@@ -286,7 +287,8 @@ def cmd_demo(args) -> int:
             "offsets are -1 and -4",
         )
         ctrl = synthesis.synthesize(spec, decomp, rep, tol=tol)
-        trace = simulate(spec, decomp, ctrl, ideal_initial_states(decomp, np.zeros(spec.n)), T=10.0)
+        x0 = ideal_initial_states(decomp, np.zeros(spec.n))
+        trace = simulate(spec, decomp, ctrl, x0, T=10.0, tol=tol)
         worst = max(float(np.abs(z).max()) for z in trace.errors.values())
         _expect(worst <= 1e-9, f"ideal run keeps errors at zero (max {worst:.2e})")
     elif args.name == "example1":
@@ -319,10 +321,10 @@ def cmd_demo(args) -> int:
         x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
         # the unstable leader grows like exp(2t); the envelope check allows
         # for the roundoff of such states, so the short horizon only saves time
-        trace = simulate(spec, decomp, ctrl, x0, T=6.0)
+        trace = simulate(spec, decomp, ctrl, x0, T=6.0, tol=tol)
         resid = chain_residual(trace, decomp, (3, 1), 2)
         _expect(float(resid.max()) <= 1e-9, "two-parent chain identity holds on the trace")
-        fit = fit_envelope(trace, decomp)
+        fit = fit_envelope(trace, decomp, tol)
         _expect(fit.passed, "error envelope holds")
     return EXIT_OK
 

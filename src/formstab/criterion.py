@@ -35,6 +35,7 @@ from .linalg import (
     _frobenius_norms,
     _hurwitz_reports,
     _solve_blocks,
+    _sorted_eigenvalues,
     is_hurwitz,
     is_stabilizable,
 )
@@ -411,7 +412,9 @@ def verify_controller(
     products A_i + B_i N_i, B_i kt_i - A_i D_i and A_i + B_i S_i are
     stacked matmuls over the followers, the Hurwitz tests one stack and
     the edge defects one norm computation; the results are bitwise those
-    of per-item calls.  A NaN defect fails the check.
+    of per-item calls.  A NaN defect fails the check, and so does a
+    closed loop A_i + B_i S_i that is not finite: its report has a NaN
+    abscissa and is not Hurwitz.
     """
     _check_structure(spec, decomp, ctrl)
     scale = _defect_scale(spec.d_rows, spec.agent(decomp.renumbering[0]).A)
@@ -431,7 +434,11 @@ def verify_controller(
     M[rows] = A_f + B_f @ N
     mvec = -A @ offsets
     mvec[rows] = B_f @ kt - A_f @ offsets[rows]
-    hurwitz = dict(zip(followers, _hurwitz_reports(A_f + B_f @ S, tol)))
+    loops = A_f + B_f @ S
+    finite = np.isfinite(loops).all(axis=(1, 2))  # a NaN or inf loop has no spectrum
+    spectra = np.full((k, n), np.nan, dtype=complex)
+    spectra[finite] = _sorted_eigenvalues(loops[finite])
+    hurwitz = dict(zip(followers, _hurwitz_reports(spectra, tol)))
 
     ends_i, ends_j = spec.edge_ends
     matrix_defects = _frobenius_norms(M[ends_i] - M[ends_j])

@@ -168,25 +168,23 @@ def eigenvalues(A) -> np.ndarray:
     return _sorted_eigenvalues(A)
 
 
-def _sorted_eigenvalues(A: np.ndarray, merged: bool = False) -> np.ndarray:
+def _sorted_eigenvalues(A: np.ndarray) -> np.ndarray:
     """`eigenvalues` of a square matrix, or of each matrix of a stack of
     shape (k, n, n) as the k rows of a (k, n) array, bitwise those of k
-    separate calls; ``merged`` sorts the stack's eigenvalues as one array."""
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix must not contain infs or NaNs")
+    separate calls.  eigvals rejects a NaN or inf itself, so the input is
+    scanned for them only on that error path."""
     try:
-        eigs = np.linalg.eigvals(A).astype(complex)
+        eigs = np.linalg.eigvals(A).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
+        if not np.isfinite(A).all():
+            raise ValueError("matrix must not contain infs or NaNs") from None
         raise ConvergenceFailure(str(exc)) from exc
-    if eigs.ndim > 1 and not merged:
+    if eigs.ndim > 1:
         # eigvals drops the imaginary parts only when the whole stack is
         # real; a single call drops them for each real spectrum
         real = np.all(eigs.imag == 0, axis=-1)
         eigs[real] = eigs[real].real
-        order = np.lexsort((eigs.imag, eigs.real), axis=-1)
-        return np.take_along_axis(eigs, order, axis=-1)
-    eigs = eigs.reshape(-1)
-    return eigs[np.lexsort((eigs.imag, eigs.real))]
+    return np.sort(eigs, axis=-1, kind="stable")
 
 
 def spectral_abscissa(A) -> float:
@@ -200,20 +198,18 @@ def is_hurwitz(A, tol: Tolerances = DEFAULT_TOLERANCES) -> HurwitzReport:
     The verdict uses a strict margin: Hurwitz iff the spectral abscissa is
     below ``-tol.eps_hurwitz``.
     """
-    return _hurwitz_report(eigenvalues(A), tol)
+    return _hurwitz_reports(eigenvalues(A)[None], tol)[0]
 
 
-def _hurwitz_reports(A: np.ndarray, tol: Tolerances) -> tuple:
-    """`is_hurwitz` of each matrix of the stack A (k, n, n), from one
-    eigenvalue computation and one maximum over the stack; bitwise the
-    reports of k separate calls."""
-    eigs = _sorted_eigenvalues(A)
+def _hurwitz_reports(eigs: np.ndarray, tol: Tolerances) -> tuple:
+    """`is_hurwitz` of each row of the (k, n) stack of sorted spectra
+    ``eigs``, from one maximum over the stack; a NaN row is not Hurwitz."""
     abscissas = np.max(eigs.real, axis=-1, initial=-np.inf).tolist()
     eps = tol.eps_hurwitz
     return tuple(HurwitzReport(a, tuple(e), a < -eps, eps) for a, e in zip(abscissas, eigs))
 
 
-def _is_block_triangular_hurwitz(A, n: int, tol: Tolerances = DEFAULT_TOLERANCES) -> HurwitzReport:
+def _is_block_triangular_hurwitz(A, n: int, tol: Tolerances) -> HurwitzReport:
     """`is_hurwitz` of a block-lower-triangular matrix with n-by-n diagonal
     blocks, from one stacked eigenvalue computation over those blocks.
 
@@ -222,6 +218,7 @@ def _is_block_triangular_hurwitz(A, n: int, tol: Tolerances = DEFAULT_TOLERANCES
     dense QR iteration gives those of a strongly non-normal whole, and at
     a fraction of its cost.  Raises `ValueError` on non-finite entries, as
     `is_hurwitz` does, and when a block above the diagonal is nonzero.
+    ``tol`` has no default, so that no verdict falls back to it silently.
     """
     A = _as_matrix(A)
     k = len(A) // n
@@ -232,17 +229,8 @@ def _is_block_triangular_hurwitz(A, n: int, tol: Tolerances = DEFAULT_TOLERANCES
     if any(A[r : r + n, r + n :].any() for r in range(0, k * n, n)):
         raise ValueError("matrix is not block lower triangular")
     blocks = A.reshape(k, n, k, n)[np.arange(k), :, np.arange(k), :]
-    return _hurwitz_report(_sorted_eigenvalues(blocks, merged=True), tol)
-
-
-def _hurwitz_report(eigs: np.ndarray, tol: Tolerances) -> HurwitzReport:
-    abscissa = float(np.max(eigs.real)) if eigs.size else -np.inf
-    return HurwitzReport(
-        spectral_abscissa=abscissa,
-        eigenvalues=tuple(eigs),
-        is_hurwitz=bool(abscissa < -tol.eps_hurwitz),
-        margin=tol.eps_hurwitz,
-    )
+    union = _sorted_eigenvalues(blocks).reshape(1, -1)
+    return _hurwitz_reports(np.sort(union, kind="stable"), tol)[0]
 
 
 def solve_matrix_equation(B, C, tol: Tolerances = DEFAULT_TOLERANCES) -> LinearSolveReport:

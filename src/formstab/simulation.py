@@ -44,7 +44,12 @@ from .errors import (
     StepTooLargeError,
     TraceWriteError,
 )
-from .linalg import _is_block_triangular_hurwitz, _lyapunov_constant
+from .linalg import (
+    DEFAULT_TOLERANCES,
+    Tolerances,
+    _is_block_triangular_hurwitz,
+    _lyapunov_constant,
+)
 from .model import FormationSpec, LevelDecomposition
 
 __all__ = [
@@ -717,6 +722,7 @@ def simulate(
     signals: dict | None = None,
     T: float = 20.0,
     dt: float | None = None,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SimulationTrace:
     """Propagate the closed-loop formation and record its trajectory.
 
@@ -731,6 +737,9 @@ def simulate(
         max ||A_i + B_i S_i||_F)); an explicit dt with dt * max||A_i + B_i S_i||_F > 1
         raises `StepTooLargeError`, as does a dt whose step increment overflows
         (a sinusoid of huge omega, or an input map G H that overflows).
+    tol : Tolerances
+        Its ``eps_hurwitz`` is the margin of the error-loop verdict that
+        names the cause of an overflow, as in `fit_envelope`.
 
     The stacked system is propagated jointly (its coupling is lower
     triangular in renumbering order) on the grid k * dt, plus T and the
@@ -839,7 +848,7 @@ def simulate(
             _integrate(M, c, forcing, times, traj)
     bad = ~np.isfinite(traj).all(axis=0)
     if bad.any():
-        loop = _is_block_triangular_hurwitz(M[n:, n:], n)
+        loop = _is_block_triangular_hurwitz(M[n:, n:], n, tol)
         cause = NonFiniteStateError if loop.is_hurwitz else NonDecayError
         raise cause(float(times[int(np.argmax(bad))]), T, loop)
 
@@ -954,7 +963,11 @@ def _certified_constant(M_e: np.ndarray, alpha: float) -> float:
     return C
 
 
-def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> EnvelopeFit:
+def fit_envelope(
+    trace: SimulationTrace,
+    decomp: LevelDecomposition,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> EnvelopeFit:
     """Certify the exponential-plus-input-gain bound and check it on a trace.
 
     Error coordinates: with y = x + D (D the cumulative offsets), xi = T y
@@ -968,9 +981,9 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
     A_a for another leader.  So the Hurwitz verdict and
     alpha = -spectral_abscissa(M_e) / 2 come from the eigenvalues of those
     n-by-n blocks, read off M without the reference leader's rows and
-    columns (`linalg._is_block_triangular_hurwitz`).  Only a Hurwitz loop
-    builds M_e, for C from one dense Lyapunov solve on M_e
-    (`linalg._lyapunov_constant`), which
+    columns (`linalg._is_block_triangular_hurwitz`, with the margin
+    ``tol.eps_hurwitz``).  Only a Hurwitz loop builds M_e, for C from one
+    dense Lyapunov solve on M_e (`linalg._lyapunov_constant`), which
     certifies ||exp(t M_e)|| <= C e^{-alpha t}.  So every edge obeys
 
         ||z_ij(t)|| <= C_ij e^{-alpha t} ||z(0)|| + beta_ij U(t),
@@ -997,7 +1010,7 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
     times = trace.times
     edges = decomp.edge_order(trace.errors)
     z0n = trace.initial_error_norm()
-    tol = 1e-6 * (1.0 + z0n)
+    allowed = 1e-6 * (1.0 + z0n)
 
     # zero signals add nothing to U; the others are added in signal order
     U = np.zeros(len(times))
@@ -1021,14 +1034,14 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
             max_violation=0.0,
             degenerate=True,
             z0_norm=z0n,
-            tolerance=tol,
+            tolerance=allowed,
         )
     if not edges:  # a lone leader under an input has no error to bound
-        return EnvelopeFit({}, {}, {}, True, 0.0, False, z0n, tol)
+        return EnvelopeFit({}, {}, {}, True, 0.0, False, z0n, allowed)
 
     M, G = trace.closed_loop
     n = M.shape[0] // len(decomp.renumbering)
-    hurwitz = _is_block_triangular_hurwitz(M[n:, n:], n)
+    hurwitz = _is_block_triangular_hurwitz(M[n:, n:], n, tol)
     if hurwitz.is_hurwitz:
         T, M_e, r = _error_coordinates(M, decomp, edges)
         alpha = -0.5 * hurwitz.spectral_abscissa
@@ -1075,11 +1088,11 @@ def fit_envelope(trace: SimulationTrace, decomp: LevelDecomposition) -> Envelope
         C=C_map,
         alpha=dict.fromkeys(edges, alpha),
         beta=b_map,
-        passed=bool(hurwitz.is_hurwitz and max_violation <= tol),
+        passed=bool(hurwitz.is_hurwitz and max_violation <= allowed),
         max_violation=max_violation,
         degenerate=False,
         z0_norm=z0n,
-        tolerance=tol,
+        tolerance=allowed,
     )
 
 

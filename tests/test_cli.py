@@ -14,7 +14,14 @@ import pytest
 import formstab
 import formstab.cli
 import formstab.simulation
-from formstab import CertificateError, save_controller, save_formation
+from formstab import (
+    AgentDynamics,
+    CertificateError,
+    Edge,
+    FormationSpec,
+    save_controller,
+    save_formation,
+)
 from formstab.cli import main
 from formstab.controllers import assemble_controller, controller_to_dict
 from formstab.instances import (
@@ -33,6 +40,22 @@ def chain_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("specs") / "chain.json"
     save_formation(three_agent_chain(), path)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def near_axis():
+    """Two leaders that decay at rate 1e-10 only, and one follower of both:
+    stable under eps_hurwitz = 1e-12, unstable under the default 1e-9."""
+    A = np.diag([-1e-10, -1.0])
+    B = np.array([[1.0], [1.0]])
+    B3 = np.array([[1.0], [0.0]])
+    A3 = A - B3 @ np.array([[1.0, 0.0]])
+    d = np.array([1.0, 0.0])
+    return FormationSpec(
+        n=2, m=1,
+        agents=(AgentDynamics(A=A, B=B), AgentDynamics(A=A, B=B), AgentDynamics(A=A3, B=B3)),
+        edges=(Edge(3, 1, d), Edge(3, 2, d)),
+    )
 
 
 class TestCheck:
@@ -326,7 +349,7 @@ class TestSimulate:
         assert list(tmp_path.glob("*_trace.csv")) == []
 
     def test_fit_that_raises_writes_no_trace(self, chain_file, tmp_path, monkeypatch):
-        def failing(trace, decomp):
+        def failing(trace, decomp, tol):
             raise CertificateError("Lyapunov solution is not positive definite")
 
         monkeypatch.setattr(formstab.cli, "fit_envelope", failing)
@@ -454,8 +477,11 @@ class TestSimulate:
         (lambda doc: doc["followers"]["2"]["K"]["1"][0].__setitem__(0, float("nan")),
          "error: the closed loop of agent 2 is not finite: a gain or matrix entry "
          "is NaN or infinite, or overflows\n"),
+        (lambda doc: doc["followers"]["3"]["S"][0].__setitem__(0, float("nan")),
+         "error: the closed loop of agent 3 is not finite: a gain or matrix entry "
+         "is NaN or infinite, or overflows\n"),
     ], ids=["missing_follower", "extra_follower", "wrong_n", "wrong_S_shape", "K_not_a_parent",
-            "S_infinite", "K_nan"])
+            "S_infinite", "K_nan", "S_nan"])
     def test_controller_that_does_not_fit_exits_one(self, tmp_path, capsys, edit, message):
         path = str(demo_path("triangle"))
         assert main(["synthesize", path, "--out", str(tmp_path)]) == 0
@@ -635,6 +661,20 @@ class TestConfigAndDeterminism:
             {"eps_solve": 1e6, "eps_hurwitz": 1e-9, "rank_cutoff": 1.0, "out": str(tmp_path)}
         ))
         assert main(["check", str(demo_path("example1")), "--config", str(cfg)]) == 0
+
+    def test_configured_eps_hurwitz_reaches_every_verdict(self, near_axis, tmp_path):
+        # leaders that decay at 1e-10: check and the envelope agree under
+        # eps_hurwitz = 1e-12, and both find the instance unstable under
+        # the default margin
+        spec = tmp_path / "near_axis.json"
+        save_formation(near_axis, spec)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps_hurwitz": 1e-12, "out": str(tmp_path / "tight")}))
+        for argv in (["check"], ["simulate", "--T", "2"]):
+            assert main([argv[0], str(spec), *argv[1:], "--config", str(cfg)]) == 0
+            assert main([argv[0], str(spec), *argv[1:], "--out", str(tmp_path)]) == 2
+        fit = json.loads((tmp_path / "tight" / "near_axis_envelope.json").read_text())
+        assert fit["passed"] and set(fit["alpha"].values()) == {5e-11}
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,

@@ -267,6 +267,18 @@ class TestVerifyController:
         assert np.isnan(ver.max_offset_defect)
         assert np.isnan(ver.max_matrix_defect) == (field == "K")
 
+    def test_nan_own_state_gain_fails_and_raises_nothing(self, good_triangle):
+        dec = decompose(good_triangle)
+        ctrl = synthesize(good_triangle, dec, check(good_triangle, dec))
+        data = controller_to_dict(ctrl)
+        data["followers"]["3"]["S"][0][0] = float("nan")
+        ver = verify_controller(good_triangle, dec, controller_from_dict(data))
+        assert not ver.passed
+        loop = ver.follower_hurwitz[3]
+        assert np.isnan(loop.spectral_abscissa) and not loop.is_hurwitz
+        clean = verify_controller(good_triangle, dec, ctrl)
+        assert ver.follower_hurwitz[2] == clean.follower_hurwitz[2]
+
     def test_single_agent_vacuous(self):
         spec = FormationSpec(
             n=1,

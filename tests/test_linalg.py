@@ -45,6 +45,7 @@ from formstab.linalg import (
     _is_block_triangular_hurwitz,
     _riccati,
     _solve_blocks,
+    _sorted_eigenvalues,
 )
 
 CHAIN = three_agent_chain()
@@ -88,8 +89,17 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
-        with pytest.raises(ValueError):
-            eigenvalues(np.array([[1.0, bad], [0.0, 2.0]]))
+        # eigvals finds them; the kernel names them, single or stacked, and
+        # warns nothing
+        single = np.array([[1.0, bad], [0.0, 2.0]])
+        stack = np.array([-np.eye(2), single])
+        for call, A in ((eigenvalues, single), (_sorted_eigenvalues, stack)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError) as exc:
+                    call(A)
+            assert str(exc.value) == "matrix must not contain infs or NaNs"
+            assert caught == []
 
     def test_lapack_non_convergence_is_convergence_failure(self, monkeypatch):
         def no_convergence(A):
@@ -98,6 +108,8 @@ class TestEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
         with pytest.raises(ConvergenceFailure):
             eigenvalues(np.eye(2))
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            _sorted_eigenvalues(np.array([-np.eye(2), np.eye(2)]))
 
     @pytest.mark.parametrize("A,message", [
         (np.ones(3), "expected a 2-d matrix, got shape (3,)"),
@@ -146,7 +158,7 @@ class TestBlockTriangularHurwitz:
     def test_agrees_with_the_dense_test(self, seed, n, k, shift):
         A = _block_lower_triangular(seed, n, k, shift)
         dense = is_hurwitz(A)
-        blocks = _is_block_triangular_hurwitz(A, n)
+        blocks = _is_block_triangular_hurwitz(A, n, DEFAULT_TOLERANCES)
         assert blocks.is_hurwitz == dense.is_hurwitz
         assert blocks.spectral_abscissa == pytest.approx(dense.spectral_abscissa, rel=1e-8, abs=1e-10)
         assert len(blocks.eigenvalues) == n * k
@@ -164,17 +176,17 @@ class TestBlockTriangularHurwitz:
         A = _block_lower_triangular(0, 2, 2, 3.0)
         A[at] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            _is_block_triangular_hurwitz(A, 2)
+            _is_block_triangular_hurwitz(A, 2, DEFAULT_TOLERANCES)
 
     def test_nonzero_block_above_the_diagonal_rejected(self):
         A = _block_lower_triangular(0, 2, 3, 3.0)
         A[1, 4] = 1e-300
         with pytest.raises(ValueError, match="not block lower triangular"):
-            _is_block_triangular_hurwitz(A, 2)
+            _is_block_triangular_hurwitz(A, 2, DEFAULT_TOLERANCES)
 
     def test_size_not_a_multiple_of_the_block_rejected(self):
         with pytest.raises(ValueError, match="2-by-2 blocks"):
-            _is_block_triangular_hurwitz(-np.eye(3), 2)
+            _is_block_triangular_hurwitz(-np.eye(3), 2, DEFAULT_TOLERANCES)
 
     def test_lapack_non_convergence_is_convergence_failure(self, monkeypatch):
         def no_convergence(A):
@@ -182,7 +194,7 @@ class TestBlockTriangularHurwitz:
 
         monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
         with pytest.raises(ConvergenceFailure):
-            _is_block_triangular_hurwitz(-np.eye(4), 2)
+            _is_block_triangular_hurwitz(-np.eye(4), 2, DEFAULT_TOLERANCES)
 
 
 class TestSolveMatrixEquation:
@@ -549,7 +561,13 @@ def test_tolerances_must_be_positive():
 
 
 def _ref_eigenvalues(A):
+    """Eigenvalues lexsorted by (real, imag): one array for a matrix, one
+    row per matrix of a stack, as `_sorted_eigenvalues` once sorted them."""
     eigs = np.linalg.eigvals(A).astype(complex)
+    if eigs.ndim > 1:
+        real = np.all(eigs.imag == 0, axis=-1)
+        eigs[real] = eigs[real].real
+        return np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real), axis=-1), axis=-1)
     return eigs[np.lexsort((eigs.imag, eigs.real))]
 
 
@@ -608,6 +626,31 @@ def _stacks(spec):
     return A, B, rhs
 
 
+def _ref_union(blocks):
+    """The reference block-diagonal spectrum: every block's eigenvalues
+    from one stacked call, lexsorted as one array."""
+    eigs = np.linalg.eigvals(blocks).astype(complex).reshape(-1)
+    return eigs[np.lexsort((eigs.imag, eigs.real))]
+
+
+def _spectral_item(rng, n):
+    """A matrix from a family with exact ties, zero or purely imaginary
+    eigenvalues, or a generic one."""
+    family = rng.integers(5)
+    if family == 0:  # integer
+        return rng.integers(-3, 4, (n, n)).astype(float)
+    if family == 1:  # skew-symmetric
+        X = rng.standard_normal((n, n)) if rng.integers(2) else rng.integers(-3, 4, (n, n))
+        return X - X.T
+    if family == 2:  # a zero column
+        X = rng.standard_normal((n, n))
+        X[:, rng.integers(n)] = 0.0
+        return X
+    if family == 3:  # integer diagonal
+        return np.diag(rng.integers(-2, 3, n).astype(float))
+    return rng.standard_normal((n, n))
+
+
 _INSTANCES = st.one_of(
     st.builds(lambda s: random_feasible_formation(s, max_nodes=12), st.integers(0, 10_000)),
     st.builds(lambda s: random_dag_formation(s, max_nodes=12, n=3, m=1), st.integers(0, 10_000)),
@@ -628,8 +671,25 @@ class TestStackedKernels:
     def test_hurwitz_stack_is_bitwise_per_matrix(self, spec):
         A, B, _ = _stacks(spec)
         for stack in (A, A - 3.0 * np.eye(A.shape[1])):
-            reports = _hurwitz_reports(stack, DEFAULT_TOLERANCES)
+            reports = _hurwitz_reports(_sorted_eigenvalues(stack), DEFAULT_TOLERANCES)
             assert [_bits(r) for r in reports] == [_bits(_ref_hurwitz(a)) for a in stack]
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), n=st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_stable_sort_is_bitwise_the_lexsort(self, seed, k, n):
+        rng = np.random.default_rng(seed)
+        stack = np.array([_spectral_item(rng, n) for _ in range(k)])
+        assert _sorted_eigenvalues(stack).tobytes() == _ref_eigenvalues(stack).tobytes()
+        for a in stack:
+            assert eigenvalues(a).tobytes() == _ref_eigenvalues(a).tobytes()
+            assert _bits(is_hurwitz(a)) == _bits(_ref_hurwitz(a))
+        union = _ref_union(stack)
+        abscissa = float(np.max(union.real))
+        eps = DEFAULT_TOLERANCES.eps_hurwitz
+        expected = HurwitzReport(abscissa, tuple(union), abscissa < -eps, eps)
+        block = _is_block_triangular_hurwitz(scipy.linalg.block_diag(*stack), n, DEFAULT_TOLERANCES)
+        assert _bits(block) == _bits(expected)
+        assert np.array(block.eigenvalues).tobytes() == union.tobytes()
 
     @given(spec=_INSTANCES)
     @settings(max_examples=12, deadline=None)
@@ -668,7 +728,7 @@ class TestStackedKernels:
 
     def test_empty_stacks(self):
         assert is_stabilizable(np.zeros((0, 2, 2)), np.zeros((0, 2, 1))) == ()
-        assert _hurwitz_reports(np.zeros((0, 2, 2)), DEFAULT_TOLERANCES) == ()
+        assert _hurwitz_reports(_sorted_eigenvalues(np.zeros((0, 2, 2))), DEFAULT_TOLERANCES) == ()
         assert _frobenius_norms(np.zeros((0, 2))).shape == (0,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -678,7 +738,7 @@ class TestStackedKernels:
         with pytest.raises(ValueError, match="infs or NaNs"):
             is_stabilizable(A, np.ones((2, 2, 1)))
         with pytest.raises(ValueError, match="infs or NaNs"):
-            _hurwitz_reports(A, DEFAULT_TOLERANCES)
+            _sorted_eigenvalues(A)
         with pytest.raises(ValueError):
             _solve_blocks(A[1], (np.eye(2), np.ones(2)))
 

@@ -27,6 +27,7 @@ from formstab import (
     PiecewiseConstantSignal,
     SinusoidSignal,
     StepTooLargeError,
+    Tolerances,
     TraceWriteError,
     ZeroSignal,
     chain_residual,
@@ -45,7 +46,7 @@ from formstab import (
 )
 import formstab.simulation
 from formstab.controllers import assemble_controller, controller_from_dict, controller_to_dict
-from formstab.linalg import _is_block_triangular_hurwitz
+from formstab.linalg import DEFAULT_TOLERANCES, _is_block_triangular_hurwitz
 from formstab.simulation import _closed_loop_blocks, _error_coordinates
 from formstab.instances import (
     demo_instance,
@@ -489,6 +490,21 @@ class TestSimulate:
             "T=400.0 exceeds the float range of the leaders' own growth: non-finite "
             "state at t=355.8857523947705, while the error loop decays")
 
+    def test_overflow_diagnosis_takes_the_given_tolerances(self):
+        # the triangle's error loop has abscissa -1.28: Hurwitz at the
+        # default margin, not at eps_hurwitz = 2, so the same overflow is a
+        # non-decay there
+        spec = demo_instance("triangle")
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        rng = np.random.default_rng(0)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        with pytest.raises(NonDecayError) as exc:
+            simulate(spec, dec, ctrl, x0, T=400.0, tol=Tolerances(eps_hurwitz=2.0))
+        loop = exc.value.error_loop
+        assert loop.margin == 2.0 and not loop.is_hurwitz
+        assert loop.spectral_abscissa == pytest.approx(-1.2758, abs=1e-4)
+
     def test_non_finite_state_of_a_growing_error_loop_is_non_decay(self):
         spec, dec, ctrl = _destabilized_triangle()
         rng = np.random.default_rng(0)
@@ -499,7 +515,8 @@ class TestSimulate:
         assert not loop.is_hurwitz
         # the verdict `fit_envelope` takes on the same closed loop
         M = _closed_loop_blocks(spec, dec, ctrl)[2]
-        assert loop == _is_block_triangular_hurwitz(_error_coordinates(M, dec, [])[1], spec.n)
+        M_e = _error_coordinates(M, dec, [])[1]
+        assert loop == _is_block_triangular_hurwitz(M_e, spec.n, DEFAULT_TOLERANCES)
         assert exc.value.time == 38.95
         assert str(exc.value) == (
             f"non-decay: the error loop is not Hurwitz (spectral abscissa "
@@ -1778,14 +1795,14 @@ class TestErrorLoopBlocks:
         for ctrl in ctrls.values():
             _, M_e = _error_loop(spec, dec, ctrl)
             dense = spectral_abscissa(M_e)
-            blocks = _is_block_triangular_hurwitz(M_e, spec.n)
+            blocks = _is_block_triangular_hurwitz(M_e, spec.n, DEFAULT_TOLERANCES)
             assert abs(blocks.spectral_abscissa - dense) <= 1e-10 * abs(dense)
             assert blocks.is_hurwitz == is_hurwitz(M_e).is_hurwitz
 
     def test_destabilized_loop_fails_the_fit_with_zero_rate(self):
         spec, dec, bad = _destabilized_triangle()
         _, M_e = _error_loop(spec, dec, bad)
-        blocks = _is_block_triangular_hurwitz(M_e, spec.n)
+        blocks = _is_block_triangular_hurwitz(M_e, spec.n, DEFAULT_TOLERANCES)
         assert not blocks.is_hurwitz and not is_hurwitz(M_e).is_hurwitz
         assert abs(blocks.spectral_abscissa - spectral_abscissa(M_e)) <= (
             1e-10 * abs(blocks.spectral_abscissa))
