@@ -75,8 +75,8 @@ def _check_structure(
     spec: FormationSpec, decomp: LevelDecomposition, ctrl: ControllerSet
 ) -> None:
     """Raise `ValueError` naming the first way ``ctrl`` does not fit the
-    instance: its (n, m), its follower ids, the shape of an S, or the
-    parents a K is keyed by."""
+    instance: its (n, m), its follower ids, the shape of an S, the parents
+    a K is keyed by, or the shape of a per-parent gain K_is or of a k."""
     if ctrl.n != spec.n or ctrl.m != spec.m:
         raise ValueError(
             f"controller dims ({ctrl.n}, {ctrl.m}) do not match spec ({spec.n}, {spec.m})"
@@ -94,6 +94,11 @@ def _check_structure(
                 f"follower {i}: per-parent gains keyed {sorted(fc.K)} "
                 f"but parents are {sorted(spec.parents(i))}"
             )
+        for s, Ks in fc.K.items():
+            if Ks.shape != (spec.m, spec.n):
+                raise ValueError(f"follower {i}: K for parent {s} has shape {Ks.shape}")
+        if fc.k.shape != (spec.m,):
+            raise ValueError(f"follower {i}: k has shape {fc.k.shape}")
 
 
 def assemble_controller(

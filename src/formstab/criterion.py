@@ -405,8 +405,8 @@ def verify_controller(
     *follower* closed loop A_i + B_i S_i is Hurwitz — leader matrices are
     exempt, since a single-leader formation may be stable around an
     unstable leader.  A controller that does not fit the instance (dims,
-    follower ids, gain shapes or parent keys) raises `ValueError`, as does
-    a defect scale that overflows.
+    follower ids, gain or offset shapes, or parent keys) raises
+    `ValueError`, as does a defect scale that overflows.
 
     The aggregate sums stay per follower (`controllers._aggregate`); the
     products A_i + B_i N_i, B_i kt_i - A_i D_i and A_i + B_i S_i are

@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 
-def _frozen_array(x, dtype=float, shape=None) -> np.ndarray:
-    a = np.array(x, dtype=dtype)
+def _frozen_array(x, shape=None) -> np.ndarray:
+    a = np.array(x, dtype=float)
     if shape is not None:
         a = a.reshape(shape)
     a.setflags(write=False)

@@ -15,10 +15,12 @@ to the breakpoints (integrator ``"rk4"``).  The checks:
   ||z_ij(t)|| <= C exp(-alpha t) ||z(0)|| + beta * sum_leaders sup ||u||
   from the closed loop and checks it on the grid,
 * `chain_residual` evaluates the algebraic identity relating a follower's
-  errors toward two of its parents through their parent chains,
+  errors toward two of its parents through their parent chains; on a
+  trace, whose errors derive from its states, it checks displacement
+  consistency (criterion condition 3), not the trajectory,
 * `error_dynamics_check` compares finite-difference derivatives of the
   edge errors against their closed-form linear dynamics, through one term
-  per agent.
+  per agent: of the two identities, the one that tests the trajectory.
 """
 
 from __future__ import annotations
@@ -291,10 +293,11 @@ class _OnAccess(Mapping):
         return len(self._keys)
 
 
-def _norms(z: np.ndarray, axis: int) -> np.ndarray:
-    """Euclidean norms along ``axis`` of a real array: the arithmetic of
-    ``np.linalg.norm(z, axis=axis)``, bitwise, without its conjugate copy."""
-    sq = np.add.reduce(z * z, axis)
+def _norms(z: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row (grid point) of a real 2-d array: the
+    arithmetic of ``np.linalg.norm(z, axis=1)``, bitwise, without its
+    conjugate copy."""
+    sq = np.add.reduce(z * z, 1)
     return np.sqrt(sq, out=sq)
 
 
@@ -325,8 +328,8 @@ class SimulationTrace:
     without one).  ``closed_loop`` is the pair
     ``(M, G)`` of the integrated system y' = M y + c + sum_a G[a] u_a(t):
     the stacked closed-loop matrix with agents in renumbering order, and
-    the input map per leader id.  ``free_errors`` is always None; it is
-    kept because the benchmark's per-layer counters read it.
+    the input map per leader id.  ``free_errors`` is always None: a class
+    attribute, not a field, which the benchmark's per-layer counters read.
     """
 
     times: np.ndarray
@@ -336,7 +339,7 @@ class SimulationTrace:
     metadata: dict
     signals: dict
     closed_loop: tuple
-    free_errors: dict | None = None
+    free_errors = None
 
     def initial_error_norm(self) -> float:
         """||z(0)|| of all edge errors stacked; reads only the first row."""
@@ -450,10 +453,6 @@ def _taylor_terms(theta: float) -> int:
     return m
 
 
-def _norm1(X: np.ndarray) -> float:
-    return float(np.abs(X).sum(axis=0).max())
-
-
 def _taylor_increment(Y: np.ndarray, Z: np.ndarray, terms: int) -> np.ndarray:
     """sum over 1 <= j <= terms of Y^j Z / j!: the series of (e^Y - I) Z."""
     term = Y @ Z
@@ -464,29 +463,25 @@ def _taylor_increment(Y: np.ndarray, Z: np.ndarray, terms: int) -> np.ndarray:
     return total
 
 
-def _expm_increment(X: np.ndarray) -> np.ndarray:
-    """e^X - I, accurate relative to ||X||, at the size of X.
+def _expm_increment(X: np.ndarray, count: int = 1) -> list:
+    """[D_0, ..., D_{count-1}] with D_j = e^{2^j X} - I, at the size of X;
+    D_0 = e^X - I is accurate relative to ||X||.
 
     The Taylor series of e^Y - I at Y = X / 2^s, with s the least scaling
-    that brings ||Y||_1 under `_THETA`, then s doublings D <- D (D + 2I),
-    since e^{2Y} - I = (e^Y - I)(e^Y + I).  The doublings stop once D is
-    non-finite, as it then stays.
+    that brings ||Y||_1 under `_THETA`, then doublings D <- D (D + 2I),
+    since e^{2Y} - I = (e^Y - I)(e^Y + I): s of them give D_0, and each
+    further one the next D_j.  D_0 is always returned, non-finite once a
+    doubling overflows, as it then stays; the list ends before the first
+    non-finite D_j after it.
     """
-    s = max(0, math.frexp(_norm1(X) / _THETA)[1])
+    s = max(0, math.frexp(float(np.linalg.norm(X, 1)) / _THETA)[1])
     Y = np.ldexp(X, -s)
-    D = _taylor_increment(Y, np.eye(len(X)), _taylor_terms(min(_norm1(Y), _THETA)))
+    terms = _taylor_terms(min(float(np.linalg.norm(Y, 1)), _THETA))
+    D = _taylor_increment(Y, np.eye(len(X)), terms)
     for _ in range(s):
         if not np.isfinite(D).all():
             break
         D = D @ D + 2.0 * D
-    return D
-
-
-def _increment_powers(D: np.ndarray, count: int) -> list:
-    """[D_0, D_1, ...] with D_0 = D and D_{j+1} = D_j (D_j + 2I), the
-    doubling of `_expm_increment` continued: D_j = e^{2^j X} - I for
-    D = e^X - I.  The first ``count`` of them, and D_0 always; the list
-    ends before the first non-finite one after D_0."""
     powers = [D]
     while len(powers) < count:
         D = D @ D + 2.0 * D
@@ -522,16 +517,17 @@ _increments: dict = {}
 
 
 def _step_increments(X: np.ndarray, J: int) -> list:
-    """``_increment_powers(_expm_increment(X), J)``, kept from the second of
-    a run of calls with the same X and J and reused for the rest of it.  A
-    miss empties the store before it builds, so one set at most is held."""
+    """The increments [D_0, D_1, ...] of ``_expm_increment(X, J)``, kept
+    from the second of a run of calls with the same X and J and reused for
+    the rest of it.  A miss empties the store before it builds, so one set
+    at most is held."""
     key = (*_content_key(X), J)
     with _stores_lock:
         seen = key in _increments
         powers = _increments.get(key)
         if powers is None:
             _increments.clear()
-            powers = _increment_powers(_expm_increment(X), J)
+            powers = _expm_increment(X, J)
             _increments[key] = powers if seen else None
     return powers
 
@@ -610,7 +606,7 @@ def _step_on_vector(A: np.ndarray, norm: float, h: float, z: np.ndarray) -> np.n
     """
     count = 2 ** max(0, math.frexp(h * norm / _THETA)[1])
     if count > len(z):
-        return z + _expm_increment(h * A) @ z
+        return z + _expm_increment(h * A)[0] @ z
     sub = h / count
     Y = sub * A
     terms = _taylor_terms(min(sub * norm, _THETA))
@@ -640,7 +636,7 @@ def _propagate(M, c, generators, times, out, dt, T):
     The dt steps between two steps of other lengths, restarts or the ends
     of the grid form a run, which `_dt_run` takes in blocks of 32 to 2^J
     steps: one matrix product per doubling, with the increments
-    D_j = e^{2^j dt A} - I of `_increment_powers`, in place of one
+    D_j = e^{2^j dt A} - I of `_expm_increment`, in place of one
     matrix-vector product per step.  J comes from the augmented size and
     the runs (`_block_doublings`); J = 0, a run shorter than 32 steps and
     the last few steps of a run step one at a time.  ``out`` is filled as
@@ -656,7 +652,7 @@ def _propagate(M, c, generators, times, out, dt, T):
     """
     dim = len(out)
     size = dim + 1 + sum(gen[0].shape[0] for _, _, gen in generators)
-    norm_m, norm_c = _norm1(M), float(np.abs(c).sum())
+    norm_m, norm_c = float(np.linalg.norm(M, 1)), float(np.abs(c).sum())
     sigma = math.ldexp(1.0, math.frexp(norm_c / norm_m)[1]) if norm_c > norm_m > 0 else 1.0
     A = np.zeros((size, size))
     A[:dim, :dim] = M
@@ -677,7 +673,7 @@ def _propagate(M, c, generators, times, out, dt, T):
             restarts.setdefault(at, []).append((r, value))
         r += k
 
-    norm = _norm1(A)
+    norm = float(np.linalg.norm(A, 1))
     h = np.diff(times)
     other = set(np.flatnonzero(np.abs(h - dt) > _grid_resolution(times[-1])).tolist())
     # runs of dt steps end at a step of another length, at a restart and at
@@ -1066,7 +1062,7 @@ def fit_envelope(
     with np.errstate(over="ignore", invalid="ignore"):
         state_norm = np.zeros(len(times))
         for x in trace.states.values():
-            np.maximum(state_norm, _norms(x, 1), out=state_norm)
+            np.maximum(state_norm, _norms(x), out=state_norm)
         floor = 64.0 * np.finfo(float).eps * (1.0 + state_norm)
         decay = np.exp(-alpha * times) * z0n
 
@@ -1079,7 +1075,7 @@ def fit_envelope(
             if envelope is None:
                 envelope = C_map[e] * decay + b_map[e] * U + floor
                 envelopes[C_map[e], b_map[e]] = envelope
-            z = _norms(trace.errors[e], 1)
+            z = _norms(trace.errors[e])
             z -= envelope
             excess = float(np.max(z))
             max_violation = max(max_violation, math.inf if math.isnan(excess) else excess)
@@ -1114,8 +1110,11 @@ def chain_residual(
 
         z_is = z_ij + R_js(z) + x_{l_j} - x_{l_s}.
 
-    Returns ||lhs - rhs|| per grid point.  Requires displacement
-    consistency (criterion condition 3) to be meaningful.
+    Returns ||lhs - rhs|| per grid point.  The errors of a trace derive
+    from its states, z_ij = x_i - x_j + d_ij, so the sums telescope and the
+    residual is ||(d_is - d_ij) - (D_j - D_s)||, the condition-3 defect,
+    plus roundoff, whatever the states are: the identity checks the
+    displacements, not the trajectory, which `error_dynamics_check` tests.
 
     Once the two parent chains meet they share every edge down to the
     leader, and those edges cancel in R_js = S_j - S_s, so the sums stop
@@ -1146,7 +1145,7 @@ def chain_residual(
     resid = trace.errors[(i, s)] - trace.errors[(i, j)]
     resid -= R
     resid -= trace.states[decomp.leader_reach[j]] - trace.states[decomp.leader_reach[s]]
-    return _norms(resid, 1)
+    return _norms(resid)
 
 
 def error_dynamics_check(

@@ -92,14 +92,10 @@ def _require_stable(report: CriterionReport):
         )
 
 
-def _solutions(report: CriterionReport, followers) -> tuple[dict, dict]:
-    N = {}
-    kt = {}
-    for i in followers:
-        entry = report.gain_solution(i)
-        N[i] = entry.N
-        kt[i] = entry.k_tilde
-    return N, kt
+def _solutions(report: CriterionReport) -> tuple[dict, dict]:
+    """The gain-equation solutions N_i and kt_i of the report, by follower."""
+    cond2 = report.condition2
+    return {c.node: c.N for c in cond2}, {c.node: c.k_tilde for c in cond2}
 
 
 def _verified(spec, decomp, S, N, kt, weights, tol) -> tuple:
@@ -153,7 +149,7 @@ def state_only_controller(
         raise NotStableError(
             "state-only form needs a Hurwitz reference leader matrix"
         )
-    N, kt = _solutions(report, decomp.followers())
+    N, kt = _solutions(report)
     return _verified(spec, decomp, dict(N), N, kt, PARENT_ONLY.resolve(spec, decomp), tol)[0]
 
 
@@ -205,7 +201,7 @@ def _enumerate_family(spec, decomp, report, count, rng, tol, split=PARENT_ONLY) 
         raise ValueError("count must be at least 1")
     followers = decomp.followers()
     base_S = {i: stabilize(spec.agent(i).A, spec.agent(i).B, tol) for i in followers}
-    N0, kt0 = _solutions(report, followers)
+    N0, kt0 = _solutions(report)
     out = [_verified(spec, decomp, base_S, N0, kt0, split.resolve(spec, decomp), tol)]
     if count == 1:
         return out

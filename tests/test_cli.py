@@ -69,6 +69,18 @@ class TestCheck:
     def test_unstable_instance_exits_two(self, tmp_path):
         assert main(["check", str(demo_path("example1")), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("name,stable", [
+        ("example1", False), ("example2", True), ("remark5", False), ("triangle", True)])
+    def test_bundled_file_exit_codes(self, name, stable, tmp_path):
+        # check exits 2 on the two unstable files, and synthesize and
+        # simulate exit 2 on them as check does; pairwise reports either way
+        path = str(demo_path(name))
+        assert main(["check", path, "--out", str(tmp_path)]) == (0 if stable else 2)
+        assert main(["pairwise", path, "--out", str(tmp_path)]) == 0
+        if not stable:
+            for command in ("synthesize", "simulate"):
+                assert main([command, path, "--out", str(tmp_path)]) == 2
+
     def test_malformed_file_exits_one(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -470,6 +482,9 @@ class TestSimulate:
          "follower 2: S has shape (1, 3)"),
         (lambda doc: doc["followers"]["2"].update(K={"3": doc["followers"]["2"]["K"]["1"]}),
          "follower 2: per-parent gains keyed [3] but parents are [1]"),
+        (lambda doc: doc["followers"]["2"]["K"].update({"1": [[1.0, 2.0, 3.0]]}),
+         "follower 2: K for parent 1 has shape (1, 3)"),
+        (lambda doc: doc["followers"]["2"].update(k=[1.0, 2.0]), "follower 2: k has shape (2,)"),
         # json writes and reads Infinity and NaN
         (lambda doc: doc["followers"]["2"]["S"][0].__setitem__(0, float("inf")),
          "error: the closed loop of agent 2 is not finite: a gain or matrix entry "
@@ -481,7 +496,7 @@ class TestSimulate:
          "error: the closed loop of agent 3 is not finite: a gain or matrix entry "
          "is NaN or infinite, or overflows\n"),
     ], ids=["missing_follower", "extra_follower", "wrong_n", "wrong_S_shape", "K_not_a_parent",
-            "S_infinite", "K_nan", "S_nan"])
+            "wrong_K_shape", "wrong_k_shape", "S_infinite", "K_nan", "S_nan"])
     def test_controller_that_does_not_fit_exits_one(self, tmp_path, capsys, edit, message):
         path = str(demo_path("triangle"))
         assert main(["synthesize", path, "--out", str(tmp_path)]) == 0
@@ -497,6 +512,28 @@ class TestSimulate:
 
 
 class TestPairwiseAndDemo:
+    def test_reports_name_the_pbh_witness(self, tmp_path):
+        # the follower's mode at 1 is unreachable from its input
+        spec = FormationSpec(
+            n=2, m=1,
+            agents=(AgentDynamics(A=-np.eye(2), B=[[1.0], [0.0]]),
+                    AgentDynamics(A=np.diag([1.0, -1.0]), B=[[0.0], [1.0]])),
+            edges=(Edge(2, 1, [0.0, 0.0]),),
+        )
+        path = tmp_path / "witness.json"
+        save_formation(spec, path)
+        out = tmp_path / "out"
+        assert main(["check", str(path), "--out", str(out)]) == 2
+        assert main(["pairwise", str(path), "--out", str(out)]) == 0
+        criterion = json.loads((out / "witness_criterion.json").read_text())
+        assert criterion["condition1"] == [{"node": 2, "stabilizable": False,
+                                            "witness": [1.0, 0.0], "implied": False,
+                                            "passed": False}]
+        pairwise = json.loads((out / "witness_pairwise.json").read_text())
+        (edge,) = pairwise["pairwise"]["edges"]
+        assert edge["edge"] == [2, 1] and edge["witness"] == [1.0, 0.0]
+        assert pairwise["criterion"]["condition1"] == criterion["condition1"]
+
     def test_pairwise_report(self, chain_file, tmp_path, capsys):
         assert main(["pairwise", chain_file, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

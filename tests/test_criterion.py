@@ -12,6 +12,7 @@ from formstab import (
     Edge,
     FollowerController,
     FormationSpec,
+    SynthesisFailure,
     analyze_pairs,
     check,
     classify,
@@ -169,6 +170,31 @@ class TestFeasibilityOracle:
         rep = check(spec, decompose(spec))
         assert rep.stable
 
+    def test_rejected_follower_draws_are_redrawn(self, monkeypatch):
+        # a near-singular A_i and a failed gain synthesis each make the
+        # generator draw the follower again; the instance stays stable
+        from formstab import instances
+
+        calls = {"svd": 0, "stabilize": 0}
+        svd, stabilize = np.linalg.svd, instances.stabilize
+
+        def near_singular_first(a, *args, **kwargs):
+            calls["svd"] += 1
+            return np.array([1.0, 0.0]) if calls["svd"] == 1 else svd(a, *args, **kwargs)
+
+        def failing_first(A, B, *args):
+            calls["stabilize"] += 1
+            if calls["stabilize"] == 1:
+                raise SynthesisFailure("refused")
+            return stabilize(A, B, *args)
+
+        monkeypatch.setattr(np.linalg, "svd", near_singular_first)
+        monkeypatch.setattr(instances, "stabilize", failing_first)
+        spec = random_feasible_formation(0)
+        monkeypatch.undo()
+        assert calls["svd"] >= 3 and calls["stabilize"] >= 2
+        assert check(spec, decompose(spec)).stable
+
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
     def test_in_tree_condition3_never_fails(self, seed):
@@ -307,3 +333,16 @@ class TestVerifyController:
     def test_dimension_mismatch(self, chain, chain_decomp):
         with pytest.raises(ValueError):
             verify_controller(chain, chain_decomp, ControllerSet(n=3, m=1, followers={}))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda fc: fc["K"].update({"1": [[1.0, 2.0, 3.0]]}),
+         "follower 2: K for parent 1 has shape (1, 3)"),
+        (lambda fc: fc.update(k=[1.0, 2.0]), "follower 2: k has shape (2,)"),
+    ], ids=["K", "k"])
+    def test_wrong_shaped_parent_gain_or_offset_is_named(self, good_triangle, edit, message):
+        dec = decompose(good_triangle)
+        data = controller_to_dict(synthesize(good_triangle, dec, check(good_triangle, dec)))
+        edit(data["followers"]["2"])
+        with pytest.raises(ValueError) as excinfo:
+            verify_controller(good_triangle, dec, controller_from_dict(data))
+        assert str(excinfo.value) == message

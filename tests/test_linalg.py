@@ -15,6 +15,7 @@ from formstab import (
     ConvergenceFailure,
     NotStabilizableError,
     RateTooAggressive,
+    SynthesisFailure,
     Tolerances,
     controllability_matrix,
     eigenvalues,
@@ -263,6 +264,23 @@ class TestStabilizability:
         res = is_stabilizable(A, B)
         assert not res and res.witness == pytest.approx(2.0)
 
+    def test_singular_values_that_overflow_name_their_item(self, monkeypatch):
+        # no finite pencil has been seen to overflow LAPACK's singular values,
+        # so the overflow is forced on the last pencil, the second item's
+        svd = np.linalg.svd
+
+        def overflowing(a, *args, **kwargs):
+            s = svd(a, *args, **kwargs)
+            s[-1] = np.inf
+            return s
+
+        monkeypatch.setattr(np.linalg, "svd", overflowing)
+        A = np.stack([np.diag([1.0, 2.0])] * 2)
+        B = np.stack([np.array([[1.0], [0.0]])] * 2)
+        with pytest.raises(_FloatRangeError, match="^a singular value of the PBH pencil") as exc:
+            is_stabilizable(A, B)
+        assert exc.value.item == 1
+
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_controllability_rank(self, seed):
@@ -375,6 +393,17 @@ class TestStabilize:
         S = stabilize(A, B)
         assert is_hurwitz(A + B @ S).is_hurwitz
 
+    def test_stabilizable_pair_both_gains_fail_on_is_a_synthesis_failure(self, monkeypatch):
+        # no pair is known on which both gains fail while A is not Hurwitz,
+        # so both are made to fail
+        def no_riccati(A, B):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(linalg_module, "_riccati", no_riccati)
+        monkeypatch.setattr(linalg_module, "_bass_gain", lambda A, B, tol: np.zeros((1, 2)))
+        with pytest.raises(SynthesisFailure, match="failed the Hurwitz check"):
+            stabilize(A2, B2)
+
     def test_hurwitz_pair_both_gains_fail_on_gets_the_zero_gain(self):
         # B = [[B1], [1e-8 B2]] with A22 at -1e-8: the Riccati solve raises
         # and the Bass gain moves a mode to +2.6e-9, but A is Hurwitz
@@ -468,6 +497,25 @@ class TestRiccatiBranches:
         assert not (scales == 1).all()
         assert np.array_equal(np.exp2(np.round(np.log2(scales))), scales)
         assert isinstance(got, tuple) and got == expected
+
+    def test_non_finite_input_raises_what_scipys_solver_raises(self):
+        A, B = np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0], [1.0]])
+        assert _care_outcome(_riccati, A, B) is _care_outcome(_scipy_care, A, B) is ValueError
+
+    def test_failed_reordering_raises_value_error(self, monkeypatch):
+        dtgsen = linalg_module.lapack.dtgsen
+        monkeypatch.setattr(linalg_module.lapack, "dtgsen",
+                            lambda *args, **kwargs: (*dtgsen(*args, **kwargs)[:-1], 1))
+        with pytest.raises(ValueError, match="reordering the QZ form failed"):
+            _riccati(A2, B2)
+        assert is_hurwitz(A2 + B2 @ stabilize(A2, B2)).is_hurwitz  # the Bass gain
+
+    def test_singular_triangular_solve_raises_linalg_error(self, monkeypatch):
+        dtrtrs = linalg_module.lapack.dtrtrs
+        monkeypatch.setattr(linalg_module.lapack, "dtrtrs",
+                            lambda *args, **kwargs: (dtrtrs(*args, **kwargs)[0], 1))
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            _riccati(A2, B2)
 
     def test_singular_u00_raises_linalg_error(self, monkeypatch):
         # no input and unstable modes: the stable subspace of the pencil has

@@ -19,6 +19,7 @@ from formstab import (
     weak_components,
 )
 from formstab.instances import random_dag_formation
+from formstab.model import _shortest_path_to
 
 
 def _simple_spec(edges, l=3, n=2, m=1):
@@ -163,6 +164,7 @@ class TestDecompose:
         assert [sorted(s) for s in dec.levels] == [[1], [2], [3]]
         assert dec.leader_reach[3] == 1
         assert dec.renumbering == (1, 2, 3)
+        assert dec.depth == 2
 
     def test_single_agent(self):
         spec = _simple_spec([], l=1)
@@ -298,6 +300,14 @@ class TestWitnessExamples:
         assert (w.i, w.j, w.s) == (4, 1, 2)
         assert w.path_to_j == (4, 3, 1)
         assert w.path_to_s == (4, 2)
+
+
+    def test_path_search_ends(self):
+        # a node is its own path; a leader has no path to its follower
+        spec = _simple_spec([Edge(3, 2, [0.0, 0.0]), Edge(2, 1, [0.0, 0.0])])
+        assert _shortest_path_to(spec, 2, 2) == [2]
+        assert _shortest_path_to(spec, 3, 1) == [3, 2, 1]
+        assert _shortest_path_to(spec, 1, 3) is None
 
 
 class TestInterchange:

@@ -98,14 +98,14 @@ def _count_increments(monkeypatch):
     from formstab import simulation
 
     built = []
-    powers = simulation._increment_powers
+    increments = simulation._expm_increment
 
-    def counted(D, count):
-        out = powers(D, count)
+    def counted(X, count=1):
+        out = increments(X, count)
         built.append(len(out))
         return out
 
-    monkeypatch.setattr(simulation, "_increment_powers", counted)
+    monkeypatch.setattr(simulation, "_expm_increment", counted)
     return built
 
 
@@ -127,6 +127,14 @@ def chain_ctrl(chain, chain_decomp, chain_report):
 
 
 class TestSignals:
+    def test_base_signal_defines_no_values(self):
+        sig = LeaderSignal()
+        with pytest.raises(NotImplementedError):
+            sig.value(0.0)
+        with pytest.raises(NotImplementedError):
+            sig.running_sup(0.0)
+        assert sig.generator() is None and sig.breakpoints(1.0) == ()
+
     def test_zero(self):
         sig = ZeroSignal(2)
         assert np.array_equal(sig.value(3.0), [0.0, 0.0])
@@ -371,7 +379,7 @@ class TestSimulate:
         W = np.zeros((60, 60))
         W[:30, :30], W[:30, 30:] = X, np.eye(30)
         oracle = X @ scipy.linalg.expm(W)[:30, 30:]
-        assert np.max(np.abs(_expm_increment(X) - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+        assert np.max(np.abs(_expm_increment(X)[0] - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     def test_expm_increment_memory_stays_at_a_few_matrices(self):
         # k = 701 is the augmented size at l=175, n=4; one k-square matrix
@@ -382,7 +390,7 @@ class TestSimulate:
         X = 0.18 * np.random.default_rng(0).standard_normal((k, k)) / k
         tracemalloc.start()
         try:
-            D = _expm_increment(X)
+            (D,) = _expm_increment(X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -720,8 +728,7 @@ class TestSimulate:
         rng = np.random.default_rng(2)
         k = 12
         A = rng.standard_normal((k, k)) - 3.0 * np.eye(k)
-        powers = simulation._increment_powers(simulation._expm_increment(1e-2 * A),
-                                              simulation._MAX_DOUBLINGS)
+        powers = simulation._expm_increment(1e-2 * A, simulation._MAX_DOUBLINGS)
         block = np.empty((k, 2 ** simulation._MAX_DOUBLINGS), order="F")
         z0 = rng.standard_normal(k)
 
@@ -828,7 +835,7 @@ class TestSimulate:
         A = np.random.default_rng(5).standard_normal((6, 6))
         z = np.ones(6)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = simulation._step_on_vector(A, simulation._norm1(A), h, z)
+            out = simulation._step_on_vector(A, float(np.linalg.norm(A, 1)), h, z)
         assert 1 <= len(calls) <= 6
         if h < 1.0:
             exact = scipy.linalg.expm(h * A) @ z
@@ -1104,6 +1111,12 @@ def cascade():
 
 class TestTraceStorage:
     """The trace stores its states once; everything else derives from them."""
+
+    def test_free_errors_is_no_field(self):
+        # always None: a class attribute, which no caller can set
+        trace_cls = formstab.simulation.SimulationTrace
+        assert "free_errors" not in {f.name for f in dataclasses.fields(trace_cls)}
+        assert trace_cls.free_errors is None
 
     def test_memory_stays_near_the_state_bytes(self, cascade):
         spec, dec, ctrl = cascade
@@ -1462,6 +1475,25 @@ class TestChainResidual:
                       {i: np.zeros(2) for i in chain.nodes}, T=1.0)
         with pytest.raises(NotSiblingParentsError):
             chain_residual(tr, chain_decomp, (3, 2), 1)
+
+    def test_identity_checks_the_displacements_not_the_trajectory(self, cascade):
+        # a trace derives its errors from its states, z_ij = x_i - x_j + d_ij,
+        # so the chain sums telescope whatever the states are: on states
+        # overwritten with noise the residual stays at roundoff, while the
+        # error-dynamics check, which does test the dynamics, fails
+        spec, dec, ctrl = cascade
+        rng = np.random.default_rng(0)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        tr = simulate(spec, dec, ctrl, x0, T=5.0)
+        peak = max(float(np.max(np.abs(x))) for x in tr.states.values())
+        for x in tr.states.values():
+            x[...] = rng.uniform(-peak, peak, x.shape)
+        pairs = _sibling_pairs(spec, dec)
+        assert len(pairs) >= 10
+        floor = 64.0 * np.finfo(float).eps * (1.0 + peak)
+        for i, j, s in pairs:
+            assert float(np.max(chain_residual(tr, dec, (i, j), s))) <= floor
+        assert error_dynamics_check(tr, spec, dec, ctrl) > 1.0
 
 
 def _error_dynamics_per_edge(trace, spec, decomp, ctrl):
