@@ -36,7 +36,9 @@ for i in decomp.followers():
     print(f"ideal-configuration input of follower {i}: {u.tolist()} "
           f"(derived offset {ctrl.gains(i).k_tilde.tolist()})")
 
-# sample the admissible family: perturbed gains, kernel moves, random splits
+# sample the admissible family: own-state gains drawn inside the closed-form
+# gain margin (a zero gain stays zero), kernel moves, random splits; each
+# member is certified, but the samples do not cover the family
 family = fs.enumerate_family(spec, decomp, report, 5, rng=0)
 print(f"\nsampled {len(family)} family members; own-state gains of follower 2:")
 for k, member in enumerate(family):

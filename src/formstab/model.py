@@ -7,9 +7,9 @@ of the graph (levels, order function, designated parents, cumulative
 offsets, leader reach), finds multi-leader witnesses, and reads/writes the
 JSON interchange format used by the rest of the package.
 
-One level peel (Kahn's topological sort, taken a level at a time) decides
-both acyclicity and the levels: `validate` reports a cycle when the peel
-leaves nodes over, and `decompose` takes its levels from that same pass.
+One level peel (Kahn's topological sort, a level at a time, kept on the spec)
+decides both acyclicity and the levels: `validate` reports a cycle when the
+peel leaves nodes over, and `decompose` takes its levels from that same pass.
 
 Node ids are 1-based everywhere they surface (files, reports); edges point
 from follower to parent.
@@ -163,6 +163,10 @@ class FormationSpec:
         ends.setflags(write=False)
         return ends[:, 0], ends[:, 1]
 
+    @cached_property
+    def _level_peel(self) -> tuple[frozenset, ...]:
+        return _validated_levels(self)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -215,9 +219,9 @@ def weak_components(spec: FormationSpec) -> list[tuple[int, ...]]:
     return _components(spec.nodes, spec._disp)
 
 
-def _validated_levels(spec: FormationSpec) -> tuple[list[frozenset], dict[int, int]]:
-    """Run every check of `validate`; return the levels and the order
-    function of the level peel that decided acyclicity.
+def _validated_levels(spec: FormationSpec) -> tuple[frozenset, ...]:
+    """Run every check of `validate`; return the levels of the level peel
+    that decided acyclicity.
 
     Parent ids outside 1..l take no part in the peel.  The nodes it leaves
     over are those with a directed path into a cycle; each has a leftover
@@ -293,14 +297,11 @@ def _validated_levels(spec: FormationSpec) -> tuple[list[frozenset], dict[int, i
 
     parents = {i: frozenset(j for j in spec.parents(i) if 1 <= j <= l) for i in spec.nodes}
     levels: list[frozenset] = []
-    order: dict[int, int] = {}
     remaining = set(spec.nodes)
     while remaining:
         level = {i for i in remaining if parents[i].isdisjoint(remaining)}
         if not level:
             break
-        for i in level:
-            order[i] = len(levels)
         levels.append(frozenset(level))
         remaining -= level
 
@@ -333,7 +334,7 @@ def _validated_levels(spec: FormationSpec) -> tuple[list[frozenset], dict[int, i
 
     if v:
         raise FormationValidationError(v)
-    return levels, order
+    return tuple(levels)
 
 
 def validate(spec: FormationSpec) -> FormationSpec:
@@ -346,7 +347,7 @@ def validate(spec: FormationSpec) -> FormationSpec:
     `FormationValidationError` carrying *all* violations found, so callers
     see every problem at once rather than fixing them one by one.
     """
-    _validated_levels(spec)
+    spec._level_peel  # runs once per valid spec; an invalid one raises on every call
     return spec
 
 
@@ -412,8 +413,8 @@ def decompose(spec: FormationSpec) -> LevelDecomposition:
     `FormationValidationError` with a ``non_finite`` violation naming the
     first such agent in the renumbering.
     """
-    levels, order = _validated_levels(spec)
-
+    levels = spec._level_peel
+    order = {i: k for k, level in enumerate(levels) for i in level}
     renumbering = tuple(i for level in levels for i in sorted(level))
     leaders = levels[0]
 
@@ -442,7 +443,7 @@ def decompose(spec: FormationSpec) -> LevelDecomposition:
             "non_finite", f"agent {i}: the cumulative offset D_{i} overflows", info=(i,))])
 
     return LevelDecomposition(
-        levels=tuple(levels),
+        levels=levels,
         order=order,
         parent=parent,
         cumulative_offset=cumulative,

@@ -7,7 +7,9 @@ equations, and a split of N_i - S_i over the follower's parents.
 `synthesize` builds the default member of that family, `state_only_controller`
 the state-only form available to multi-leader formations, and
 `enumerate_family` samples the family along all three degrees of freedom
-(gain perturbations, kernel moves of the equation solutions, split weights).
+(own-state gains inside the closed-form gain margin, which keeps a zero gain
+zero; kernel moves of the equation solutions; split weights).  It certifies
+that each sample is a member; it does not cover the family.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import scipy.linalg
 from .controllers import ControllerSet, assemble_controller
 from .criterion import CriterionReport, verify_controller
 from .errors import NotStableError, SynthesisFailure
-from .linalg import DEFAULT_TOLERANCES, Tolerances, is_hurwitz, stabilize
+from .linalg import DEFAULT_TOLERANCES, Tolerances, stabilize
 from .model import FormationSpec, LevelDecomposition
 
 __all__ = [
@@ -98,18 +100,23 @@ def _solutions(report: CriterionReport) -> tuple[dict, dict]:
     return {c.node: c.N for c in cond2}, {c.node: c.k_tilde for c in cond2}
 
 
-def _verified(spec, decomp, S, N, kt, weights, tol) -> tuple:
-    """Assemble the controller from its parts and verify it; returns the
-    controller and its `ControllerVerification`, and raises
-    `SynthesisFailure` with both defects when verification fails."""
+def _assembled(spec, decomp, S, N, kt, weights, tol) -> tuple:
+    """The controller built from its parts, and its one verification."""
     ctrl = assemble_controller(decomp, spec.n, spec.m, S, N, kt, weights)
-    ver = verify_controller(spec, decomp, ctrl, tol)
+    return ctrl, verify_controller(spec, decomp, ctrl, tol)
+
+
+def _passed(member) -> tuple:
+    """``member`` if its verification passed; else `SynthesisFailure` naming
+    both defects and every follower loop that is not Hurwitz."""
+    ver = member[1]
     if not ver.passed:
+        loops = "".join(f"; follower {i} loop not Hurwitz, abscissa {h.spectral_abscissa:.3e}"
+                        for i, h in sorted(ver.follower_hurwitz.items()) if not h.is_hurwitz)
         raise SynthesisFailure(
-            f"controller failed verification (matrix defect "
-            f"{ver.max_matrix_defect:.3e}, offset defect {ver.max_offset_defect:.3e})"
-        )
-    return ctrl, ver
+            f"controller failed verification (matrix defect {ver.max_matrix_defect:.3e}, "
+            f"offset defect {ver.max_offset_defect:.3e}{loops})")
+    return member
 
 
 def synthesize(
@@ -150,21 +157,8 @@ def state_only_controller(
             "state-only form needs a Hurwitz reference leader matrix"
         )
     N, kt = _solutions(report)
-    return _verified(spec, decomp, dict(N), N, kt, PARENT_ONLY.resolve(spec, decomp), tol)[0]
-
-
-_GAIN_TRIES = 50
-
-
-def _perturbed_gain(A, B, S_base, rng, tol):
-    """Random Hurwitz-preserving perturbation of a stabilizing gain;
-    falls back to the base gain after ``_GAIN_TRIES`` rejections."""
-    scale = 0.3 * (1.0 + float(np.linalg.norm(S_base, "fro")))
-    for _ in range(_GAIN_TRIES):
-        cand = S_base + scale * rng.uniform(0.1, 1.0) * rng.standard_normal(S_base.shape)
-        if is_hurwitz(A + B @ cand, tol).is_hurwitz:
-            return cand
-    return S_base
+    weights = PARENT_ONLY.resolve(spec, decomp)
+    return _passed(_assembled(spec, decomp, dict(N), N, kt, weights, tol))[0]
 
 
 def enumerate_family(
@@ -180,15 +174,19 @@ def enumerate_family(
     Member 0 is the deterministic `synthesize` output with the default
     parent-only split.  Further members draw, per follower:
 
-    * a random Hurwitz-preserving perturbation of the default gain S_i,
+    * the gain L S_i inside the closed-form gain margin of S_i, so zero
+      stays zero: L = I + c (G G^T + H - H^T), G and H standard normal
+      m x m, c in [0.1, 1], has L + L^T >= 2I; the Riccati gain needs >= I
+      (the LQR margin), the Bass gain >= 2I,
     * a random kernel move of the equation solutions: N_i + V R and
-      kt_i + V r with V an orthonormal basis of null(B_i) — every such
-      move solves the same equations exactly,
+      kt_i + V r with V an orthonormal basis of null(B_i), possibly
+      empty — every such move solves the same equations exactly,
     * random simplex split weights over the parents.
 
-    Every sampled controller is re-verified; the sampler guarantees
-    membership in the family, not coverage of it.  Same seed (or
-    generator state) in, same controllers out.
+    A member's one verification is its only Hurwitz test; should roundoff
+    break the margin, the failing followers take their default gain and
+    are verified again.  Members are certified; the samples do not cover
+    the family.  Same seed (or generator state) in, same controllers out.
     """
     return [ctrl for ctrl, _ in _enumerate_family(spec, decomp, report, count, rng, tol)]
 
@@ -202,7 +200,7 @@ def _enumerate_family(spec, decomp, report, count, rng, tol, split=PARENT_ONLY) 
     followers = decomp.followers()
     base_S = {i: stabilize(spec.agent(i).A, spec.agent(i).B, tol) for i in followers}
     N0, kt0 = _solutions(report)
-    out = [_verified(spec, decomp, base_S, N0, kt0, split.resolve(spec, decomp), tol)]
+    out = [_passed(_assembled(spec, decomp, base_S, N0, kt0, split.resolve(spec, decomp), tol))]
     if count == 1:
         return out
     rng = np.random.default_rng(rng)  # a Generator passes through unchanged
@@ -212,20 +210,21 @@ def _enumerate_family(spec, decomp, report, count, rng, tol, split=PARENT_ONLY) 
     for _ in range(count - 1):
         S, N, kt, weights = {}, {}, {}, {}
         for i in followers:
-            ag = spec.agent(i)
-            S[i] = _perturbed_gain(ag.A, ag.B, base_S[i], rng, tol)
+            G, H = rng.standard_normal((2, spec.m, spec.m))
+            S[i] = base_S[i] + rng.uniform(0.1, 1.0) * (G @ G.T + H - H.T) @ base_S[i]
             V = kernels[i]
-            if V.shape[1] > 0:
-                N[i] = N0[i] + V @ rng.standard_normal((V.shape[1], spec.n))
-                kt[i] = kt0[i] + V @ rng.standard_normal(V.shape[1])
-            else:
-                N[i] = N0[i]
-                kt[i] = kt0[i]
+            N[i] = N0[i] + V @ rng.standard_normal((V.shape[1], spec.n))
+            kt[i] = kt0[i] + V @ rng.standard_normal(V.shape[1])
             parents = spec.parents(i)
             if len(parents) == 1:
                 weights[i] = {parents[0]: 1.0}
             else:
                 w = rng.dirichlet(np.ones(len(parents)))
                 weights[i] = {s: float(ws) for s, ws in zip(parents, w)}
-        out.append(_verified(spec, decomp, S, N, kt, weights, tol))
+        member = _assembled(spec, decomp, S, N, kt, weights, tol)
+        failed = [i for i, h in member[1].follower_hurwitz.items() if not h.is_hurwitz]
+        if failed:  # roundoff broke what the margin promises: the base gain
+            S.update((i, base_S[i]) for i in failed)
+            member = _assembled(spec, decomp, S, N, kt, weights, tol)
+        out.append(_passed(member))
     return out

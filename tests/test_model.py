@@ -18,6 +18,7 @@ from formstab import (
     validate,
     weak_components,
 )
+from formstab import model as model_module
 from formstab.instances import random_dag_formation
 from formstab.model import _shortest_path_to
 
@@ -173,6 +174,34 @@ class TestDecompose:
         assert dec.order[1] == 0
         assert np.array_equal(dec.cumulative_offset[1], [0.0, 0.0])
         assert dec.l0 == 1 and dec.followers() == []
+
+    def test_validate_and_decompose_share_one_level_peel(self, monkeypatch):
+        peels = []
+        original = model_module._validated_levels
+
+        def counting(spec):
+            peels.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(model_module, "_validated_levels", counting)
+        spec = _simple_spec([Edge(2, 1, [1.0, 0.0]), Edge(3, 2, [0.0, 1.0])])
+        validate(spec)
+        first, second = decompose(spec), decompose(spec)
+        assert peels == [spec]
+        assert first.levels is second.levels
+        assert first.order == second.order and first.order is not second.order
+
+    def test_invalid_spec_raises_on_every_call(self, monkeypatch):
+        peels = []
+        original = model_module._validated_levels
+        monkeypatch.setattr(model_module, "_validated_levels",
+                            lambda spec: peels.append(spec) or original(spec))
+        spec = _simple_spec([Edge(2, 1, [0.0, 0.0]), Edge(1, 2, [0.0, 0.0])], l=2)
+        for call in (validate, decompose, validate):
+            with pytest.raises(FormationValidationError) as exc:
+                call(spec)
+            assert exc.value.kinds() == {"cycle_detected"}
+        assert len(peels) == 3
 
     def test_renumbering_respects_levels_and_ids(self):
         # two leaders (4, 2), two followers; inside a level ascending ids

@@ -5,10 +5,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from formstab import (
+    AgentDynamics,
     ControllerSet,
     DEFAULT_TOLERANCES,
+    Edge,
+    FormationSpec,
     MissingStateError,
     NotStableError,
     PARENT_ONLY,
@@ -157,6 +163,19 @@ class TestVerificationFailure:
             with pytest.raises(SynthesisFailure, match="matrix defect .* offset defect"):
                 build()
 
+    def test_failure_names_each_follower_loop_that_is_not_hurwitz(
+        self, chain, chain_decomp, chain_report, monkeypatch
+    ):
+        # with zero own-state gains both chain followers keep their unstable
+        # A_i, while the matching equations still hold to roundoff
+        monkeypatch.setattr(synthesis_module, "stabilize",
+                            lambda A, B, tol: np.zeros((B.shape[1], A.shape[0])))
+        with pytest.raises(SynthesisFailure) as exc:
+            synthesize(chain, chain_decomp, chain_report)
+        assert str(exc.value).endswith(
+            "; follower 2 loop not Hurwitz, abscissa 1.618e+00"
+            "; follower 3 loop not Hurwitz, abscissa 1.414e+00)")
+
 
 class TestStateOnlyForm:
     def test_state_only_form(self):
@@ -262,15 +281,88 @@ class TestFamily:
         s2 = [tuple(np.round(c.gains(2).S.ravel(), 9)) for c in family]
         assert len(set(s2)) >= 2
 
-    def test_rejected_draws_fall_back_to_the_base_gain(
+    def test_a_failed_draw_falls_back_to_its_base_gain(
         self, chain, chain_decomp, chain_report, monkeypatch
     ):
-        rejecting = dataclasses.replace(is_hurwitz(-np.eye(1)), is_hurwitz=False)
-        monkeypatch.setattr(synthesis_module, "is_hurwitz", lambda *args: rejecting)
+        real = synthesis_module.verify_controller
+        verified = []  # every controller handed to verification
+
+        def failing_follower_3_once(spec, decomp, ctrl, tol):
+            ver = real(spec, decomp, ctrl, tol)
+            verified.append(ctrl)
+            if len(verified) == 2:  # member 1 as drawn: follower 3's loop fails
+                hurwitz = dict(ver.follower_hurwitz)
+                hurwitz[3] = dataclasses.replace(hurwitz[3], is_hurwitz=False)
+                ver = dataclasses.replace(ver, follower_hurwitz=hurwitz, passed=False)
+            return ver
+
+        monkeypatch.setattr(synthesis_module, "verify_controller", failing_follower_3_once)
         family = enumerate_family(chain, chain_decomp, chain_report, 3, rng=2)
-        for ctrl in family[1:]:
-            for i in (2, 3):
-                assert np.array_equal(ctrl.gains(i).S, family[0].gains(i).S)
+        base, drawn = family[0], verified[1]
+        assert len(verified) == 4  # once per member, and member 1 once more
+        assert family[1] is verified[2] and family[2] is verified[3]
+        assert not np.array_equal(drawn.gains(3).S, base.gains(3).S)
+        assert np.array_equal(family[1].gains(3).S, base.gains(3).S)
+        assert np.array_equal(family[1].gains(2).S, drawn.gains(2).S)
+        for i in (2, 3):
+            assert not np.array_equal(family[2].gains(i).S, base.gains(i).S)
+        for ctrl in family:
+            assert real(chain, chain_decomp, ctrl).passed
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        m=st.integers(1, 3),
+        scale=st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e3]),
+        zeroed_column=st.booleans(),
+        gain=st.sampled_from(["riccati", "bass"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_gains_stay_inside_the_margin(self, seed, n, m, scale, zeroed_column, gain):
+        # leader (A + B N0, B) and follower (A, B) on one edge with d = 0,
+        # whose base gain is the Riccati gain (well-conditioned P) or the Bass gain
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n)) * scale
+        B = rng.standard_normal((n, m)) * rng.choice([1e-3, 1.0, 1e3])
+        if zeroed_column:
+            B[:, rng.integers(m)] = 0.0
+        if gain == "riccati":
+            try:
+                P = linalg_module._riccati(A, B)
+            except (np.linalg.LinAlgError, ValueError, scipy.linalg.LinAlgWarning):
+                assume(False)
+            assume(np.linalg.cond(P) < 1e8)
+            S = -B.T @ P
+        else:
+            S = linalg_module._bass_gain(A, B, DEFAULT_TOLERANCES)
+        assume(is_hurwitz(A + B @ S).is_hurwitz)
+        leader = AgentDynamics(A=A + B @ rng.standard_normal((m, n)), B=B)
+        spec = FormationSpec(n=n, m=m, agents=(leader, AgentDynamics(A=A, B=B)),
+                             edges=(Edge(2, 1, np.zeros(n)),))
+        dec = decompose(spec)
+        rep = check(spec, dec)
+        assume(rep.stable)
+        verified = []
+        real = synthesis_module.verify_controller
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synthesis_module, "stabilize", lambda *args: S)
+            patch.setattr(synthesis_module, "verify_controller",
+                          lambda *args: verified.append(1) or real(*args))
+            family = synthesis_module._enumerate_family(
+                spec, dec, rep, 6, seed, DEFAULT_TOLERANCES)
+        assert len(verified) == 6  # no draw fell back to the base gain
+        assert all(ver.follower_hurwitz[2].is_hurwitz for _, ver in family)
+
+    def test_zero_gain_stays_zero(self):
+        # B = 0 and a Hurwitz A: `stabilize` returns the zero gain
+        A, B = np.array([[-1.0, 2.0], [0.0, -0.5]]), np.zeros((2, 1))
+        agent = AgentDynamics(A=A, B=B)
+        spec = FormationSpec(n=2, m=1, agents=(agent, agent), edges=(Edge(2, 1, [0.0, 0.0]),))
+        dec = decompose(spec)
+        family = enumerate_family(spec, dec, check(spec, dec), 4, rng=1)
+        for ctrl in family:
+            assert np.array_equal(ctrl.gains(2).S, np.zeros((1, 2)))
+            assert verify_controller(spec, dec, ctrl).passed
 
     def test_determinism(self, chain, chain_decomp, chain_report):
         a = enumerate_family(chain, chain_decomp, chain_report, 4, rng=11)
