@@ -1,12 +1,12 @@
 """Affine follower controllers u_i = S_i x_i + sum_s K_is x_s + k_i.
 
 `ControllerSet` stores the per-follower gains together with the derived
-aggregate gain N_i = S_i + sum_s K_is and derived offset
-kt_i = k_i - S_i D_i - sum_s K_is D_s, which are the quantities the
-stability criterion constrains.  The stored N and k_tilde are written for
-readers of a controller file; `verify_controller` derives them again from
-(S, K, k), the law that `simulate` runs.  Leaders carry no gains
-(implicitly zero).
+offset kt_i = k_i - S_i D_i - sum_s K_is D_s, which needs the formation's
+offsets D; the aggregate gain N_i = S_i + sum_s K_is derives from the
+gains.  Both are written for readers of a controller file, and both are
+what the stability criterion constrains; `verify_controller` derives kt_i
+again from (S, K, k), the law that `simulate` runs.  Leaders carry no
+gains (implicitly zero).
 """
 
 from __future__ import annotations
@@ -34,20 +34,22 @@ __all__ = [
 @dataclass(frozen=True)
 class FollowerController:
     """Gains of one follower: own-state gain S, per-parent gains K, offset k,
-    plus the derived aggregate gain N and derived offset k_tilde."""
+    plus the derived offset k_tilde; the aggregate gain N derives from S, K."""
 
     S: np.ndarray
     K: dict  # parent id -> (m, n) gain
     k: np.ndarray
-    N: np.ndarray
     k_tilde: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "S", _frozen_array(self.S))
         object.__setattr__(self, "K", {int(s): _frozen_array(Ks) for s, Ks in self.K.items()})
         object.__setattr__(self, "k", _frozen_array(self.k))
-        object.__setattr__(self, "N", _frozen_array(self.N))
         object.__setattr__(self, "k_tilde", _frozen_array(self.k_tilde))
+
+    @property
+    def N(self) -> np.ndarray:
+        return self.S + sum(self.K.values())
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,10 @@ def assemble_controller(
     For each follower i, the per-parent gains split the aggregate
     N_i - S_i according to ``split_weights[i]`` (a parent -> weight map
     summing to 1), and the offset follows
-    k_i = kt_i + S_i D_i + sum_s K_is D_s.  The stored derived fields are
-    recomputed from (S, K, k) so the construction identities hold by
-    definition, as `_aggregate` sums them; N_i - S_i, S_i D_i and
-    sum_s K_is D_s are formed once and serve both k_i and kt_i.
+    k_i = kt_i + S_i D_i + sum_s K_is D_s.  k_tilde is recomputed from
+    (S, K, k) so the construction identity holds by definition, as
+    `_aggregate` sums it; S_i D_i and sum_s K_is D_s are formed once and
+    serve both k_i and kt_i.
     """
     D = decomp.cumulative_offset
     followers = {}
@@ -129,9 +131,7 @@ def assemble_controller(
         SD = Si @ D[i]
         KD = sum(Ks @ D[s] for s, Ks in K.items())
         ki = np.asarray(k_tilde[i], dtype=float) + SD + KD
-        followers[i] = FollowerController(
-            S=Si, K=K, k=ki, N=Si + sum(K.values()), k_tilde=ki - SD - KD
-        )
+        followers[i] = FollowerController(S=Si, K=K, k=ki, k_tilde=ki - SD - KD)
     return ControllerSet(n=n, m=m, followers=followers)
 
 
@@ -183,7 +183,6 @@ def controller_from_dict(data: dict) -> ControllerSet:
                 S=np.asarray(fc["S"], dtype=float),
                 K={int(s): np.asarray(Ks, dtype=float) for s, Ks in fc["K"].items()},
                 k=np.asarray(fc["k"], dtype=float),
-                N=np.asarray(fc["N"], dtype=float),
                 k_tilde=np.asarray(fc["k_tilde"], dtype=float),
             )
             for i, fc in data["followers"].items()

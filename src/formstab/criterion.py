@@ -136,14 +136,17 @@ class DisplacementCheck:
 @dataclass(frozen=True)
 class LeaderConsistencyCheck:
     """Condition 4: leader matrices equal and Hurwitz.  Binding only with
-    more than one leader; for a single leader the Hurwitz report is kept
-    as information (the formation can be stable around an unstable
-    leader), and ``passed`` is vacuously true."""
+    more than one leader (one ``defects`` entry each); for a single leader
+    the Hurwitz report is kept as information (the formation can be
+    stable around an unstable leader), and ``passed`` is vacuously true."""
 
     defects: dict  # leader id -> ||A_i - A_ref||_F
     hurwitz: HurwitzReport
-    binding: bool
     passed: bool
+
+    @property
+    def binding(self) -> bool:
+        return len(self.defects) > 1
 
     def to_dict(self):
         return {
@@ -156,13 +159,12 @@ class LeaderConsistencyCheck:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Full evidence for the stability verdict of one instance."""
+    """Full evidence for the stability verdict of one instance; the
+    verdict is the conjunction of every condition's ``passed``."""
 
-    overall: str  # "stable" | "unstable"
     condition1: tuple
     condition2: tuple
     condition3: tuple
-    condition3_vacuous: bool
     condition4: LeaderConsistencyCheck
     applicable_corollary: str
     reference_leader: int
@@ -170,7 +172,16 @@ class CriterionReport:
 
     @property
     def stable(self) -> bool:
-        return self.overall == "stable"
+        conditions = self.condition1 + self.condition2 + self.condition3
+        return self.condition4.passed and all(c.passed for c in conditions)
+
+    @property
+    def overall(self) -> str:
+        return "stable" if self.stable else "unstable"
+
+    @property
+    def condition3_vacuous(self) -> bool:
+        return self.applicable_corollary == CASE_IN_TREE
 
     def gain_solution(self, i: int) -> GainEquationCheck:
         for entry in self.condition2:
@@ -314,7 +325,7 @@ def check(
     offsets = np.array([D[i] for i in spec.nodes])
     ends_i, ends_j = spec.edge_ends
     defects = spec.d_rows - (offsets[ends_i] - offsets[ends_j])
-    cond3 = [
+    cond3 = tuple(
         DisplacementCheck(
             edge=key,
             defect=defect,
@@ -322,35 +333,26 @@ def check(
             passed=bool(norm <= tol.eps_solve * scale),
         )
         for key, defect, norm in zip(spec.edge_keys, defects, _frobenius_norms(defects))
-    ]
-    cond3_ok = all(c.passed for c in cond3)
+    )
 
     leaders = sorted(decomp.leaders)
     leader_A = spec.A_stack[np.array(leaders) - 1]
     defects = dict(zip(leaders, _frobenius_norms(leader_A - A_ref).tolist()))
     hw = is_hurwitz(A_ref, tol)
-    binding = decomp.l0 > 1
-    cond4_ok = (not binding) or (
+    cond4_ok = decomp.l0 == 1 or (
         hw.is_hurwitz and all(d <= tol.eps_solve * scale for d in defects.values())
     )
-    cond4 = LeaderConsistencyCheck(
-        defects=defects, hurwitz=hw, binding=binding, passed=cond4_ok
-    )
+    cond4 = LeaderConsistencyCheck(defects=defects, hurwitz=hw, passed=cond4_ok)
 
     implied = special_case == CASE_MULTI_LEADER and cond2_ok and cond4_ok
-    cond1 = [
+    cond1 = tuple(
         StabilizabilityCheck(node=i, result=result, implied=implied)
         for i, result in zip(followers, stab_results)
-    ]
-    cond1_ok = all(c.passed for c in cond1)
-
-    stable = cond1_ok and cond2_ok and cond3_ok and cond4_ok
+    )
     return CriterionReport(
-        overall="stable" if stable else "unstable",
-        condition1=tuple(cond1),
+        condition1=cond1,
         condition2=tuple(cond2),
-        condition3=tuple(cond3),
-        condition3_vacuous=special_case == CASE_IN_TREE,
+        condition3=cond3,
         condition4=cond4,
         applicable_corollary=special_case,
         reference_leader=ref,
@@ -399,8 +401,7 @@ def verify_controller(
     m_i = B_i (k_i - S_i D_i - sum_s K_is D_s) - A_i D_i for every agent
     (leaders use zero gains) and reports the worst mismatch across edges.
     The aggregate gain and offset are derived from the law (S, K, k) that
-    `simulate` runs; the controller's stored ``N`` and ``k_tilde`` are not
-    trusted.
+    `simulate` runs; the controller's stored ``k_tilde`` is not trusted.
     Passes when both defects stay within eps_solve * scale and every
     *follower* closed loop A_i + B_i S_i is Hurwitz — leader matrices are
     exempt, since a single-leader formation may be stable around an

@@ -138,9 +138,6 @@ class FormationSpec:
     def displacement(self, i: int, j: int) -> np.ndarray:
         return self._disp[(i, j)]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self._disp
-
     @cached_property
     def A_stack(self) -> np.ndarray:
         return _frozen_array([ag.A for ag in self.agents], shape=(self.l, self.n, self.n))
@@ -356,9 +353,10 @@ class LevelDecomposition:
     """Level structure of the formation graph.
 
     levels[k] holds the nodes whose parents all live in levels below k;
-    level 0 is the leader set.  ``order`` maps node -> level index,
-    ``parent`` maps each follower to its designated parent (the parent in
-    the next-lower level with the largest id; leaders map to themselves),
+    level 0 is the leader set, ``leaders``, of size ``l0``.  ``order``
+    maps node -> level index, ``parent`` maps each follower to its
+    designated parent (the parent in the next-lower level with the
+    largest id; leaders map to themselves),
     ``cumulative_offset`` maps node -> sum of displacements along the
     designated-parent chain down to a leader, and ``leader_reach`` maps
     node -> the leader that chain ends at.  ``renumbering`` lists original
@@ -372,12 +370,14 @@ class LevelDecomposition:
     cumulative_offset: dict
     leader_reach: dict
     renumbering: tuple[int, ...]
-    leaders: frozenset
-    l0: int
 
-    def new_index(self, i: int) -> int:
-        """1-based index of node i in the order-consistent renumbering."""
-        return self.renumbering.index(i) + 1
+    @property
+    def leaders(self) -> frozenset:
+        return self.levels[0]
+
+    @property
+    def l0(self) -> int:
+        return len(self.leaders)
 
     def edge_order(self, keys) -> list:
         """Edge keys (i, j) sorted by their endpoints' renumbered indices."""
@@ -416,7 +416,6 @@ def decompose(spec: FormationSpec) -> LevelDecomposition:
     levels = spec._level_peel
     order = {i: k for k, level in enumerate(levels) for i in level}
     renumbering = tuple(i for level in levels for i in sorted(level))
-    leaders = levels[0]
 
     parent: dict[int, int] = {}
     for i in spec.nodes:
@@ -449,8 +448,6 @@ def decompose(spec: FormationSpec) -> LevelDecomposition:
         cumulative_offset=cumulative,
         leader_reach=reach,
         renumbering=renumbering,
-        leaders=leaders,
-        l0=len(leaders),
     )
 
 

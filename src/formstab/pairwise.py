@@ -42,13 +42,17 @@ FORMATION_STABLE_PAIR_UNSTABLE = "formation-stable-pair-unstable"
 
 @dataclass(frozen=True)
 class EdgeAnalysis:
-    """Stability analysis of one two-agent subformation."""
+    """Stability analysis of one two-agent subformation: ``stable`` when
+    the PBH test passed and both equations are solvable."""
 
     edge: tuple
     stabilizable: StabilizabilityResult
     gain_solve: LinearSolveReport  # B_i N = A_j - A_i
     offset_solve: LinearSolveReport  # B_i kt = A_i d_ij
-    stable: bool
+
+    @property
+    def stable(self) -> bool:
+        return bool(self.stabilizable) and self.gain_solve.solvable and self.offset_solve.solvable
 
     def to_dict(self):
         return {
@@ -66,9 +70,6 @@ class EdgeAnalysis:
 @dataclass(frozen=True)
 class PairwiseReport:
     edges: tuple
-
-    def verdicts(self) -> dict:
-        return {e.edge: e.stable for e in self.edges}
 
     @property
     def all_stable(self) -> bool:
@@ -127,30 +128,38 @@ def _analyze_edges(spec: FormationSpec, stab: dict, tol: Tolerances) -> Pairwise
             reports = _criterion._follower_solves(i, ai.B, rhs, tol)
             for k, e in enumerate(edges):
                 solves[e.key] = reports[2 * k : 2 * k + 2]
-    entries = []
-    for e in spec.edges:
-        gain, offset = solves[e.key]
-        entries.append(
-            EdgeAnalysis(
-                edge=e.key,
-                stabilizable=stab[e.i],
-                gain_solve=gain,
-                offset_solve=offset,
-                stable=bool(stab[e.i]) and gain.solvable and offset.solvable,
-            )
-        )
-    return PairwiseReport(edges=tuple(entries))
+    return PairwiseReport(edges=tuple(
+        EdgeAnalysis(e.key, stab[e.i], *solves[e.key]) for e in spec.edges
+    ))
 
 
 @dataclass(frozen=True)
 class CrossComparison:
-    """Whole-formation verdict vs. the conjunction of pairwise verdicts."""
+    """Whole-formation verdict vs. the conjunction of pairwise verdicts;
+    both verdicts and their agreement ``pattern`` derive from the two
+    reports."""
 
-    pattern: str
-    formation_stable: bool
-    pairs_all_stable: bool
     criterion: _criterion.CriterionReport
     pairwise: PairwiseReport
+
+    @property
+    def formation_stable(self) -> bool:
+        return self.criterion.stable
+
+    @property
+    def pairs_all_stable(self) -> bool:
+        return self.pairwise.all_stable
+
+    @property
+    def pattern(self) -> str:
+        f_ok, p_ok = self.formation_stable, self.pairs_all_stable
+        if f_ok and p_ok:
+            return BOTH_STABLE
+        if not f_ok and not p_ok:
+            return BOTH_UNSTABLE
+        if p_ok:
+            return PAIRS_STABLE_FORMATION_UNSTABLE
+        return FORMATION_STABLE_PAIR_UNSTABLE
 
     def to_dict(self):
         return {
@@ -175,20 +184,4 @@ def cross_compare(
     """
     rep = _criterion.check(spec, decomp, tol)
     pw = _analyze_edges(spec, {c.node: c.result for c in rep.condition1}, tol)
-    f_ok = rep.stable
-    p_ok = pw.all_stable
-    if f_ok and p_ok:
-        pattern = BOTH_STABLE
-    elif not f_ok and not p_ok:
-        pattern = BOTH_UNSTABLE
-    elif p_ok and not f_ok:
-        pattern = PAIRS_STABLE_FORMATION_UNSTABLE
-    else:
-        pattern = FORMATION_STABLE_PAIR_UNSTABLE
-    return CrossComparison(
-        pattern=pattern,
-        formation_stable=f_ok,
-        pairs_all_stable=p_ok,
-        criterion=rep,
-        pairwise=pw,
-    )
+    return CrossComparison(criterion=rep, pairwise=pw)

@@ -50,8 +50,8 @@ def _ref_assemble(decomp, n, m, S, N, k_tilde, split_weights):
         kti = np.asarray(k_tilde[i], dtype=float)
         K = {s: w * (Ni - Si) for s, w in split_weights[i].items()}
         ki = kti + Si @ D[i] + sum(Ks @ D[s] for s, Ks in K.items())
-        N_i, kt_i = _ref_aggregate(Si, K, ki, i, D)
-        followers[i] = FollowerController(S=Si, K=K, k=ki, N=N_i, k_tilde=kt_i)
+        _, kt_i = _ref_aggregate(Si, K, ki, i, D)
+        followers[i] = FollowerController(S=Si, K=K, k=ki, k_tilde=kt_i)
     return ControllerSet(n=n, m=m, followers=followers)
 
 

@@ -253,7 +253,6 @@ class TestVerifyController:
                     S=np.zeros((1, 2)),
                     K={s: np.zeros((1, 2)) for s in chain.parents(i)},
                     k=np.zeros(1),
-                    N=np.zeros((1, 2)),
                     k_tilde=np.zeros(1),
                 )
                 for i in (2, 3)
@@ -267,12 +266,15 @@ class TestVerifyController:
         )
 
     def test_stored_aggregate_gain_is_not_trusted(self, chain, chain_decomp, chain_report):
-        # zero K_21 but keep the stored N = [[1, 1]]: the law simulate runs
-        # no longer matches the criterion's aggregate gain
+        # zero K_21 and write an N that contradicts the law: the loaded N is
+        # derived from S and K, and the law simulate runs no longer matches
+        # the criterion's aggregate gain
         data = controller_to_dict(synthesize(chain, chain_decomp, chain_report))
-        data["followers"]["2"]["K"]["1"] = [[0.0, 0.0]]
+        doc = data["followers"]["2"]
+        doc["K"]["1"] = [[0.0, 0.0]]
+        doc["N"] = [[7.0, -3.0]]
         tampered = controller_from_dict(data)
-        assert np.allclose(tampered.gains(2).N, [[1.0, 1.0]], atol=1e-8)
+        assert np.array_equal(tampered.gains(2).N, np.array(doc["S"]) + np.array(doc["K"]["1"]))
         ver = verify_controller(chain, chain_decomp, tampered)
         assert not ver.passed
         assert ver.edge_matrix_defects[(2, 1)] > 1.0

@@ -264,6 +264,19 @@ class TestStabilizability:
         res = is_stabilizable(A, B)
         assert not res and res.witness == pytest.approx(2.0)
 
+    def test_mode_inside_the_margin_counts_as_unstable(self):
+        # exactly stabilizable: the uncontrollable mode -1e-9 is stable; but
+        # the PBH margin is inclusive (Re lambda >= -eps_hurwitz), so at the
+        # default eps_hurwitz = 1e-9 that mode is the witness
+        A = np.diag([1.0, -1e-9])
+        B = np.array([[1.0], [0.0]])
+        res = is_stabilizable(A, B)
+        assert not res and res.witness == -1e-9
+        with pytest.raises(NotStabilizableError) as exc:
+            stabilize(A, B)
+        assert exc.value.witness == -1e-9
+        assert is_stabilizable(A, B, Tolerances(eps_hurwitz=1e-10))
+
     def test_singular_values_that_overflow_name_their_item(self, monkeypatch):
         # no finite pencil has been seen to overflow LAPACK's singular values,
         # so the overflow is forced on the last pencil, the second item's

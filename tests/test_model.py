@@ -209,7 +209,7 @@ class TestDecompose:
                              Edge(3, 1, [0.0, 0.0])], l=4)
         dec = decompose(spec)
         assert dec.renumbering == (2, 4, 1, 3)
-        assert dec.new_index(2) == 1 and dec.new_index(3) == 4
+        assert dec.renumbering.index(2) == 0 and dec.renumbering.index(3) == 3
 
 
 def _check_decomposition_invariants(spec):
@@ -222,9 +222,10 @@ def _check_decomposition_invariants(spec):
         union |= level
     assert union == all_nodes
 
+    new = {i: k for k, i in enumerate(dec.renumbering)}
     for e in spec.edges:
         assert dec.order[e.i] > dec.order[e.j]
-        assert dec.new_index(e.i) > dec.new_index(e.j)
+        assert new[e.i] > new[e.j]
 
     for i in spec.nodes:
         if dec.order[i] == 0:
@@ -267,7 +268,7 @@ def test_witness_exists_iff_multiple_leaders(seed):
         for leader, path in ((witness.j, witness.path_to_j), (witness.s, witness.path_to_s)):
             assert path[0] == witness.i and path[-1] == leader
             for a, b in zip(path[:-1], path[1:]):
-                assert spec.has_edge(a, b)
+                assert (a, b) in spec.edge_keys
 
 
 def _cycle_witness(spec):
@@ -290,7 +291,7 @@ def test_cycle_witness_is_a_simple_cycle_of_the_spec(l, raw):
     if witness is not None:
         assert witness[0] == witness[-1]
         assert len(set(witness[:-1])) == len(witness) - 1
-        assert all(spec.has_edge(a, b) for a, b in zip(witness[:-1], witness[1:]))
+        assert all((a, b) in spec.edge_keys for a, b in zip(witness[:-1], witness[1:]))
 
     # drop the unknown parents and repeats, and add node l+1 following one
     # node of each weak component: it has no followers, so it closes no

@@ -63,8 +63,8 @@ class TestAnalyzePairs:
             n=2, m=1, agents=tuple(agents),
             edges=tuple(Edge(perm[e.i], perm[e.j], e.d) for e in chain.edges),
         )
-        orig = analyze_pairs(chain).verdicts()
-        new = analyze_pairs(permuted).verdicts()
+        orig = {e.edge: e.stable for e in analyze_pairs(chain).edges}
+        new = {e.edge: e.stable for e in analyze_pairs(permuted).edges}
         assert new == {(perm[i], perm[j]): v for (i, j), v in orig.items()}
 
 
@@ -187,4 +187,6 @@ class TestOnePbhTestPerFollower:
         res = cross_compare(spec, dec)
         assert len(pbh_matrices) - by_check == by_check
         direct = analyze_pairs(spec)
-        assert res.pairwise.verdicts() == direct.verdicts()
+        assert {e.edge: e.stable for e in res.pairwise.edges} == {
+            e.edge: e.stable for e in direct.edges
+        }
