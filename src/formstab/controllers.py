@@ -12,7 +12,10 @@ gains (implicitly zero).
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,19 +34,38 @@ __all__ = [
 ]
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change once built: item assignment,
+    deletion and every mutating method raise `TypeError`."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("this mapping is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # copy and pickle rebuild it, rather than assign items
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class FollowerController:
-    """Gains of one follower: own-state gain S, per-parent gains K, offset k,
-    plus the derived offset k_tilde; the aggregate gain N derives from S, K."""
+    """Gains of one follower: own-state gain S, per-parent gains K (a
+    read-only mapping), offset k, plus the derived offset k_tilde; the
+    aggregate gain N derives from S and K.  A float array whose owner is
+    read-only is kept as given (`assemble_controller` hands views of its
+    stacks); any other array is copied and the copy made read-only."""
 
     S: np.ndarray
-    K: dict  # parent id -> (m, n) gain
+    K: Mapping  # parent id -> (m, n) gain
     k: np.ndarray
     k_tilde: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "S", _frozen_array(self.S))
-        object.__setattr__(self, "K", {int(s): _frozen_array(Ks) for s, Ks in self.K.items()})
+        object.__setattr__(
+            self, "K", _ReadOnlyDict((int(s), _frozen_array(Ks)) for s, Ks in self.K.items())
+        )
         object.__setattr__(self, "k", _frozen_array(self.k))
         object.__setattr__(self, "k_tilde", _frozen_array(self.k_tilde))
 
@@ -52,25 +74,98 @@ class FollowerController:
         return self.S + sum(self.K.values())
 
 
+class _Stacks(NamedTuple):
+    """A controller's gains as read-only stacks, followers in ascending id
+    order: S (k, m, n), k (k, m) and N (k, m, n) by follower; the parent
+    gains K (p, m, n) follower by follower, each with its follower's row,
+    its slot (its place among that follower's gains) and its parent id."""
+
+    followers: tuple
+    S: np.ndarray
+    k: np.ndarray
+    K: np.ndarray
+    rows: np.ndarray
+    slots: np.ndarray
+    parents: np.ndarray
+    N: np.ndarray
+
+
+def _fold(terms: np.ndarray, rows: np.ndarray, slots: np.ndarray, count: int) -> np.ndarray:
+    """The slot-ordered fold of per-parent ``terms``: for each of ``count``
+    followers, zero plus its terms in slot order, which is Python's ``sum``
+    over its parents bit for bit.  Term p belongs to follower ``rows[p]``
+    at slot ``slots[p]``; the fold adds every follower's slot-0 term, then
+    every slot-1 term, and so on, with -0.0 standing in for a slot a
+    follower lacks: x + -0.0 is x for every float x, -0.0 and NaN too."""
+    padded = np.full((int(slots.max(initial=-1)) + 1, count, *terms.shape[1:]), -0.0)
+    padded[slots, rows] = terms
+    total = np.zeros((count, *terms.shape[1:]))
+    for slot in padded:
+        total += slot
+    return total
+
+
+def _pairs(laws) -> tuple:
+    """Row and slot of every (follower, parent) pair of ``laws``, a
+    sequence of parent -> value maps, in follower-major order."""
+    rows = [r for r, law in enumerate(laws) for _ in law]
+    slots = [j for law in laws for j in range(len(law))]
+    return np.array(rows, dtype=int), np.array(slots, dtype=int)
+
+
+def _freeze(*arrays) -> None:
+    """Make each of the new ``arrays`` read-only, down to the array that
+    owns its data, so that `_frozen_array` keeps views of it."""
+    for a in arrays:
+        while isinstance(a, np.ndarray):
+            a.setflags(write=False)
+            a = a.base
+
+
 @dataclass(frozen=True)
 class ControllerSet:
-    """Complete follower control law for one formation instance."""
+    """Complete follower control law for one formation instance.
+
+    ``followers`` is a read-only mapping, so the stacks derived from it on
+    first use stay true: ``_layout`` (the (follower, parent) pairs the
+    gains are keyed by, and the set of shapes of the S, the K_is and the k)
+    and ``_stacks`` (see `_Stacks`), which `verify_controller` reads.
+    """
 
     n: int
     m: int
-    followers: dict  # follower id -> FollowerController
+    followers: Mapping  # follower id -> FollowerController
 
     def __post_init__(self):
-        object.__setattr__(self, "followers", dict(self.followers))
+        object.__setattr__(self, "followers", _ReadOnlyDict(self.followers))
 
     def gains(self, i: int) -> FollowerController:
         return self.followers[i]
 
+    @cached_property
+    def _layout(self) -> tuple:
+        laws = self.followers.values()
+        pairs = {(i, s) for i, fc in self.followers.items() for s in fc.K}
+        shapes = (
+            {fc.S.shape for fc in laws},
+            {Ks.shape for fc in laws for Ks in fc.K.values()},
+            {fc.k.shape for fc in laws},
+        )
+        return pairs, shapes
 
-def _aggregate(S, K: dict, k, i: int, D: dict) -> tuple:
-    """Aggregate gain N_i = S_i + sum_s K_is and offset
-    kt_i = k_i - S_i D_i - sum_s K_is D_s of follower i's law (S, K, k)."""
-    return S + sum(K.values()), k - S @ D[i] - sum(Ks @ D[s] for s, Ks in K.items())
+    @cached_property
+    def _stacks(self) -> _Stacks:
+        followers = tuple(sorted(self.followers))
+        laws = [self.followers[i] for i in followers]
+        count, m, n = len(laws), self.m, self.n
+        rows, slots = _pairs([fc.K for fc in laws])
+        S = np.array([fc.S for fc in laws]).reshape(count, m, n)
+        K = np.array([Ks for fc in laws for Ks in fc.K.values()]).reshape(len(rows), m, n)
+        N = S + _fold(K, rows, slots, count)
+        k = np.array([fc.k for fc in laws]).reshape(count, m)
+        parents = np.array([s for fc in laws for s in fc.K], dtype=int)
+        _freeze(S, K, rows, slots, N, k, parents)
+        return _Stacks(followers, S, k, K, rows, slots, parents, N)
 
 
 def _check_structure(
@@ -78,7 +173,9 @@ def _check_structure(
 ) -> None:
     """Raise `ValueError` naming the first way ``ctrl`` does not fit the
     instance: its (n, m), its follower ids, the shape of an S, the parents
-    a K is keyed by, or the shape of a per-parent gain K_is or of a k."""
+    a K is keyed by, or the shape of a per-parent gain K_is or of a k.
+    The key sets and the shapes are compared whole; the followers are
+    walked only to name a misfit."""
     if ctrl.n != spec.n or ctrl.m != spec.m:
         raise ValueError(
             f"controller dims ({ctrl.n}, {ctrl.m}) do not match spec ({spec.n}, {spec.m})"
@@ -88,6 +185,10 @@ def _check_structure(
             f"controller has gains for agents {sorted(ctrl.followers)} "
             f"but the followers are {sorted(decomp.followers())}"
         )
+    pairs, (S_shapes, K_shapes, k_shapes) = ctrl._layout
+    fits = S_shapes | K_shapes <= {(spec.m, spec.n)} and k_shapes <= {(spec.m,)}
+    if fits and pairs == set(spec.edge_keys):
+        return
     for i, fc in ctrl.followers.items():
         if fc.S.shape != (spec.m, spec.n):
             raise ValueError(f"follower {i}: S has shape {fc.S.shape}")
@@ -118,21 +219,40 @@ def assemble_controller(
     N_i - S_i according to ``split_weights[i]`` (a parent -> weight map
     summing to 1), and the offset follows
     k_i = kt_i + S_i D_i + sum_s K_is D_s.  k_tilde is recomputed from
-    (S, K, k) so the construction identity holds by definition, as
-    `_aggregate` sums it; S_i D_i and sum_s K_is D_s are formed once and
-    serve both k_i and kt_i.
+    (S, K, k) so the construction identity holds by definition.
+
+    Every gain, offset and product is formed as one stack over the
+    followers, or over every (follower, parent) pair, and each
+    `FollowerController` holds read-only views of those stacks.  S_i D_i
+    and sum_s K_is D_s are formed once and serve both k_i and kt_i; the
+    sum is a slot-ordered fold (`_fold`), so every value is bitwise that
+    of the per-follower expressions.
     """
     D = decomp.cumulative_offset
-    followers = {}
-    for i in decomp.followers():
-        Si = np.asarray(S[i], dtype=float)
-        parent_gain = np.asarray(N[i], dtype=float) - Si
-        K = {s: w * parent_gain for s, w in split_weights[i].items()}
-        SD = Si @ D[i]
-        KD = sum(Ks @ D[s] for s, Ks in K.items())
-        ki = np.asarray(k_tilde[i], dtype=float) + SD + KD
-        followers[i] = FollowerController(S=Si, K=K, k=ki, k_tilde=ki - SD - KD)
-    return ControllerSet(n=n, m=m, followers=followers)
+    followers = decomp.followers()
+    count = len(followers)
+    weights = [split_weights[i] for i in followers]
+    rows, slots = _pairs(weights)
+    parents = [s for ws in weights for s in ws]
+    w = np.array([w for ws in weights for w in ws.values()], dtype=float).reshape(-1, 1, 1)
+
+    S_f = np.array([S[i] for i in followers], dtype=float).reshape(count, m, n)
+    parent_gain = np.array([N[i] for i in followers], dtype=float).reshape(count, m, n) - S_f
+    K = w * parent_gain[rows]
+    D_f = np.array([D[i] for i in followers]).reshape(count, n, 1)
+    D_s = np.array([D[s] for s in parents]).reshape(len(parents), n, 1)
+    SD = S_f @ D_f
+    KD = _fold(K @ D_s, rows, slots, count)
+    k = np.array([k_tilde[i] for i in followers], dtype=float).reshape(count, m, 1) + SD + KD
+    kt = k - SD - KD
+    _freeze(S_f, K, k, kt)
+
+    gains = iter(K)
+    return ControllerSet(n=n, m=m, followers={
+        i: FollowerController(S=S_f[r], K={s: next(gains) for s in ws}, k=k[r, :, 0],
+                              k_tilde=kt[r, :, 0])
+        for r, (i, ws) in enumerate(zip(followers, weights))
+    })
 
 
 def control_input(ctrl: ControllerSet, i: int, states: dict) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import ControllerSet, _aggregate, _check_structure
+from .controllers import ControllerSet, _check_structure, _fold
 from .linalg import (
     DEFAULT_TOLERANCES,
     HurwitzReport,
@@ -34,7 +34,7 @@ from .linalg import (
     _FloatRangeError,
     _frobenius_norms,
     _hurwitz_reports,
-    _solve_blocks,
+    _solve_stack,
     _sorted_eigenvalues,
     is_hurwitz,
     is_stabilizable,
@@ -276,13 +276,14 @@ def _pbh(spec: FormationSpec, nodes, tol: Tolerances) -> tuple:
         raise ValueError(f"follower {nodes[exc.item]}: {exc}") from None
 
 
-def _follower_solves(i: int, B, Cs, tol: Tolerances) -> tuple:
-    """`_solve_blocks` of follower i's equations B X = C for each C of
-    ``Cs``; data too large for the float range is a `ValueError` naming i."""
+def _follower_solves(followers, B, blocks, starts, tol: Tolerances) -> tuple:
+    """`_solve_stack` of the followers' equations, follower t owning the
+    units ``starts[t]:starts[t + 1]``; data too large for the float range
+    is a `ValueError` naming the first follower whose equations overflow."""
     try:
-        return _solve_blocks(B, Cs, tol)
+        return _solve_stack(B, blocks, starts, tol)
     except _FloatRangeError as exc:
-        raise ValueError(f"follower {i}: {exc}") from None
+        raise ValueError(f"follower {followers[exc.item]}: {exc}") from None
 
 
 def check(
@@ -301,7 +302,8 @@ def check(
 
     Each fact is evaluated over a per-instance stack, with results bitwise
     those of per-item calls: one PBH test over all followers, one
-    least-squares solve per follower for both of its equations, and one
+    least-squares solve per follower for both of its equations, the
+    residuals of all of those as stacks (`linalg._solve_stack`), and one
     norm computation over all edge defects.  Data so large that the defect
     scale, a follower's PBH test or its equations overflow raises
     `ValueError` naming the cause.
@@ -313,16 +315,21 @@ def check(
     D = decomp.cumulative_offset
     followers = decomp.followers()
 
+    offsets = np.array([D[i] for i in spec.nodes]).reshape(spec.l, spec.n)
+
     stab_results = _pbh(spec, followers, tol)
-    cond2 = []
+    rows = np.array(followers, dtype=int) - 1
+    A_f = spec.A_stack[rows]
     with np.errstate(over="ignore", invalid="ignore"):  # the solves name an overflow
-        for i in followers:
-            ag = spec.agent(i)
-            gain, offset = _follower_solves(i, ag.B, (A_ref - ag.A, ag.A @ D[i]), tol)
-            cond2.append(GainEquationCheck(node=i, gain_solve=gain, offset_solve=offset))
+        rhs = (A_ref - A_f, (A_f @ offsets[rows, :, None])[:, :, 0])
+        solves = _follower_solves(followers, spec.B_stack[rows], rhs,
+                                  range(len(followers) + 1), tol)
+    cond2 = tuple(
+        GainEquationCheck(node=i, gain_solve=gain, offset_solve=offset)
+        for i, (gain, offset) in zip(followers, solves)
+    )
     cond2_ok = all(c.passed for c in cond2)
 
-    offsets = np.array([D[i] for i in spec.nodes])
     ends_i, ends_j = spec.edge_ends
     defects = spec.d_rows - (offsets[ends_i] - offsets[ends_j])
     cond3 = tuple(
@@ -351,7 +358,7 @@ def check(
     )
     return CriterionReport(
         condition1=cond1,
-        condition2=tuple(cond2),
+        condition2=cond2,
         condition3=cond3,
         condition4=cond4,
         applicable_corollary=special_case,
@@ -409,37 +416,37 @@ def verify_controller(
     follower ids, gain or offset shapes, or parent keys) raises
     `ValueError`, as does a defect scale that overflows.
 
-    The aggregate sums stay per follower (`controllers._aggregate`); the
-    products A_i + B_i N_i, B_i kt_i - A_i D_i and A_i + B_i S_i are
-    stacked matmuls over the followers, the Hurwitz tests one stack and
-    the edge defects one norm computation; the results are bitwise those
-    of per-item calls.  A NaN defect fails the check, and so does a
-    closed loop A_i + B_i S_i that is not finite: its report has a NaN
-    abscissa and is not Hurwitz.
+    The controller's stacks (`ControllerSet._stacks`, derived once per
+    controller) give S, k, the parent gains and N; the sums over a
+    follower's parents are slot-ordered folds (`controllers._fold`),
+    which are Python's sequential sums bit for bit.  The products
+    A_i + B_i N_i, B_i kt_i - A_i D_i and A_i + B_i S_i are stacked
+    matmuls over the followers, the Hurwitz tests one stack and the edge
+    defects one norm computation; the results are bitwise those of
+    per-item calls.  A NaN defect fails the check, and so does a closed
+    loop A_i + B_i S_i that is not finite: its report has a NaN abscissa
+    and is not Hurwitz.
     """
     _check_structure(spec, decomp, ctrl)
     scale = _defect_scale(spec.d_rows, spec.agent(decomp.renumbering[0]).A)
 
+    law = ctrl._stacks
     D = decomp.cumulative_offset
-    followers = sorted(ctrl.followers)
-    laws = [ctrl.followers[i] for i in followers]
-    sums = [_aggregate(fc.S, fc.K, fc.k, i, D) for i, fc in zip(followers, laws)]
-    k, n, m = len(followers), spec.n, spec.m
-    N = np.array([Ni for Ni, _ in sums]).reshape(k, m, n)
-    kt = np.array([kti for _, kti in sums]).reshape(k, m, 1)
-    S = np.array([fc.S for fc in laws]).reshape(k, m, n)
-    A, B, rows = spec.A_stack, spec.B_stack, np.array(followers, dtype=int) - 1
+    k, n = len(law.followers), spec.n
+    A, B, rows = spec.A_stack, spec.B_stack, np.array(law.followers, dtype=int) - 1
     A_f, B_f = A[rows], B[rows]
     offsets = np.array([D[i] for i in spec.nodes]).reshape(spec.l, n, 1)
+    KD = _fold(law.K @ offsets[law.parents - 1], law.rows, law.slots, k)
+    kt = law.k[:, :, None] - law.S @ offsets[rows] - KD
     M = A.copy()  # a leader's gains are zero
-    M[rows] = A_f + B_f @ N
+    M[rows] = A_f + B_f @ law.N
     mvec = -A @ offsets
     mvec[rows] = B_f @ kt - A_f @ offsets[rows]
-    loops = A_f + B_f @ S
+    loops = A_f + B_f @ law.S
     finite = np.isfinite(loops).all(axis=(1, 2))  # a NaN or inf loop has no spectrum
     spectra = np.full((k, n), np.nan, dtype=complex)
     spectra[finite] = _sorted_eigenvalues(loops[finite])
-    hurwitz = dict(zip(followers, _hurwitz_reports(spectra, tol)))
+    hurwitz = dict(zip(law.followers, _hurwitz_reports(spectra, tol)))
 
     ends_i, ends_j = spec.edge_ends
     matrix_defects = _frobenius_norms(M[ends_i] - M[ends_j])

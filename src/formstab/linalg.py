@@ -9,7 +9,6 @@ so front-ends can thread one configuration object through every check.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -133,10 +132,11 @@ class ExpEnvelope:
 
 class _FloatRangeError(ValueError):
     """A stacked kernel got finite input but computed a non-finite result:
-    the data of stack item ``item`` is too large for the float range."""
+    the data of stack item ``item`` (and of its block ``block``, for
+    `_solve_stack`) is too large for the float range."""
 
-    def __init__(self, item: int, what: str):
-        self.item = int(item)
+    def __init__(self, item: int, what: str, block: int | None = None):
+        self.item, self.block = int(item), block
         super().__init__(f"{what} overflows: the data is too large for the float range")
 
 
@@ -253,56 +253,85 @@ def solve_matrix_equation(B, C, tol: Tolerances = DEFAULT_TOLERANCES) -> LinearS
         If B is finite but the residual or ``||C||`` overflows: the data is
         too large for the float range.
 
-    Evaluated as a one-block stack of `_solve_blocks`, which the criterion
-    and the pairwise analysis call with every right-hand side of one
-    follower at once; the reports are bitwise those of separate calls.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _solve_blocks(B, (C,), tol)[0]
-
-
-def _solve_blocks(B, Cs, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
-    """`solve_matrix_equation` of B X = C for each C of ``Cs``, from one
-    least-squares solve over the column-stacked right-hand sides.
-
-    Each block's residual ``||B X_k - C_k||`` is taken from a contiguous
-    copy of its own X_k: a block sliced out of the whole product
-    ``B X - C`` can differ from a separate solve's residual in the last bit.
-    Both norms are ``np.linalg.norm``'s arithmetic without its wrapper.
-    With B finite, a residual or ``||C_k||`` that is not finite (C_k
-    overflowed, or the norms do) raises `_FloatRangeError` with ``item``
-    k.  Callers run it under ``np.errstate(over="ignore",
-    invalid="ignore")``, once around all of their solves, so that no
-    warning leaks.
+    A one-unit, one-block call of `_solve_stack`, which the criterion and
+    the pairwise analysis call with every equation of an instance at
+    once; their reports are bitwise those of separate calls.
     """
     B = _as_matrix(B)
-    blocks = []
-    for C in Cs:
-        C = np.asarray(C, dtype=float)
-        C2 = C[:, None] if C.ndim == 1 else C
-        if C2.ndim != 2 or B.shape[0] != C2.shape[0]:
-            raise ValueError(f"row counts must match: B is {B.shape}, C is {C.shape}")
-        blocks.append((C.ndim == 1, C2))
-    X, _, rank, _ = np.linalg.lstsq(B, np.hstack([C2 for _, C2 in blocks]), rcond=None)
+    C = np.asarray(C, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _solve_stack(B[None], (C[None],), (0, 1), tol)[0][0]
 
-    reports = []
-    end = 0
-    for k, (vector_rhs, C2) in enumerate(blocks):
-        start, end = end, end + C2.shape[1]
-        Xk = np.ascontiguousarray(X[:, start:end])
-        r, c = (B @ Xk - C2).ravel(order="K"), C2.ravel(order="K")
-        residual, c_norm = math.sqrt(r.dot(r)), math.sqrt(c.dot(c))
-        if not math.isfinite(residual + c_norm) and np.isfinite(B).all():
-            raise _FloatRangeError(k, "the residual or the right-hand side of B X = C")
-        rel = residual / (1.0 + c_norm)
-        reports.append(LinearSolveReport(
-            solution=Xk[:, 0] if vector_rhs else Xk,
-            residual_norm=residual,
-            relative_residual=rel,
-            solvable=bool(rel <= tol.eps_solve),
-            rank_B=int(rank),
+
+def _solve_stack(B, blocks, starts, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """`solve_matrix_equation` of B_u X = C_u for every unit u of the
+    stack ``B`` (U, n, m) and each right-hand side C of the unit's
+    ``blocks``, which are stacks (U, n, w), or (U, n) for vectors.  Returns
+    one tuple of reports per unit, one report per block.
+
+    The units ``starts[t]:starts[t + 1]`` form item t and share its B: one
+    least-squares solve per item over the right-hand sides of its units,
+    column-stacked unit by unit and block by block.  The residual
+    ``||B X_k - C_k||`` and ``||C_k||`` of every block of every unit are
+    then taken per block position as stacks: one matmul over contiguous
+    copies of the X_k (a per-unit gemm or gemv, as ``B @ X_k`` is), and
+    one `_frobenius_norms` each (a per-unit dot product in the order of
+    ``np.linalg.norm``: C order for the residual, memory order for C_k).
+    A block sliced out of the whole product ``B X - C`` can differ from a
+    separate solve's residual in the last bit, so that product is never
+    formed.
+
+    With B finite, a residual or ``||C_k||`` that is not finite (C_k
+    overflowed, or the norms do) raises `_FloatRangeError` naming the
+    first such block in unit order: its ``item``, and as ``block`` its
+    index among the blocks of that item.  Callers run it under
+    ``np.errstate(over="ignore", invalid="ignore")``, once around all of
+    their solves, so that no warning leaks.
+    """
+    stacks = []
+    for C in blocks:
+        if C.ndim not in (2, 3) or C.shape[:2] != B.shape[:2]:
+            raise ValueError(f"row counts must match: B is {B.shape[1:]}, C is {C.shape[1:]}")
+        stacks.append(C[:, :, None] if C.ndim == 2 else C)
+    units, n, m = B.shape
+    if not units:
+        return ()
+    rhs = np.concatenate(stacks, axis=2)
+    width = rhs.shape[2]
+    X, rank = np.empty((units, m, width)), np.empty(units, dtype=int)
+    for a, b in zip(starts[:-1], starts[1:]):
+        Xt, _, rank[a:b], _ = np.linalg.lstsq(
+            B[a], rhs[a:b].transpose(1, 0, 2).reshape(n, (b - a) * width), rcond=None
+        )
+        X[a:b] = Xt.reshape(m, b - a, width).transpose(1, 0, 2)
+
+    solutions, residual, c_norm, end = [], [], [], 0
+    for C in stacks:
+        start, end = end, end + C.shape[2]
+        Xk = np.ascontiguousarray(X[:, :, start:end])
+        solutions.append(Xk)
+        residual.append(_frobenius_norms(B @ Xk - C))
+        c_norm.append(_frobenius_norms(C if C.flags.c_contiguous else
+                                       [c.ravel(order="K") for c in C]))
+    residual, c_norm = np.array(residual).T, np.array(c_norm).T  # (units, blocks)
+    bad = ~np.isfinite(residual + c_norm) & np.isfinite(B).all(axis=(1, 2))[:, None]
+    if bad.any():
+        u, k = np.argwhere(bad)[0].tolist()
+        t = int(np.searchsorted(starts, u, side="right")) - 1
+        raise _FloatRangeError(t, "the residual or the right-hand side of B X = C",
+                               block=(u - starts[t]) * len(stacks) + k)
+
+    rel = residual / (1.0 + c_norm)
+    vector = [C.ndim == 2 for C in blocks]
+    return tuple(
+        tuple(
+            LinearSolveReport(Xk[u, :, 0] if vec else Xk[u], r, q, ok, rk)
+            for Xk, vec, r, q, ok in zip(solutions, vector, res_u, rel_u, ok_u)
+        )
+        for u, (rk, res_u, rel_u, ok_u) in enumerate(zip(
+            rank.tolist(), residual.tolist(), rel.tolist(), (rel <= tol.eps_solve).tolist()
         ))
-    return tuple(reports)
+    )
 
 
 def _frobenius_norms(Z) -> np.ndarray:
@@ -424,10 +453,17 @@ def _bass_gain(A, B, tol: Tolerances) -> np.ndarray:
     return -(B1.T @ np.linalg.pinv(P)) @ V.T
 
 
+_LWORK = {}  # (LAPACK wrapper, operand shapes) -> the workspace its query returns
+
+
 def _queried(f, *args, **kwargs):
     """The LAPACK wrapper ``f`` called with the workspace that its own
-    ``lwork=-1`` query returns, as scipy calls it."""
-    lwork = f(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
+    ``lwork=-1`` query returns, as scipy calls it.  The query depends on
+    the operand shapes only, so it runs once per (wrapper, shapes)."""
+    key = (f, tuple(np.shape(a) for a in args if isinstance(a, np.ndarray)))
+    lwork = _LWORK.get(key)
+    if lwork is None:
+        lwork = _LWORK[key] = f(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
     return f(*args, lwork=lwork, **kwargs)
 
 
@@ -442,8 +478,13 @@ def _riccati(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for the left half-plane (``dtgsen``), then ``lu`` as ``dgetrf``, the
     condition test as U's singular-value ratio, two ``dtrtrs`` solves and
     the symmetry test with 1-norms as column sums.  Operand layouts and
-    ``lwork`` queries are scipy's: BLAS and LAPACK block their arithmetic
-    by layout and workspace, so another choice can move the last bits of P.
+    workspaces are scipy's: BLAS and LAPACK block their arithmetic by
+    layout and workspace, so another choice can move the last bits of P.
+    Each workspace query runs once per (routine, shapes) (`_queried`).
+    The triangular solves read L and U in place from ``dgetrf``'s packed
+    factor, which holds both: ``dtrtrs`` reads only the triangle it is
+    told to, and the unit diagonal of L not at all.  Only the condition
+    test needs U alone.
     """
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise ValueError("array must not contain infs or NaNs")
@@ -452,7 +493,8 @@ def _riccati(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     H[:n, :n], H[:n, 2 * n :] = A, B
     H[n : 2 * n, :n], H[n : 2 * n, n : 2 * n] = -np.eye(n), -A.conj().T
     H[2 * n :, n : 2 * n], H[2 * n :, 2 * n :] = B.conj().T, np.eye(m)
-    J = np.diag(np.repeat([1.0, 0.0], [2 * n, m]))
+    J = np.zeros((2 * n + m, 2 * n + m))
+    np.fill_diagonal(J[: 2 * n, : 2 * n], 1.0)
 
     M = np.abs(H) + np.abs(J)
     np.fill_diagonal(M, 0.0)
@@ -493,17 +535,18 @@ def _riccati(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         rows[k], rows[p] = rows[p], rows[k]
     up = np.zeros((n, n))
     up[rows, range(n)] = 1.0
-    ul, uu = np.tril(lu, -1), np.triu(lu)
-    np.fill_diagonal(ul, 1.0)
+    uu = lu.copy()
+    for r in range(1, n):
+        uu[r, :r] = 0.0
     sv = np.linalg.svd(uu, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = sv[0] / sv[-1]  # np.linalg.cond, which counts a NaN ratio as infinite
     if np.isnan(cond) or 1 / cond < np.spacing(1.0):
         raise np.linalg.LinAlgError("Failed to find a finite solution.")
-    y, info = lapack.dtrtrs(uu.conj().T, np.asarray_chkfinite(u10.conj().T), lower=1)
+    y, info = lapack.dtrtrs(lu.T, np.asarray_chkfinite(u10.T), lower=1)  # U^T y = u10^T
     if info:
         raise np.linalg.LinAlgError("singular matrix in the triangular solve")
-    y = lapack.dtrtrs(ul.conj().T, y, unitdiag=1)[0]  # unit diagonal: never singular
+    y = lapack.dtrtrs(lu.T, y, unitdiag=1)[0]  # L^T; unit diagonal: never singular
     x = y.conj().T.dot(up.conj().T)
     x *= sca[:n, None] * sca[:n]
 

@@ -44,12 +44,26 @@ __all__ = [
 ]
 
 
+_FLOAT = np.dtype(float)
+
+
 def _frozen_array(x, shape=None) -> np.ndarray:
-    a = np.array(x, dtype=float)
+    """``x`` as a read-only float array, reshaped to ``shape`` if given.
+
+    A float array whose owner (the end of its chain of bases) owns its
+    data and is read-only is kept, not copied: nothing can write to it.
+    Anything else is copied, and the copy made read-only."""
+    owner = x
+    while isinstance(owner, np.ndarray) and isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if not (type(x) is np.ndarray and x.dtype is _FLOAT and owner.base is None
+            and not owner.flags.writeable):
+        x = np.array(x, dtype=float)
+        x.setflags(write=False)
     if shape is not None:
-        a = a.reshape(shape)
-    a.setflags(write=False)
-    return a
+        x = x.reshape(shape)  # a copy only of a kept array that is not contiguous
+        x.setflags(write=False)
+    return x
 
 
 @dataclass(frozen=True)

@@ -114,22 +114,23 @@ def analyze_pairs(
 
 def _analyze_edges(spec: FormationSpec, stab: dict, tol: Tolerances) -> PairwiseReport:
     """Edge analyses from per-follower PBH verdicts ``stab`` (id -> result),
-    with one solve per follower over all of its edges' equations."""
+    with one solve per follower over all of its edges' equations and the
+    residuals of every edge's equations as stacks (`linalg._solve_stack`)."""
     by_follower = {}
-    for e in spec.edges:
-        by_follower.setdefault(e.i, []).append(e)
-    solves = {}
+    for k, e in enumerate(spec.edges):
+        by_follower.setdefault(e.i, []).append(k)
+    order = [k for edges in by_follower.values() for k in edges]
+    starts = np.cumsum([0] + [len(edges) for edges in by_follower.values()]).tolist()
+    ends_i, ends_j = spec.edge_ends
+    i, j = ends_i[order], ends_j[order]
+    A, d = spec.A_stack, spec.d_rows[order]
     with np.errstate(over="ignore", invalid="ignore"):  # the solves name an overflow
-        for i, edges in by_follower.items():
-            ai = spec.agent(i)
-            rhs = []
-            for e in edges:
-                rhs += [spec.agent(e.j).A - ai.A, ai.A @ e.d]
-            reports = _criterion._follower_solves(i, ai.B, rhs, tol)
-            for k, e in enumerate(edges):
-                solves[e.key] = reports[2 * k : 2 * k + 2]
+        solves = _criterion._follower_solves(
+            list(by_follower), spec.B_stack[i], (A[j] - A[i], (A[i] @ d[:, :, None])[:, :, 0]),
+            starts, tol)
+    solves = dict(zip(order, solves))
     return PairwiseReport(edges=tuple(
-        EdgeAnalysis(e.key, stab[e.i], *solves[e.key]) for e in spec.edges
+        EdgeAnalysis(e.key, stab[e.i], *solves[k]) for k, e in enumerate(spec.edges)
     ))
 
 

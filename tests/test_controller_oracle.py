@@ -5,12 +5,18 @@ The references are the one-follower-at-a-time arithmetic that the stacked
 code replaces: each follower's products are formed on its own, each
 Hurwitz test is a separate `is_hurwitz` call and each edge defect a
 separate `np.linalg.norm`.  The sums over a follower's parents are
-sequential Python sums in both.
+sequential Python sums in the references and slot-ordered folds in the
+stacked code.  The instances reach followers with 8 and more parents,
+where `np.add.reduce` along a contiguous axis regroups a sum, and -0.0
+gain entries, which a sum that does not start from zero keeps.
 """
 
+import dataclasses
+from itertools import count
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,9 +33,10 @@ from formstab import (
     verify_controller,
 )
 from formstab import synthesis
-from formstab.controllers import assemble_controller
+from formstab.controllers import _fold, assemble_controller
 from formstab.criterion import _defect_scale
 from formstab.instances import (
+    consistent_triangle,
     random_dag_formation,
     random_feasible_formation,
     random_in_tree_formation,
@@ -109,6 +116,21 @@ def _random_parts(spec, decomp, rng):
     return S, N, kt, weights
 
 
+def _ref_N(ctrl):
+    """Each follower's N_i = S_i + sum_s K_is, ascending ids, as one array."""
+    laws = [ctrl.followers[i] for i in sorted(ctrl.followers)]
+    return np.array([fc.S + sum(fc.K.values()) for fc in laws]).reshape(-1, ctrl.m, ctrl.n)
+
+
+def _wide(seed):
+    """The first feasible formation from ``seed`` on with a follower of at
+    least 8 parents."""
+    for s in count(seed):
+        spec = random_feasible_formation(s, max_nodes=30, max_n=2, max_m=2)
+        if max(len(spec.parents(e.i)) for e in spec.edges) >= 8:
+            return spec
+
+
 _KINDS = {
     "feasible": lambda s: random_feasible_formation(s, max_nodes=14),
     "more_inputs_than_states": lambda s: random_feasible_formation(s, max_nodes=10, max_n=2,
@@ -118,6 +140,7 @@ _KINDS = {
     "scalar_in_tree": lambda s: random_in_tree_formation(s, max_nodes=8, n=1, m=2),
     "scalar_dag": lambda s: random_dag_formation(s, max_nodes=10, n=1, m=2),
     "dag": lambda s: random_dag_formation(s, max_nodes=12, n=3, m=1),
+    "wide": _wide,
 }
 
 
@@ -127,6 +150,7 @@ class TestStackedControllerCode:
     @example(kind="many_parents", seed=2)  # a follower with 16 parents, two leaders
     @example(kind="scalar_in_tree", seed=0)  # n = 1, m = 2, stable
     @example(kind="more_inputs_than_states", seed=0)  # n = 2, m = 4
+    @example(kind="wide", seed=0)
     def test_bitwise_the_per_follower_loops(self, kind, seed):
         spec = _KINDS[kind](seed)
         decomp = decompose(spec)
@@ -134,6 +158,7 @@ class TestStackedControllerCode:
         args = (decomp, spec.n, spec.m, *parts)
         ctrl = assemble_controller(*args)
         assert _bytes(ctrl) == _bytes(_ref_assemble(*args))
+        assert ctrl._stacks.N.tobytes() == _ref_N(ctrl).tobytes()
         assert repr(verify_controller(spec, decomp, ctrl).to_dict()) == repr(
             _ref_verify(spec, decomp, ctrl))
 
@@ -152,6 +177,7 @@ class TestStackedControllerCode:
             family = enumerate_family(spec, decomp, report, count=3, rng=seed)
         assert [_bytes(c) for c in family] == [_bytes(c) for c in assembled]
         for member in family:
+            assert member._stacks.N.tobytes() == _ref_N(member).tobytes()
             assert repr(verify_controller(spec, decomp, member).to_dict()) == repr(
                 _ref_verify(spec, decomp, member))
 
@@ -164,3 +190,82 @@ class TestStackedControllerCode:
         assert _bytes(ctrl) == _bytes(_ref_assemble(*args))
         assert repr(verify_controller(spec, decomp, ctrl).to_dict()) == repr(
             _ref_verify(spec, decomp, ctrl))
+
+
+class TestSlotOrderedFold:
+    @given(seed=st.integers(0, 10_000), count=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    @example(seed=1, count=1)
+    def test_bitwise_the_sequential_sum(self, seed, count):
+        # up to 16 terms per follower, with exact cancellations, -0.0, inf and NaN
+        rng = np.random.default_rng(seed)
+        degrees = rng.integers(1, 17, count)
+        pool = np.array([-0.0, 0.0, 1.0, -1.0, 1e-300, np.inf, np.nan, 0.1, 3.0, -3.0])
+        terms = [np.where(rng.random((d, 2)) < 0.5, rng.choice(pool, (d, 2)),
+                          rng.standard_normal((d, 2))) for d in degrees]
+        rows = np.repeat(np.arange(count), degrees)
+        slots = np.concatenate([np.arange(d) for d in degrees])
+        with np.errstate(invalid="ignore"):  # inf - inf
+            folded = _fold(np.concatenate(terms), rows, slots, count)
+            expected = np.array([sum(t) for t in terms])
+        assert folded.tobytes() == expected.tobytes()
+
+    def test_an_all_negative_zero_sum_is_positive_zero(self):
+        # sum() starts from 0, so a sum of -0.0 terms is +0.0
+        terms = np.full((3, 1), -0.0)
+        folded = _fold(terms, np.zeros(3, dtype=int), np.arange(3), 1)
+        assert folded.tobytes() == np.array([sum(terms)]).tobytes() == np.zeros((1, 1)).tobytes()
+
+
+class TestFrozenController:
+    @pytest.fixture
+    def triangle(self):
+        spec = consistent_triangle()
+        decomp = decompose(spec)
+        report = check(spec, decomp)
+        return spec, decomp, synthesis.synthesize(spec, decomp, report)
+
+    def test_followers_cannot_be_changed(self, triangle):
+        spec, decomp, ctrl = triangle
+        before = repr(verify_controller(spec, decomp, ctrl).to_dict())
+        with pytest.raises(TypeError):
+            ctrl.followers[3] = ctrl.followers[2]
+        with pytest.raises(TypeError):
+            ctrl.followers.pop(3)
+        with pytest.raises(TypeError):
+            del ctrl.followers[3]
+        with pytest.raises(TypeError):
+            ctrl.gains(3).K.pop(1)
+        assert sorted(ctrl.followers) == [2, 3]
+        assert repr(verify_controller(spec, decomp, ctrl).to_dict()) == before
+
+    def test_a_changed_copy_is_a_new_controller(self, triangle):
+        spec, decomp, ctrl = triangle
+        fc = ctrl.gains(3)
+        K = {s: 2.0 * Ks for s, Ks in fc.K.items()}
+        changed = ControllerSet(ctrl.n, ctrl.m, {**ctrl.followers, 3: dataclasses.replace(fc, K=K)})
+        assert repr(verify_controller(spec, decomp, changed).to_dict()) == repr(
+            _ref_verify(spec, decomp, changed))
+        assert changed._stacks.N.tobytes() == _ref_N(changed).tobytes()
+        assert ctrl._stacks.N.tobytes() == _ref_N(ctrl).tobytes()
+        assert not np.array_equal(changed._stacks.N, ctrl._stacks.N)
+
+    def test_arrays_are_shared_only_when_nothing_can_write_them(self):
+        owned = np.arange(6.0).reshape(3, 2)
+        frozen = owned.copy()
+        frozen.setflags(write=False)
+        view_of_writeable = owned[1:]
+        view_of_writeable.setflags(write=False)
+        fc = FollowerController(S=owned, K={1: frozen[:1]}, k=view_of_writeable[0],
+                                k_tilde=frozen[2])
+        assert fc.S is not owned and not fc.S.flags.writeable
+        owned[0, 0] = 99.0  # the copy does not see it
+        assert fc.S[0, 0] == 0.0
+        assert fc.K[1].base is frozen and fc.k_tilde.base is frozen  # views kept
+        assert fc.k.base is not owned and fc.k.tolist() == [2.0, 3.0]
+
+    def test_assembled_gains_are_views_of_one_stack(self, triangle):
+        _, _, ctrl = triangle
+        laws = list(ctrl.followers.values())
+        assert len({id(fc.S.base) for fc in laws}) == 1
+        assert all(not fc.S.base.flags.writeable for fc in laws)

@@ -27,7 +27,7 @@ from formstab import (
     spectral_abscissa,
     stabilize,
 )
-from formstab import decompose
+from formstab import analyze_pairs, check, decompose
 from formstab import linalg as linalg_module
 from formstab.instances import (
     random_controllable_pair,
@@ -45,7 +45,7 @@ from formstab.linalg import (
     _hurwitz_reports,
     _is_block_triangular_hurwitz,
     _riccati,
-    _solve_blocks,
+    _solve_stack,
     _sorted_eigenvalues,
 )
 
@@ -238,6 +238,29 @@ class TestSolveMatrixEquation:
         assert np.linalg.norm(B @ rep.solution - C) <= 1e-8 * (1 + np.linalg.norm(C))
         # minimum-norm solution never beats the generating one
         assert np.linalg.norm(rep.solution) <= np.linalg.norm(X0) + 1e-9
+
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 4), m=st.integers(1, 3),
+           kind=st.sampled_from(["feasible", "dag"]))
+    @settings(max_examples=25, deadline=None)
+    def test_instance_reports_are_bitwise_per_block_solves(self, seed, n, m, kind):
+        # every gain block is n wide and every offset block 1 wide
+        if kind == "feasible":
+            spec = random_feasible_formation(seed, max_nodes=12, max_n=n + 1, max_m=m)
+        else:
+            spec = random_dag_formation(seed, max_nodes=12, n=n, m=m)
+        decomp = decompose(spec)
+        A_ref = spec.agent(decomp.renumbering[0]).A
+        D = decomp.cumulative_offset
+        for c in check(spec, decomp).condition2:
+            A, B = spec.agent(c.node).A, spec.agent(c.node).B
+            assert _bits(c.gain_solve) == _bits(solve_matrix_equation(B, A_ref - A))
+            assert _bits(c.offset_solve) == _bits(solve_matrix_equation(B, A @ D[c.node]))
+        for e in analyze_pairs(spec).edges:
+            (i, j), A, B = e.edge, spec.agent(e.edge[0]).A, spec.agent(e.edge[0]).B
+            d = spec.displacement(i, j)
+            assert _bits(e.gain_solve) == _bits(solve_matrix_equation(B, spec.agent(j).A - A))
+            assert _bits(e.offset_solve) == _bits(solve_matrix_equation(B, A @ d))
 
 
 class TestStabilizability:
@@ -539,6 +562,29 @@ class TestRiccatiBranches:
         assert got is expected is np.linalg.LinAlgError
 
 
+class TestRiccatiWorkspace:
+    def test_each_workspace_is_queried_once_per_shapes(self, monkeypatch):
+        # alternating shapes: the second (4, 2) pair reuses every workspace
+        shapes = [(1, 1), (4, 2), (2, 3), (4, 2)]
+        pairs = [random_controllable_pair(seed, n, m) for seed, (n, m) in enumerate(shapes)]
+        expected = [_care_outcome(_scipy_care, A, B) for A, B in pairs]
+        queries = {}
+        for name in ("dgeqrf", "dorgqr", "dgges"):
+            f = getattr(linalg_module.lapack, name)
+
+            def spy(*args, _f=f, _name=name, **kwargs):
+                if kwargs.get("lwork") == -1:
+                    key = (_name, tuple(np.shape(a) for a in args if isinstance(a, np.ndarray)))
+                    queries[key] = queries.get(key, 0) + 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(linalg_module.lapack, name, spy)
+        monkeypatch.setattr(linalg_module, "_LWORK", {})
+        got = [_care_outcome(_riccati, A, B) for A, B in pairs]
+        assert all(isinstance(P, tuple) for P in got) and got == expected
+        assert len(queries) == 9 and set(queries.values()) == {1}
+
+
 class TestExpEnvelope:
     def test_negative_identity_tight(self):
         env = exp_envelope(-np.eye(2), 0.5)
@@ -660,6 +706,12 @@ def _ref_solve(B, C, tol=DEFAULT_TOLERANCES):
                              bool(rel <= tol.eps_solve), int(rank))
 
 
+def _one_unit(B, Cs):
+    """`_solve_stack` of B X = C for each C of ``Cs``: one item of one unit."""
+    blocks = tuple(np.asarray(C, dtype=float)[None] for C in Cs)
+    return _solve_stack(np.asarray(B, dtype=float)[None], blocks, (0, 1))[0]
+
+
 def _bits(value):
     """A string that tells apart any two different floats, -0.0 and 0.0 too."""
     if isinstance(value, (HurwitzReport, LinearSolveReport)):
@@ -755,10 +807,21 @@ class TestStackedKernels:
     @given(spec=_INSTANCES)
     @settings(max_examples=12, deadline=None)
     def test_block_solve_is_bitwise_per_block(self, spec):
+        # one call for the instance: each follower an item, each of its
+        # (gain, offset) pairs of right-hand sides a unit
         A, B, rhs = _stacks(spec)
-        for b, blocks in zip(B, rhs.values()):
-            reports = _solve_blocks(b, blocks)
-            assert [_bits(r) for r in reports] == [_bits(_ref_solve(b, C)) for C in blocks]
+        units = [(b, blocks[k : k + 2]) for b, blocks in zip(B, rhs.values())
+                 for k in range(0, len(blocks), 2)]
+        starts = np.cumsum([0] + [len(blocks) // 2 for blocks in rhs.values()]).tolist()
+        n, m = spec.n, spec.m
+        reports = _solve_stack(
+            np.array([b for b, _ in units]).reshape(-1, n, m),
+            (np.array([C[0] for _, C in units]).reshape(-1, n, n),
+             np.array([C[1] for _, C in units]).reshape(-1, n)),
+            starts,
+        )
+        assert [[_bits(r) for r in unit] for unit in reports] == [
+            [_bits(_ref_solve(b, C)) for C in blocks] for b, blocks in units]
 
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 6), rows=st.integers(1, 9),
            cols=st.integers(1, 9))
@@ -783,7 +846,7 @@ class TestStackedKernels:
         results = is_stabilizable(A, np.zeros((3, 2, 1)))
         assert [bool(r) for r in results] == [False, True, False]
         assert results[0].witness == 1.0 and results[2].witness == -1j
-        report = _solve_blocks(np.zeros((2, 1)), (np.eye(2), np.ones(2)))
+        report = _one_unit(np.zeros((2, 1)), (np.eye(2), np.ones(2)))
         assert [_bits(r) for r in report] == [
             _bits(_ref_solve(np.zeros((2, 1)), C)) for C in (np.eye(2), np.ones(2))]
 
@@ -801,7 +864,7 @@ class TestStackedKernels:
         with pytest.raises(ValueError, match="infs or NaNs"):
             _sorted_eigenvalues(A)
         with pytest.raises(ValueError):
-            _solve_blocks(A[1], (np.eye(2), np.ones(2)))
+            _one_unit(A[1], (np.eye(2), np.ones(2)))
 
     def test_finite_data_that_overflows_names_its_item(self):
         # the second pair's eigenvalue 2e308 overflows; the third's pencil
@@ -815,28 +878,40 @@ class TestStackedKernels:
         assert exc.value.item == 1
         # ||C|| of the second block overflows, though B X = C is solvable
         with np.errstate(over="ignore"), pytest.raises(_FloatRangeError, match="float range") as exc:
-            _solve_blocks(np.ones((2, 1)), (np.eye(2), np.full((2, 2), 1e200)))
-        assert exc.value.item == 1
+            _one_unit(np.ones((2, 1)), (np.eye(2), np.full((2, 2), 1e200)))
+        assert (exc.value.item, exc.value.block) == (0, 1)
         with pytest.raises(_FloatRangeError, match="float range"):
             solve_matrix_equation(np.ones((2, 1)), np.full((2, 2), 1e200))
 
-    @pytest.mark.parametrize("layout", ["C", "F", "column"])
+    @pytest.mark.parametrize("layout", ["C", "F", "column", "F_spread"])
     def test_block_norms_are_bitwise_linalg_norm(self, layout):
         rng = np.random.default_rng(3)
         B = rng.standard_normal((5, 2))
         C = rng.standard_normal((5, 3))
-        C = {"C": C, "F": np.asfortranarray(C), "column": C[:, 1]}[layout]
-        assert [_bits(r) for r in _solve_blocks(B, (C, 2 * C))] == [
+        if layout == "F_spread":  # entries whose sums in C order and memory order differ
+            C = np.asfortranarray(C * np.exp(rng.uniform(-5, 5, C.shape)))
+            assert np.linalg.norm(C) != np.linalg.norm(np.ascontiguousarray(C))
+        C = {"C": C, "F": np.asfortranarray(C), "column": C[:, 1]}.get(layout, C)
+        assert [_bits(r) for r in _one_unit(B, (C, 2 * C))] == [
             _bits(_ref_solve(B, C)), _bits(_ref_solve(B, 2 * C))]
 
     def test_first_overflowing_block_is_named(self):
-        huge = np.full((2, 2), 1e200)
+        B, huge, big = np.ones((2, 1)), np.full((2, 2), 1e200), np.full(2, 1e300)
         with np.errstate(over="ignore"):
-            for blocks, item in (((huge, np.eye(2)), 0),
-                                 ((np.eye(2), np.full(2, 1e300), huge), 1)):
+            for blocks, block in (((huge, np.eye(2)), 0), ((np.eye(2), big, huge), 1)):
                 with pytest.raises(_FloatRangeError, match="float range") as exc:
-                    _solve_blocks(np.ones((2, 1)), blocks)
-                assert exc.value.item == item
+                    _one_unit(B, blocks)
+                assert (exc.value.item, exc.value.block) == (0, block)
+            # three units of (gain, offset) blocks; unit 1 overflows in its
+            # offset block and unit 2 in its gain block, so unit 1 is named:
+            # as item 1 of three, or as item 0's fourth block when the
+            # first two units form item 0
+            gains = np.array([np.eye(2), np.eye(2), huge])
+            offsets = np.array([np.ones(2), big, np.ones(2)])
+            for starts, named in (((0, 1, 2, 3), (1, 1)), ((0, 2, 3), (0, 3))):
+                with pytest.raises(_FloatRangeError, match="float range") as exc:
+                    _solve_stack(np.array([B] * 3), (gains, offsets), starts)
+                assert (exc.value.item, exc.value.block) == named
 
     def test_stack_shapes_must_agree(self):
         with pytest.raises(ValueError, match="n x m"):
