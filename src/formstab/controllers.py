@@ -222,13 +222,13 @@ def assemble_controller(
     (S, K, k) so the construction identity holds by definition.
 
     Every gain, offset and product is formed as one stack over the
-    followers, or over every (follower, parent) pair, and each
-    `FollowerController` holds read-only views of those stacks.  S_i D_i
-    and sum_s K_is D_s are formed once and serve both k_i and kt_i; the
-    sum is a slot-ordered fold (`_fold`), so every value is bitwise that
-    of the per-follower expressions.
+    followers, or over every (follower, parent) pair, with D_f and D_s
+    read from ``decomp.offset_rows``, and each `FollowerController` holds
+    read-only views of those stacks.  S_i D_i and sum_s K_is D_s are
+    formed once and serve both k_i and kt_i; the sum is a slot-ordered
+    fold (`_fold`), so every value is bitwise that of the per-follower
+    expressions.
     """
-    D = decomp.cumulative_offset
     followers = decomp.followers()
     count = len(followers)
     weights = [split_weights[i] for i in followers]
@@ -239,8 +239,8 @@ def assemble_controller(
     S_f = np.array([S[i] for i in followers], dtype=float).reshape(count, m, n)
     parent_gain = np.array([N[i] for i in followers], dtype=float).reshape(count, m, n) - S_f
     K = w * parent_gain[rows]
-    D_f = np.array([D[i] for i in followers]).reshape(count, n, 1)
-    D_s = np.array([D[s] for s in parents]).reshape(len(parents), n, 1)
+    D_f = decomp.offset_rows[np.array(followers, dtype=int) - 1].reshape(count, n, 1)
+    D_s = decomp.offset_rows[np.array(parents, dtype=int) - 1].reshape(len(parents), n, 1)
     SD = S_f @ D_f
     KD = _fold(K @ D_s, rows, slots, count)
     k = np.array([k_tilde[i] for i in followers], dtype=float).reshape(count, m, 1) + SD + KD

@@ -304,18 +304,17 @@ def check(
     those of per-item calls: one PBH test over all followers, one
     least-squares solve per follower for both of its equations, the
     residuals of all of those as stacks (`linalg._solve_stack`), and one
-    norm computation over all edge defects.  Data so large that the defect
-    scale, a follower's PBH test or its equations overflow raises
+    norm computation over all edge defects; conditions 2 and 3 index the
+    decomposition's offset stack ``offset_rows``.  Data so large that the
+    defect scale, a follower's PBH test or its equations overflow raises
     `ValueError` naming the cause.
     """
     ref = decomp.renumbering[0]
     A_ref = spec.agent(ref).A
     scale = _defect_scale(spec.d_rows, A_ref)
     special_case = classify(spec, decomp)
-    D = decomp.cumulative_offset
     followers = decomp.followers()
-
-    offsets = np.array([D[i] for i in spec.nodes]).reshape(spec.l, spec.n)
+    offsets = decomp.offset_rows
 
     stab_results = _pbh(spec, followers, tol)
     rows = np.array(followers, dtype=int) - 1
@@ -417,7 +416,8 @@ def verify_controller(
     `ValueError`, as does a defect scale that overflows.
 
     The controller's stacks (`ControllerSet._stacks`, derived once per
-    controller) give S, k, the parent gains and N; the sums over a
+    controller) give S, k, the parent gains and N, and the
+    decomposition's ``offset_rows`` gives every D_i; the sums over a
     follower's parents are slot-ordered folds (`controllers._fold`),
     which are Python's sequential sums bit for bit.  The products
     A_i + B_i N_i, B_i kt_i - A_i D_i and A_i + B_i S_i are stacked
@@ -431,11 +431,10 @@ def verify_controller(
     scale = _defect_scale(spec.d_rows, spec.agent(decomp.renumbering[0]).A)
 
     law = ctrl._stacks
-    D = decomp.cumulative_offset
     k, n = len(law.followers), spec.n
     A, B, rows = spec.A_stack, spec.B_stack, np.array(law.followers, dtype=int) - 1
     A_f, B_f = A[rows], B[rows]
-    offsets = np.array([D[i] for i in spec.nodes]).reshape(spec.l, n, 1)
+    offsets = decomp.offset_rows.reshape(spec.l, n, 1)
     KD = _fold(law.K @ offsets[law.parents - 1], law.rows, law.slots, k)
     kt = law.k[:, :, None] - law.S @ offsets[rows] - KD
     M = A.copy()  # a leader's gains are zero

@@ -140,6 +140,13 @@ class _FloatRangeError(ValueError):
         super().__init__(f"{what} overflows: the data is too large for the float range")
 
 
+def _finite(X: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """``X``, checked to hold no NaN or inf before LAPACK sees it."""
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} must not contain infs or NaNs")
+    return X
+
+
 def _as_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -224,8 +231,7 @@ def _is_block_triangular_hurwitz(A, n: int, tol: Tolerances) -> HurwitzReport:
     k = len(A) // n
     if A.shape != (k * n, k * n):
         raise ValueError(f"expected a square matrix of {n}-by-{n} blocks, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):  # off the diagonal blocks too
-        raise ValueError("matrix must not contain infs or NaNs")
+    _finite(A)  # off the diagonal blocks too
     if any(A[r : r + n, r + n :].any() for r in range(0, k * n, n)):
         raise ValueError("matrix is not block lower triangular")
     blocks = A.reshape(k, n, k, n)[np.arange(k), :, np.arange(k), :]
@@ -250,15 +256,15 @@ def solve_matrix_equation(B, C, tol: Tolerances = DEFAULT_TOLERANCES) -> LinearS
     Raises
     ------
     ValueError
-        If B is finite but the residual or ``||C||`` overflows: the data is
-        too large for the float range.
+        If B or C holds a NaN or inf, or if the residual or ``||C||``
+        overflows: the data is too large for the float range.
 
     A one-unit, one-block call of `_solve_stack`, which the criterion and
     the pairwise analysis call with every equation of an instance at
     once; their reports are bitwise those of separate calls.
     """
-    B = _as_matrix(B)
-    C = np.asarray(C, dtype=float)
+    B = _finite(_as_matrix(B), "B")
+    C = _finite(np.asarray(C, dtype=float), "C")
     with np.errstate(over="ignore", invalid="ignore"):
         return _solve_stack(B[None], (C[None],), (0, 1), tol)[0][0]
 
@@ -314,7 +320,7 @@ def _solve_stack(B, blocks, starts, tol: Tolerances = DEFAULT_TOLERANCES) -> tup
         c_norm.append(_frobenius_norms(C if C.flags.c_contiguous else
                                        [c.ravel(order="K") for c in C]))
     residual, c_norm = np.array(residual).T, np.array(c_norm).T  # (units, blocks)
-    bad = ~np.isfinite(residual + c_norm) & np.isfinite(B).all(axis=(1, 2))[:, None]
+    bad = ~np.isfinite(residual + c_norm)
     if bad.any():
         u, k = np.argwhere(bad)[0].tolist()
         t = int(np.searchsorted(starts, u, side="right")) - 1
@@ -385,10 +391,10 @@ def is_stabilizable(A, B, tol: Tolerances = DEFAULT_TOLERANCES):
     verdict names the first failing eigenvalue in sorted order.  A finite
     pair whose pencil at such an eigenvalue, or the pencil's singular
     values, overflow raises `_FloatRangeError` (a `ValueError`) naming its
-    item, and leaks no warning.
+    item, and leaks no warning; a NaN or inf in A or B is a `ValueError`.
     """
     A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    B = _finite(np.asarray(B, dtype=float))  # eigvals rejects a NaN or inf in A
     single = A.ndim == 2
     if single:
         A, B = A[None], B[None]

@@ -178,6 +178,20 @@ class FormationSpec:
     def _level_peel(self) -> tuple[frozenset, ...]:
         return _validated_levels(self)
 
+    @cached_property
+    def _non_finite(self) -> tuple:
+        """`validate`'s ``non_finite`` violations: one pass over every number;
+        only a failing instance is searched per matrix and edge."""
+        values = [x.ravel() for ag in self.agents for x in (ag.A, ag.B)]
+        values += [e.d.ravel() for e in self.edges]
+        if not values or np.isfinite(np.concatenate(values)).all():
+            return ()
+        named = [(f"agent {idx}: {name}", (idx, name), getattr(ag, name))
+                 for idx, ag in enumerate(self.agents, start=1) for name in ("A", "B")]
+        named += [(f"edge ({e.i}, {e.j}): d", (e.key,), e.d) for e in self.edges]
+        return tuple(Violation("non_finite", f"{what} has a NaN or infinite entry", info=info)
+                     for what, info, x in named if not np.isfinite(x).all())
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -242,30 +256,20 @@ def _validated_levels(spec: FormationSpec) -> tuple[frozenset, ...]:
     n, m, l = spec.n, spec.m, spec.l
 
     if n <= 0 or m <= 0 or l == 0:
-        v.append(
-            Violation(
-                "dimension_mismatch",
-                f"need positive n, m and at least one agent (n={n}, m={m}, l={l})",
-            )
-        )
+        v.append(Violation(
+            "dimension_mismatch",
+            f"need positive n, m and at least one agent (n={n}, m={m}, l={l})",
+        ))
 
     for idx, ag in enumerate(spec.agents, start=1):
-        if ag.A.shape != (n, n):
-            v.append(
-                Violation(
+        for name, shape in (("A", (n, n)), ("B", (n, m))):
+            actual = getattr(ag, name).shape
+            if actual != shape:
+                v.append(Violation(
                     "dimension_mismatch",
-                    f"agent {idx}: A has shape {ag.A.shape}, expected {(n, n)}",
-                    info=(idx, "A", (n, n), ag.A.shape),
-                )
-            )
-        if ag.B.shape != (n, m):
-            v.append(
-                Violation(
-                    "dimension_mismatch",
-                    f"agent {idx}: B has shape {ag.B.shape}, expected {(n, m)}",
-                    info=(idx, "B", (n, m), ag.B.shape),
-                )
-            )
+                    f"agent {idx}: {name} has shape {actual}, expected {shape}",
+                    info=(idx, name, shape, actual),
+                ))
 
     seen_edges: set[tuple[int, int]] = set()
     for e in spec.edges:
@@ -279,32 +283,19 @@ def _validated_levels(spec: FormationSpec) -> tuple[frozenset, ...]:
         seen_edges.add(key)
         for end in (e.i, e.j):
             if not 1 <= end <= l:
-                v.append(
-                    Violation(
-                        "dimension_mismatch",
-                        f"edge ({e.i}, {e.j}) references unknown node {end}",
-                        info=(end,),
-                    )
-                )
-        if e.d.shape != (n,):
-            v.append(
-                Violation(
+                v.append(Violation(
                     "dimension_mismatch",
-                    f"edge ({e.i}, {e.j}): d has shape {e.d.shape}, expected ({n},)",
-                    info=(key, e.d.shape),
-                )
-            )
+                    f"edge ({e.i}, {e.j}) references unknown node {end}",
+                    info=(end,),
+                ))
+        if e.d.shape != (n,):
+            v.append(Violation(
+                "dimension_mismatch",
+                f"edge ({e.i}, {e.j}): d has shape {e.d.shape}, expected ({n},)",
+                info=(key, e.d.shape),
+            ))
 
-    # one pass over every number; only a failing instance is searched per
-    # matrix and edge, so the report names each one that holds a NaN or inf
-    values = [x.ravel() for ag in spec.agents for x in (ag.A, ag.B)]
-    values += [e.d.ravel() for e in spec.edges]
-    if values and not np.isfinite(np.concatenate(values)).all():
-        named = [(f"agent {idx}: {name}", (idx, name), getattr(ag, name))
-                 for idx, ag in enumerate(spec.agents, start=1) for name in ("A", "B")]
-        named += [(f"edge ({e.i}, {e.j}): d", (e.key,), e.d) for e in spec.edges]
-        v.extend(Violation("non_finite", f"{what} has a NaN or infinite entry", info=info)
-                 for what, info, x in named if not np.isfinite(x).all())
+    v.extend(spec._non_finite)
 
     parents = {i: frozenset(j for j in spec.parents(i) if 1 <= j <= l) for i in spec.nodes}
     levels: list[frozenset] = []
@@ -324,24 +315,20 @@ def _validated_levels(spec: FormationSpec) -> tuple[frozenset, ...]:
         while walk[-1] not in walk[:-1]:
             walk.append(min(parents[walk[-1]] & remaining))
         cycle = walk[walk.index(walk[-1]) :]
-        v.append(
-            Violation(
-                "cycle_detected",
-                "directed cycle " + " -> ".join(str(x) for x in cycle),
-                info=tuple(cycle),
-            )
-        )
+        v.append(Violation(
+            "cycle_detected",
+            "directed cycle " + " -> ".join(str(x) for x in cycle),
+            info=tuple(cycle),
+        ))
 
     comps = weak_components(spec)
     if len(comps) > 1:
-        v.append(
-            Violation(
-                "not_weakly_connected",
-                f"{len(comps)} weak components: "
-                + ", ".join("{" + ", ".join(map(str, c)) + "}" for c in comps),
-                info=tuple(comps),
-            )
-        )
+        v.append(Violation(
+            "not_weakly_connected",
+            f"{len(comps)} weak components: "
+            + ", ".join("{" + ", ".join(map(str, c)) + "}" for c in comps),
+            info=tuple(comps),
+        ))
 
     if v:
         raise FormationValidationError(v)
@@ -371,17 +358,20 @@ class LevelDecomposition:
     maps node -> level index, ``parent`` maps each follower to its
     designated parent (the parent in the next-lower level with the
     largest id; leaders map to themselves),
-    ``cumulative_offset`` maps node -> sum of displacements along the
+    ``offset_rows`` is the read-only (l, n) stack of the offsets D_i in
+    node order, row i - 1 the sum of displacements along the
     designated-parent chain down to a leader, and ``leader_reach`` maps
     node -> the leader that chain ends at.  ``renumbering`` lists original
     ids level by level (ascending id inside a level); position k holds the
-    node whose new index is k+1.
+    node whose new index is k+1.  Derived once, on first use, for every
+    module to read: ``cumulative_offset`` maps node -> D_i, a view of its
+    row, and ``position`` maps node -> its place in ``renumbering``.
     """
 
     levels: tuple[frozenset, ...]
     order: dict
     parent: dict
-    cumulative_offset: dict
+    offset_rows: np.ndarray
     leader_reach: dict
     renumbering: tuple[int, ...]
 
@@ -393,10 +383,17 @@ class LevelDecomposition:
     def l0(self) -> int:
         return len(self.leaders)
 
+    @cached_property
+    def cumulative_offset(self) -> dict:
+        return {i: self.offset_rows[i - 1] for i in self.renumbering}
+
+    @cached_property
+    def position(self) -> dict:
+        return {i: k for k, i in enumerate(self.renumbering)}
+
     def edge_order(self, keys) -> list:
         """Edge keys (i, j) sorted by their endpoints' renumbered indices."""
-        new = {i: k for k, i in enumerate(self.renumbering)}
-        return sorted(keys, key=lambda e: (new[e[0]], new[e[1]]))
+        return sorted(keys, key=lambda e: (self.position[e[0]], self.position[e[1]]))
 
     def parent_chain(self, i: int) -> list[int]:
         """[i, p(i), p(p(i)), ..., leader]."""
@@ -411,7 +408,7 @@ class LevelDecomposition:
 
     def followers(self) -> list[int]:
         """All non-leader nodes, in renumbering order."""
-        return [i for i in self.renumbering if self.order[i] > 0]
+        return list(self.renumbering[self.l0 :])
 
 
 def decompose(spec: FormationSpec) -> LevelDecomposition:
@@ -423,7 +420,8 @@ def decompose(spec: FormationSpec) -> LevelDecomposition:
     are all already placed.  The designated parent of a follower is chosen
     among its parents by (level, id) lexicographic maximum, which lands
     one level below the follower; offsets accumulate along those
-    designated edges.  An offset that overflows raises
+    designated edges, each D_i = d_ip + D_p written in place into its row
+    of the one offset stack.  An offset that overflows raises
     `FormationValidationError` with a ``non_finite`` violation naming the
     first such agent in the renumbering.
     """
@@ -432,26 +430,20 @@ def decompose(spec: FormationSpec) -> LevelDecomposition:
     renumbering = tuple(i for level in levels for i in sorted(level))
 
     parent: dict[int, int] = {}
-    for i in spec.nodes:
-        if order[i] == 0:
-            parent[i] = i
-        else:
-            parent[i] = max(spec.parents(i), key=lambda j: (order[j], j))
-
-    cumulative: dict[int, np.ndarray] = {}
     reach: dict[int, int] = {}
+    offsets = np.zeros((spec.l, spec.n))  # a leader's offset is zero
     with np.errstate(over="ignore"):  # an offset that overflows is named below
         for i in renumbering:  # parents are processed before children
             if order[i] == 0:
-                cumulative[i] = _frozen_array(np.zeros(spec.n))
-                reach[i] = i
+                parent[i] = reach[i] = i
             else:
-                p = parent[i]
-                cumulative[i] = _frozen_array(spec.displacement(i, p) + cumulative[p])
+                p = parent[i] = max(spec.parents(i), key=lambda j: (order[j], j))
+                np.add(spec.displacement(i, p), offsets[p - 1], out=offsets[i - 1])
                 reach[i] = reach[p]
-    finite = np.isfinite([cumulative[i] for i in renumbering]).all(axis=1)
+    offsets.setflags(write=False)
+    finite = np.isfinite(offsets).all(axis=1)
     if not finite.all():
-        i = renumbering[int(np.argmin(finite))]
+        i = next(i for i in renumbering if not finite[i - 1])
         raise FormationValidationError([Violation(
             "non_finite", f"agent {i}: the cumulative offset D_{i} overflows", info=(i,))])
 
@@ -459,7 +451,7 @@ def decompose(spec: FormationSpec) -> LevelDecomposition:
         levels=levels,
         order=order,
         parent=parent,
-        cumulative_offset=cumulative,
+        offset_rows=offsets,
         leader_reach=reach,
         renumbering=renumbering,
     )

@@ -356,32 +356,27 @@ def ideal_initial_states(decomp: LevelDecomposition, x0) -> dict:
 def _closed_loop_blocks(spec, decomp, ctrl):
     """Stacked closed-loop matrix, constant offset, and leader input map.
 
-    Returns (order, pos, M, c, leader_cols) where order is the
-    renumbering, pos maps agent id -> first row of its state block, M is
-    the (n*l, n*l) closed-loop matrix, c the constant drift, and
-    leader_cols maps leader id -> (n*l, m) injection matrix.
+    Returns (M, c, leader_cols), agents' state blocks in renumbering order
+    (block ``decomp.position[i]`` is agent i's): M is the (n*l, n*l)
+    closed-loop matrix, c the constant drift, and leader_cols maps leader
+    id -> (n*l, m) injection matrix.
     """
-    n = spec.n
-    order = list(decomp.renumbering)
-    pos = {i: k * n for k, i in enumerate(order)}
-    dim = n * len(order)
-    M = np.zeros((dim, dim))
-    c = np.zeros(dim)
+    l, n, pos = spec.l, spec.n, decomp.position
+    M, c = np.zeros((l * n, l * n)), np.zeros(l * n)
+    blocks, drift = M.reshape(l, n, l, n), c.reshape(l, n)  # views
     leader_cols = {}
-    for i in order:
-        ag = spec.agent(i)
-        r = pos[i]
-        fc = ctrl.followers.get(i)
+    for i in decomp.renumbering:
+        ag, r, fc = spec.agent(i), pos[i], ctrl.followers.get(i)
         if fc is None:
-            M[r : r + n, r : r + n] = ag.A
-            leader_cols[i] = np.zeros((dim, spec.m))
-            leader_cols[i][r : r + n, :] = ag.B
+            blocks[r, :, r] = ag.A
+            leader_cols[i] = np.zeros((l * n, spec.m))
+            leader_cols[i].reshape(l, n, spec.m)[r] = ag.B
         else:
-            M[r : r + n, r : r + n] = ag.A + ag.B @ fc.S
+            blocks[r, :, r] = ag.A + ag.B @ fc.S
             for s, Ks in fc.K.items():
-                M[r : r + n, pos[s] : pos[s] + n] += ag.B @ Ks
-            c[r : r + n] = ag.B @ fc.k
-    return order, pos, M, c, leader_cols
+                blocks[r, :, pos[s]] += ag.B @ Ks
+            drift[r] = ag.B @ fc.k
+    return M, c, leader_cols
 
 
 def _grid_resolution(T: float) -> float:
@@ -730,7 +725,8 @@ def simulate(
         LeaderSignal per leader id; omitted leaders get the zero input.
     T, dt : float
         Horizon and step, finite.  Default dt = min(1e-2, 0.1 / (1 +
-        max ||A_i + B_i S_i||_F)); an explicit dt with dt * max||A_i + B_i S_i||_F > 1
+        max ||A_i + B_i S_i||_F)), a `ValueError` naming it for a T not longer
+        than it; an explicit dt with dt * max||A_i + B_i S_i||_F > 1
         raises `StepTooLargeError`, as does a dt whose step increment overflows
         (a sinusoid of huge omega, or an input map G H that overflows).
     tol : Tolerances
@@ -782,7 +778,8 @@ def simulate(
     _check_structure(spec, decomp, ctrl)
     n = spec.n
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        order, pos, M, c, leader_cols = _closed_loop_blocks(spec, decomp, ctrl)
+        M, c, leader_cols = _closed_loop_blocks(spec, decomp, ctrl)
+    order = decomp.renumbering
     finite = np.isfinite(M).all(axis=1) & np.isfinite(c)
     if not finite.all():
         raise ValueError(
@@ -803,9 +800,12 @@ def simulate(
             sig_map[i] = sig
 
     # diagonal blocks of M are the A_i and A_i + B_i S_i of the step cap
-    worst = max(float(np.linalg.norm(M[r : r + n, r : r + n], "fro")) for r in pos.values())
+    worst = max(float(np.linalg.norm(M[r : r + n, r : r + n], "fro")) for r in range(0, len(M), n))
     if dt is None:
         dt = min(1e-2, 0.1 / (1.0 + worst))
+        if dt >= T:
+            raise ValueError(f"T={T} is not longer than the default step dt={dt:.6g}: "
+                             "give a smaller dt")
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
     if dt <= 0:
@@ -849,14 +849,13 @@ def simulate(
         raise cause(float(times[int(np.argmax(bad))]), T, loop)
 
     states = {i: slab[k].T for k, i in enumerate(order)}
-    offsets = {e.key: e.d for e in spec.edges}
 
     def edge_error(e, rows):
         z = states[e[0]][rows] - states[e[1]][rows]
-        z += offsets[e]
+        z += spec.displacement(*e)
         return z
 
-    errors = _OnAccess(offsets, edge_error)
+    errors = _OnAccess(spec.edge_keys, edge_error)
 
     def leader_input(i, rows):
         t = times[rows]
@@ -921,8 +920,7 @@ def _error_coordinates(M: np.ndarray, decomp: LevelDecomposition, edges: list):
     edge error, z_ij = (r kron I)_ij xi."""
     # T = T1 kron I and P = P1 kron I; z_ij = y_i - y_j, so R = r kron I
     # with row (i, j) of r the difference of rows i and j of P1
-    order = decomp.renumbering
-    col = {i: k for k, i in enumerate(order)}
+    order, col = decomp.renumbering, decomp.position
     ref = order[0]
     T1 = np.zeros((len(order) - 1, len(order)))
     P1 = np.zeros((len(order), len(order) - 1))

@@ -360,6 +360,17 @@ class TestSimulate:
         assert "non-finite state at t=355." in err
         assert list(tmp_path.glob("*_trace.csv")) == []
 
+    def test_a_horizon_within_the_default_step_names_it(self, tmp_path, capsys):
+        # no --dt was given, so the message names T and the default step
+        # rather than a dt the caller never set
+        code = main(["simulate", str(demo_path("triangle")), "--T", "1e-3",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: T=0.001 is not longer than the default step dt=0.00387367: "
+            "give a smaller dt\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_fit_that_raises_writes_no_trace(self, chain_file, tmp_path, monkeypatch):
         def failing(trace, decomp, tol):
             raise CertificateError("Lyapunov solution is not positive definite")

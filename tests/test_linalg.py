@@ -225,6 +225,17 @@ class TestSolveMatrixEquation:
         with pytest.raises(ValueError):
             solve_matrix_equation(np.zeros((2, 1)), np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["B", "C"])
+    def test_non_finite_data_is_named_before_lapack(self, name, bad, capfd):
+        # a NaN or inf in B made lstsq fail unnamed (LAPACK printing to
+        # stderr); one in C read as an overflow
+        data = {"B": np.ones((2, 1)), "C": np.ones(2)}
+        data[name][0] = bad
+        with pytest.raises(ValueError, match=f"^{name} must not contain infs or NaNs$"):
+            solve_matrix_equation(data["B"], data["C"])
+        assert "DLASCL" not in capfd.readouterr().err
+
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
     def test_consistent_systems_solve_to_tolerance(self, seed):
@@ -299,6 +310,15 @@ class TestStabilizability:
             stabilize(A, B)
         assert exc.value.witness == -1e-9
         assert is_stabilizable(A, B, Tolerances(eps_hurwitz=1e-10))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("A", [np.eye(2), -np.eye(2)], ids=["unstable", "hurwitz"])
+    def test_non_finite_input_matrix_is_named(self, A, bad, capfd):
+        # as a NaN or inf in A is, whether or not B enters a PBH pencil
+        B = np.array([[bad], [1.0]])
+        with pytest.raises(ValueError, match="^matrix must not contain infs or NaNs$"):
+            is_stabilizable(A, B)
+        assert "DLASCL" not in capfd.readouterr().err
 
     def test_singular_values_that_overflow_name_their_item(self, monkeypatch):
         # no finite pencil has been seen to overflow LAPACK's singular values,

@@ -222,12 +222,17 @@ def _check_decomposition_invariants(spec):
         union |= level
     assert union == all_nodes
 
-    new = {i: k for k, i in enumerate(dec.renumbering)}
+    new = dec.position
+    assert [new[i] for i in dec.renumbering] == list(range(spec.l))
     for e in spec.edges:
         assert dec.order[e.i] > dec.order[e.j]
         assert new[e.i] > new[e.j]
 
+    rows = dec.offset_rows
+    assert rows.shape == (spec.l, spec.n) and not rows.flags.writeable
     for i in spec.nodes:
+        assert np.shares_memory(dec.cumulative_offset[i], rows)
+        assert not dec.cumulative_offset[i].flags.writeable
         if dec.order[i] == 0:
             assert dec.parent[i] == i
             assert np.array_equal(dec.cumulative_offset[i], np.zeros(spec.n))
@@ -235,6 +240,8 @@ def _check_decomposition_invariants(spec):
             p = dec.parent[i]
             assert p in spec.parents(i)
             assert dec.order[p] == dec.order[i] - 1
+            # one addition per follower: d_ip + D_p, bit for bit
+            assert rows[i - 1].tobytes() == (spec.displacement(i, p) + rows[p - 1]).tobytes()
             # recursion equals the explicit sum along the parent chain
             chain = dec.parent_chain(i)
             total = np.zeros(spec.n)

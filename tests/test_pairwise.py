@@ -9,11 +9,15 @@ from formstab import (
     AgentDynamics,
     Edge,
     FormationSpec,
+    FormationValidationError,
     analyze_pairs,
     check,
     cross_compare,
     decompose,
+    formation_from_dict,
+    formation_to_dict,
     solve_matrix_equation,
+    validate,
 )
 from formstab import linalg as linalg_module
 from formstab.instances import random_feasible_formation
@@ -53,6 +57,24 @@ class TestAnalyzePairs:
         assert entry.stable
         assert np.allclose(entry.gain_solve.solution, 0.0, atol=1e-12)
         assert np.allclose(entry.offset_solve.solution, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("where,value", [
+        (("agents", 2, "B"), np.nan), (("agents", 0, "A"), np.nan), (("edges", 0, "d"), np.inf),
+    ], ids=["B_3", "A_1", "d_21"])
+    def test_non_finite_data_raises_validates_violations(self, chain, capfd, where, value):
+        # an unvalidated spec: its NaN or inf used to read as an overflow
+        doc = formation_to_dict(chain)
+        kind, idx, key = where
+        row = doc[kind][idx][key]
+        (row if kind == "edges" else row[0])[0] = value
+        spec = formation_from_dict(doc)
+        with pytest.raises(FormationValidationError) as exc:
+            analyze_pairs(spec)
+        assert exc.value.kinds() == {"non_finite"}
+        with pytest.raises(FormationValidationError) as validated:
+            validate(spec)
+        assert exc.value.violations == validated.value.violations
+        assert "DLASCL" not in capfd.readouterr().err
 
     def test_numbering_invariance(self, chain):
         perm = {1: 2, 2: 3, 3: 1}

@@ -522,7 +522,7 @@ class TestSimulate:
         loop = exc.value.error_loop
         assert not loop.is_hurwitz
         # the verdict `fit_envelope` takes on the same closed loop
-        M = _closed_loop_blocks(spec, dec, ctrl)[2]
+        M = _closed_loop_blocks(spec, dec, ctrl)[0]
         M_e = _error_coordinates(M, dec, [])[1]
         assert loop == _is_block_triangular_hurwitz(M_e, spec.n, DEFAULT_TOLERANCES)
         assert exc.value.time == 38.95
@@ -678,7 +678,7 @@ class TestSimulate:
         assert built == [simulation._MAX_DOUBLINGS]  # blocks of 64 steps
         assert tr.times[-1] - tr.times[-2] < dt
 
-        order, _, M, c, G = _closed_loop_blocks(spec, dec, ctrl)
+        (M, c, G), order = _closed_loop_blocks(spec, dec, ctrl), dec.renumbering
         dim = M.shape[0]
         A = np.zeros((dim + 1 + m + 2,) * 2)
         A[:dim, :dim], A[:dim, dim] = M, c
@@ -848,7 +848,7 @@ class TestSimulate:
 
         spec, dec, rep = _stable_fork()
         ctrl = synthesize(spec, dec, rep)
-        order, _, M, c, G = _closed_loop_blocks(spec, dec, ctrl)
+        (M, c, G), order = _closed_loop_blocks(spec, dec, ctrl), dec.renumbering
         leader = sorted(dec.leaders)[0]
         omega, phase = 1.7, 0.4
         x0 = {i: np.ones(2) for i in spec.nodes}
@@ -881,7 +881,7 @@ class TestSimulate:
 
         spec, dec, rep = _stable_fork()
         ctrl = synthesize(spec, dec, rep)
-        order, _, M, c, G = _closed_loop_blocks(spec, dec, ctrl)
+        (M, c, G), order = _closed_loop_blocks(spec, dec, ctrl), dec.renumbering
         leader = sorted(dec.leaders)[0]
         if kind == "zero":
             signals, gen, w0 = None, np.zeros((0, 0)), np.zeros(0)
@@ -921,7 +921,7 @@ class TestSimulate:
 
         spec, dec, rep = _stable_fork()
         ctrl = synthesize(spec, dec, rep)
-        order, _, M, c, G = _closed_loop_blocks(spec, dec, ctrl)
+        (M, c, G), order = _closed_loop_blocks(spec, dec, ctrl), dec.renumbering
         first, second = sorted(dec.leaders)
         T, on_grid = 3.0, 137 * dt
         pieces = {
@@ -1092,12 +1092,12 @@ class TestSimulate:
         dec = decompose(good_triangle)
         rep = check(good_triangle, dec)
         ctrl = synthesize(good_triangle, dec, rep)
-        order, pos, M, _, _ = _closed_loop_blocks(good_triangle, dec, ctrl)
-        n = good_triangle.n
-        for row, i in enumerate(order):
-            for col, j in enumerate(order):
-                if col > row:
-                    block = M[pos[i] : pos[i] + n, pos[j] : pos[j] + n]
+        M = _closed_loop_blocks(good_triangle, dec, ctrl)[0]
+        n, pos = good_triangle.n, dec.position
+        for i in dec.renumbering:
+            for j in dec.renumbering:
+                if pos[j] > pos[i]:
+                    block = M[n * pos[i] : n * pos[i] + n, n * pos[j] : n * pos[j] + n]
                     assert not block.any()
 
 
@@ -1783,7 +1783,7 @@ def _controllers(spec):
 def _error_loop(spec, dec, ctrl):
     """The stacked closed loop M and the error loop M_e that `fit_envelope`
     certifies."""
-    _, _, M, _, _ = _closed_loop_blocks(spec, dec, ctrl)
+    M = _closed_loop_blocks(spec, dec, ctrl)[0]
     _, M_e, _ = _error_coordinates(M, dec, dec.edge_order([e.key for e in spec.edges]))
     return M, M_e
 
