@@ -179,6 +179,17 @@ class FormationSpec:
         return _validated_levels(self)
 
     @cached_property
+    def _wrong_shapes(self) -> tuple:
+        """`validate`'s ``dimension_mismatch`` violations of the agent matrices."""
+        return tuple(
+            Violation("dimension_mismatch", f"agent {idx}: {name} has shape {x.shape}, "
+                      f"expected {shape}", info=(idx, name, shape, x.shape))
+            for idx, ag in enumerate(self.agents, start=1)
+            for name, x, shape in (("A", ag.A, (self.n, self.n)), ("B", ag.B, (self.n, self.m)))
+            if x.shape != shape
+        )
+
+    @cached_property
     def _non_finite(self) -> tuple:
         """`validate`'s ``non_finite`` violations: one pass over every number;
         only a failing instance is searched per matrix and edge."""
@@ -261,15 +272,7 @@ def _validated_levels(spec: FormationSpec) -> tuple[frozenset, ...]:
             f"need positive n, m and at least one agent (n={n}, m={m}, l={l})",
         ))
 
-    for idx, ag in enumerate(spec.agents, start=1):
-        for name, shape in (("A", (n, n)), ("B", (n, m))):
-            actual = getattr(ag, name).shape
-            if actual != shape:
-                v.append(Violation(
-                    "dimension_mismatch",
-                    f"agent {idx}: {name} has shape {actual}, expected {shape}",
-                    info=(idx, name, shape, actual),
-                ))
+    v.extend(spec._wrong_shapes)
 
     seen_edges: set[tuple[int, int]] = set()
     for e in spec.edges:

@@ -106,10 +106,10 @@ def analyze_pairs(
     equation uses the edge displacement d_ij directly.  The PBH tests run
     as one stack over the edges' followers, and each follower's equations
     as one least-squares solve; the results are bitwise those of per-item
-    calls.  A NaN or inf raises `validate`'s ``non_finite`` violations.
+    calls.  A wrong-shaped agent matrix or a NaN or inf raises `validate`'s violations.
     """
-    if spec._non_finite:
-        raise FormationValidationError(spec._non_finite)
+    if spec._wrong_shapes or spec._non_finite:
+        raise FormationValidationError(spec._wrong_shapes + spec._non_finite)
     followers = sorted({e.i for e in spec.edges})
     stab = _criterion._pbh(spec, followers, tol)
     return _analyze_edges(spec, dict(zip(followers, stab)), tol)

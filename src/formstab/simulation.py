@@ -293,14 +293,6 @@ class _OnAccess(Mapping):
         return len(self._keys)
 
 
-def _norms(z: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row (grid point) of a real 2-d array: the
-    arithmetic of ``np.linalg.norm(z, axis=1)``, bitwise, without its
-    conjugate copy."""
-    sq = np.add.reduce(z * z, 1)
-    return np.sqrt(sq, out=sq)
-
-
 def _rows(values: Mapping, key, rows) -> np.ndarray:
     """values[key][rows], computing only those rows when the values are
     derived on access."""
@@ -322,7 +314,9 @@ class SimulationTrace:
     that computes z_ij = x_i - x_j + d_ij from the states when an edge is
     read, and ``inputs`` one that samples a leader's signal
     (`LeaderSignal.sample`) or computes a follower's control input when it
-    is read; read each value once and keep it if it is needed again.
+    is read; read each value once and keep it if it is needed again.  The
+    checks compute the edge errors from the state rows ``states[i].T`` and
+    ``displacements``, the read-only stack of the d_ij in ``errors`` order.
     ``metadata["integrator"]`` names the propagation: ``"expm"`` (exact,
     every signal with a linear generator) or ``"rk4"`` (some signal
     without one).  ``closed_loop`` is the pair
@@ -335,6 +329,7 @@ class SimulationTrace:
     times: np.ndarray
     states: dict
     errors: Mapping
+    displacements: np.ndarray
     inputs: Mapping
     metadata: dict
     signals: dict
@@ -342,9 +337,22 @@ class SimulationTrace:
     free_errors = None
 
     def initial_error_norm(self) -> float:
-        """||z(0)|| of all edge errors stacked; reads only the first row."""
-        first = (_rows(self.errors, e, 0) for e in self.errors)
-        return math.sqrt(sum(float(z @ z) for z in first))
+        """||z(0)|| of all edge errors stacked, from the states' first row."""
+        row = {i: k for k, i in enumerate(self.states)}
+        x0 = np.array([x[0] for x in self.states.values()])
+        ends = np.array([(row[i], row[j]) for i, j in self.errors], dtype=int).reshape(-1, 2).T
+        z0 = x0[ends[0]] - x0[ends[1]] + self.displacements
+        return math.sqrt(sum(float(z @ z) for z in z0))
+
+
+def _edge_errors(trace: SimulationTrace, edges, out: np.ndarray, cols=slice(None)):
+    """Each edge's error x_i - x_j + d_ij at ``cols``, from the state rows into ``out``."""
+    x = {i: xi.T[:, cols] for i, xi in trace.states.items()}
+    d = dict(zip(trace.errors, trace.displacements[:, :, None]))
+    for i, j in edges:
+        np.subtract(x[i], x[j], out=out)
+        out += d[i, j]
+        yield out
 
 
 def ideal_initial_states(decomp: LevelDecomposition, x0) -> dict:
@@ -871,6 +879,7 @@ def simulate(
         times=times,
         states=states,
         errors=errors,
+        displacements=spec.d_rows,
         inputs=inputs,
         metadata={"integrator": "expm" if exact else "rk4", "dt": float(dt), "T": float(T)},
         signals=sig_map,
@@ -988,12 +997,14 @@ def fit_envelope(
     sampling, `LeaderSignal.running_sups`) and the max runs over leaders
     with a nonzero signal.  Each edge is checked on the grid against its
     bound plus the float resolution 64 eps (1 + max_k ||x_k(t)||) of the
-    recorded errors.  The fit fails when some excess is above
-    1e-6 * (1 + ||z(0)||), or when M_e is not Hurwitz; then alpha is 0.0
-    and each edge's growth is measured against its initial error.  An edge
-    whose norms overflow has a NaN excess, which counts as an infinite
-    violation.  The bound holds for all t >= 0, so a horizon too short for
-    the transient to die out cannot make a fit fail.
+    errors, computed from the state rows into one reused buffer; edges with
+    equal (C_ij, beta_ij) share an envelope and one running maximum of their
+    squared norms, so one square root and one subtraction per envelope.  The
+    fit fails when some excess is above 1e-6 * (1 + ||z(0)||), or when M_e
+    is not Hurwitz; then alpha is 0.0 and each edge's growth is measured
+    against its initial error.  A NaN excess (an overflowing norm) counts as
+    an infinite violation.  The bound holds for all t >= 0, so a horizon too
+    short for the transient to die out cannot make a fit fail.
 
     C belongs to the closed loop, not to the trace: the process keeps the
     constants of the last few error loops, keyed by the content of M_e
@@ -1016,9 +1027,10 @@ def fit_envelope(
             if sups[-1] > 0.0:
                 driven.append(a)
     have_input = bool(U[-1] > 0.0)
+    buf = np.empty((trace.displacements.shape[1], len(times)))  # one edge or state at a time
 
-    if z0n <= 1e-300 and not have_input and all(
-        not np.any(trace.errors[e]) for e in edges
+    if z0n <= 1e-300 and not have_input and not any(
+        z.any() for z in _edge_errors(trace, edges, buf)
     ):
         return EnvelopeFit(
             C={e: 0.0 for e in edges},
@@ -1049,34 +1061,37 @@ def fit_envelope(
         # no decay: anchor the envelope at t=0 so the growth shows up as a
         # reported violation
         alpha = 0.0
-        C_map = {
-            e: float(np.linalg.norm(_rows(trace.errors, e, 0))) / z0n if z0n > 0 else 1.0
-            for e in edges
-        }
+        first = _edge_errors(trace, edges, np.empty((len(buf), 1)), slice(0, 1))
+        C_map = {e: float(np.linalg.norm(z)) / z0n if z0n > 0 else 1.0
+                 for e, z in zip(edges, first)}
         b_map = dict.fromkeys(edges, 0.0)
 
     # a growing trace can overflow the norms to inf, and inf - inf is NaN:
     # such an excess counts as +inf, whatever the edge order
     with np.errstate(over="ignore", invalid="ignore"):
-        state_norm = np.zeros(len(times))
+        sq = np.empty(len(times))
+        state_peak = np.zeros(len(times))  # largest squared state norm
         for x in trace.states.values():
-            np.maximum(state_norm, _norms(x), out=state_norm)
-        floor = 64.0 * np.finfo(float).eps * (1.0 + state_norm)
+            np.multiply(x.T, x.T, out=buf)
+            np.maximum(state_peak, np.add.reduce(buf, 0, out=sq), out=state_peak)
+        floor = 64.0 * np.finfo(float).eps * (1.0 + np.sqrt(state_peak))
         decay = np.exp(-alpha * times) * z0n
 
         # C_ij and beta_ij scale one certificate by the few distinct norms
         # ||R_ij||, so edges share their envelopes C_ij decay + beta_ij U + floor
-        envelopes = {}
-        max_violation = -math.inf
-        for e in edges:
-            envelope = envelopes.get((C_map[e], b_map[e]))
-            if envelope is None:
-                envelope = C_map[e] * decay + b_map[e] * U + floor
-                envelopes[C_map[e], b_map[e]] = envelope
-            z = _norms(trace.errors[e])
-            z -= envelope
-            excess = float(np.max(z))
-            max_violation = max(max_violation, math.inf if math.isnan(excess) else excess)
+        envelopes = {}  # (C_ij, beta_ij) -> its row of peaks, in edge order
+        rows = [envelopes.setdefault((C_map[e], b_map[e]), len(envelopes)) for e in edges]
+        peaks = np.zeros((len(envelopes), len(times)))  # largest squared norm
+        for peak, z in zip([peaks[k] for k in rows], _edge_errors(trace, edges, buf)):
+            z *= z
+            np.maximum(peak, np.add.reduce(z, 0, out=sq), out=peak)
+        # sqrt and subtraction are monotone and correctly rounded: the largest
+        # excess of an envelope is that of its worst edge, bit for bit
+        excess = np.sqrt(peaks, out=peaks)
+        for (C_ij, b_ij), k in envelopes.items():
+            excess[k] -= C_ij * decay + b_ij * U + floor
+        worst = float(np.max(excess))
+        max_violation = math.inf if math.isnan(worst) else worst
 
     return EnvelopeFit(
         C=C_map,
@@ -1143,7 +1158,8 @@ def chain_residual(
     resid = trace.errors[(i, s)] - trace.errors[(i, j)]
     resid -= R
     resid -= trace.states[decomp.leader_reach[j]] - trace.states[decomp.leader_reach[s]]
-    return _norms(resid)
+    sq = np.add.reduce(resid * resid, 1)
+    return np.sqrt(sq, out=sq)
 
 
 def error_dynamics_check(
@@ -1169,10 +1185,11 @@ def error_dynamics_check(
         P_a = B_a sum_s K_as z_as  (zero for a leader).
 
     The Q_a are formed once per agent, in the trace's time-contiguous
-    layout (one row per state component), so each edge costs one
-    difference and one norm; the closed-loop matrix is not used.  A gain
-    K_as that is exactly zero and a zero leader input add exact zeros, so
-    their terms are left out; on a finite trace the result is the same.
+    layout (one row per state component), the z_as from the state rows;
+    each edge's defect goes into a reused buffer and its squared norms into
+    one running maximum, so one square root is taken; a NaN defect gives
+    inf.  A gain K_as that is exactly zero and a zero leader input add
+    exact zeros, so their terms are left out on a finite trace.
     """
     times = trace.times
     if len(times) < 3:
@@ -1187,32 +1204,35 @@ def error_dynamics_check(
     w_mid = (h1 - h0) / (h0 * h1)
     w_next = h0 / (h1 * (h0 + h1))
 
-    Q = {}
-    for a in spec.nodes:
-        x = trace.states[a].T  # (n, grid points)
-        q = w_prev * x[:, :-2]
-        q += w_mid * x[:, 1:-1]
-        q += w_next * x[:, 2:]
-        q -= A_ref @ x[:, 1:-1]
-        fc = ctrl.followers.get(a)
-        if fc is not None:
-            Ba = spec.agent(a).B
-            for s, Ks in fc.K.items():
-                if Ks.any():
-                    q += (Ba @ Ks) @ _rows(trace.errors, (a, s), interior).T
-        if a in decomp.leaders and not trace.signals[a].is_zero:
-            q -= spec.agent(a).B @ _rows(trace.inputs, a, interior).T
-        Q[a] = q
+    z = np.empty((len(A_ref), len(times) - 2))  # an edge error, then a defect
+    sq = np.empty(z.shape[1])
+    peak = np.zeros(z.shape[1])  # largest squared defect norm per interior point
+    with np.errstate(over="ignore", invalid="ignore"):  # a growing trace's defects overflow
+        Q = {}
+        for a in spec.nodes:
+            x = trace.states[a].T  # (n, grid points)
+            q = w_prev * x[:, :-2]
+            q += w_mid * x[:, 1:-1]
+            q += w_next * x[:, 2:]
+            q -= A_ref @ x[:, 1:-1]
+            if a in decomp.leaders and not trace.signals[a].is_zero:
+                q -= spec.agent(a).B @ _rows(trace.inputs, a, interior).T
+            Q[a] = q
+        # P_a of each follower, whose Q_a has no input term, in gain order
+        gains = {(a, s): spec.agent(a).B @ Ks for a, fc in ctrl.followers.items()
+                 for s, Ks in fc.K.items() if Ks.any()}
+        for (a, _), BK, z_as in zip(gains, gains.values(), _edge_errors(trace, gains, z, interior)):
+            Q[a] += BK @ z_as
 
-    # the largest column norm is the root of the largest squared norm, as
-    # sqrt is monotone and correctly rounded
-    worst = 0.0
-    for e in spec.edges:
-        defect = Q[e.i] - Q[e.j]
-        defect -= (A_ref @ e.d)[:, None]
-        defect *= defect
-        worst = max(worst, math.sqrt(float(np.max(np.add.reduce(defect, 0)))))
-    return worst
+        # the largest column norm is the root of the largest squared norm,
+        # as sqrt is monotone and correctly rounded
+        for e in spec.edges:
+            defect = np.subtract(Q[e.i], Q[e.j], out=z)
+            defect -= (A_ref @ e.d)[:, None]
+            defect *= defect
+            np.maximum(peak, np.add.reduce(defect, 0, out=sq), out=peak)
+    worst = float(np.max(peak))
+    return math.inf if math.isnan(worst) else math.sqrt(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,20 @@ class TestAnalyzePairs:
         assert exc.value.violations == validated.value.violations
         assert "DLASCL" not in capfd.readouterr().err
 
+    def test_wrong_shaped_matrix_raises_validates_violation(self, chain):
+        # an unvalidated spec: stacking its matrices used to raise numpy's
+        # unnamed "inhomogeneous shape" ValueError
+        doc = formation_to_dict(chain)
+        doc["agents"][2]["B"] = [[1.0, 0.0], [2.0, 0.0]]
+        spec = formation_from_dict(doc)
+        with pytest.raises(FormationValidationError) as exc:
+            analyze_pairs(spec)
+        assert [str(v) for v in exc.value.violations] == [
+            "dimension_mismatch: agent 3: B has shape (2, 2), expected (2, 1)"]
+        with pytest.raises(FormationValidationError) as validated:
+            validate(spec)
+        assert exc.value.violations == validated.value.violations
+
     def test_numbering_invariance(self, chain):
         perm = {1: 2, 2: 3, 3: 1}
         agents = [None] * 3

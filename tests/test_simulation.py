@@ -1576,6 +1576,23 @@ class TestErrorDynamics:
             assert got == _error_dynamics_every_term(tr, spec, dec, ctrl)
         assert zero_gains > 0
 
+    def test_nan_defect_reads_as_infinite(self):
+        # max(worst, sqrt(nan)) kept the old worst, so NaN states of a
+        # follower gave a finite defect while the envelope reported inf
+        spec = demo_instance("triangle")
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        rng = np.random.default_rng(0)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        tr = simulate(spec, dec, ctrl, x0, T=1.0)
+        states = {i: x.copy() for i, x in tr.states.items()}
+        states[3][...] = np.nan
+        broken = dataclasses.replace(tr, states=states, errors={
+            (i, j): states[i] - states[j] + spec.displacement(i, j) for i, j in tr.errors})
+        assert math.isfinite(error_dynamics_check(tr, spec, dec, ctrl))
+        assert error_dynamics_check(broken, spec, dec, ctrl) == math.inf
+        assert fit_envelope(broken, dec).max_violation == math.inf
+
     @pytest.mark.parametrize("case", ["chain", "two_parent_triangle", "forced_fork",
                                       "random_sine"])
     def test_per_agent_form_matches_the_per_edge_form(
@@ -1981,6 +1998,36 @@ class TestTraceChecksArrayWork:
             write_trace_csv(stored, dec, tmp_path / "stored.csv")
             for name, arrays in before.items():
                 assert {k: v.tobytes() for k, v in getattr(stored, name).items()} == arrays
+
+    def test_state_row_kernel_matches_the_mapping_forms(self, cascade):
+        # the checks compute the edge errors from the state rows; the forms
+        # that read them through `errors` give the same bits, on the trace
+        # and on a copy whose states are separate C-contiguous arrays
+        tri, tri_dec, bad = _destabilized_triangle()
+        x0 = {i: np.random.default_rng(0).standard_normal(tri.n) for i in tri.nodes}
+        overflowing = (tri, tri_dec, bad, simulate(tri, tri_dec, bad, x0, T=20.0))
+        for spec, dec, ctrl, tr in [*_check_runs(cascade), overflowing]:
+            fit = fit_envelope(tr, dec)
+            first = {e: tr.errors.rows(e, 0) for e in tr.errors}
+            z0 = math.sqrt(sum(float(z @ z) for z in first.values()))
+            with np.errstate(over="ignore", invalid="ignore"):
+                violation = _max_violation_by_norms(tr, dec, fit)
+                defect = _error_dynamics_every_term(tr, spec, dec, ctrl)
+            assert repr((fit.z0_norm, tr.initial_error_norm())) == repr((z0, z0))
+            assert repr(fit.max_violation) == repr(violation)
+            if set(fit.alpha.values()) == {0.0}:  # anchored at the initial errors
+                assert repr(fit.C) == repr({e: float(np.linalg.norm(first[e])) / z0
+                                            for e in fit.C})
+            assert repr(error_dynamics_check(tr, spec, dec, ctrl)) == repr(defect)
+            plain = dataclasses.replace(
+                tr,
+                states={i: np.ascontiguousarray(x) for i, x in tr.states.items()},
+                errors={k: np.ascontiguousarray(z) for k, z in tr.errors.items()},
+            )
+            assert repr(fit_envelope(plain, dec).to_dict()) == repr(fit.to_dict())
+            assert repr(plain.initial_error_norm()) == repr(z0)
+            assert repr(error_dynamics_check(plain, spec, dec, ctrl)) == repr(defect)
+        assert fit.max_violation == math.inf and defect == math.inf
 
 
 def _empty_stores():
