@@ -15,6 +15,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -53,8 +54,8 @@ class FollowerController:
     """Gains of one follower: own-state gain S, per-parent gains K (a
     read-only mapping), offset k, plus the derived offset k_tilde; the
     aggregate gain N derives from S and K.  A float array whose owner is
-    read-only is kept as given (`assemble_controller` hands views of its
-    stacks); any other array is copied and the copy made read-only."""
+    read-only is kept as given (an assembled `ControllerSet` hands views of
+    its stacks); any other array is copied and the copy made read-only."""
 
     S: np.ndarray
     K: Mapping  # parent id -> (m, n) gain
@@ -76,13 +77,15 @@ class FollowerController:
 
 class _Stacks(NamedTuple):
     """A controller's gains as read-only stacks, followers in ascending id
-    order: S (k, m, n), k (k, m) and N (k, m, n) by follower; the parent
-    gains K (p, m, n) follower by follower, each with its follower's row,
-    its slot (its place among that follower's gains) and its parent id."""
+    order: S (c, m, n), k and kt (c, m) and N (c, m, n) by follower; the
+    parent gains K (p, m, n) follower by follower, each with its follower's
+    row, its slot (its place among that follower's gains) and its parent
+    id.  ``kt`` (k_tilde) is None when the followers hold their own."""
 
     followers: tuple
     S: np.ndarray
     k: np.ndarray
+    kt: np.ndarray | None
     K: np.ndarray
     rows: np.ndarray
     slots: np.ndarray
@@ -124,12 +127,12 @@ def _freeze(*arrays) -> None:
 
 @dataclass(frozen=True)
 class ControllerSet:
-    """Complete follower control law for one formation instance.
-
-    ``followers`` is a read-only mapping, so the stacks derived from it on
-    first use stay true: ``_layout`` (the (follower, parent) pairs the
-    gains are keyed by, and the set of shapes of the S, the K_is and the k)
-    and ``_stacks`` (see `_Stacks`), which `verify_controller` reads.
+    """Complete follower control law for one formation instance: the
+    read-only stacks ``_stacks`` (see `_Stacks`).  `assemble_controller`
+    builds it from them, and ``followers``, the read-only mapping of views
+    of them, is made when first read; ``ControllerSet(n, m, followers)``
+    derives them once from ``followers`` (None if a gain or offset is
+    misshapen, which `_check_structure` names).
     """
 
     n: int
@@ -139,33 +142,44 @@ class ControllerSet:
     def __post_init__(self):
         object.__setattr__(self, "followers", _ReadOnlyDict(self.followers))
 
+    @classmethod
+    def _of_stacks(cls, n: int, m: int, law: _Stacks) -> ControllerSet:
+        ctrl = object.__new__(cls)
+        ctrl.__dict__.update(n=n, m=m, _stacks=law)
+        return ctrl
+
+    def __getattr__(self, name):  # ``followers`` of a controller built from its stacks
+        law = self.__dict__.get("_stacks")
+        if name != "followers" or law is None:
+            raise AttributeError(name)
+        gains = zip(law.parents.tolist(), law.K)
+        counts = np.bincount(law.rows, minlength=len(law.followers)).tolist()
+        views = _ReadOnlyDict((i, FollowerController(
+            S=law.S[r], K=dict(islice(gains, c)), k=law.k[r], k_tilde=law.kt[r]))
+            for r, (i, c) in enumerate(zip(law.followers, counts)))
+        object.__setattr__(self, "followers", views)
+        return views
+
     def gains(self, i: int) -> FollowerController:
         return self.followers[i]
 
     @cached_property
-    def _layout(self) -> tuple:
-        laws = self.followers.values()
-        pairs = {(i, s) for i, fc in self.followers.items() for s in fc.K}
-        shapes = (
-            {fc.S.shape for fc in laws},
-            {Ks.shape for fc in laws for Ks in fc.K.values()},
-            {fc.k.shape for fc in laws},
-        )
-        return pairs, shapes
-
-    @cached_property
-    def _stacks(self) -> _Stacks:
+    def _stacks(self) -> _Stacks | None:
         followers = tuple(sorted(self.followers))
         laws = [self.followers[i] for i in followers]
-        count, m, n = len(laws), self.m, self.n
+        gain = (self.m, self.n)
+        if any(fc.S.shape != gain or fc.k.shape != gain[:1]
+               or any(Ks.shape != gain for Ks in fc.K.values()) for fc in laws):
+            return None
+        count = len(laws)
         rows, slots = _pairs([fc.K for fc in laws])
-        S = np.array([fc.S for fc in laws]).reshape(count, m, n)
-        K = np.array([Ks for fc in laws for Ks in fc.K.values()]).reshape(len(rows), m, n)
+        S = np.array([fc.S for fc in laws]).reshape(count, *gain)
+        K = np.array([Ks for fc in laws for Ks in fc.K.values()]).reshape(len(rows), *gain)
         N = S + _fold(K, rows, slots, count)
-        k = np.array([fc.k for fc in laws]).reshape(count, m)
+        k = np.array([fc.k for fc in laws]).reshape(count, self.m)
         parents = np.array([s for fc in laws for s in fc.K], dtype=int)
         _freeze(S, K, rows, slots, N, k, parents)
-        return _Stacks(followers, S, k, K, rows, slots, parents, N)
+        return _Stacks(followers, S, k, None, K, rows, slots, parents, N)
 
 
 def _check_structure(
@@ -174,21 +188,24 @@ def _check_structure(
     """Raise `ValueError` naming the first way ``ctrl`` does not fit the
     instance: its (n, m), its follower ids, the shape of an S, the parents
     a K is keyed by, or the shape of a per-parent gain K_is or of a k.
-    The key sets and the shapes are compared whole; the followers are
-    walked only to name a misfit."""
+    The follower ids and the (follower, parent) pairs are read from the
+    controller's stacks and compared whole; the followers are walked only
+    to name a misfit."""
     if ctrl.n != spec.n or ctrl.m != spec.m:
         raise ValueError(
             f"controller dims ({ctrl.n}, {ctrl.m}) do not match spec ({spec.n}, {spec.m})"
         )
-    if set(ctrl.followers) != set(decomp.followers()):
+    law = ctrl._stacks
+    followers = sorted(decomp.followers())
+    if law is not None and law.followers == tuple(followers):
+        ids = np.array(followers, dtype=int)[law.rows]
+        if set(zip(ids.tolist(), law.parents.tolist())) == set(spec.edge_keys):
+            return
+    if sorted(ctrl.followers) != followers:
         raise ValueError(
             f"controller has gains for agents {sorted(ctrl.followers)} "
-            f"but the followers are {sorted(decomp.followers())}"
+            f"but the followers are {followers}"
         )
-    pairs, (S_shapes, K_shapes, k_shapes) = ctrl._layout
-    fits = S_shapes | K_shapes <= {(spec.m, spec.n)} and k_shapes <= {(spec.m,)}
-    if fits and pairs == set(spec.edge_keys):
-        return
     for i, fc in ctrl.followers.items():
         if fc.S.shape != (spec.m, spec.n):
             raise ValueError(f"follower {i}: S has shape {fc.S.shape}")
@@ -222,37 +239,33 @@ def assemble_controller(
     (S, K, k) so the construction identity holds by definition.
 
     Every gain, offset and product is formed as one stack over the
-    followers, or over every (follower, parent) pair, with D_f and D_s
-    read from ``decomp.offset_rows``, and each `FollowerController` holds
-    read-only views of those stacks.  S_i D_i and sum_s K_is D_s are
-    formed once and serve both k_i and kt_i; the sum is a slot-ordered
-    fold (`_fold`), so every value is bitwise that of the per-follower
-    expressions.
+    followers, in ascending id order, or over every (follower, parent)
+    pair, with D_f and D_s read from ``decomp.offset_rows``; those stacks,
+    N = S + sum_s K_is among them, are the controller (see `_Stacks`).
+    S_i D_i and sum_s K_is D_s are formed once and serve both k_i and
+    kt_i; the sums are slot-ordered folds (`_fold`), so every value is
+    bitwise that of the per-follower expressions.
     """
-    followers = decomp.followers()
+    followers = sorted(decomp.followers())
     count = len(followers)
     weights = [split_weights[i] for i in followers]
     rows, slots = _pairs(weights)
-    parents = [s for ws in weights for s in ws]
+    parents = np.array([s for ws in weights for s in ws], dtype=int)
     w = np.array([w for ws in weights for w in ws.values()], dtype=float).reshape(-1, 1, 1)
 
     S_f = np.array([S[i] for i in followers], dtype=float).reshape(count, m, n)
     parent_gain = np.array([N[i] for i in followers], dtype=float).reshape(count, m, n) - S_f
     K = w * parent_gain[rows]
     D_f = decomp.offset_rows[np.array(followers, dtype=int) - 1].reshape(count, n, 1)
-    D_s = decomp.offset_rows[np.array(parents, dtype=int) - 1].reshape(len(parents), n, 1)
+    D_s = decomp.offset_rows[parents - 1].reshape(len(parents), n, 1)
     SD = S_f @ D_f
     KD = _fold(K @ D_s, rows, slots, count)
     k = np.array([k_tilde[i] for i in followers], dtype=float).reshape(count, m, 1) + SD + KD
     kt = k - SD - KD
-    _freeze(S_f, K, k, kt)
-
-    gains = iter(K)
-    return ControllerSet(n=n, m=m, followers={
-        i: FollowerController(S=S_f[r], K={s: next(gains) for s in ws}, k=k[r, :, 0],
-                              k_tilde=kt[r, :, 0])
-        for r, (i, ws) in enumerate(zip(followers, weights))
-    })
+    N_f = S_f + _fold(K, rows, slots, count)
+    _freeze(S_f, K, k, kt, rows, slots, parents, N_f)
+    return ControllerSet._of_stacks(n, m, _Stacks(
+        tuple(followers), S_f, k[:, :, 0], kt[:, :, 0], K, rows, slots, parents, N_f))
 
 
 def control_input(ctrl: ControllerSet, i: int, states: dict) -> np.ndarray:

@@ -415,8 +415,9 @@ def verify_controller(
     follower ids, gain or offset shapes, or parent keys) raises
     `ValueError`, as does a defect scale that overflows.
 
-    The controller's stacks (`ControllerSet._stacks`, derived once per
-    controller) give S, k, the parent gains and N, and the
+    The controller's stacks (`ControllerSet._stacks`) give the follower
+    ids, the (follower, parent) pairs, S, k, the parent gains and N, so an
+    assembled controller is never walked follower by follower, and the
     decomposition's ``offset_rows`` gives every D_i; the sums over a
     follower's parents are slot-ordered folds (`controllers._fold`),
     which are Python's sequential sums bit for bit.  The products

@@ -287,12 +287,14 @@ def _solve_stack(B, blocks, starts, tol: Tolerances = DEFAULT_TOLERANCES) -> tup
     separate solve's residual in the last bit, so that product is never
     formed.
 
-    With B finite, a residual or ``||C_k||`` that is not finite (C_k
-    overflowed, or the norms do) raises `_FloatRangeError` naming the
-    first such block in unit order: its ``item``, and as ``block`` its
-    index among the blocks of that item.  Callers run it under
-    ``np.errstate(over="ignore", invalid="ignore")``, once around all of
-    their solves, so that no warning leaks.
+    A B that holds a NaN or inf raises `ValueError` ("infs or NaNs"), and
+    an item whose right-hand sides do (one overflowed as it was formed) is
+    not solved: LAPACK never sees them.  A residual or ``||C_k||`` that
+    is not finite (C_k overflowed, or the norms do) raises
+    `_FloatRangeError` naming the first such block in unit order: its
+    ``item``, and as ``block`` its index among the blocks of that item.
+    Callers run it under ``np.errstate(over="ignore", invalid="ignore")``,
+    once around all of their solves, so that no warning leaks.
     """
     stacks = []
     for C in blocks:
@@ -304,8 +306,12 @@ def _solve_stack(B, blocks, starts, tol: Tolerances = DEFAULT_TOLERANCES) -> tup
         return ()
     rhs = np.concatenate(stacks, axis=2)
     width = rhs.shape[2]
-    X, rank = np.empty((units, m, width)), np.empty(units, dtype=int)
+    _finite(B, "B")
+    finite = np.isfinite(rhs).all(axis=(1, 2))
+    X, rank = np.zeros((units, m, width)), np.empty(units, dtype=int)
     for a, b in zip(starts[:-1], starts[1:]):
+        if not finite[a:b].all():  # its ||C_k|| is not finite, and is named below
+            continue
         Xt, _, rank[a:b], _ = np.linalg.lstsq(
             B[a], rhs[a:b].transpose(1, 0, 2).reshape(n, (b - a) * width), rcond=None
         )

@@ -367,23 +367,25 @@ def _closed_loop_blocks(spec, decomp, ctrl):
     Returns (M, c, leader_cols), agents' state blocks in renumbering order
     (block ``decomp.position[i]`` is agent i's): M is the (n*l, n*l)
     closed-loop matrix, c the constant drift, and leader_cols maps leader
-    id -> (n*l, m) injection matrix.
+    id -> (n*l, m) injection matrix.  The follower blocks A_i + B_i S_i,
+    B_i K_is and B_i k_i are stacked matmuls over the controller's stacks,
+    bitwise the per-agent products.
     """
-    l, n, pos = spec.l, spec.n, decomp.position
+    l, n, law = spec.l, spec.n, ctrl._stacks
     M, c = np.zeros((l * n, l * n)), np.zeros(l * n)
     blocks, drift = M.reshape(l, n, l, n), c.reshape(l, n)  # views
+    pos = np.empty(l + 1, dtype=int)
+    pos[list(decomp.renumbering)] = np.arange(l)
+    rows = np.array(law.followers, dtype=int) - 1
+    A_f, B_f, r = spec.A_stack[rows], spec.B_stack[rows], pos[rows + 1]
+    blocks[r, :, r] = A_f + B_f @ law.S
+    blocks[r[law.rows], :, pos[law.parents]] += B_f[law.rows] @ law.K
+    drift[r] = (B_f @ law.k[:, :, None])[:, :, 0]
     leader_cols = {}
-    for i in decomp.renumbering:
-        ag, r, fc = spec.agent(i), pos[i], ctrl.followers.get(i)
-        if fc is None:
-            blocks[r, :, r] = ag.A
-            leader_cols[i] = np.zeros((l * n, spec.m))
-            leader_cols[i].reshape(l, n, spec.m)[r] = ag.B
-        else:
-            blocks[r, :, r] = ag.A + ag.B @ fc.S
-            for s, Ks in fc.K.items():
-                blocks[r, :, pos[s]] += ag.B @ Ks
-            drift[r] = ag.B @ fc.k
+    for i in decomp.renumbering[:decomp.l0]:
+        blocks[pos[i], :, pos[i]] = spec.agent(i).A
+        leader_cols[i] = np.zeros((l * n, spec.m))
+        leader_cols[i].reshape(l, n, spec.m)[pos[i]] = spec.agent(i).B
     return M, c, leader_cols
 
 
@@ -1185,12 +1187,15 @@ def error_dynamics_check(
         P_a = B_a sum_s K_as z_as  (zero for a leader).
 
     The Q_a are formed once per agent, in the trace's time-contiguous
-    layout (one row per state component), the z_as from the state rows;
+    layout (one row per state component), the B_a K_as as one stacked
+    matmul over the controller's stacks, the z_as from the state rows;
     each edge's defect goes into a reused buffer and its squared norms into
     one running maximum, so one square root is taken; a NaN defect gives
     inf.  A gain K_as that is exactly zero and a zero leader input add
-    exact zeros, so their terms are left out on a finite trace.
+    exact zeros, so their terms are left out on a finite trace.  A
+    controller that does not fit the instance raises `ValueError`.
     """
+    _check_structure(spec, decomp, ctrl)
     times = trace.times
     if len(times) < 3:
         return 0.0
@@ -1219,10 +1224,13 @@ def error_dynamics_check(
                 q -= spec.agent(a).B @ _rows(trace.inputs, a, interior).T
             Q[a] = q
         # P_a of each follower, whose Q_a has no input term, in gain order
-        gains = {(a, s): spec.agent(a).B @ Ks for a, fc in ctrl.followers.items()
-                 for s, Ks in fc.K.items() if Ks.any()}
-        for (a, _), BK, z_as in zip(gains, gains.values(), _edge_errors(trace, gains, z, interior)):
-            Q[a] += BK @ z_as
+        law = ctrl._stacks
+        used = law.K.any(axis=(1, 2))
+        ids = np.array(law.followers, dtype=int)[law.rows[used]]
+        BK = spec.B_stack[ids - 1] @ law.K[used]
+        gains = list(zip(ids.tolist(), law.parents[used].tolist()))
+        for (a, _), BK_as, z_as in zip(gains, BK, _edge_errors(trace, gains, z, interior)):
+            Q[a] += BK_as @ z_as
 
         # the largest column norm is the root of the largest squared norm,
         # as sqrt is monotone and correctly rounded

@@ -12,6 +12,7 @@ gain entries, which a sum that does not start from zero keeps.
 """
 
 import dataclasses
+from functools import cached_property
 from itertools import count
 from unittest import mock
 
@@ -28,8 +29,10 @@ from formstab import (
     check,
     controller_to_dict,
     decompose,
+    controller_from_dict,
     enumerate_family,
     is_hurwitz,
+    simulate,
     verify_controller,
 )
 from formstab import synthesis
@@ -236,6 +239,14 @@ class TestFrozenController:
             del ctrl.followers[3]
         with pytest.raises(TypeError):
             ctrl.gains(3).K.pop(1)
+        for fc in ctrl.followers.values():  # views of the assembled stacks
+            for change in (lambda: fc.K.__setitem__(1, fc.S), lambda: fc.K.update({}),
+                           fc.K.clear, fc.K.popitem):
+                with pytest.raises(TypeError):
+                    change()
+            assert not any(a.flags.writeable for a in (fc.S, fc.k, fc.k_tilde, *fc.K.values()))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctrl.followers = {}
         assert sorted(ctrl.followers) == [2, 3]
         assert repr(verify_controller(spec, decomp, ctrl).to_dict()) == before
 
@@ -269,3 +280,49 @@ class TestFrozenController:
         laws = list(ctrl.followers.values())
         assert len({id(fc.S.base) for fc in laws}) == 1
         assert all(not fc.S.base.flags.writeable for fc in laws)
+
+
+class TestStackBackedController:
+    """An assembled controller is its stacks; its follower views are made
+    only when read, and a controller rebuilt from them behaves the same."""
+
+    def test_family_and_its_verification_walk_no_follower(self, monkeypatch):
+        spec = random_feasible_formation(5, max_nodes=14, multi_leader_prob=0.0)
+        decomp = decompose(spec)
+        report = check(spec, decomp)
+        built, stacked = [], []
+        post_init = FollowerController.__post_init__
+        monkeypatch.setattr(FollowerController, "__post_init__",
+                            lambda fc: (built.append(fc), post_init(fc))[1])
+        derive = ControllerSet._stacks.func
+        counted = cached_property(lambda ctrl: (stacked.append(ctrl), derive(ctrl))[1])
+        counted.__set_name__(ControllerSet, "_stacks")
+        monkeypatch.setattr(ControllerSet, "_stacks", counted)
+
+        family = enumerate_family(spec, decomp, report, count=4, rng=1)
+        assert all(verify_controller(spec, decomp, c).passed for c in family)
+        assert built == [] and stacked == []
+        laws = family[1].followers  # made on first read, from the stacks
+        assert sorted(laws) == sorted(decomp.followers()) and len(built) == len(laws)
+        assert stacked == []
+
+    @given(seed=st.integers(0, 10_000), multi=st.booleans())
+    @settings(max_examples=8, deadline=None)
+    def test_a_rebuilt_controller_gives_the_same_bits(self, seed, multi):
+        spec = random_feasible_formation(seed, max_nodes=10, max_n=3, max_m=2,
+                                         multi_leader_prob=float(multi))
+        decomp = decompose(spec)
+        report = check(spec, decomp)
+        controllers = [synthesis.synthesize(spec, decomp, report, strategy=synthesis.UNIFORM)]
+        controllers += enumerate_family(spec, decomp, report, count=3, rng=seed)[1:]
+        rng = np.random.default_rng(seed)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+
+        def bits(ctrl):
+            trace = simulate(spec, decomp, ctrl, x0, T=1.0)
+            return (repr(verify_controller(spec, decomp, ctrl).to_dict()), _bytes(ctrl),
+                    [trace.states[i].tobytes() for i in spec.nodes],
+                    [np.asarray(trace.inputs[i]).tobytes() for i in spec.nodes])
+
+        for ctrl in controllers:
+            assert bits(controller_from_dict(controller_to_dict(ctrl))) == bits(ctrl)

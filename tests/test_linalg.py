@@ -876,15 +876,21 @@ class TestStackedKernels:
         assert _frobenius_norms(np.zeros((0, 2))).shape == (0,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input_raises_value_error(self, bad):
+    def test_non_finite_input_raises_value_error(self, bad, capfd):
         A = np.array([-np.eye(2), -np.eye(2)])
         A[1, 0, 1] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             is_stabilizable(A, np.ones((2, 2, 1)))
         with pytest.raises(ValueError, match="infs or NaNs"):
             _sorted_eigenvalues(A)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="infs or NaNs"):
             _one_unit(A[1], (np.eye(2), np.ones(2)))
+        # a right-hand side that is not finite is named, not solved
+        with pytest.raises(_FloatRangeError, match="float range") as exc:
+            _one_unit(-np.eye(2), (np.eye(2), np.full(2, bad)))
+        assert (exc.value.item, exc.value.block) == (0, 1)
+        # LAPACK never saw the NaN or inf: it prints its complaint to fd 1
+        assert capfd.readouterr() == ("", "")
 
     def test_finite_data_that_overflows_names_its_item(self):
         # the second pair's eigenvalue 2e308 overflows; the third's pencil

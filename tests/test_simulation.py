@@ -1593,6 +1593,15 @@ class TestErrorDynamics:
         assert error_dynamics_check(broken, spec, dec, ctrl) == math.inf
         assert fit_envelope(broken, dec).max_violation == math.inf
 
+    def test_controller_that_does_not_fit_is_named(self, chain, chain_decomp, chain_ctrl):
+        tr = simulate(chain, chain_decomp, chain_ctrl, {i: np.ones(2) for i in chain.nodes},
+                      T=1.0)
+        fc = chain_ctrl.followers[2]
+        bad = dataclasses.replace(chain_ctrl, followers={
+            **chain_ctrl.followers, 2: dataclasses.replace(fc, S=np.zeros((1, 3)))})
+        with pytest.raises(ValueError, match=r"^follower 2: S has shape \(1, 3\)$"):
+            error_dynamics_check(tr, chain, chain_decomp, bad)
+
     @pytest.mark.parametrize("case", ["chain", "two_parent_triangle", "forced_fork",
                                       "random_sine"])
     def test_per_agent_form_matches_the_per_edge_form(
@@ -2192,3 +2201,53 @@ class TestClosedLoopReuse:
         assert not any(t.is_alive() for t in threads)
         assert problems == []
         assert len(simulation._certificates) == 2
+
+
+def _blocks_per_agent(spec, dec, ctrl):
+    """`_closed_loop_blocks` one agent and one parent gain at a time."""
+    l, n, pos = spec.l, spec.n, dec.position
+    M, c = np.zeros((l * n, l * n)), np.zeros(l * n)
+    blocks, drift = M.reshape(l, n, l, n), c.reshape(l, n)
+    leader_cols = {}
+    for i in dec.renumbering:
+        ag, r, fc = spec.agent(i), pos[i], ctrl.followers.get(i)
+        if fc is None:
+            blocks[r, :, r] = ag.A
+            leader_cols[i] = np.zeros((l * n, spec.m))
+            leader_cols[i].reshape(l, n, spec.m)[r] = ag.B
+        else:
+            blocks[r, :, r] = ag.A + ag.B @ fc.S
+            for s, Ks in fc.K.items():
+                blocks[r, :, pos[s]] += ag.B @ Ks
+            drift[r] = ag.B @ fc.k
+    return M, c, leader_cols
+
+
+class TestClosedLoopFromStacks:
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_bitwise_the_per_agent_blocks(self, seed):
+        # random gains with -0.0 entries and zero split weights; one
+        # controller assembled from its stacks, one rebuilt from its followers
+        rng = np.random.default_rng(seed)
+        spec = random_feasible_formation(seed, max_nodes=20, max_n=4, max_m=3,
+                                         multi_leader_prob=0.3)
+        dec = decompose(spec)
+        followers = dec.followers()
+        S = {i: rng.standard_normal((spec.m, spec.n)) for i in followers}
+        N = {i: rng.standard_normal((spec.m, spec.n)) for i in followers}
+        for i in followers[::2]:
+            S[i][0], N[i][-1] = -0.0, S[i][-1]  # N_i - S_i has a zero row
+        kt = {i: rng.standard_normal(spec.m) for i in followers}
+        weights = {}
+        for i in followers:
+            w = rng.dirichlet(np.ones(len(spec.parents(i))))
+            w[rng.random(len(w)) < 0.3] = 0.0
+            weights[i] = dict(zip(spec.parents(i), w.tolist()))
+        ctrl = assemble_controller(dec, spec.n, spec.m, S, N, kt, weights)
+        for law in (ctrl, controller_from_dict(controller_to_dict(ctrl))):
+            (M, c, G), (M_ref, c_ref, G_ref) = (_closed_loop_blocks(spec, dec, law),
+                                                _blocks_per_agent(spec, dec, law))
+            assert (M.tobytes(), c.tobytes()) == (M_ref.tobytes(), c_ref.tobytes())
+            assert [(i, g.tobytes()) for i, g in G.items()] == [
+                (i, g.tobytes()) for i, g in G_ref.items()]
