@@ -35,6 +35,8 @@ import tempfile
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -69,6 +71,33 @@ __all__ = [
     "error_dynamics_check",
     "write_trace_csv",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Norms past the square root of the float range.  A square overflows from
+# |x| ~ 1.34e154, so where a sum of squares is inf but the entries are finite
+# the norm is taken again after an exact power-of-two scaling; other norms
+# keep the bits of the root of their sum of squares.
+
+
+def _scaled_norms(z: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column of z, each column scaled by the power of
+    two of its largest magnitude before it is squared and scaled back
+    after: finite wherever the norm is below the float maximum."""
+    _, e = np.frexp(np.max(np.abs(z), axis=0))
+    y = np.ldexp(z, -e)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return np.ldexp(np.sqrt(np.add.reduce(y * y, 0)), e)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` bitwise, or `_scaled_norms` of the entries of
+    v where that overflows with every entry finite."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if math.isinf(norm) and np.isfinite(v).all():
+        return float(_scaled_norms(np.reshape(v, (-1, 1)))[0])
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +174,9 @@ class _BuiltinSignal(LeaderSignal):
         return arr
 
     def _finite_norm(self, name, v) -> float:
-        """``np.linalg.norm(v)``, bitwise; a norm that overflows raises
-        `ValueError` naming the parameter."""
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(v))
+        """`_norm` of v; a norm past the float range raises `ValueError`
+        naming the parameter."""
+        norm = _norm(v)
         if math.isinf(norm):
             raise ValueError(f"{type(self).__name__} {name} {v.tolist()} overflows its norm")
         return norm
@@ -268,20 +296,16 @@ class PiecewiseConstantSignal(_BuiltinSignal):
 
 class _OnAccess(Mapping):
     """Read-only mapping over fixed keys whose values are computed on every
-    access, as ``compute(key, rows)`` for a row index or slice, and never
-    stored."""
+    access, as ``compute(key)``, and never stored."""
 
     def __init__(self, keys, compute):
         self._keys = dict.fromkeys(keys)
         self._compute = compute
 
     def __getitem__(self, key):
-        return self.rows(key, slice(None))
-
-    def rows(self, key, rows):
         if key not in self._keys:
             raise KeyError(key)
-        return self._compute(key, rows)
+        return self._compute(key)
 
     def __contains__(self, key):
         return key in self._keys
@@ -293,66 +317,66 @@ class _OnAccess(Mapping):
         return len(self._keys)
 
 
-def _rows(values: Mapping, key, rows) -> np.ndarray:
-    """values[key][rows], computing only those rows when the values are
-    derived on access."""
-    if isinstance(values, _OnAccess):
-        return values.rows(key, rows)
-    return values[key][rows]
+def _edge_errors(states: Mapping, displacements: Mapping, edges, out=None, cols=slice(None)):
+    """Each edge's error z_ij = x_i - x_j + d_ij at the grid columns ``cols``,
+    as (n, columns) from the state rows ``states[i].T`` and its d_ij, into
+    ``out`` when given, else new: the one place edge errors are formed."""
+    for e in edges:
+        z = np.subtract(states[e[0]].T[:, cols], states[e[1]].T[:, cols], out=out)
+        z += displacements[e][:, None]
+        yield z
 
 
 @dataclass(frozen=True)
 class SimulationTrace:
     """Closed-loop trajectory on a (possibly breakpoint-refined) time grid.
 
-    ``states``/``inputs`` are keyed by agent id, ``errors`` by edge key;
-    every value has one row per grid point.  The states are stored once,
-    as one C-contiguous (agents, n, grid points) array with agents in
-    renumbering order: ``states[i]`` is the transposed view of agent i's
-    (n, grid points) slab, so each state component is contiguous in time.
-    Nothing else of that size is stored.  ``errors`` is a read-only mapping
-    that computes z_ij = x_i - x_j + d_ij from the states when an edge is
-    read, and ``inputs`` one that samples a leader's signal
-    (`LeaderSignal.sample`) or computes a follower's control input when it
-    is read; read each value once and keep it if it is needed again.  The
-    checks compute the edge errors from the state rows ``states[i].T`` and
-    ``displacements``, the read-only stack of the d_ij in ``errors`` order.
-    ``metadata["integrator"]`` names the propagation: ``"expm"`` (exact,
-    every signal with a linear generator) or ``"rk4"`` (some signal
-    without one).  ``closed_loop`` is the pair
-    ``(M, G)`` of the integrated system y' = M y + c + sum_a G[a] u_a(t):
-    the stacked closed-loop matrix with agents in renumbering order, and
-    the input map per leader id.  ``free_errors`` is always None: a class
-    attribute, not a field, which the benchmark's per-layer counters read.
+    ``states``/``inputs`` are keyed by agent id, ``displacements`` (the
+    read-only d_ij, the trace's one record of its edges) and ``errors`` by
+    edge key in the spec's order; every value has one row per grid point.
+    The states are stored once, as one C-contiguous (agents, n, grid
+    points) array with agents in renumbering order: ``states[i]`` is the
+    transposed view of agent i's (n, grid points) slab, so each state
+    component is contiguous in time.  Nothing else of that size is stored.
+    ``errors`` is no field but a read-only mapping built once per trace
+    that forms z_ij with `_edge_errors` when an edge is read, so a trace
+    rebuilt with other states has their errors; ``inputs`` samples a
+    leader's signal (`LeaderSignal.sample`) or computes a follower's
+    control input when it is read.  Read each value once and keep it if it
+    is needed again.  ``metadata["integrator"]`` names the propagation:
+    ``"expm"`` (exact, every signal with a linear generator) or ``"rk4"``
+    (some signal without one).  ``closed_loop`` is the pair ``(M, G)`` of
+    the integrated system y' = M y + c + sum_a G[a] u_a(t): the stacked
+    closed-loop matrix with agents in renumbering order, and the input map
+    per leader id.  ``free_errors`` is always None: a class attribute, not
+    a field, which the benchmark's per-layer counters read.
     """
 
     times: np.ndarray
     states: dict
-    errors: Mapping
-    displacements: np.ndarray
+    displacements: Mapping
     inputs: Mapping
     metadata: dict
     signals: dict
     closed_loop: tuple
     free_errors = None
 
+    @cached_property
+    def errors(self) -> Mapping:
+        # closes over the mappings, not the trace: no reference cycle
+        states, d = self.states, self.displacements
+        return _OnAccess(d, lambda e: next(_edge_errors(states, d, [e])).T)
+
     def initial_error_norm(self) -> float:
-        """||z(0)|| of all edge errors stacked, from the states' first row."""
-        row = {i: k for k, i in enumerate(self.states)}
-        x0 = np.array([x[0] for x in self.states.values()])
-        ends = np.array([(row[i], row[j]) for i, j in self.errors], dtype=int).reshape(-1, 2).T
-        z0 = x0[ends[0]] - x0[ends[1]] + self.displacements
-        return math.sqrt(sum(float(z @ z) for z in z0))
-
-
-def _edge_errors(trace: SimulationTrace, edges, out: np.ndarray, cols=slice(None)):
-    """Each edge's error x_i - x_j + d_ij at ``cols``, from the state rows into ``out``."""
-    x = {i: xi.T[:, cols] for i, xi in trace.states.items()}
-    d = dict(zip(trace.errors, trace.displacements[:, :, None]))
-    for i, j in edges:
-        np.subtract(x[i], x[j], out=out)
-        out += d[i, j]
-        yield out
+        """||z(0)|| of all edge errors stacked, from the states' first
+        column; finite up to the float range (see `_scaled_norms`)."""
+        errors = _edge_errors(self.states, self.displacements, self.displacements, cols=slice(0, 1))
+        z0 = [z[:, 0] for z in errors]
+        with np.errstate(over="ignore"):
+            sq = sum(float(z @ z) for z in z0)
+        if math.isinf(sq):
+            return float(_scaled_norms(np.concatenate(z0)[:, None])[0])
+        return math.sqrt(sq)
 
 
 def ideal_initial_states(decomp: LevelDecomposition, x0) -> dict:
@@ -859,29 +883,15 @@ def simulate(
         raise cause(float(times[int(np.argmax(bad))]), T, loop)
 
     states = {i: slab[k].T for k, i in enumerate(order)}
-
-    def edge_error(e, rows):
-        z = states[e[0]][rows] - states[e[1]][rows]
-        z += spec.displacement(*e)
-        return z
-
-    errors = _OnAccess(spec.edge_keys, edge_error)
-
-    def leader_input(i, rows):
-        t = times[rows]
-        return sig_map[i].sample(np.reshape(t, -1)).reshape(np.shape(t) + (spec.m,))
-
     inputs = _OnAccess(
         order,
-        lambda i, rows: leader_input(i, rows) if i in sig_map
-        else control_input(ctrl, i, states)[rows],
+        lambda i: sig_map[i].sample(times) if i in sig_map else control_input(ctrl, i, states),
     )
 
     return SimulationTrace(
         times=times,
         states=states,
-        errors=errors,
-        displacements=spec.d_rows,
+        displacements=MappingProxyType(dict(zip(spec.edge_keys, spec.d_rows))),
         inputs=inputs,
         metadata={"integrator": "expm" if exact else "rk4", "dt": float(dt), "T": float(T)},
         signals=sig_map,
@@ -968,6 +978,23 @@ def _certified_constant(M_e: np.ndarray, alpha: float) -> float:
     return C
 
 
+def _mend_overflow(norms: np.ndarray, groups: list, arrays) -> None:
+    """Take the infinite entries of ``norms`` again with `_scaled_norms`.
+
+    Row k of ``norms`` is the largest column norm of the (n, grid points)
+    arrays of group k, as the root of their largest squared norm, which is
+    inf where a square overflowed.  ``arrays(cols)`` yields those arrays
+    at the grid columns ``cols``, the one in group ``groups[p]`` p-th; the
+    largest of their scaled norms replaces each infinite entry, and every
+    finite entry keeps its bits."""
+    over = np.flatnonzero(np.isinf(norms).any(axis=0))
+    if over.size:
+        largest = np.zeros((len(norms), len(over)))
+        for k, z in zip(groups, arrays(over)):
+            np.maximum(largest[k], _scaled_norms(z), out=largest[k])
+        norms[:, over] = np.where(np.isinf(norms[:, over]), largest, norms[:, over])
+
+
 def fit_envelope(
     trace: SimulationTrace,
     decomp: LevelDecomposition,
@@ -999,14 +1026,18 @@ def fit_envelope(
     sampling, `LeaderSignal.running_sups`) and the max runs over leaders
     with a nonzero signal.  Each edge is checked on the grid against its
     bound plus the float resolution 64 eps (1 + max_k ||x_k(t)||) of the
-    errors, computed from the state rows into one reused buffer; edges with
+    errors, formed by `_edge_errors` into one reused buffer; edges with
     equal (C_ij, beta_ij) share an envelope and one running maximum of their
-    squared norms, so one square root and one subtraction per envelope.  The
-    fit fails when some excess is above 1e-6 * (1 + ||z(0)||), or when M_e
-    is not Hurwitz; then alpha is 0.0 and each edge's growth is measured
-    against its initial error.  A NaN excess (an overflowing norm) counts as
-    an infinite violation.  The bound holds for all t >= 0, so a horizon too
-    short for the transient to die out cannot make a fit fail.
+    squared norms, so one square root and one subtraction per envelope.
+    Every norm, ||z(0)|| included, is finite up to the float range: where a
+    square overflows (from about 1.34e154) while the entries are finite,
+    the norm is taken again scaled by a power of two (`_mend_overflow`).
+    The fit fails when some excess is above 1e-6 * (1 + ||z(0)||), or when
+    M_e is not Hurwitz; then alpha is 0.0 and each edge's growth is
+    measured against its initial error.  A NaN excess (a state or error
+    past the float range, or a NaN) counts as an infinite violation.  The
+    bound holds for all t >= 0, so a horizon too short for the transient to
+    die out cannot make a fit fail.
 
     C belongs to the closed loop, not to the trace: the process keeps the
     constants of the last few error loops, keyed by the content of M_e
@@ -1015,7 +1046,7 @@ def fit_envelope(
     `CertificateError` is not kept.
     """
     times = trace.times
-    edges = decomp.edge_order(trace.errors)
+    edges = decomp.edge_order(trace.displacements)
     z0n = trace.initial_error_norm()
     allowed = 1e-6 * (1.0 + z0n)
 
@@ -1029,10 +1060,11 @@ def fit_envelope(
             if sups[-1] > 0.0:
                 driven.append(a)
     have_input = bool(U[-1] > 0.0)
-    buf = np.empty((trace.displacements.shape[1], len(times)))  # one edge or state at a time
+    states, disp = trace.states, trace.displacements
+    buf = np.empty((next(iter(states.values())).shape[1], len(times)))  # an edge or a state
 
     if z0n <= 1e-300 and not have_input and not any(
-        z.any() for z in _edge_errors(trace, edges, buf)
+        z.any() for z in _edge_errors(states, disp, edges, buf)
     ):
         return EnvelopeFit(
             C={e: 0.0 for e in edges},
@@ -1063,20 +1095,23 @@ def fit_envelope(
         # no decay: anchor the envelope at t=0 so the growth shows up as a
         # reported violation
         alpha = 0.0
-        first = _edge_errors(trace, edges, np.empty((len(buf), 1)), slice(0, 1))
-        C_map = {e: float(np.linalg.norm(z)) / z0n if z0n > 0 else 1.0
-                 for e, z in zip(edges, first)}
+        first = _edge_errors(states, disp, edges, cols=slice(0, 1))
+        C_map = {e: _norm(z) / z0n if z0n > 0 else 1.0 for e, z in zip(edges, first)}
         b_map = dict.fromkeys(edges, 0.0)
 
-    # a growing trace can overflow the norms to inf, and inf - inf is NaN:
-    # such an excess counts as +inf, whatever the edge order
+    # a square past the float range is mended by `_mend_overflow`; a state or
+    # error past it overflows the norms to inf, and inf - inf is NaN: such an
+    # excess counts as +inf, whatever the edge order
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.empty(len(times))
         state_peak = np.zeros(len(times))  # largest squared state norm
-        for x in trace.states.values():
+        for x in states.values():
             np.multiply(x.T, x.T, out=buf)
             np.maximum(state_peak, np.add.reduce(buf, 0, out=sq), out=state_peak)
-        floor = 64.0 * np.finfo(float).eps * (1.0 + np.sqrt(state_peak))
+        state_norm = np.sqrt(state_peak)
+        _mend_overflow(state_norm[None], [0] * len(states),
+                       lambda cols: (x.T[:, cols] for x in states.values()))
+        floor = 64.0 * np.finfo(float).eps * (1.0 + state_norm)
         decay = np.exp(-alpha * times) * z0n
 
         # C_ij and beta_ij scale one certificate by the few distinct norms
@@ -1084,12 +1119,13 @@ def fit_envelope(
         envelopes = {}  # (C_ij, beta_ij) -> its row of peaks, in edge order
         rows = [envelopes.setdefault((C_map[e], b_map[e]), len(envelopes)) for e in edges]
         peaks = np.zeros((len(envelopes), len(times)))  # largest squared norm
-        for peak, z in zip([peaks[k] for k in rows], _edge_errors(trace, edges, buf)):
+        for peak, z in zip([peaks[k] for k in rows], _edge_errors(states, disp, edges, buf)):
             z *= z
             np.maximum(peak, np.add.reduce(z, 0, out=sq), out=peak)
         # sqrt and subtraction are monotone and correctly rounded: the largest
         # excess of an envelope is that of its worst edge, bit for bit
         excess = np.sqrt(peaks, out=peaks)
+        _mend_overflow(excess, rows, lambda cols: _edge_errors(states, disp, edges, cols=cols))
         for (C_ij, b_ij), k in envelopes.items():
             excess[k] -= C_ij * decay + b_ij * U + floor
         worst = float(np.max(excess))
@@ -1221,7 +1257,7 @@ def error_dynamics_check(
             q += w_next * x[:, 2:]
             q -= A_ref @ x[:, 1:-1]
             if a in decomp.leaders and not trace.signals[a].is_zero:
-                q -= spec.agent(a).B @ _rows(trace.inputs, a, interior).T
+                q -= spec.agent(a).B @ trace.signals[a].sample(times[interior]).T
             Q[a] = q
         # P_a of each follower, whose Q_a has no input term, in gain order
         law = ctrl._stacks
@@ -1229,7 +1265,8 @@ def error_dynamics_check(
         ids = np.array(law.followers, dtype=int)[law.rows[used]]
         BK = spec.B_stack[ids - 1] @ law.K[used]
         gains = list(zip(ids.tolist(), law.parents[used].tolist()))
-        for (a, _), BK_as, z_as in zip(gains, BK, _edge_errors(trace, gains, z, interior)):
+        z_gains = _edge_errors(trace.states, trace.displacements, gains, z, interior)
+        for (a, _), BK_as, z_as in zip(gains, BK, z_gains):
             Q[a] += BK_as @ z_as
 
         # the largest column norm is the root of the largest squared norm,
@@ -1280,8 +1317,9 @@ def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) ->
     """Write the trace as CSV: time, per-agent state columns x_<id>[k],
     then per-edge error columns z_<i>_<j>[k].  Agents follow renumbering
     order; edges sort by their endpoints' renumbered indices.  Floats use
-    repr so rewrites of the same trace are byte-identical.  Edge errors
-    are computed block by block, so no full edge array is held.
+    repr so rewrites of the same trace are byte-identical.  Each block of
+    64 rows forms its edge errors from the state rows with `_edge_errors`,
+    in the forked children too, so no full edge array is held.
 
     The rows go in contiguous chunks, one per CPU the process may run on
     (fewer for a short trace).  Forked children format every chunk but the
@@ -1291,7 +1329,7 @@ def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) ->
     of CPUs.  If a child fails or formatting raises, every child is reaped,
     the partial file is removed and `TraceWriteError` is raised."""
     order = list(decomp.renumbering)
-    edge_order = decomp.edge_order(trace.errors)
+    edge_order = decomp.edge_order(trace.displacements)
     n = next(iter(trace.states.values())).shape[1]
 
     header = ["time"]
@@ -1306,7 +1344,8 @@ def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) ->
             block = np.hstack(
                 [trace.times[rows, None]]
                 + [trace.states[i][rows] for i in order]
-                + [_rows(trace.errors, e, rows) for e in edge_order]
+                + [z.T for z in _edge_errors(trace.states, trace.displacements, edge_order,
+                                             cols=rows)]
             )
             fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 

@@ -325,7 +325,8 @@ class TestSimulate:
         ctrl_path.write_text(json.dumps(doc))
         return path, ctrl_path
 
-    def test_overflowing_run_exits_three_with_infinite_violation(self, tmp_path, capsys):
+    def test_growing_run_exits_three_with_its_finite_violation(self, tmp_path, capsys):
+        # the states reach 1e158: their squares overflow, their norms do not
         path, ctrl_path = self._triangle_with_unstable_controller(tmp_path)
         capsys.readouterr()
         with warnings.catch_warnings():
@@ -333,9 +334,63 @@ class TestSimulate:
             code = main(["simulate", path, "--controller", str(ctrl_path),
                          "--T", "20", "--out", str(tmp_path)])
         assert code == 3
-        assert "max violation inf" in capsys.readouterr().out
-        fit = json.loads((tmp_path / "triangle_envelope.json").read_text())
-        assert fit["passed"] is False and fit["max_violation"] == float("inf")
+        assert "envelope: FAIL  max violation 5.076e+157" in capsys.readouterr().out
+        text = (tmp_path / "triangle_envelope.json").read_text()
+        fit = json.loads(text)
+        assert fit["passed"] is False and 1e157 < fit["max_violation"] < float("inf")
+        assert "Infinity" not in text
+
+    def test_long_run_past_the_square_root_of_the_range_passes(self, tmp_path, capsys):
+        # the unstable leader reaches 5e259 at T=300 and the edge errors
+        # 1e245: the fit takes their norms, not their squares, and so gives
+        # the violation of T=150, where nothing overflows
+        path = str(demo_path("triangle"))
+        capsys.readouterr()
+        violations = []
+        for T in ("150", "300"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["simulate", path, "--T", T, "--out", str(tmp_path / T)]) == 0
+            assert capsys.readouterr().out.startswith(
+                "envelope: pass  max violation -1.269e-01  ")
+            fit = json.loads((tmp_path / T / "triangle_envelope.json").read_text())
+            violations.append(fit["max_violation"])
+        assert violations[1] == violations[0]
+
+    def test_initial_state_past_the_square_root_of_the_range(self, tmp_path, capsys):
+        path = str(demo_path("triangle"))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", path, "--T", "2", "--x0", "1e200,0;0,0;0,0",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("envelope: pass  ") and out.endswith("||z(0)|| = 1.41421e+200\n")
+        text = (tmp_path / "triangle_envelope.json").read_text()
+        assert json.loads(text)["z0_norm"] == 1.414213562373095e+200
+        assert "Infinity" not in text
+
+    def test_signal_past_the_square_root_of_the_range_is_accepted(self, tmp_path, capsys):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", str(demo_path("triangle")), "--signals", "const:1e200",
+                         "--T", "2", "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("envelope: pass  ")
+
+    def test_signal_whose_norm_overflows_exits_one(self, tmp_path, capsys):
+        agent = AgentDynamics(A=-np.eye(2), B=np.eye(2))
+        path = tmp_path / "pair.json"
+        save_formation(FormationSpec(n=2, m=2, agents=(agent, agent),
+                                     edges=(Edge(2, 1, np.array([1.0, 0.0])),)), path)
+        capsys.readouterr()
+        assert main(["simulate", str(path), "--signals", "const:1.7e308,1.7e308",
+                     "--T", "2", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: ConstantSignal value [1.7e+308, 1.7e+308] overflows its norm\n")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_non_finite_state_of_a_growing_error_loop_exits_three(self, tmp_path, capsys):
         # at T=400 the state overflows before any fit: the cause is non-decay
@@ -382,15 +437,15 @@ class TestSimulate:
 
     def test_failed_trace_worker_exits_one_and_writes_nothing(
             self, tmp_path, monkeypatch, capsys):
-        parent, rows = os.getpid(), formstab.simulation._rows
+        parent, kernel = os.getpid(), formstab.simulation._edge_errors
 
-        def rows_failing_in_children(values, key, index):
+        def kernel_failing_in_children(*args, **kwargs):
             if os.getpid() != parent:
                 raise MemoryError("formatting failed")
-            return rows(values, key, index)
+            return kernel(*args, **kwargs)
 
         monkeypatch.setattr(formstab.simulation, "_csv_workers", lambda _: 2)
-        monkeypatch.setattr(formstab.simulation, "_rows", rows_failing_in_children)
+        monkeypatch.setattr(formstab.simulation, "_edge_errors", kernel_failing_in_children)
         path = str(demo_path("triangle"))
         assert main(["simulate", path, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -460,15 +515,14 @@ class TestSimulate:
         ("sin:1@nan", "SinusoidSignal omega must be finite, got nan"),
         ("const:inf", "ConstantSignal value must be finite, got [inf]"),
         ("sin:1@1@inf", "SinusoidSignal phase must be finite, got inf"),
-        ("const:1e308", "ConstantSignal value [1e+308] overflows its norm"),
         ("const:1,2", "signal of leader 1 has values of shape (2,), expected (1,)"),
         ("sin:1,2@1", "signal of leader 1 has values of shape (2,), expected (1,)"),
         ("sin:1@2@3@4", "sinusoid format is sin:a1,a2,...@omega[@phase]"),
         # a finite omega whose step increment e^(dt A) - I overflows
         ("sin:1@1e308", "dt=0.0038736707454286954 is too large a step for the inputs: the "
                         "step increment e^(dt A) - I overflows at ||dt A||_1 = 3.874e+305"),
-    ], ids=["sin_nan_omega", "const_inf", "sin_inf_phase", "const_norm_overflow",
-            "const_wrong_width", "sin_wrong_width", "sin_too_many_fields", "sin_huge_omega"])
+    ], ids=["sin_nan_omega", "const_inf", "sin_inf_phase", "const_wrong_width",
+            "sin_wrong_width", "sin_too_many_fields", "sin_huge_omega"])
     def test_bad_signal_parameter_names_its_cause(self, tmp_path, capsys, signal, message):
         capsys.readouterr()
         assert main(["simulate", str(demo_path("triangle")), "--signals", signal,
