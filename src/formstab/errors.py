@@ -70,7 +70,8 @@ class StepTooLargeError(FormstabError):
     """Integration step exceeds the stability cap for the closed-loop dynamics,
     or its increment e^(dt A) - I overflows: a leader input of huge
     frequency, or an input map G H that overflows (the closed loop itself
-    is finite, see `simulate`)."""
+    is finite, see `simulate`); or a sinusoid's computed step is so far
+    from a rotation that its generator state would leave the float range."""
 
 
 class TraceWriteError(FormstabError, OSError):

@@ -520,13 +520,15 @@ def _expm_increment(X: np.ndarray, count: int = 1) -> list:
     return powers
 
 
-# Blocks of `_propagate` hold at most 2^_MAX_DOUBLINGS dt steps, and at
-# least _MIN_BLOCK: narrower ones take single steps.  With one OpenBLAS
-# thread on an x86-64 core, blocks of 8 to 24 steps took up to 1.8 times as
-# long as single steps at augmented size 394; from 32 steps on they were
-# faster at sizes 181, 394 and 701.
-_MAX_DOUBLINGS = 6
-_MIN_BLOCK = 2 ** (_MAX_DOUBLINGS - 1)
+# Blocks of `_propagate` hold at most 2^_MAX_DOUBLINGS dt steps.  A block
+# filled by doubling holds at least _MIN_BLOCK: narrower ones take single
+# steps.  With one OpenBLAS thread on an x86-64 core, doubled blocks of 8 to
+# 24 steps took up to 1.8 times as long as single steps at augmented size
+# 394; from 32 steps on they were faster at sizes 181, 394 and 701.  Blocks
+# carried forward by e^{2^J dt A} - I take one product each, whatever
+# their width.
+_MAX_DOUBLINGS = 7
+_MIN_BLOCK = 32
 
 
 def _content_key(X: np.ndarray) -> tuple:
@@ -540,23 +542,26 @@ def _content_key(X: np.ndarray) -> tuple:
 _stores_lock = threading.Lock()
 
 # The closed loop `_propagate` stepped last, keyed by `_content_key(dt * A)`
-# and J, with its increments [D_0, D_1, ...] once it has been stepped twice in
-# a row, None before: a loop stepped once leaves no matrix held.
+# and the count J + 1, with its increments [D_0, D_1, ...] once it has been
+# stepped twice in a row, None before: a loop stepped once leaves no matrix
+# held.
 _increments: dict = {}
 
 
-def _step_increments(X: np.ndarray, J: int) -> list:
-    """The increments [D_0, D_1, ...] of ``_expm_increment(X, J)``, kept
-    from the second of a run of calls with the same X and J and reused for
+def _step_increments(X: np.ndarray, count: int) -> list:
+    """The increments [D_0, D_1, ...] of ``_expm_increment(X, count)``:
+    `_propagate` asks for J + 1 of them, the J that fill a block by
+    doubling and D_J, which carries a block forward.  They are kept from
+    the second of a run of calls with the same X and count and reused for
     the rest of it.  A miss empties the store before it builds, so one set
     at most is held."""
-    key = (*_content_key(X), J)
+    key = (*_content_key(X), count)
     with _stores_lock:
         seen = key in _increments
         powers = _increments.get(key)
         if powers is None:
             _increments.clear()
-            powers = _expm_increment(X, J)
+            powers = _expm_increment(X, count)
             _increments[key] = powers if seen else None
     return powers
 
@@ -568,54 +573,67 @@ def _block_doublings(size: int, steps: int, longest: int) -> int:
     J is 0 when the ``longest`` run of dt steps is narrower than
     `_MIN_BLOCK`, so that no run would take a block, or when
     J * size > 2 * ``steps`` (the dt steps of the whole grid, which share
-    the increments).  The J - 1 increments beyond D_0 cost one size-square
+    the increments), that is, when the grid has fewer than 3.5 times
+    ``size`` dt steps.  The J increments beyond D_0 cost one size-square
     matrix product each, which the blocks save back over a few times
-    ``size`` steps: with one OpenBLAS thread on an x86-64 core, blocks and
-    single steps took the same time at 3 times size for sizes 181 and 394,
-    and blocks were already faster at 1.8 times size at 701.
+    ``size`` steps: with one OpenBLAS thread on an x86-64 core, building
+    D_0 and stepping one run of N steps took as long with J = 7 as with
+    J = 0 at N = 1 times size for sizes 93 and 701 and 2.5 to 3 times size
+    for 181 and 394, and less time at every size from 3.5 times size on.
     """
     if longest < _MIN_BLOCK or _MAX_DOUBLINGS * size > 2 * steps:
         return 0
     return _MAX_DOUBLINGS
 
 
-def _dt_run(powers: list, block: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _dt_run(powers: list, blocks: tuple, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Take one step z <- z + D_0 z per column of ``out``, write the first
     ``len(out)`` entries of each new z into its column, and return the last z.
 
-    The steps go in blocks of up to ``block.shape[1]`` = 2^J columns, with
-    J <= len(powers); ``block`` is scratch space.  A block's first column
-    is z + D_0 z, the product a single step takes; the doubling with
+    The steps go in blocks of up to 2^J columns, 2^J the width of the two
+    scratch arrays ``blocks``, with J <= len(powers).  A block's first
+    column is z + D_0 z, the product a single step takes; the doubling with
     D_j = ``powers[j]`` then fills the next 2^j columns with one matrix
     product, column 2^j + i being column i plus D_j times column i
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 2011).  When z + D_0 z equals
-    z bitwise, every later step would return z too, so the rest of the run
-    is filled with z.  Steps that would make a block narrower than
-    `_MIN_BLOCK` (all of them for J < 5) are taken one at a time.
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 2011).  A run of at least two
+    blocks, when ``powers`` holds D_J = e^{2^J dt A} - I, fills only its
+    first block so: each later block is the previous one plus D_J times it,
+    one product of width 2^J per block (the last one narrower).  When
+    z + D_0 z equals z bitwise, every later step would return z too, so
+    the rest of the run is filled with z.  Steps that would make a doubled
+    block narrower than `_MIN_BLOCK` (all of them for J < 5) are taken one
+    at a time.
     """
+    block, spare = blocks
     dim, count = out.shape
     most = block.shape[1]
+    J = most.bit_length() - 1
+    carry = most >= _MIN_BLOCK and len(powers) > J and count >= 2 * most
     done = 0
     while done < count:
-        first = z + powers[0] @ z
         width = min(most, count - done)
-        if width < _MIN_BLOCK:
-            out[:, done] = first[:dim]
-            z = first
-            done += 1
-            continue
-        if first.tobytes() == z.tobytes():
-            out[:, done:] = z[:dim, None]
-            break
-        block[:, 0] = first
-        filled = 1
-        for D in powers:
-            if filled == width:
+        if carry and done:
+            cols = np.matmul(powers[J], block[:, :width], out=spare[:, :width])
+            block[:, :width] += cols
+        else:
+            first = z + powers[0] @ z
+            if width < _MIN_BLOCK:
+                out[:, done] = first[:dim]
+                z = first
+                done += 1
+                continue
+            if first.tobytes() == z.tobytes():
+                out[:, done:] = z[:dim, None]
                 break
-            q = min(filled, width - filled)
-            cols = np.matmul(D, block[:, :q], out=block[:, filled : filled + q])
-            cols += block[:, :q]
-            filled += q
+            block[:, 0] = first
+            filled = 1
+            for D in powers:
+                if filled == width:
+                    break
+                q = min(filled, width - filled)
+                cols = np.matmul(D, block[:, :q], out=block[:, filled : filled + q])
+                cols += block[:, :q]
+                filled += q
         out[:, done : done + width] = block[:dim, :width]
         z = block[:, width - 1].copy()
         done += width
@@ -663,20 +681,28 @@ def _propagate(M, c, generators, times, out, dt, T):
     `LeaderSignal.generator`).
 
     The dt steps between two steps of other lengths, restarts or the ends
-    of the grid form a run, which `_dt_run` takes in blocks of 32 to 2^J
-    steps: one matrix product per doubling, with the increments
-    D_j = e^{2^j dt A} - I of `_expm_increment`, in place of one
-    matrix-vector product per step.  J comes from the augmented size and
-    the runs (`_block_doublings`); J = 0, a run shorter than 32 steps and
-    the last few steps of a run step one at a time.  ``out`` is filled as
-    `_integrate` fills it.
+    of the grid form a run, which `_dt_run` takes in blocks of 2^J steps,
+    with the J + 1 increments D_j = e^{2^j dt A} - I, j <= J, of
+    `_expm_increment`.  A run's first block is filled by doubling, one
+    matrix product per D_j, j < J; each later block of a run of at least
+    two blocks is the previous one plus D_J times it, one product of width
+    2^J.  That replaces one matrix-vector product per step.  J comes from
+    the augmented size and the runs (`_block_doublings`).  J = 0, a run
+    shorter than 32 steps and the last few steps of a run shorter than two
+    blocks step one at a time.  ``out`` is filled as `_integrate` fills it.
+
+    The generator of a sinusoid is a rotation, but at a large omega dt its
+    computed block of I + D_0 is not one.  When that block's 2-norm, taken
+    over all the dt steps of the grid, would push the generator state past
+    the float range, `StepTooLargeError` names dt and omega before any
+    step is taken.
 
     The increments depend on dt * A and J alone, so `_step_increments`
-    keeps the set of the last (dt * A, J) stepped twice in a row, keyed by
-    the content of dt * A, not by the object that holds it, and returns it
-    again while the same pair comes back: one set at most, about 24 MB at
-    l=175 (size 701) and 1.6 MB at l=45 (size 181).  A kept set holds the
-    bits a fresh build returns in the same process, so the trajectory
+    keeps the set of the last (dt * A, J + 1) stepped twice in a row, keyed
+    by the content of dt * A, not by the object that holds it, and returns
+    it again while the same pair comes back: one set at most, about 31 MB
+    at l=175 (size 701) and 2.1 MB at l=45 (size 181).  A kept set holds
+    the bits a fresh build returns in the same process, so the trajectory
     bytes do not change.
     """
     dim = len(out)
@@ -690,12 +716,15 @@ def _propagate(M, c, generators, times, out, dt, T):
     z[:dim] = out[:, 0]
     z[dim] = sigma
     restarts = {}
+    rotations = []  # (rows, omega) of the sinusoids' generators
     r = dim + 1
     for G, sig, (S, H, w0) in generators:
         k = S.shape[0]
         A[:dim, r : r + k] = G @ H
         A[r : r + k, r : r + k] = S
         z[r : r + k] = w0
+        if isinstance(sig, SinusoidSignal):
+            rotations.append((slice(r, r + k), sig.omega))
         breaks = sig.breakpoints(T)
         for b, value in zip(breaks, sig.sample(breaks)):
             at = int(np.searchsorted(times, b, side="right")) - 1
@@ -710,16 +739,26 @@ def _propagate(M, c, generators, times, out, dt, T):
     ends = sorted({*other, *restarts, len(h)})
     starts = [0] + [b + (b in other) for b in ends[:-1]]
     longest = max(b - a for a, b in zip(starts, ends))
-    J = _block_doublings(size, len(h) - len(other), longest)
-    powers = _step_increments(dt * A, J)
+    steps = len(h) - len(other)
+    J = _block_doublings(size, steps, longest)
+    powers = _step_increments(dt * A, J + 1)
     if not np.isfinite(powers[0]).all():
         raise StepTooLargeError(
             f"dt={dt} is too large a step for the inputs: the step increment "
             f"e^(dt A) - I overflows at ||dt A||_1 = {dt * norm:.3e}"
         )
-    block = np.empty((size, 2 ** min(J, len(powers))), order="F")
+    for rows, omega in rotations:
+        growth = float(np.linalg.norm(np.eye(2) + powers[0][rows, rows], 2))
+        if growth > 1.0 and steps * math.log(growth) > math.log(np.finfo(float).max):
+            raise StepTooLargeError(
+                f"dt={dt} is too large a step for the sinusoid of omega={omega:g}: the "
+                f"computed e^(dt S) of its generator is not a rotation but grows its "
+                f"state {growth:.3e}-fold per step, past the float range in {steps} steps"
+            )
+    width = 2 ** min(J, len(powers))
+    blocks = (np.empty((size, width), order="F"), np.empty((size, width), order="F"))
     for start, end in zip(starts, ends):
-        z = _dt_run(powers, block, z, out[:, start + 1 : end + 1])
+        z = _dt_run(powers, blocks, z, out[:, start + 1 : end + 1])
         for r, value in restarts.get(end, ()):
             z[r : r + len(value)] = value
         if end in other:
@@ -775,19 +814,23 @@ def simulate(
     one matrix exponential increment for the steps of length dt, the other
     steps applied to the state vector, and the generator states restarted
     at the breakpoints (integrator ``"expm"``, see `_propagate`).  Runs of
-    at least 32 dt steps, on a grid with enough dt steps next to the state
-    size, go in blocks of 32 to 64 steps, filled by doubling with the
-    increments of 1, 2, ... 32 steps: one matrix-matrix product per
-    doubling, not one matrix-vector product per step.  From the second
-    call in a row on one closed loop with the same dt and inputs, the
-    increments are reused, keyed by the content of the augmented matrix,
-    and one set stays held after the call returns (about 24 MB at l=175);
-    the trajectory bytes are those of a fresh process at the same BLAS
-    thread count.  A signal
-    without a generator, or with breakpoints and a generator whose state is
-    not its value, makes the whole run take classic RK4 steps, which
-    land on every breakpoint so each step sees a continuous right-hand side
-    (integrator ``"rk4"``).  ``metadata["integrator"]`` names the one used.
+    at least 32 dt steps, on a grid with at least 3.5 times the augmented
+    size in dt steps, go in blocks of up to 128 steps.  A run's first block
+    is filled by doubling with the increments of 1, 2, ... 64 steps, one
+    matrix-matrix product per doubling; each later block of a run of at
+    least 256 steps is the previous one plus the increment of 128 steps
+    times it, one product per block; neither takes one matrix-vector
+    product per step.  From the second call in a row on one closed loop
+    with the same dt and inputs, the increments are reused, keyed by the
+    content of the augmented matrix, and one set of eight stays held after
+    the call returns (about 31 MB at l=175); the trajectory bytes are
+    those of a fresh process at the same BLAS thread count.  A dt at which
+    a sinusoid's computed step is no rotation, and would carry its
+    generator state past the float range, raises `StepTooLargeError`.  A
+    signal without a generator, or with breakpoints and a generator whose
+    state is not its value, makes the whole run take classic RK4 steps,
+    which land on every breakpoint so each step sees a continuous
+    right-hand side (integrator ``"rk4"``).  ``metadata["integrator"]`` names the one used.
 
     Both integrators fill one C-contiguous (agents, n, grid points) array
     from the initial states in its first column, and neither stops at an
@@ -1169,7 +1212,9 @@ def chain_residual(
 
     Once the two parent chains meet they share every edge down to the
     leader, and those edges cancel in R_js = S_j - S_s, so the sums stop
-    where the chains meet.
+    where the chains meet.  A norm whose square overflows while the
+    residual is finite is taken again scaled by a power of two
+    (`_mend_overflow`), so it is finite up to the float range.
     """
     i, j = edge
     if (i, j) not in trace.errors or (i, s) not in trace.errors:
@@ -1196,8 +1241,11 @@ def chain_residual(
     resid = trace.errors[(i, s)] - trace.errors[(i, j)]
     resid -= R
     resid -= trace.states[decomp.leader_reach[j]] - trace.states[decomp.leader_reach[s]]
-    sq = np.add.reduce(resid * resid, 1)
-    return np.sqrt(sq, out=sq)
+    with np.errstate(over="ignore"):  # a square past the float range is mended
+        sq = np.add.reduce(resid * resid, 1)
+        norms = np.sqrt(sq, out=sq)
+        _mend_overflow(norms[None], [0], lambda cols: (resid[cols].T,))
+    return norms
 
 
 def error_dynamics_check(
@@ -1226,10 +1274,13 @@ def error_dynamics_check(
     layout (one row per state component), the B_a K_as as one stacked
     matmul over the controller's stacks, the z_as from the state rows;
     each edge's defect goes into a reused buffer and its squared norms into
-    one running maximum, so one square root is taken; a NaN defect gives
-    inf.  A gain K_as that is exactly zero and a zero leader input add
-    exact zeros, so their terms are left out on a finite trace.  A
-    controller that does not fit the instance raises `ValueError`.
+    one running maximum, so one square root per interior point is taken.
+    Where a square overflows (from about 1.34e154) while the defects are
+    finite, the norm is taken again scaled by a power of two
+    (`_mend_overflow`), as in `fit_envelope`; a NaN defect gives inf.  A
+    gain K_as that is exactly zero and a zero leader input add exact
+    zeros, so their terms are left out on a finite trace.  A controller
+    that does not fit the instance raises `ValueError`.
     """
     _check_structure(spec, decomp, ctrl)
     times = trace.times
@@ -1276,8 +1327,11 @@ def error_dynamics_check(
             defect -= (A_ref @ e.d)[:, None]
             defect *= defect
             np.maximum(peak, np.add.reduce(defect, 0, out=sq), out=peak)
-    worst = float(np.max(peak))
-    return math.inf if math.isnan(worst) else math.sqrt(worst)
+        norms = np.sqrt(peak, out=peak)
+        _mend_overflow(norms[None], [0] * len(spec.edges), lambda cols: (
+            Q[e.i][:, cols] - Q[e.j][:, cols] - (A_ref @ e.d)[:, None] for e in spec.edges))
+    worst = float(np.max(norms))
+    return math.inf if math.isnan(worst) else worst
 
 
 # ---------------------------------------------------------------------------

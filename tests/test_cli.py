@@ -352,7 +352,7 @@ class TestSimulate:
                 warnings.simplefilter("error")
                 assert main(["simulate", path, "--T", T, "--out", str(tmp_path / T)]) == 0
             assert capsys.readouterr().out.startswith(
-                "envelope: pass  max violation -1.269e-01  ")
+                "envelope: pass  max violation -1.263e-01  ")
             fit = json.loads((tmp_path / T / "triangle_envelope.json").read_text())
             violations.append(fit["max_violation"])
         assert violations[1] == violations[0]
@@ -521,14 +521,30 @@ class TestSimulate:
         # a finite omega whose step increment e^(dt A) - I overflows
         ("sin:1@1e308", "dt=0.0038736707454286954 is too large a step for the inputs: the "
                         "step increment e^(dt A) - I overflows at ||dt A||_1 = 3.874e+305"),
+        # a finite increment whose sinusoid block is not a rotation
+        ("sin:1@1e19", "dt=0.0038736707454286954 is too large a step for the sinusoid of "
+                       "omega=1e+19: the computed e^(dt S) of its generator is not a rotation "
+                       "but grows its state 1.239e+01-fold per step, past the float range in "
+                       "516 steps"),
     ], ids=["sin_nan_omega", "const_inf", "sin_inf_phase", "const_wrong_width",
-            "sin_wrong_width", "sin_too_many_fields", "sin_huge_omega"])
+            "sin_wrong_width", "sin_too_many_fields", "sin_huge_omega", "sin_drifting_omega"])
     def test_bad_signal_parameter_names_its_cause(self, tmp_path, capsys, signal, message):
         capsys.readouterr()
         assert main(["simulate", str(demo_path("triangle")), "--signals", signal,
                      "--T", "2", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("omega", ["1e12", "1e18"])
+    def test_high_frequency_sinusoid_runs(self, tmp_path, capsys, omega):
+        # at omega = 1e18 the computed step of the generator grows its state
+        # 1.8-fold per step, which stays in the float range over T=2
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(demo_path("triangle")), "--signals", f"sin:1@{omega}",
+                         "--T", "2", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("envelope: pass")
 
     @pytest.mark.parametrize("doc", [[1], {"n": 2, "m": 1, "followers": [1]}])
     def test_malformed_controller_file_exits_one(self, chain_file, tmp_path, doc):

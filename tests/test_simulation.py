@@ -114,6 +114,74 @@ def _count_increments(monkeypatch):
     return built
 
 
+def _run_blocks(powers, z0, count):
+    """(out, last z) of `_dt_run` on one run of ``count`` dt steps from z0,
+    with the scratch blocks `_propagate` gives it for ``powers``."""
+    from formstab import simulation
+
+    width = 2 ** min(simulation._MAX_DOUBLINGS, len(powers))
+    blocks = tuple(np.empty((len(z0), width), order="F") for _ in range(2))
+    out = np.empty((len(z0), count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return out, simulation._dt_run(powers, blocks, z0, out)
+
+
+class _CountedIncrement(np.ndarray):
+    """An increment D_j that records (j, width of the other factor) for each
+    matrix product it is the left factor of; width 0 for a vector."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[0] is self:
+            other = inputs[1]
+            self.products.append((self.index, other.shape[1] if other.ndim == 2 else 0))
+        plain = [x.view(np.ndarray) if isinstance(x, _CountedIncrement) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def _counted(powers, products):
+    """``powers`` as `_CountedIncrement` views that log into ``products``."""
+    counted = []
+    for j, D in enumerate(powers):
+        view = D.view(_CountedIncrement)
+        view.index, view.products = j, products
+        counted.append(view)
+    return counted
+
+
+def _augmented_oracle(spec, dec, ctrl, x0, times, steps=None, sine=None):
+    """The states at each grid time, in renumbering order, from one expm of
+    the augmented system (Van Loan) from the last restart to that time.
+
+    ``steps`` = (leader, breaks, values) drives a leader with a piecewise-
+    constant input whose generator restarts at each breakpoint; ``sine`` =
+    (leader, amplitude, omega, phase) drives one with a sinusoid."""
+    (M, c, G), order = _closed_loop_blocks(spec, dec, ctrl), dec.renumbering
+    dim, m = M.shape[0], spec.m
+    A = np.zeros((dim + 1 + m + 2,) * 2)
+    A[:dim, :dim], A[:dim, dim] = M, c
+    z = np.concatenate([np.concatenate([x0[i] for i in order]), [1.0], np.zeros(m + 2)])
+    breaks, values = [0.0], np.zeros((1, m))
+    if steps is not None:
+        leader, breaks, values = steps
+        A[:dim, dim + 1 : dim + 1 + m] = G[leader]
+        z[dim + 1 : dim + 1 + m] = values[0]
+    if sine is not None:
+        leader, amp, omega, phase = sine
+        A[:dim, -2] = G[leader] @ amp
+        A[-2:, -2:] = [[0.0, omega], [-omega, 0.0]]
+        z[-2:] = [math.sin(phase), math.cos(phase)]
+    oracle = np.empty((len(times), dim))
+    start, piece = 0.0, 0
+    for k, t in enumerate(times):
+        if piece + 1 < len(breaks) and t >= breaks[piece + 1]:
+            z = scipy.linalg.expm((breaks[piece + 1] - start) * A) @ z
+            piece += 1
+            start = breaks[piece]
+            z[dim + 1 : dim + 1 + m] = values[piece]
+        oracle[k] = (scipy.linalg.expm((t - start) * A) @ z)[:dim]
+    return oracle
+
+
 def _destabilized(chain, chain_decomp, ctrl):
     """Flip the sign of the first follower's own gain; breaks its closed
     loop's Hurwitz property while keeping the matching identities."""
@@ -124,6 +192,26 @@ def _destabilized(chain, chain_decomp, ctrl):
     kt = {i: ctrl.gains(i).k_tilde for i in (2, 3)}
     w = {i: {chain_decomp.parent[i]: 1.0} for i in (2, 3)}
     return assemble_controller(chain_decomp, 2, 1, S, N, kt, w)
+
+
+@pytest.fixture(scope="module")
+def loops():
+    """Small two-leader formations with synthesized controllers: their own
+    Hurwitz leaders ("decaying"), and the same leaders shifted by +2.5 I,
+    so that the loop grows ("growing")."""
+    out = {"decaying": [], "growing": []}
+    for seed in (7, 8, 10, 11):
+        spec = random_feasible_formation(rng=seed, max_nodes=8, multi_leader_prob=1.0)
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        out["decaying"].append((spec, dec, ctrl))
+        shifted = {i: spec.agent(i).A + 2.5 * np.eye(spec.n) for i in dec.leaders}
+        assert not any(is_hurwitz(A).is_hurwitz for A in shifted.values())
+        grown = dataclasses.replace(spec, agents=tuple(
+            dataclasses.replace(spec.agent(i), A=shifted[i]) if i in shifted else spec.agent(i)
+            for i in spec.nodes))
+        out["growing"].append((grown, decompose(grown), ctrl))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -496,6 +584,28 @@ class TestSimulate:
             "dt=0.01 is too large a step for the inputs: the step increment "
             f"e^(dt A) - I overflows at ||dt A||_1 = {norm}")
 
+    @pytest.mark.parametrize("omega,growth", [(1e19, "1.239e+01"), (1e21, "9.219e+186")])
+    def test_sinusoid_whose_computed_rotation_grows_names_the_step(self, monkeypatch, omega,
+                                                                   growth):
+        # e^(dt A) - I is finite, but its sinusoid block is no rotation: over
+        # the 516 dt steps of T=2 it would push the generator state past the
+        # float range, which would read as the horizon's fault
+        from formstab import simulation
+
+        runs = []
+        monkeypatch.setattr(simulation, "_dt_run", lambda *args: runs.append(1))
+        spec = demo_instance("triangle")
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        x0 = {i: np.ones(spec.n) for i in spec.nodes}
+        with pytest.raises(StepTooLargeError) as exc:
+            simulate(spec, dec, ctrl, x0, signals={1: SinusoidSignal([1.0], omega)}, T=2.0)
+        assert str(exc.value) == (
+            f"dt=0.0038736707454286954 is too large a step for the sinusoid of "
+            f"omega={omega:g}: the computed e^(dt S) of its generator is not a rotation "
+            f"but grows its state {growth}-fold per step, past the float range in 516 steps")
+        assert runs == []
+
     def test_non_finite_state_of_a_decaying_error_loop_names_the_horizon(self):
         # the stable triangle's leader grows like exp(2t): at T=400 its state
         # leaves the float range while the errors decay
@@ -508,10 +618,10 @@ class TestSimulate:
             simulate(spec, dec, ctrl, x0, T=400.0)
         assert type(exc.value) is NonFiniteStateError
         assert exc.value.error_loop.is_hurwitz
-        assert exc.value.time == 355.8857523947705
+        assert exc.value.time == 355.65333215004483
         assert str(exc.value) == (
             "T=400.0 exceeds the float range of the leaders' own growth: non-finite "
-            "state at t=355.8857523947705, while the error loop decays")
+            "state at t=355.65333215004483, while the error loop decays")
 
     def test_overflow_diagnosis_takes_the_given_tolerances(self):
         # the triangle's error loop has abscissa -1.28: Hurwitz at the
@@ -658,7 +768,7 @@ class TestSimulate:
         assert np.all(np.abs(np.diff(times) - 1e-2) <= simulation._grid_resolution(40.0))
         with pytest.raises(NonFiniteStateError) as exc:
             simulate(chain, chain_decomp, bad, huge, T=40.0, dt=1e-2)
-        assert built == [simulation._MAX_DOUBLINGS]  # blocks of 64 steps
+        assert built == [simulation._MAX_DOUBLINGS + 1]  # blocks of 128 steps
         k = int(np.flatnonzero(times == exc.value.time)[0])
         assert 0 < k < len(times) - 1
         tr = simulate(chain, chain_decomp, bad, huge, T=times[k - 1], dt=1e-2)
@@ -667,11 +777,9 @@ class TestSimulate:
         assert all(np.isfinite(x).all() for x in tr.states.values())
 
     def test_blocked_steps_match_expm_at_each_grid_time(self, monkeypatch):
-        # steps with breakpoints inside blocks of 64 dt steps (0.437 and
+        # steps with breakpoints inside blocks of 128 dt steps (0.437 and
         # 1.2003 off the grid, 2.0 on it), a sinusoid on the second leader
-        # and a short last step (T = 2.957).  The oracle restarts the
-        # generator of the steps at each breakpoint and takes one expm of
-        # the augmented system from there to each grid time.
+        # and a short last step (T = 2.957)
         from formstab import simulation
 
         built = _count_increments(monkeypatch)
@@ -690,28 +798,48 @@ class TestSimulate:
         T, dt = 2.957, 1e-2
         tr = simulate(spec, dec, ctrl, x0, signals=signals, T=T, dt=dt)
         assert tr.metadata["integrator"] == "expm"
-        assert built == [simulation._MAX_DOUBLINGS]  # blocks of 64 steps
+        assert built == [simulation._MAX_DOUBLINGS + 1]  # blocks of 128 steps
         assert tr.times[-1] - tr.times[-2] < dt
+        oracle = _augmented_oracle(spec, dec, ctrl, x0, tr.times, steps=(first, breaks, values),
+                                   sine=(second, amp, omega, phase))
+        got = np.hstack([tr.states[i] for i in dec.renumbering])
+        assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
-        (M, c, G), order = _closed_loop_blocks(spec, dec, ctrl), dec.renumbering
-        dim = M.shape[0]
-        A = np.zeros((dim + 1 + m + 2,) * 2)
-        A[:dim, :dim], A[:dim, dim] = M, c
-        A[:dim, dim + 1 : dim + 1 + m] = G[first]
-        A[:dim, -2] = G[second] @ amp
-        A[-2:, -2:] = [[0.0, omega], [-omega, 0.0]]
-        z = np.concatenate([np.concatenate([x0[i] for i in order]), [1.0], values[0],
-                            [math.sin(phase), math.cos(phase)]])
-        oracle = np.empty((len(tr.times), dim))
-        start, piece = 0.0, 0
-        for k, t in enumerate(tr.times):
-            if piece + 1 < len(breaks) and t >= breaks[piece + 1]:
-                z = scipy.linalg.expm((breaks[piece + 1] - start) * A) @ z
-                piece += 1
-                start = breaks[piece]
-                z[dim + 1 : dim + 1 + m] = values[piece]
-            oracle[k] = (scipy.linalg.expm((t - start) * A) @ z)[:dim]
-        got = np.hstack([tr.states[i] for i in order])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        loop=st.sampled_from(["decaying", "growing"]),
+        seed=st.integers(0, 3),
+        blocks=st.integers(1, 3),
+        offset=st.sampled_from([-1, 0, 1]),
+        inputs=st.sampled_from(["none", "steps", "sine", "both"]),
+        dt=st.floats(5e-3, 2e-2),
+        at=st.floats(0.05, 0.95),
+        omega=st.floats(0.3, 6.0),
+        x0_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_runs_around_whole_blocks_match_expm(self, loops, loop, seed, blocks, offset,
+                                                 inputs, dt, at, omega, x0_seed):
+        # runs of 128 k - 1, 128 k and 128 k + 1 dt steps, on block-lower-
+        # triangular loops whose leaders decay or grow, under no input, a
+        # steps input with one breakpoint, a sinusoid, or both
+        spec, dec, ctrl = loops[loop][seed]
+        first, second = sorted(dec.leaders)
+        steps = sine = None
+        signals = {}
+        T = (blocks * 2**formstab.simulation._MAX_DOUBLINGS + offset) * dt
+        if inputs in ("steps", "both"):
+            values = np.outer([0.8, -1.3], np.linspace(1.0, -0.5, spec.m))
+            steps = (first, [0.0, at * T], values)
+            signals[first] = PiecewiseConstantSignal(*steps[1:])
+        if inputs in ("sine", "both"):
+            sine = (second, np.linspace(0.6, -0.3, spec.m), omega, 0.7)
+            signals[second] = SinusoidSignal(*sine[1:])
+        rng = np.random.default_rng(x0_seed)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+        tr = simulate(spec, dec, ctrl, x0, signals=signals, T=T, dt=dt)
+        assert tr.metadata["integrator"] == "expm"
+        oracle = _augmented_oracle(spec, dec, ctrl, x0, tr.times, steps=steps, sine=sine)
+        got = np.hstack([tr.states[i] for i in dec.renumbering])
         assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     def test_large_augmented_size_builds_no_power_beyond_the_step(self, monkeypatch):
@@ -721,7 +849,10 @@ class TestSimulate:
 
         assert simulation._block_doublings(701, 258, 258) == 0
         assert simulation._block_doublings(181, 4483, 4483) == simulation._MAX_DOUBLINGS
-        # J is 0 or 6: no run of 32 steps, no block
+        # J is 0 below 3.5 times the size in dt steps
+        assert simulation._block_doublings(181, 633, 633) == 0
+        assert simulation._block_doublings(181, 634, 634) == simulation._MAX_DOUBLINGS
+        # J is 0 or 7: no run of 32 steps, no block
         assert simulation._block_doublings(181, 4483, 31) == 0
         assert simulation._block_doublings(181, 4483, 32) == simulation._MAX_DOUBLINGS
         built = _count_increments(monkeypatch)
@@ -729,22 +860,21 @@ class TestSimulate:
         x0 = {1: np.ones(60)}
         short = simulate(spec, dec, ctrl, x0, T=0.2, dt=1e-2)
         long = simulate(spec, dec, ctrl, x0, T=20.0, dt=1e-2)
-        assert built == [1, simulation._MAX_DOUBLINGS]
+        assert built == [1, simulation._MAX_DOUBLINGS + 1]
         for tr in (short, long):
             exact = np.exp(-tr.times)[:, None] * np.ones(60)
             assert np.max(np.abs(tr.states[1] - exact)) <= 1e-13
 
     def test_steps_that_would_make_a_narrow_block_go_one_at_a_time(self):
         # blocks narrower than 32 steps run below single-step speed, so a
-        # short run, and the last steps of a run past its full blocks, take
-        # the single-step product z + D_0 z bit for bit
+        # short run, and the last steps of a run shorter than two blocks,
+        # take the single-step product z + D_0 z bit for bit
         from formstab import simulation
 
         rng = np.random.default_rng(2)
         k = 12
         A = rng.standard_normal((k, k)) - 3.0 * np.eye(k)
-        powers = simulation._expm_increment(1e-2 * A, simulation._MAX_DOUBLINGS)
-        block = np.empty((k, 2 ** simulation._MAX_DOUBLINGS), order="F")
+        powers = simulation._expm_increment(1e-2 * A, simulation._MAX_DOUBLINGS + 1)
         z0 = rng.standard_normal(k)
 
         def single(z, count):
@@ -754,22 +884,65 @@ class TestSimulate:
                 cols[:, t] = z
             return cols
 
-        def run(count):
-            out = np.empty((k, count))
-            return out, simulation._dt_run(powers, block, z0, out)
-
-        out, z = run(31)
+        out, z = _run_blocks(powers, z0, 31)
         assert out.tobytes() == single(z0, 31).tobytes()
         assert z.tobytes() == out[:, -1].tobytes()
-        _, z64 = run(64)
-        out, z = run(70)  # a block of 64, then 6 single steps
-        assert out[:, 64:].tobytes() == single(z64, 6).tobytes()
+        _, z128 = _run_blocks(powers, z0, 128)
+        out, z = _run_blocks(powers, z0, 134)  # a block of 128, then 6 single steps
+        assert out[:, 128:].tobytes() == single(z128, 6).tobytes()
         assert z.tobytes() == out[:, -1].tobytes()
-        for count in (70, 100):  # 100: blocks of 64 and 36
-            out, _ = run(count)
+        # 200: blocks of 128 and 72; 300: blocks of 128, carried by 128 and 44
+        for count in (134, 200, 300):
+            out, _ = _run_blocks(powers, z0, count)
             ref = single(z0, count)
-            assert not np.array_equal(out[:, :64], ref[:, :64])
+            assert not np.array_equal(out[:, :128], ref[:, :128])
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("blocks,rest", [(2, 0), (3, 0), (5, 0), (3, 77), (4, 1)])
+    def test_a_long_run_takes_one_wide_product_per_later_block(self, blocks, rest):
+        # the first block is doubled from D_0 ... D_6; each later one is the
+        # previous block plus D_7 times it, the last one as narrow as the
+        # steps left
+        from formstab import simulation
+
+        J = simulation._MAX_DOUBLINGS
+        rng = np.random.default_rng(3)
+        k = 9
+        A = rng.standard_normal((k, k)) - 3.0 * np.eye(k)
+        powers = simulation._expm_increment(1e-2 * A, J + 1)
+        assert len(powers) == J + 1
+        count = blocks * 2**J + rest
+        products = []
+        z0 = rng.standard_normal(k)
+        out, z = _run_blocks(_counted(powers, products), z0, count)
+        first = [(0, 0)] + [(j, 2**j) for j in range(J)]
+        later = [(J, 2**J)] * (blocks - 1) + ([(J, rest)] if rest else [])
+        assert products == first + later
+        exact = np.column_stack([scipy.linalg.expm(1e-2 * t * A) @ z0
+                                 for t in range(1, count + 1)])
+        assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(exact))
+        assert z.tobytes() == out[:, -1].tobytes()
+
+    def test_an_overflowing_carry_increment_keeps_doubling_blocks(self):
+        # a mode of rate 8 per step that the state does not excite: D_6 holds
+        # e^512 - 1, D_7 would hold e^1024 - 1 and overflows, so every
+        # block of a long run is doubled from its own first column
+        from formstab import simulation
+
+        J = simulation._MAX_DOUBLINGS
+        X = np.diag([8.0, -1e-2, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = simulation._expm_increment(X, J + 1)
+        assert len(powers) == J and np.isfinite(powers[-1]).all()
+        products = []
+        z0 = np.array([0.0, 1.0, 2.0])
+        out, z = _run_blocks(_counted(powers, products), z0, 3 * 2**J)
+        doubled = [(0, 0)] + [(j, 2**j) for j in range(J)]
+        assert products == doubled * 3
+        assert not out[0].any() and (out[2] == 2.0).all()
+        exact = np.exp(-1e-2 * np.arange(1, 3 * 2**J + 1))
+        assert np.max(np.abs(out[1] - exact)) <= 1e-13
+        assert z.tobytes() == out[:, -1].tobytes()
 
     @pytest.mark.parametrize("gain", [np.inf, 1e308], ids=["infinite", "overflowing"])
     def test_non_finite_closed_loop_is_rejected_before_any_step(
@@ -1536,6 +1709,19 @@ def _stable_fork():
 
 
 class TestChainResidual:
+    def test_residual_past_the_square_root_of_the_range_is_finite(self):
+        # the destabilized triangle at T=30: states up to 2e238, residuals
+        # up to 2e187, whose squares overflow
+        spec, dec, bad = _destabilized_triangle()
+        x0 = {i: np.random.default_rng(0).standard_normal(spec.n) for i in spec.nodes}
+        tr = simulate(spec, dec, bad, x0, T=30.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resid = chain_residual(tr, dec, (3, 1), 2)
+        assert np.isfinite(resid).all() and resid.max() > 1e154
+        with np.errstate(over="ignore"):
+            assert resid.tobytes() == _chain_residual_by_sums(tr, dec, (3, 1), 2).tobytes()
+
     def test_triangle_identity_holds(self, good_triangle):
         dec = decompose(good_triangle)
         rep = check(good_triangle, dec)
@@ -1609,7 +1795,8 @@ def _error_dynamics_per_edge(trace, spec, decomp, ctrl):
 
 def _error_dynamics_every_term(trace, spec, decomp, ctrl):
     """`error_dynamics_check` with every term, before it skipped the gains
-    K_as that are exactly zero and the leaders whose input is zero."""
+    K_as that are exactly zero and the leaders whose input is zero; each
+    norm as `_row_norms` takes it."""
     times = trace.times
     A_ref = spec.agent(decomp.renumbering[0]).A
     h0 = times[1:-1] - times[:-2]
@@ -1632,7 +1819,7 @@ def _error_dynamics_every_term(trace, spec, decomp, ctrl):
         Q[a] = q
     worst = 0.0
     for e in spec.edges:
-        defect = np.linalg.norm(Q[e.i] - Q[e.j] - (A_ref @ e.d)[:, None], axis=0)
+        defect = _row_norms((Q[e.i] - Q[e.j] - (A_ref @ e.d)[:, None]).T)
         worst = max(worst, float(np.max(defect)))
     return worst
 
@@ -1769,6 +1956,19 @@ class TestErrorDynamics:
         tr = simulate(spec, dec, ctrl, {1: np.ones(2)}, T=1.0, dt=1.0 - 1e-13)
         assert tr.times.tolist() == [0.0, 1.0 - 1e-13]
         assert error_dynamics_check(tr, spec, dec, ctrl) == 0.0
+
+    def test_defect_past_the_square_root_of_the_range_is_finite(self):
+        # the destabilized triangle at T=20: states up to 7e158, defects
+        # whose squares overflow; the norm is taken scaled, as the fit takes it
+        spec, dec, bad = _destabilized_triangle()
+        x0 = {i: np.random.default_rng(0).standard_normal(spec.n) for i in spec.nodes}
+        tr = simulate(spec, dec, bad, x0, T=20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            defect = error_dynamics_check(tr, spec, dec, bad)
+        assert 1e154 < defect < math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert defect == _error_dynamics_every_term(tr, spec, dec, bad)
 
     def test_zero_trace_zero_defect(self, chain, chain_decomp, chain_ctrl):
         tr = simulate(chain, chain_decomp, chain_ctrl,
@@ -2026,7 +2226,7 @@ def _max_violation_by_norms(trace, decomp, fit):
 def _chain_residual_by_sums(trace, decomp, edge, s, full=False):
     """`chain_residual` as it was written before it summed in place: each
     parent chain summed down to the node where the two chains meet, or to
-    its leader with ``full``."""
+    its leader with ``full``; each norm as `_row_norms` takes it."""
     i, j = edge
     chain_j, chain_s = decomp.parent_chain(j), decomp.parent_chain(s)
     meet = None if full else next((a for a in chain_j if a in chain_s), None)
@@ -2042,7 +2242,7 @@ def _chain_residual_by_sums(trace, decomp, edge, s, full=False):
     R = chain_sum(chain_j) - chain_sum(chain_s)
     leader_diff = trace.states[decomp.leader_reach[j]] - trace.states[decomp.leader_reach[s]]
     resid = trace.errors[(i, s)] - trace.errors[(i, j)] - R - leader_diff
-    return np.linalg.norm(resid, axis=1)
+    return _row_norms(resid)
 
 
 def _sibling_pairs(spec, dec):
@@ -2170,9 +2370,9 @@ class TestTraceChecksArrayWork:
             assert repr(fit_envelope(plain, dec).to_dict()) == repr(fit.to_dict())
             assert repr(plain.initial_error_norm()) == repr(z0)
             assert repr(error_dynamics_check(plain, spec, dec, ctrl)) == repr(defect)
-        # the fit takes the norms past the square root of the float range;
-        # the defect's squares still overflow
-        assert 1e150 < fit.max_violation < math.inf and defect == math.inf
+        # the fit and the defect take the norms past the square root of the
+        # float range
+        assert 1e150 < fit.max_violation < math.inf and 1e154 < defect < math.inf
 
 
 def _empty_stores():
@@ -2225,7 +2425,7 @@ class TestClosedLoopReuse:
         # C is solved for once; the increments are built on the first two
         # steppings of the loop and kept from the second
         assert len(solves) == 1
-        assert built == [simulation._MAX_DOUBLINGS] * 2
+        assert built == [simulation._MAX_DOUBLINGS + 1] * 2
 
     @staticmethod
     def _moved_by_one_ulp(decomp, ctrl):
