@@ -70,8 +70,9 @@ class StepTooLargeError(FormstabError):
     """Integration step exceeds the stability cap for the closed-loop dynamics,
     or its increment e^(dt A) - I overflows: a leader input of huge
     frequency, or an input map G H that overflows (the closed loop itself
-    is finite, see `simulate`); or a sinusoid's computed step is so far
-    from a rotation that its generator state would leave the float range."""
+    is finite, see `simulate`); or the computed step of a rotation
+    generator (a sinusoid's, or any S with S + S^T = 0) is so far from a
+    rotation that its generator state would leave the float range."""
 
 
 class TraceWriteError(FormstabError, OSError):

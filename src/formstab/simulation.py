@@ -320,11 +320,26 @@ class _OnAccess(Mapping):
 def _edge_errors(states: Mapping, displacements: Mapping, edges, out=None, cols=slice(None)):
     """Each edge's error z_ij = x_i - x_j + d_ij at the grid columns ``cols``,
     as (n, columns) from the state rows ``states[i].T`` and its d_ij, into
-    ``out`` when given, else new: the one place edge errors are formed."""
+    ``out`` when given, else new: edge errors over the grid are formed here
+    only; at one grid column, over all edges at once, by
+    `SimulationTrace._edge_rows`, with the same bits."""
     for e in edges:
         z = np.subtract(states[e[0]].T[:, cols], states[e[1]].T[:, cols], out=out)
         z += displacements[e][:, None]
         yield z
+
+
+def _squares_by_rows(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sum of squares of each column of z, into ``out``; z is squared
+    in place.  The squares are added row by row, the order numpy's
+    reduction over the rows of an array wider than one column takes, so a
+    column's sum has the same bits whatever columns are formed with it (a
+    reduction over one column is summed pairwise from 9 rows on)."""
+    z *= z
+    np.copyto(out, z[0])
+    for row in z[1:]:
+        out += row
+    return out
 
 
 @dataclass(frozen=True)
@@ -367,15 +382,36 @@ class SimulationTrace:
         states, d = self.states, self.displacements
         return _OnAccess(d, lambda e: next(_edge_errors(states, d, [e])).T)
 
+    @cached_property
+    def _edge_gather(self) -> tuple:
+        # each edge's rows of i and j in the order of ``states``, and the d_ij
+        # stacked, in the spec's edge order
+        at = {a: k for k, a in enumerate(self.states)}
+        d = self.displacements
+        n = next(iter(self.states.values())).shape[1]
+        return ([at[i] for i, _ in d], [at[j] for _, j in d],
+                np.array(list(d.values()), dtype=float).reshape(len(d), n))
+
+    def _edge_rows(self, rows: np.ndarray) -> np.ndarray:
+        """rows[i] - rows[j] + d_ij for every edge (i, j), one row each in
+        the spec's edge order, ``rows`` holding one n-vector per agent in
+        the order of ``states``: one gather, subtraction and addition over
+        all edges.  With the states at one grid column as ``rows``, every
+        entry has the bits `_edge_errors` gives it."""
+        i, j, d = self._edge_gather
+        z = rows[i]
+        z -= rows[j]
+        z += d
+        return z
+
     def initial_error_norm(self) -> float:
         """||z(0)|| of all edge errors stacked, from the states' first
         column; finite up to the float range (see `_scaled_norms`)."""
-        errors = _edge_errors(self.states, self.displacements, self.displacements, cols=slice(0, 1))
-        z0 = [z[:, 0] for z in errors]
+        z0 = self._edge_rows(np.array([x[0] for x in self.states.values()]))
         with np.errstate(over="ignore"):
             sq = sum(float(z @ z) for z in z0)
         if math.isinf(sq):
-            return float(_scaled_norms(np.concatenate(z0)[:, None])[0])
+            return float(_scaled_norms(z0.reshape(-1, 1))[0])
         return math.sqrt(sq)
 
 
@@ -691,7 +727,8 @@ def _propagate(M, c, generators, times, out, dt, T):
     shorter than 32 steps and the last few steps of a run shorter than two
     blocks step one at a time.  ``out`` is filled as `_integrate` fills it.
 
-    The generator of a sinusoid is a rotation, but at a large omega dt its
+    A generator S with S + S^T = 0 exactly (a sinusoid's, or any other
+    signal's) is a rotation, but at a large omega dt, omega = ||S||_2, its
     computed block of I + D_0 is not one.  When that block's 2-norm, taken
     over all the dt steps of the grid, would push the generator state past
     the float range, `StepTooLargeError` names dt and omega before any
@@ -716,15 +753,15 @@ def _propagate(M, c, generators, times, out, dt, T):
     z[:dim] = out[:, 0]
     z[dim] = sigma
     restarts = {}
-    rotations = []  # (rows, omega) of the sinusoids' generators
+    rotations = []  # (rows, S) of the skew-symmetric generators
     r = dim + 1
     for G, sig, (S, H, w0) in generators:
         k = S.shape[0]
         A[:dim, r : r + k] = G @ H
         A[r : r + k, r : r + k] = S
         z[r : r + k] = w0
-        if isinstance(sig, SinusoidSignal):
-            rotations.append((slice(r, r + k), sig.omega))
+        if np.array_equal(S, -S.T):
+            rotations.append((slice(r, r + k), S))
         breaks = sig.breakpoints(T)
         for b, value in zip(breaks, sig.sample(breaks)):
             at = int(np.searchsorted(times, b, side="right")) - 1
@@ -747,11 +784,12 @@ def _propagate(M, c, generators, times, out, dt, T):
             f"dt={dt} is too large a step for the inputs: the step increment "
             f"e^(dt A) - I overflows at ||dt A||_1 = {dt * norm:.3e}"
         )
-    for rows, omega in rotations:
-        growth = float(np.linalg.norm(np.eye(2) + powers[0][rows, rows], 2))
+    for rows, S in rotations:
+        growth = float(np.linalg.norm(np.eye(len(S)) + powers[0][rows, rows], 2))
         if growth > 1.0 and steps * math.log(growth) > math.log(np.finfo(float).max):
             raise StepTooLargeError(
-                f"dt={dt} is too large a step for the sinusoid of omega={omega:g}: the "
+                f"dt={dt} is too large a step for the sinusoid of "
+                f"omega={np.linalg.norm(S, 2):g}: the "
                 f"computed e^(dt S) of its generator is not a rotation but grows its "
                 f"state {growth:.3e}-fold per step, past the float range in {steps} steps"
             )
@@ -825,8 +863,9 @@ def simulate(
     content of the augmented matrix, and one set of eight stays held after
     the call returns (about 31 MB at l=175); the trajectory bytes are
     those of a fresh process at the same BLAS thread count.  A dt at which
-    a sinusoid's computed step is no rotation, and would carry its
-    generator state past the float range, raises `StepTooLargeError`.  A
+    the computed step of a rotation generator (S + S^T = 0, as a
+    sinusoid's) is no rotation, and would carry its generator state past
+    the float range, raises `StepTooLargeError`.  A
     signal without a generator, or with breakpoints and a generator whose
     state is not its value, makes the whole run take classic RK4 steps,
     which land on every breakpoint so each step sees a continuous
@@ -1068,19 +1107,56 @@ def fit_envelope(
     where U(t) sums the exact running sups of the leader inputs (no grid
     sampling, `LeaderSignal.running_sups`) and the max runs over leaders
     with a nonzero signal.  Each edge is checked on the grid against its
-    bound plus the float resolution 64 eps (1 + max_k ||x_k(t)||) of the
-    errors, formed by `_edge_errors` into one reused buffer; edges with
-    equal (C_ij, beta_ij) share an envelope and one running maximum of their
-    squared norms, so one square root and one subtraction per envelope.
-    Every norm, ||z(0)|| included, is finite up to the float range: where a
-    square overflows (from about 1.34e154) while the entries are finite,
-    the norm is taken again scaled by a power of two (`_mend_overflow`).
-    The fit fails when some excess is above 1e-6 * (1 + ||z(0)||), or when
-    M_e is not Hurwitz; then alpha is 0.0 and each edge's growth is
-    measured against its initial error.  A NaN excess (a state or error
-    past the float range, or a NaN) counts as an infinite violation.  The
-    bound holds for all t >= 0, so a horizon too short for the transient to
-    die out cannot make a fit fail.
+    bound plus the float resolution 64 eps (1 + X(t)), X(t) = max_a
+    ||x_a(t)||, of the errors, formed by `_edge_errors` into one reused
+    buffer; edges with equal (C_ij, beta_ij) share an envelope env_k(t) and
+    one running maximum of their squared norms, so one square root and one
+    subtraction per envelope.  Every norm, ||z(0)|| included, is finite up
+    to the float range: where a square overflows (from about 1.34e154)
+    while the entries are finite, the norm is taken again scaled by a power
+    of two (`_mend_overflow`).  The fit fails when some excess is above
+    1e-6 * (1 + ||z(0)||), or when M_e is not Hurwitz; then alpha is 0.0
+    and each edge's growth is measured against its initial error.  A NaN
+    excess (a state or error past the float range, or a NaN) counts as an
+    infinite violation.  The bound holds for all t >= 0, so a horizon too
+    short for the transient to die out cannot make a fit fail.
+
+    The grid check forms an edge's error only where it can set the largest
+    excess.  With w_a = y_a - y_ref (w_ref = 0) and the condition-3 defect
+    delta_ij = d_ij - (D_i - D_j), z_ij = w_i - w_j + delta_ij, so one pass
+    over the agents, u(t) = max_a ||w_a(t)||, bounds every edge:
+
+        ||z_ij(t)|| <= b(t) = 2 u(t) + max ||delta|| + s(t),
+        s(t) = (4n + 24) eps (1 + X(t) + max ||D_a|| + max ||d_ij||).
+
+    The slack s makes b dominate the computed norm, not only the exact one.
+    With the unit roundoff u' = eps / 2: a formed fl(fl(x_i - x_j) + d_ij)
+    is within 4.02 u' X + u' max||d|| of z_ij; w_a and delta_ij are formed
+    within 4.02 u' (X + max||D||) and 2.01 u' (max||d|| + 2 max||D||); and
+    a computed norm of n entries is within rho = (n/2 + 1.01) u' of the
+    norm of its formed vector.  So the computed ||z_ij|| exceeds the
+    computed 2 u + max||delta|| by at most 2.03 rho (4X + 6 max||D|| +
+    max||d||) + 12.07 u' (X + max||D|| + max||d||) <= (3.05n + 12.2) eps
+    (X + max||D|| + max||d||), and rounding the sum b costs 6.05 eps
+    (X + max||D|| + max||d||) more: (4n + 24) eps also covers the roundoff
+    of X and of s itself.  A rounded subtraction is monotone, so
+    ub_k(t) = b(t) - env_k(t) bounds envelope k's computed excess at t.
+    The exact excess of every envelope at the column where ub peaks is
+    one the full scan computes, a lower bound LB of the largest; a column
+    with ub_k(t) < LB cannot hold it.  Envelope k's edges then run the exact
+    pass over one slice, from its first to its last column where
+    not ub_k < LB (a NaN counts): one kernel call per edge and envelope,
+    whose cost is mostly per call, while a trace's candidates lie in a few
+    runs of columns.  Its other columns keep a zero peak, whose excess
+    -env_k(t) is below the computed one there, below LB.  Where a square
+    may overflow (b reaches 2^511, or is NaN: a non-finite state) b is
+    taken as inf, so every slice is the whole grid and `_mend_overflow`
+    sees the full scan's columns; a floor-dominated run (errors at
+    roundoff) keeps what ub_k >= LB leaves, as any other.  Never more edge
+    columns are formed than by the full scan, plus the LB column gathered
+    by `SimulationTrace._edge_rows`, and each column's squares are summed
+    row by row (`_squares_by_rows`), in the full-width reduction's order:
+    ``max_violation`` and ``passed`` keep the full scan's bits.
 
     C belongs to the closed loop, not to the trace: the process keeps the
     constants of the last few error loops, keyed by the content of M_e
@@ -1154,23 +1230,57 @@ def fit_envelope(
         state_norm = np.sqrt(state_peak)
         _mend_overflow(state_norm[None], [0] * len(states),
                        lambda cols: (x.T[:, cols] for x in states.values()))
-        floor = 64.0 * np.finfo(float).eps * (1.0 + state_norm)
+        eps = np.finfo(float).eps
+        floor = 64.0 * eps * (1.0 + state_norm)
         decay = np.exp(-alpha * times) * z0n
 
         # C_ij and beta_ij scale one certificate by the few distinct norms
         # ||R_ij||, so edges share their envelopes C_ij decay + beta_ij U + floor
-        envelopes = {}  # (C_ij, beta_ij) -> its row of peaks, in edge order
-        rows = [envelopes.setdefault((C_map[e], b_map[e]), len(envelopes)) for e in edges]
+        envelopes = {}  # (C_ij, beta_ij) -> its row of peaks, in the spec's edge order
+        rows = [envelopes.setdefault((C_map[e], b_map[e]), len(envelopes)) for e in disp]
+        groups = [[] for _ in envelopes]
+        for e, k in zip(disp, rows):
+            groups[k].append(e)
+        env = np.empty((len(envelopes), len(times)))
+        for (C_ij, b_ij), k in envelopes.items():
+            env[k] = C_ij * decay + b_ij * U + floor
+
+        # the bound on every computed edge norm: 2 u(t) + max ||delta|| + slack
+        ref, D = decomp.renumbering[0], decomp.cumulative_offset
+        shifts = {(a, ref): D[a] - D[ref] for a in states if a != ref}
+        spread = np.zeros(len(times))  # u(t)^2, y_a - y_ref formed as an edge error
+        for w in _edge_errors(states, shifts, shifts, buf):
+            np.maximum(spread, _squares_by_rows(w, sq), out=spread)
+        offsets = np.array([D[a] for a in states])
+        # the largest delta_ij = d_ij - (D_i - D_j), D_a and d_ij
+        delta_max, D_max, d_max = (float(np.max(np.linalg.norm(v, axis=1))) for v in (
+            trace._edge_rows(-offsets), offsets, trace._edge_gather[2]))
+        slack = (4 * len(buf) + 24) * eps * (1.0 + state_norm + D_max + d_max)
+        bound = 2.0 * np.sqrt(spread) + delta_max + slack
+        if not np.max(bound) < 2.0 ** 511:  # a square may overflow: the whole grid
+            bound.fill(math.inf)
+        ub = bound - env
+
+        # LB: the exact excess of every envelope at the column where ub peaks
+        at = int(np.argmax(ub)) % len(times)
+        z = trace._edge_rows(np.array([x[at] for x in states.values()]))
+        lb = np.max(np.sqrt(_squares_by_rows(z.T, np.empty(len(z)))) - env[rows, at])
+
+        # the exact pass, over each envelope's columns from its first to its
+        # last where not ub < LB
         peaks = np.zeros((len(envelopes), len(times)))  # largest squared norm
-        for peak, z in zip([peaks[k] for k in rows], _edge_errors(states, disp, edges, buf)):
-            z *= z
-            np.maximum(peak, np.add.reduce(z, 0, out=sq), out=peak)
+        for k, members in enumerate(groups):
+            cols = np.flatnonzero(~(ub[k] < lb))
+            if cols.size:
+                lo, hi = int(cols[0]), int(cols[-1]) + 1
+                peak, part = peaks[k, lo:hi], sq[lo:hi]
+                for z in _edge_errors(states, disp, members, buf[:, : hi - lo], slice(lo, hi)):
+                    np.maximum(peak, _squares_by_rows(z, part), out=peak)
         # sqrt and subtraction are monotone and correctly rounded: the largest
         # excess of an envelope is that of its worst edge, bit for bit
         excess = np.sqrt(peaks, out=peaks)
-        _mend_overflow(excess, rows, lambda cols: _edge_errors(states, disp, edges, cols=cols))
-        for (C_ij, b_ij), k in envelopes.items():
-            excess[k] -= C_ij * decay + b_ij * U + floor
+        _mend_overflow(excess, rows, lambda cols: _edge_errors(states, disp, disp, cols=cols))
+        excess -= env
         worst = float(np.max(excess))
         max_violation = math.inf if math.isnan(worst) else worst
 

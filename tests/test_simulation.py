@@ -86,6 +86,21 @@ class _SwitchedSinusoid(SinusoidSignal):
         return (0.4,) if 0.4 < T else ()
 
 
+class _Rotation(LeaderSignal):
+    """sin(omega t) on one channel from the generator [[0, omega], [-omega,
+    0]]: a sinusoid offered by a custom signal, not a `SinusoidSignal`."""
+
+    def __init__(self, omega):
+        self.omega = omega
+
+    def value(self, t):
+        return np.array([math.sin(self.omega * t)])
+
+    def generator(self):
+        S = np.array([[0.0, self.omega], [-self.omega, 0.0]])
+        return S, np.array([[1.0, 0.0]]), np.array([0.0, 1.0])
+
+
 def _single_agent(A):
     A = np.asarray(A, dtype=float)
     spec = FormationSpec(
@@ -605,6 +620,21 @@ class TestSimulate:
             f"omega={omega:g}: the computed e^(dt S) of its generator is not a rotation "
             f"but grows its state {growth}-fold per step, past the float range in 516 steps")
         assert runs == []
+
+    def test_custom_rotation_generator_that_grows_names_the_step(self):
+        # the sinusoid's rotation offered by a custom signal: its computed
+        # step grows the generator state as the sinusoid's does, which would
+        # read as the horizon's fault (a non-finite state at t=1.592)
+        spec = demo_instance("triangle")
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        x0 = {i: np.ones(spec.n) for i in spec.nodes}
+        with pytest.raises(StepTooLargeError) as exc:
+            simulate(spec, dec, ctrl, x0, signals={1: _Rotation(1e19)}, T=2.0)
+        assert str(exc.value) == (
+            "dt=0.0038736707454286954 is too large a step for the sinusoid of "
+            "omega=1e+19: the computed e^(dt S) of its generator is not a rotation "
+            "but grows its state 1.239e+01-fold per step, past the float range in 516 steps")
 
     def test_non_finite_state_of_a_decaying_error_loop_names_the_horizon(self):
         # the stable triangle's leader grows like exp(2t): at T=400 its state
@@ -2373,6 +2403,154 @@ class TestTraceChecksArrayWork:
         # the fit and the defect take the norms past the square root of the
         # float range
         assert 1e150 < fit.max_violation < math.inf and 1e154 < defect < math.inf
+
+
+def _fit_matches_the_full_scan(trace, dec):
+    """`fit_envelope` on the trace, whose ``max_violation`` must be the full
+    scan's (`_max_violation_by_norms`) by repr and whose verdict must be
+    the one that violation gives."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_envelope(trace, dec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        violation = _max_violation_by_norms(trace, dec, fit)
+    assert repr(fit.max_violation) == repr(violation)
+    assert fit.passed == (set(fit.alpha.values()) != {0.0} and violation <= fit.tolerance)
+    return fit
+
+
+def _bundled_run(name, T, x0=None):
+    spec = demo_instance(name)
+    dec = decompose(spec)
+    ctrl = synthesize(spec, dec, check(spec, dec))
+    if x0 is None:
+        rng = np.random.default_rng(0)
+        x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+    return simulate(spec, dec, ctrl, x0, T=T), dec
+
+
+def _cancelling_run():
+    """example2's chain 3 -> 2 -> 1 with d_21 = (a, 0) and d_32 = (b, 0),
+    whose sum D_3 = fl(a + b) rounds, on two grid columns: at t=0 every
+    state is x_i = -D_i, at t=1000 the followers are moved by +-rho.  There
+    every computed w_a = y_a - y_1 and delta_ij is 0 or 8.9e-16, while the
+    computed z_32, formed by cancellation, is 3.6e-15: twice the bound
+    2 max ||w_a|| + max ||delta|| without its slack."""
+    base = demo_instance("example2")
+    dec = decompose(base)
+    ctrl = synthesize(base, dec, check(base, dec))
+    tr = simulate(base, dec, ctrl, {i: np.ones(base.n) for i in base.nodes}, T=1.0)
+    a, b, rho = 2.5799177363489507, 24.96055663101087, -9.43269269772958e-16
+    spec = dataclasses.replace(base, edges=(Edge(2, 1, [a, 0.0]), Edge(3, 2, [b, 0.0])))
+    dec = decompose(spec)
+    D = dec.cumulative_offset
+    shift = {1: 0.0, 2: rho, 3: -rho}
+    states = {i: np.array([-D[i], -D[i] + [shift[i], 0.0]]) for i in spec.nodes}
+    tr = dataclasses.replace(tr, times=np.array([0.0, 1000.0]), states=states, displacements=(
+        types.MappingProxyType(dict(zip(spec.edge_keys, spec.d_rows)))))
+    w = [np.linalg.norm(states[i][1] - states[1][1] + (D[i] - D[1])) for i in spec.nodes]
+    delta = [np.linalg.norm(-D[i] + D[j] + d) for (i, j), d in tr.displacements.items()]
+    assert np.linalg.norm(tr.errors[(3, 2)][1]) == 2 * (2 * max(w) + max(delta)) > 0
+    return tr, dec
+
+
+def _defect_run():
+    """example2 at T=20 whose trace carries d_32 + (1, 0): a condition-3
+    defect delta_32 = (1, 0) that every z_32 carries, above the decayed
+    envelope at the end of the horizon."""
+    tr, dec = _bundled_run("example2", 20.0)
+    disp = dict(tr.displacements)
+    disp[(3, 2)] = disp[(3, 2)] + [1.0, 0.0]
+    return dataclasses.replace(tr, displacements=types.MappingProxyType(disp)), dec
+
+
+def _with_nan_state(trace, dec):
+    states = {i: x.copy() for i, x in trace.states.items()}
+    states[dec.renumbering[-1]][len(trace.times) // 2, 0] = np.nan
+    return dataclasses.replace(trace, states=states)
+
+
+class TestEnvelopePruning:
+    """The grid check forms edge errors only where a one-pass bound says
+    the largest excess can be, and returns the full scan's bits."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 60),
+        multi_leader=st.booleans(),
+        kind=st.sampled_from(["zero", "sinusoid", "piecewise", "constant"]),
+        scale=st.floats(-3.0, 3.0),
+        T=st.sampled_from([3.0, 20.0]),
+        x0_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pruned_check_matches_the_full_scan(self, seed, multi_leader, kind, scale, T,
+                                                x0_seed):
+        spec = random_feasible_formation(rng=seed, max_nodes=12,
+                                         multi_leader_prob=float(multi_leader))
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        rng = np.random.default_rng(x0_seed)
+        x0 = {i: 10.0**scale * rng.standard_normal(spec.n) for i in spec.nodes}
+        signals = {a: _signal_kinds(spec.m)[kind] for a in dec.leaders}
+        _fit_matches_the_full_scan(simulate(spec, dec, ctrl, x0, signals=signals, T=T), dec)
+
+    @pytest.mark.parametrize("case", [
+        "triangle-20", "triangle-150", "triangle-300", "example2-20", "example2-150",
+        "example2-300", "destabilized", "nan-state", "huge-x0", "cancelling", "defect"])
+    def test_fixed_runs_match_the_full_scan(self, case):
+        if case == "destabilized":  # states up to 7e158: every slice is the grid
+            spec, dec, bad = _destabilized_triangle()
+            x0 = {i: np.random.default_rng(0).standard_normal(spec.n) for i in spec.nodes}
+            tr = simulate(spec, dec, bad, x0, T=20.0)
+        elif case == "nan-state":
+            tr, dec = _bundled_run("example2", 20.0)
+            tr = _with_nan_state(tr, dec)
+        elif case == "huge-x0":
+            tr, dec = _bundled_run("triangle", 2.0, {1: np.array([1e200, 0.0]),
+                                                    2: np.zeros(2), 3: np.zeros(2)})
+        elif case == "cancelling":
+            tr, dec = _cancelling_run()
+        elif case == "defect":
+            tr, dec = _defect_run()
+        else:
+            name, T = case.split("-")
+            tr, dec = _bundled_run(name, float(T))
+        fit = _fit_matches_the_full_scan(tr, dec)
+        assert (case == "nan-state") == (fit.max_violation == math.inf)
+        assert (case in ("destabilized", "nan-state", "defect")) == (not fit.passed)
+
+    @pytest.mark.parametrize("n", [2, 4, 9, 12])
+    def test_a_column_sums_its_squares_as_the_full_width_reduction(self, n):
+        # a slice may be one column wide, where numpy's own reduction over
+        # the rows is pairwise from 9 rows on
+        z = np.random.default_rng(n).standard_normal((n, 7)) * 10.0 ** np.arange(-3, 4)
+        full = np.add.reduce(z * z, 0)
+        for c in range(7):
+            one = formstab.simulation._squares_by_rows(z[:, c : c + 1].copy(), np.empty(1))
+            assert one.tobytes() == full[c : c + 1].tobytes()
+
+    def test_grid_check_reads_at_most_one_percent_of_the_edge_columns(
+            self, cascade, monkeypatch):
+        # the benchmark's op: the l=45 cascade at T=20 under zero input
+        spec, dec, ctrl = cascade
+        rng = np.random.default_rng(0)
+        tr = simulate(spec, dec, ctrl, {i: rng.standard_normal(spec.n) for i in spec.nodes},
+                      T=20.0)
+        reads, kernel = [], formstab.simulation._edge_errors
+        grid = np.arange(len(tr.times))
+
+        def counted_kernel(states, displacements, edges, out=None, cols=slice(None)):
+            edges = list(edges)
+            if displacements is tr.displacements:  # edges, not the offsets to the reference
+                reads.append(len(edges) * grid[cols].size)
+            return kernel(states, displacements, edges, out, cols)
+
+        monkeypatch.setattr(formstab.simulation, "_edge_errors", counted_kernel)
+        fit = fit_envelope(tr, dec)
+        monkeypatch.undo()
+        assert 0 < sum(reads) <= 0.01 * len(spec.edges) * len(tr.times)
+        assert fit.passed
+        assert repr(fit.max_violation) == repr(_max_violation_by_norms(tr, dec, fit))
 
 
 def _empty_stores():
