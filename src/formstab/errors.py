@@ -67,8 +67,9 @@ class NotSiblingParentsError(FormstabError):
 
 
 class StepTooLargeError(FormstabError):
-    """Integration step exceeds the stability cap for the closed-loop dynamics,
-    or its increment e^(dt A) - I overflows: a leader input of huge
+    """An RK4 run's step exceeds the stability cap for the closed-loop
+    dynamics (the exact ``"expm"`` integrator has none), or the step
+    increment e^(dt A) - I overflows: a leader input of huge
     frequency, or an input map G H that overflows (the closed loop itself
     is finite, see `simulate`); or the computed step of a rotation
     generator (a sinusoid's, or any S with S + S^T = 0) is so far from a

@@ -21,6 +21,11 @@ to the breakpoints (integrator ``"rk4"``).  The checks:
 * `error_dynamics_check` compares finite-difference derivatives of the
   edge errors against their closed-form linear dynamics, through one term
   per agent: of the two identities, the one that tests the trajectory.
+
+`fit_envelope` and `error_dynamics_check` find their largest edge norm
+over the grid with one function, `_largest_excess`: a bound from one pass
+over the agents says where an edge can set the maximum, only there is the
+edge formed, and the result has the bits of the full scan.
 """
 
 from __future__ import annotations
@@ -321,12 +326,34 @@ def _edge_errors(states: Mapping, displacements: Mapping, edges, out=None, cols=
     """Each edge's error z_ij = x_i - x_j + d_ij at the grid columns ``cols``,
     as (n, columns) from the state rows ``states[i].T`` and its d_ij, into
     ``out`` when given, else new: edge errors over the grid are formed here
-    only; at one grid column, over all edges at once, by
-    `SimulationTrace._edge_rows`, with the same bits."""
+    only; at one grid column, over all edges at once, by `_edge_rows`,
+    with the same bits.  ``cols`` is a slice or an index array."""
     for e in edges:
         z = np.subtract(states[e[0]].T[:, cols], states[e[1]].T[:, cols], out=out)
         z += displacements[e][:, None]
         yield z
+
+
+def _edge_gather(agents, offsets: Mapping) -> tuple:
+    """(i, j, o) for `_edge_rows`: the places in ``agents`` of the ends of
+    each edge (i, j) of ``offsets`` and its offsets o_ij stacked, in the
+    order of ``offsets``."""
+    at = {a: k for k, a in enumerate(agents)}
+    return ([at[i] for i, _ in offsets], [at[j] for _, j in offsets],
+            np.array(list(offsets.values()), dtype=float))
+
+
+def _edge_rows(rows: np.ndarray, gather: tuple) -> np.ndarray:
+    """rows[i] - rows[j] + o_ij for every edge of ``gather`` (`_edge_gather`),
+    one row each, ``rows`` holding one vector per agent in the order of the
+    gather's agents: one gather, subtraction and addition over all edges.
+    With the states at one grid column as ``rows`` and the d_ij as the
+    offsets, every entry has the bits `_edge_errors` gives it."""
+    i, j, o = gather
+    z = rows[i]
+    z -= rows[j]
+    z += o.reshape(z.shape)
+    return z
 
 
 def _squares_by_rows(z: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -382,32 +409,11 @@ class SimulationTrace:
         states, d = self.states, self.displacements
         return _OnAccess(d, lambda e: next(_edge_errors(states, d, [e])).T)
 
-    @cached_property
-    def _edge_gather(self) -> tuple:
-        # each edge's rows of i and j in the order of ``states``, and the d_ij
-        # stacked, in the spec's edge order
-        at = {a: k for k, a in enumerate(self.states)}
-        d = self.displacements
-        n = next(iter(self.states.values())).shape[1]
-        return ([at[i] for i, _ in d], [at[j] for _, j in d],
-                np.array(list(d.values()), dtype=float).reshape(len(d), n))
-
-    def _edge_rows(self, rows: np.ndarray) -> np.ndarray:
-        """rows[i] - rows[j] + d_ij for every edge (i, j), one row each in
-        the spec's edge order, ``rows`` holding one n-vector per agent in
-        the order of ``states``: one gather, subtraction and addition over
-        all edges.  With the states at one grid column as ``rows``, every
-        entry has the bits `_edge_errors` gives it."""
-        i, j, d = self._edge_gather
-        z = rows[i]
-        z -= rows[j]
-        z += d
-        return z
-
     def initial_error_norm(self) -> float:
         """||z(0)|| of all edge errors stacked, from the states' first
         column; finite up to the float range (see `_scaled_norms`)."""
-        z0 = self._edge_rows(np.array([x[0] for x in self.states.values()]))
+        z0 = _edge_rows(np.array([x[0] for x in self.states.values()]),
+                        _edge_gather(self.states, self.displacements))
         with np.errstate(over="ignore"):
             sq = sum(float(z @ z) for z in z0)
         if math.isinf(sq):
@@ -837,9 +843,11 @@ def simulate(
     T, dt : float
         Horizon and step, finite.  Default dt = min(1e-2, 0.1 / (1 +
         max ||A_i + B_i S_i||_F)), a `ValueError` naming it for a T not longer
-        than it; an explicit dt with dt * max||A_i + B_i S_i||_F > 1
-        raises `StepTooLargeError`, as does a dt whose step increment overflows
-        (a sinusoid of huge omega, or an input map G H that overflows).
+        than it.  The ``"expm"`` integrator is exact at any dt, so dt is
+        then only the grid's resolution; an ``"rk4"`` run with
+        dt * max||A_i + B_i S_i||_F > 1 raises `StepTooLargeError`, as does
+        a dt whose step increment overflows (a sinusoid of huge omega, or
+        an input map G H that overflows).
     tol : Tolerances
         Its ``eps_hurwitz`` is the margin of the error-loop verdict that
         names the cause of an overflow, as in `fit_envelope`.
@@ -915,7 +923,8 @@ def simulate(
                 )
             sig_map[i] = sig
 
-    # diagonal blocks of M are the A_i and A_i + B_i S_i of the step cap
+    # diagonal blocks of M are the A_i and A_i + B_i S_i of the default dt and
+    # the RK4 step cap
     worst = max(float(np.linalg.norm(M[r : r + n, r : r + n], "fro")) for r in range(0, len(M), n))
     if dt is None:
         dt = min(1e-2, 0.1 / (1.0 + worst))
@@ -928,9 +937,13 @@ def simulate(
         raise ValueError("dt must be positive")
     if dt >= T:
         raise ValueError("dt must be smaller than T")
-    if dt * worst > 1.0:
+
+    forcing = [(G, sig_map[s]) for s, G in leader_cols.items() if not sig_map[s].is_zero]
+    generators = [(G, sig, _generator(sig, spec.m, T)) for G, sig in forcing]
+    exact = all(gen is not None for _, _, gen in generators)
+    if not exact and dt * worst > 1.0:  # an explicit method's stability rule
         raise StepTooLargeError(
-            f"dt={dt} exceeds stability cap 1/max||A_cl||_F = {1.0 / worst:.3e}"
+            f"dt={dt} exceeds the RK4 stability cap 1/max||A_cl||_F = {1.0 / worst:.3e}"
         )
 
     breaks = []
@@ -949,9 +962,6 @@ def simulate(
             raise ValueError(f"initial state x0[{i}] is not finite: {xi.tolist()}")
         slab[k, :, 0] = xi
 
-    forcing = [(G, sig_map[s]) for s, G in leader_cols.items() if not sig_map[s].is_zero]
-    generators = [(G, sig, _generator(sig, spec.m, T)) for G, sig in forcing]
-    exact = all(gen is not None for _, _, gen in generators)
     traj = slab.reshape(-1, len(times))  # a view: the integrators fill the slab
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is detected below
         if exact:
@@ -1077,6 +1087,117 @@ def _mend_overflow(norms: np.ndarray, groups: list, arrays) -> None:
         norms[:, over] = np.where(np.isinf(norms[:, over]), largest, norms[:, over])
 
 
+def _largest_norms(states: Mapping) -> np.ndarray:
+    """max_a ||r_a(t)|| at each grid column t of the per-agent rows
+    r_a = ``states[a].T``: the root of the largest sum of squares, which
+    `_mend_overflow` takes again where a square overflowed."""
+    rows = [x.T for x in states.values()]
+    buf = np.empty(rows[0].shape)
+    sq, peak = np.empty(buf.shape[1]), np.zeros(buf.shape[1])
+    for r in rows:
+        np.multiply(r, r, out=buf)
+        np.maximum(peak, np.add.reduce(buf, 0, out=sq), out=peak)
+    norms = np.sqrt(peak, out=peak)
+    _mend_overflow(norms[None], [0] * len(rows), lambda cols: (r[:, cols] for r in rows))
+    return norms
+
+
+def _largest_excess(states: Mapping, offsets: Mapping, anchors: Mapping, group: list,
+                    env: np.ndarray, X: np.ndarray) -> float:
+    """The largest excess ||z_ij(t)|| - env_k(t) over the edges (i, j) of
+    ``offsets`` and the grid columns t, as the full scan of every edge at
+    every column computes it, bit for bit.  z_ij = r_i - r_j + o_ij is
+    formed by `_edge_errors` from the per-agent rows r_a = ``states[a].T``
+    (n, columns) and the offsets o_ij; k = ``group[p]`` is the envelope of
+    the p-th edge, ``env[k]`` its row, ``anchors`` holds one n-vector c_a
+    per agent and ``X`` is X(t) = max_a ||r_a(t)|| (`_largest_norms`).  A
+    NaN excess reads as inf, and a norm whose square overflows (from about
+    1.34e154) while its entries are finite is taken again scaled by a
+    power of two (`_mend_overflow`).
+
+    An edge is formed only where it can set the largest excess.  With
+    w_a = (r_a + c_a) - (r_ref + c_ref), ref the first agent (w_ref = 0),
+    and delta_ij = o_ij - (c_i - c_j), every z_ij = w_i - w_j + delta_ij,
+    so one pass over the agents, u(t) = max_a ||w_a(t)||, bounds every edge:
+
+        ||z_ij(t)|| <= b(t) = 2 u(t) + max ||delta|| + s(t),
+        s(t) = (4n + 24) eps (1 + X(t) + max ||c_a|| + max ||o_ij||).
+
+    The slack s makes b dominate the computed norm, not only the exact one.
+    With the unit roundoff u' = eps / 2: a formed fl(fl(r_i - r_j) + o_ij)
+    is within 4.02 u' X + u' max||o|| of z_ij; w_a and delta_ij are formed
+    within 4.02 u' (X + max||c||) and 2.01 u' (max||o|| + 2 max||c||); and
+    a computed norm of n entries is within rho = (n/2 + 1.01) u' of the
+    norm of its formed vector.  So the computed ||z_ij|| exceeds the
+    computed 2 u + max||delta|| by at most 2.03 rho (4X + 6 max||c|| +
+    max||o||) + 12.07 u' (X + max||c|| + max||o||) <= (3.05n + 12.2) eps
+    (X + max||c|| + max||o||), and rounding the sum b costs 6.05 eps
+    (X + max||c|| + max||o||) more: (4n + 24) eps also covers the roundoff
+    of X and of s itself.  Any anchors give a valid bound; anchors that
+    keep every w_a small make it tight.  A rounded subtraction is
+    monotone, so ub_k(t) = b(t) - env_k(t) bounds envelope k's computed
+    excess at t.  The exact excess of every envelope at the column where
+    ub peaks, gathered over all edges at once by `_edge_rows`, is one the
+    full scan computes, a lower bound LB of the largest; a column with
+    ub_k(t) < LB cannot hold it.  Envelope k's edges are then formed at its
+    candidate columns, those where not ub_k < LB (a NaN counts): one slice
+    when they are contiguous, whose rows are views where an index array
+    copies them, else an index array, so scattered candidates cost no span
+    between them; one kernel call per edge and envelope.
+    Its other columns keep a zero peak, whose excess -env_k(t) is below
+    the computed one there, below LB.  Where a square may overflow (b
+    reaches 2^511, or is NaN: a non-finite row) b is taken as inf, so
+    every edge is formed over the whole grid and `_mend_overflow` sees the
+    full scan's columns.  Never more edge columns are formed than by the
+    full scan, plus the LB column, and each column's squares are summed
+    row by row (`_squares_by_rows`), in the full-width reduction's order:
+    the result keeps the full scan's bits.
+    """
+    n = next(iter(states.values())).shape[1]
+    buf, sq = np.empty((n, len(X))), np.empty(len(X))
+
+    # the bound on every computed edge norm: 2 u(t) + max ||delta|| + slack
+    ref = next(iter(states))
+    shifts = {(a, ref): anchors[a] - anchors[ref] for a in states if a != ref}
+    spread = np.zeros(len(X))  # u(t)^2, each w_a formed as an edge error
+    for w in _edge_errors(states, shifts, shifts, buf):
+        np.maximum(spread, _squares_by_rows(w, sq), out=spread)
+    gather = _edge_gather(states, offsets)
+    c = np.array([anchors[a] for a in states])
+    delta_max, c_max, o_max = (float(np.max(np.linalg.norm(v, axis=1))) for v in (
+        _edge_rows(-c, gather), c, gather[2].reshape(-1, n)))
+    slack = (4 * n + 24) * np.finfo(float).eps * (1.0 + X + c_max + o_max)
+    bound = 2.0 * np.sqrt(spread) + delta_max + slack
+    if not np.max(bound) < 2.0 ** 511:  # a square may overflow: the whole grid
+        bound.fill(math.inf)
+    ub = bound - env
+
+    # LB: the exact excess of every envelope at the column where ub peaks
+    at = int(np.argmax(ub)) % len(X)
+    z = _edge_rows(np.array([x[at] for x in states.values()]), gather)
+    lb = np.max(np.sqrt(_squares_by_rows(z.T, np.empty(len(z)))) - env[group, at])
+
+    # the exact pass, over each envelope's columns where not ub < LB
+    peaks = np.zeros(env.shape)  # largest squared norm
+    members = [[e for e, g in zip(offsets, group) if g == k] for k in range(len(env))]
+    for k, edges in enumerate(members):
+        cols = np.flatnonzero(~(ub[k] < lb))
+        if cols.size:
+            peak, part = np.zeros(cols.size), sq[: cols.size]
+            if cols[-1] - cols[0] < cols.size:  # contiguous: views, not copies of the rows
+                cols = slice(int(cols[0]), int(cols[-1]) + 1)
+            for z in _edge_errors(states, offsets, edges, buf[:, : len(peak)], cols):
+                np.maximum(peak, _squares_by_rows(z, part), out=peak)
+            peaks[k, cols] = peak
+    # sqrt and subtraction are monotone and correctly rounded: the largest
+    # excess of an envelope is that of its worst edge, bit for bit
+    excess = np.sqrt(peaks, out=peaks)
+    _mend_overflow(excess, group, lambda cols: _edge_errors(states, offsets, offsets, cols=cols))
+    excess -= env
+    worst = float(np.max(excess))
+    return math.inf if math.isnan(worst) else worst
+
+
 def fit_envelope(
     trace: SimulationTrace,
     decomp: LevelDecomposition,
@@ -1108,55 +1229,18 @@ def fit_envelope(
     sampling, `LeaderSignal.running_sups`) and the max runs over leaders
     with a nonzero signal.  Each edge is checked on the grid against its
     bound plus the float resolution 64 eps (1 + X(t)), X(t) = max_a
-    ||x_a(t)||, of the errors, formed by `_edge_errors` into one reused
-    buffer; edges with equal (C_ij, beta_ij) share an envelope env_k(t) and
-    one running maximum of their squared norms, so one square root and one
-    subtraction per envelope.  Every norm, ||z(0)|| included, is finite up
-    to the float range: where a square overflows (from about 1.34e154)
-    while the entries are finite, the norm is taken again scaled by a power
-    of two (`_mend_overflow`).  The fit fails when some excess is above
-    1e-6 * (1 + ||z(0)||), or when M_e is not Hurwitz; then alpha is 0.0
-    and each edge's growth is measured against its initial error.  A NaN
-    excess (a state or error past the float range, or a NaN) counts as an
-    infinite violation.  The bound holds for all t >= 0, so a horizon too
-    short for the transient to die out cannot make a fit fail.
-
-    The grid check forms an edge's error only where it can set the largest
-    excess.  With w_a = y_a - y_ref (w_ref = 0) and the condition-3 defect
-    delta_ij = d_ij - (D_i - D_j), z_ij = w_i - w_j + delta_ij, so one pass
-    over the agents, u(t) = max_a ||w_a(t)||, bounds every edge:
-
-        ||z_ij(t)|| <= b(t) = 2 u(t) + max ||delta|| + s(t),
-        s(t) = (4n + 24) eps (1 + X(t) + max ||D_a|| + max ||d_ij||).
-
-    The slack s makes b dominate the computed norm, not only the exact one.
-    With the unit roundoff u' = eps / 2: a formed fl(fl(x_i - x_j) + d_ij)
-    is within 4.02 u' X + u' max||d|| of z_ij; w_a and delta_ij are formed
-    within 4.02 u' (X + max||D||) and 2.01 u' (max||d|| + 2 max||D||); and
-    a computed norm of n entries is within rho = (n/2 + 1.01) u' of the
-    norm of its formed vector.  So the computed ||z_ij|| exceeds the
-    computed 2 u + max||delta|| by at most 2.03 rho (4X + 6 max||D|| +
-    max||d||) + 12.07 u' (X + max||D|| + max||d||) <= (3.05n + 12.2) eps
-    (X + max||D|| + max||d||), and rounding the sum b costs 6.05 eps
-    (X + max||D|| + max||d||) more: (4n + 24) eps also covers the roundoff
-    of X and of s itself.  A rounded subtraction is monotone, so
-    ub_k(t) = b(t) - env_k(t) bounds envelope k's computed excess at t.
-    The exact excess of every envelope at the column where ub peaks is
-    one the full scan computes, a lower bound LB of the largest; a column
-    with ub_k(t) < LB cannot hold it.  Envelope k's edges then run the exact
-    pass over one slice, from its first to its last column where
-    not ub_k < LB (a NaN counts): one kernel call per edge and envelope,
-    whose cost is mostly per call, while a trace's candidates lie in a few
-    runs of columns.  Its other columns keep a zero peak, whose excess
-    -env_k(t) is below the computed one there, below LB.  Where a square
-    may overflow (b reaches 2^511, or is NaN: a non-finite state) b is
-    taken as inf, so every slice is the whole grid and `_mend_overflow`
-    sees the full scan's columns; a floor-dominated run (errors at
-    roundoff) keeps what ub_k >= LB leaves, as any other.  Never more edge
-    columns are formed than by the full scan, plus the LB column gathered
-    by `SimulationTrace._edge_rows`, and each column's squares are summed
-    row by row (`_squares_by_rows`), in the full-width reduction's order:
-    ``max_violation`` and ``passed`` keep the full scan's bits.
+    ||x_a(t)||; edges with equal (C_ij, beta_ij) share an envelope
+    env_k(t).  The check is `_largest_excess` of the state rows x_a, the
+    offsets d_ij and the anchors D_a, whose delta_ij = d_ij - (D_i - D_j)
+    is the condition-3 defect, under those envelopes: it forms an edge's
+    error only where the edge can set the largest excess, and returns the
+    full scan's bits.  Every norm, ||z(0)|| included, is finite up to the
+    float range (`_mend_overflow`).  The fit fails when some excess is
+    above 1e-6 * (1 + ||z(0)||), or when M_e is not Hurwitz; then alpha is
+    0.0 and each edge's growth is measured against its initial error.  A
+    NaN excess (a state or error past the float range, or a NaN) counts as
+    an infinite violation.  The bound holds for all t >= 0, so a horizon
+    too short for the transient to die out cannot make a fit fail.
 
     C belongs to the closed loop, not to the trace: the process keeps the
     constants of the last few error loops, keyed by the content of M_e
@@ -1180,10 +1264,9 @@ def fit_envelope(
                 driven.append(a)
     have_input = bool(U[-1] > 0.0)
     states, disp = trace.states, trace.displacements
-    buf = np.empty((next(iter(states.values())).shape[1], len(times)))  # an edge or a state
 
     if z0n <= 1e-300 and not have_input and not any(
-        z.any() for z in _edge_errors(states, disp, edges, buf)
+        z.any() for z in _edge_errors(states, disp, edges)
     ):
         return EnvelopeFit(
             C={e: 0.0 for e in edges},
@@ -1222,67 +1305,18 @@ def fit_envelope(
     # error past it overflows the norms to inf, and inf - inf is NaN: such an
     # excess counts as +inf, whatever the edge order
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.empty(len(times))
-        state_peak = np.zeros(len(times))  # largest squared state norm
-        for x in states.values():
-            np.multiply(x.T, x.T, out=buf)
-            np.maximum(state_peak, np.add.reduce(buf, 0, out=sq), out=state_peak)
-        state_norm = np.sqrt(state_peak)
-        _mend_overflow(state_norm[None], [0] * len(states),
-                       lambda cols: (x.T[:, cols] for x in states.values()))
-        eps = np.finfo(float).eps
-        floor = 64.0 * eps * (1.0 + state_norm)
+        state_norm = _largest_norms(states)
+        floor = 64.0 * np.finfo(float).eps * (1.0 + state_norm)
         decay = np.exp(-alpha * times) * z0n
-
         # C_ij and beta_ij scale one certificate by the few distinct norms
         # ||R_ij||, so edges share their envelopes C_ij decay + beta_ij U + floor
-        envelopes = {}  # (C_ij, beta_ij) -> its row of peaks, in the spec's edge order
-        rows = [envelopes.setdefault((C_map[e], b_map[e]), len(envelopes)) for e in disp]
-        groups = [[] for _ in envelopes]
-        for e, k in zip(disp, rows):
-            groups[k].append(e)
+        envelopes = {}  # (C_ij, beta_ij) -> its row of env
+        group = [envelopes.setdefault((C_map[e], b_map[e]), len(envelopes)) for e in disp]
         env = np.empty((len(envelopes), len(times)))
         for (C_ij, b_ij), k in envelopes.items():
             env[k] = C_ij * decay + b_ij * U + floor
-
-        # the bound on every computed edge norm: 2 u(t) + max ||delta|| + slack
-        ref, D = decomp.renumbering[0], decomp.cumulative_offset
-        shifts = {(a, ref): D[a] - D[ref] for a in states if a != ref}
-        spread = np.zeros(len(times))  # u(t)^2, y_a - y_ref formed as an edge error
-        for w in _edge_errors(states, shifts, shifts, buf):
-            np.maximum(spread, _squares_by_rows(w, sq), out=spread)
-        offsets = np.array([D[a] for a in states])
-        # the largest delta_ij = d_ij - (D_i - D_j), D_a and d_ij
-        delta_max, D_max, d_max = (float(np.max(np.linalg.norm(v, axis=1))) for v in (
-            trace._edge_rows(-offsets), offsets, trace._edge_gather[2]))
-        slack = (4 * len(buf) + 24) * eps * (1.0 + state_norm + D_max + d_max)
-        bound = 2.0 * np.sqrt(spread) + delta_max + slack
-        if not np.max(bound) < 2.0 ** 511:  # a square may overflow: the whole grid
-            bound.fill(math.inf)
-        ub = bound - env
-
-        # LB: the exact excess of every envelope at the column where ub peaks
-        at = int(np.argmax(ub)) % len(times)
-        z = trace._edge_rows(np.array([x[at] for x in states.values()]))
-        lb = np.max(np.sqrt(_squares_by_rows(z.T, np.empty(len(z)))) - env[rows, at])
-
-        # the exact pass, over each envelope's columns from its first to its
-        # last where not ub < LB
-        peaks = np.zeros((len(envelopes), len(times)))  # largest squared norm
-        for k, members in enumerate(groups):
-            cols = np.flatnonzero(~(ub[k] < lb))
-            if cols.size:
-                lo, hi = int(cols[0]), int(cols[-1]) + 1
-                peak, part = peaks[k, lo:hi], sq[lo:hi]
-                for z in _edge_errors(states, disp, members, buf[:, : hi - lo], slice(lo, hi)):
-                    np.maximum(peak, _squares_by_rows(z, part), out=peak)
-        # sqrt and subtraction are monotone and correctly rounded: the largest
-        # excess of an envelope is that of its worst edge, bit for bit
-        excess = np.sqrt(peaks, out=peaks)
-        _mend_overflow(excess, rows, lambda cols: _edge_errors(states, disp, disp, cols=cols))
-        excess -= env
-        worst = float(np.max(excess))
-        max_violation = math.inf if math.isnan(worst) else worst
+        max_violation = _largest_excess(states, disp, decomp.cumulative_offset, group, env,
+                                        state_norm)
 
     return EnvelopeFit(
         C=C_map,
@@ -1382,19 +1416,19 @@ def error_dynamics_check(
 
     The Q_a are formed once per agent, in the trace's time-contiguous
     layout (one row per state component), the B_a K_as as one stacked
-    matmul over the controller's stacks, the z_as from the state rows;
-    each edge's defect goes into a reused buffer and its squared norms into
-    one running maximum, so one square root per interior point is taken.
-    Where a square overflows (from about 1.34e154) while the defects are
-    finite, the norm is taken again scaled by a power of two
-    (`_mend_overflow`), as in `fit_envelope`; a NaN defect gives inf.  A
+    matmul over the controller's stacks, the z_as from the state rows.  The
+    largest defect norm is `_largest_excess` of the rows Q_a, the offsets
+    -A_ref d_ij and the anchors -A_ref D_a, whose delta_ij is A_ref times
+    the condition-3 defect, under one envelope env = 0: it forms an edge's
+    defect only where the edge can set the maximum, and returns the full
+    scan's bits, finite up to the float range; a NaN defect gives inf.  A
     gain K_as that is exactly zero and a zero leader input add exact
     zeros, so their terms are left out on a finite trace.  A controller
     that does not fit the instance raises `ValueError`.
     """
     _check_structure(spec, decomp, ctrl)
     times = trace.times
-    if len(times) < 3:
+    if len(times) < 3 or not spec.edges:
         return 0.0
     A_ref = spec.agent(decomp.renumbering[0]).A
     interior = slice(1, -1)
@@ -1406,13 +1440,10 @@ def error_dynamics_check(
     w_mid = (h1 - h0) / (h0 * h1)
     w_next = h0 / (h1 * (h0 + h1))
 
-    z = np.empty((len(A_ref), len(times) - 2))  # an edge error, then a defect
-    sq = np.empty(z.shape[1])
-    peak = np.zeros(z.shape[1])  # largest squared defect norm per interior point
     with np.errstate(over="ignore", invalid="ignore"):  # a growing trace's defects overflow
         Q = {}
-        for a in spec.nodes:
-            x = trace.states[a].T  # (n, grid points)
+        for a, x in trace.states.items():
+            x = x.T  # (n, grid points)
             q = w_prev * x[:, :-2]
             q += w_mid * x[:, 1:-1]
             q += w_next * x[:, 2:]
@@ -1426,22 +1457,16 @@ def error_dynamics_check(
         ids = np.array(law.followers, dtype=int)[law.rows[used]]
         BK = spec.B_stack[ids - 1] @ law.K[used]
         gains = list(zip(ids.tolist(), law.parents[used].tolist()))
-        z_gains = _edge_errors(trace.states, trace.displacements, gains, z, interior)
+        z_gains = _edge_errors(trace.states, trace.displacements, gains,
+                               np.empty((len(A_ref), len(times) - 2)), interior)
         for (a, _), BK_as, z_as in zip(gains, BK, z_gains):
             Q[a] += BK_as @ z_as
 
-        # the largest column norm is the root of the largest squared norm,
-        # as sqrt is monotone and correctly rounded
-        for e in spec.edges:
-            defect = np.subtract(Q[e.i], Q[e.j], out=z)
-            defect -= (A_ref @ e.d)[:, None]
-            defect *= defect
-            np.maximum(peak, np.add.reduce(defect, 0, out=sq), out=peak)
-        norms = np.sqrt(peak, out=peak)
-        _mend_overflow(norms[None], [0] * len(spec.edges), lambda cols: (
-            Q[e.i][:, cols] - Q[e.j][:, cols] - (A_ref @ e.d)[:, None] for e in spec.edges))
-    worst = float(np.max(norms))
-    return math.inf if math.isnan(worst) else worst
+        rows = {a: q.T for a, q in Q.items()}  # laid out as the states
+        anchors = {a: -(A_ref @ D) for a, D in decomp.cumulative_offset.items()}
+        return _largest_excess(rows, {e.key: -(A_ref @ e.d) for e in spec.edges}, anchors,
+                               [0] * len(spec.edges), np.zeros((1, len(times) - 2)),
+                               _largest_norms(rows))
 
 
 # ---------------------------------------------------------------------------

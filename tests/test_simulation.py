@@ -583,9 +583,28 @@ class TestSimulate:
         assert calls == [3]
 
     def test_step_too_large(self, chain, chain_decomp, chain_ctrl):
-        with pytest.raises(StepTooLargeError):
-            simulate(chain, chain_decomp, chain_ctrl,
-                     {i: np.zeros(2) for i in chain.nodes}, T=10.0, dt=1.0)
+        # the stability cap of an explicit method binds the RK4 runs only
+        with pytest.raises(StepTooLargeError, match="exceeds the RK4 stability cap"):
+            simulate(chain, chain_decomp, chain_ctrl, {i: np.zeros(2) for i in chain.nodes},
+                     signals={1: _NoGenerator([0.0, 4.0], [[1.0], [2.0]])}, T=10.0, dt=1.0)
+
+    @pytest.mark.parametrize("dt", [0.05, 0.25, 0.5, 1.0])
+    def test_exact_integrator_takes_a_step_above_the_rk4_cap(self, dt):
+        # triangle's RK4 cap is dt = 4.030e-02; the exact integrator carries
+        # the states of a fine grid at the times both grids share
+        spec = demo_instance("triangle")
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        x0 = {i: np.random.default_rng(0).standard_normal(spec.n) for i in spec.nodes}
+        fine = simulate(spec, dec, ctrl, x0, T=20.0, dt=0.0025)
+        coarse = simulate(spec, dec, ctrl, x0, T=20.0, dt=dt)
+        assert coarse.metadata["integrator"] == "expm"
+        k = np.searchsorted(fine.times, coarse.times - 1e-9)
+        assert np.max(np.abs(fine.times[k] - coarse.times)) <= 1e-12
+        F = np.concatenate([x[k] for x in fine.states.values()], axis=1)
+        C = np.concatenate(list(coarse.states.values()), axis=1)
+        assert np.max(np.linalg.norm(C - F, axis=1) / np.linalg.norm(F, axis=1)) <= 1e-12
+        assert fit_envelope(coarse, dec).passed
 
     @pytest.mark.parametrize("omega,norm", [(1e302, "1.000e+300"), (1e308, "1.000e+306")])
     def test_step_increment_that_overflows_names_the_step(self, chain, chain_decomp,
@@ -2485,14 +2504,18 @@ class TestEnvelopePruning:
     )
     def test_pruned_check_matches_the_full_scan(self, seed, multi_leader, kind, scale, T,
                                                 x0_seed):
-        spec = random_feasible_formation(rng=seed, max_nodes=12,
+        # the error-dynamics check runs the same bounded pass on its defects
+        spec = random_feasible_formation(rng=seed, max_nodes=30,
                                          multi_leader_prob=float(multi_leader))
         dec = decompose(spec)
         ctrl = synthesize(spec, dec, check(spec, dec))
         rng = np.random.default_rng(x0_seed)
         x0 = {i: 10.0**scale * rng.standard_normal(spec.n) for i in spec.nodes}
         signals = {a: _signal_kinds(spec.m)[kind] for a in dec.leaders}
-        _fit_matches_the_full_scan(simulate(spec, dec, ctrl, x0, signals=signals, T=T), dec)
+        tr = simulate(spec, dec, ctrl, x0, signals=signals, T=T)
+        _fit_matches_the_full_scan(tr, dec)
+        assert repr(error_dynamics_check(tr, spec, dec, ctrl)) == repr(
+            _error_dynamics_every_term(tr, spec, dec, ctrl))
 
     @pytest.mark.parametrize("case", [
         "triangle-20", "triangle-150", "triangle-300", "example2-20", "example2-150",
@@ -2551,6 +2574,58 @@ class TestEnvelopePruning:
         assert 0 < sum(reads) <= 0.01 * len(spec.edges) * len(tr.times)
         assert fit.passed
         assert repr(fit.max_violation) == repr(_max_violation_by_norms(tr, dec, fit))
+
+
+def _counted_defects(monkeypatch, trace, spec):
+    """The list to which each `_edge_errors` call of the error-dynamics
+    defect pass (per-agent rows other than the states, offsets keyed by the
+    spec's edges) appends the number of edge-columns it forms."""
+    reads, kernel = [], formstab.simulation._edge_errors
+    interior = np.arange(len(trace.times) - 2)
+
+    def counted_kernel(states, displacements, edges, out=None, cols=slice(None)):
+        edges = list(edges)
+        if states is not trace.states and list(displacements) == list(spec.edge_keys):
+            reads.append(len(edges) * interior[cols].size)
+        return kernel(states, displacements, edges, out, cols)
+
+    monkeypatch.setattr(formstab.simulation, "_edge_errors", counted_kernel)
+    return reads
+
+
+class TestErrorDynamicsPruning:
+    """The error-dynamics check finds its largest defect with the envelope
+    check's bounded pass: it forms an edge's defect only where the bound
+    says the maximum can be, and returns the full scan's bits."""
+
+    def test_reads_at_most_one_percent_of_the_defect_columns(self, cascade, monkeypatch):
+        # the benchmark's op: the l=45 cascade at T=20 under zero input
+        spec, dec, ctrl = cascade
+        rng = np.random.default_rng(0)
+        tr = simulate(spec, dec, ctrl, {i: rng.standard_normal(spec.n) for i in spec.nodes},
+                      T=20.0)
+        reads = _counted_defects(monkeypatch, tr, spec)
+        got = error_dynamics_check(tr, spec, dec, ctrl)
+        monkeypatch.undo()
+        assert 0 < sum(reads) <= 0.01 * len(spec.edges) * (len(tr.times) - 2)
+        assert repr(got) == repr(_error_dynamics_every_term(tr, spec, dec, ctrl))
+
+    def test_driven_leaders_read_far_fewer_than_the_full_scan(self, monkeypatch):
+        # a piecewise-constant input sets the largest defects at its
+        # breakpoints, a sinusoid drives the other leader
+        spec = random_feasible_formation(rng=4, max_nodes=22, multi_leader_prob=1.0)
+        dec = decompose(spec)
+        ctrl = synthesize(spec, dec, check(spec, dec))
+        kinds = _signal_kinds(spec.m)
+        first, second = sorted(dec.leaders)
+        rng = np.random.default_rng(0)
+        tr = simulate(spec, dec, ctrl, {i: rng.standard_normal(spec.n) for i in spec.nodes},
+                      signals={first: kinds["piecewise"], second: kinds["sinusoid"]}, T=3.0)
+        reads = _counted_defects(monkeypatch, tr, spec)
+        got = error_dynamics_check(tr, spec, dec, ctrl)
+        monkeypatch.undo()
+        assert 0 < sum(reads) <= 0.01 * len(spec.edges) * (len(tr.times) - 2)
+        assert repr(got) == repr(_error_dynamics_every_term(tr, spec, dec, ctrl))
 
 
 def _empty_stores():
