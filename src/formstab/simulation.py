@@ -22,10 +22,12 @@ to the breakpoints (integrator ``"rk4"``).  The checks:
   edge errors against their closed-form linear dynamics, through one term
   per agent: of the two identities, the one that tests the trajectory.
 
-`fit_envelope` and `error_dynamics_check` find their largest edge norm
-over the grid with one function, `_largest_excess`: a bound from one pass
-over the agents says where an edge can set the maximum, only there is the
-edge formed, and the result has the bits of the full scan.
+One kernel, `_edge_tiles`, forms every edge vector r_i - r_j + o_ij, in
+tiles of at most `BUDGET` values or one edge.  `fit_envelope` and
+`error_dynamics_check` find their largest edge norm with `_largest_excess`:
+a bound from one pass over the agents says where an edge can set the
+maximum, only there is the edge formed, and the result has the bits of the
+full scan.
 """
 
 from __future__ import annotations
@@ -322,51 +324,61 @@ class _OnAccess(Mapping):
         return len(self._keys)
 
 
-def _edge_errors(states: Mapping, displacements: Mapping, edges, out=None, cols=slice(None)):
-    """Each edge's error z_ij = x_i - x_j + d_ij at the grid columns ``cols``,
-    as (n, columns) from the state rows ``states[i].T`` and its d_ij, into
-    ``out`` when given, else new: edge errors over the grid are formed here
-    only; at one grid column, over all edges at once, by `_edge_rows`,
-    with the same bits.  ``cols`` is a slice or an index array."""
-    for e in edges:
-        z = np.subtract(states[e[0]].T[:, cols], states[e[1]].T[:, cols], out=out)
-        z += displacements[e][:, None]
-        yield z
+# The most values an edge tile holds unless it is one edge, and a block of CSV
+# rows unless it is one row: the one bound on the memory that forming edge
+# errors adds.  At T=20 a tile over the whole grid of the l=45 benchmark
+# formations holds one edge.
+BUDGET = 2**14
 
 
-def _edge_gather(agents, offsets: Mapping) -> tuple:
-    """(i, j, o) for `_edge_rows`: the places in ``agents`` of the ends of
-    each edge (i, j) of ``offsets`` and its offsets o_ij stacked, in the
-    order of ``offsets``."""
-    at = {a: k for k, a in enumerate(agents)}
-    return ([at[i] for i, _ in offsets], [at[j] for _, j in offsets],
-            np.array(list(offsets.values()), dtype=float))
+def _edge_tiles(rows, ends, offsets, cols=slice(None)):
+    """Each edge's z_ij = r_i - r_j + o_ij at the grid columns ``cols``, in
+    tiles: yields (edges, z), z of shape (edges, n, columns) for the edges
+    ``ends[edges]``.  ``rows`` holds one (n, columns) row r_a per agent,
+    ``ends`` the places in ``rows`` of each edge's ends and ``offsets`` its
+    o_ij, one row per edge; ``cols`` is a slice, one column or an
+    increasing index array, read as a slice where it is contiguous.
+
+    A tile holds max(1, BUDGET // (n columns)) edges: one edge subtracts
+    its two rows, views at a slice; more stack the rows of the agents they
+    touch and gather from the stack.  Each entry is one subtraction and one
+    addition, whatever the tiling.  The tiles of a call share one buffer:
+    read each before drawing the next."""
+    if not isinstance(cols, slice):
+        cols = np.atleast_1d(cols)
+        if len(cols) and cols[-1] - cols[0] == len(cols) - 1:
+            cols = slice(int(cols[0]), int(cols[-1]) + 1)
+    n, count = len(rows[0]), rows[0][:1, cols].shape[1]
+    per = max(1, BUDGET // (n * count))
+    buf = np.empty((min(per, len(ends)), n, count))
+    for start in range(0, len(ends), per):
+        edges = slice(start, start + per)
+        pairs = ends[edges]
+        z = buf[: len(pairs)]
+        if len(pairs) == 1:
+            np.subtract(rows[pairs[0, 0]][:, cols], rows[pairs[0, 1]][:, cols], out=z[0])
+        else:
+            touched = np.zeros(len(rows), dtype=bool)
+            touched[pairs] = True
+            stack = np.stack([rows[a][:, cols] for a in np.flatnonzero(touched)])
+            at = (np.cumsum(touched) - 1)[pairs]  # places in the stack
+            np.take(stack, at[:, 0], axis=0, out=z)
+            z -= stack[at[:, 1]]
+        z += offsets[edges][:, :, None]
+        yield edges, z
 
 
-def _edge_rows(rows: np.ndarray, gather: tuple) -> np.ndarray:
-    """rows[i] - rows[j] + o_ij for every edge of ``gather`` (`_edge_gather`),
-    one row each, ``rows`` holding one vector per agent in the order of the
-    gather's agents: one gather, subtraction and addition over all edges.
-    With the states at one grid column as ``rows`` and the d_ij as the
-    offsets, every entry has the bits `_edge_errors` gives it."""
-    i, j, o = gather
-    z = rows[i]
-    z -= rows[j]
-    z += o.reshape(z.shape)
-    return z
-
-
-def _squares_by_rows(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The sum of squares of each column of z, into ``out``; z is squared
-    in place.  The squares are added row by row, the order numpy's
-    reduction over the rows of an array wider than one column takes, so a
-    column's sum has the same bits whatever columns are formed with it (a
+def _squares_by_rows(z: np.ndarray) -> np.ndarray:
+    """The sum of squares of each column of each edge of the tile z, as
+    (edges, columns), z squared in place.  The squares are added row by
+    row, the order numpy's reduction over the rows of an array wider than
+    one column takes, so a sum has the same bits whatever tile it is in (a
     reduction over one column is summed pairwise from 9 rows on)."""
     z *= z
-    np.copyto(out, z[0])
-    for row in z[1:]:
-        out += row
-    return out
+    total = z[:, 0]
+    for r in range(1, z.shape[1]):
+        total += z[:, r]
+    return total
 
 
 @dataclass(frozen=True)
@@ -381,7 +393,7 @@ class SimulationTrace:
     transposed view of agent i's (n, grid points) slab, so each state
     component is contiguous in time.  Nothing else of that size is stored.
     ``errors`` is no field but a read-only mapping built once per trace
-    that forms z_ij with `_edge_errors` when an edge is read, so a trace
+    that forms z_ij with `_edge_tiles` when an edge is read, so a trace
     rebuilt with other states has their errors; ``inputs`` samples a
     leader's signal (`LeaderSignal.sample`) or computes a follower's
     control input when it is read.  Read each value once and keep it if it
@@ -404,16 +416,29 @@ class SimulationTrace:
     free_errors = None
 
     @cached_property
+    def _gather(self) -> tuple:
+        """(rows, ends, offsets) of `_edge_tiles` for the edges in the order
+        of ``displacements``, and each edge's place in it; built once."""
+        at = {a: k for k, a in enumerate(self.states)}
+        place = {e: k for k, e in enumerate(self.displacements)}
+        rows = [x.T for x in self.states.values()]
+        d = np.array(list(self.displacements.values()), dtype=float).reshape(-1, len(rows[0]))
+        return rows, np.array([at[a] for e in place for a in e], np.intp).reshape(-1, 2), d, place
+
+    @cached_property
     def errors(self) -> Mapping:
-        # closes over the mappings, not the trace: no reference cycle
-        states, d = self.states, self.displacements
-        return _OnAccess(d, lambda e: next(_edge_errors(states, d, [e])).T)
+        # closes over the gather, not the trace: no reference cycle
+        rows, ends, d, place = self._gather
+        return _OnAccess(place, lambda e: next(_edge_tiles(
+            rows, ends[[place[e]]], d[[place[e]]]))[1][0].T)
 
     def initial_error_norm(self) -> float:
         """||z(0)|| of all edge errors stacked, from the states' first
         column; finite up to the float range (see `_scaled_norms`)."""
-        z0 = _edge_rows(np.array([x[0] for x in self.states.values()]),
-                        _edge_gather(self.states, self.displacements))
+        rows, ends, d, _ = self._gather
+        z0 = np.empty(d.shape)
+        for edges, z in _edge_tiles(rows, ends, d, 0):
+            z0[edges] = z[:, :, 0]
         with np.errstate(over="ignore"):
             sq = sum(float(z @ z) for z in z0)
         if math.isinf(sq):
@@ -1087,11 +1112,10 @@ def _mend_overflow(norms: np.ndarray, groups: list, arrays) -> None:
         norms[:, over] = np.where(np.isinf(norms[:, over]), largest, norms[:, over])
 
 
-def _largest_norms(states: Mapping) -> np.ndarray:
-    """max_a ||r_a(t)|| at each grid column t of the per-agent rows
-    r_a = ``states[a].T``: the root of the largest sum of squares, which
+def _largest_norms(rows: list) -> np.ndarray:
+    """max_a ||r_a(t)|| at each grid column t of the per-agent (n, grid
+    points) rows r_a: the root of the largest sum of squares, which
     `_mend_overflow` takes again where a square overflowed."""
-    rows = [x.T for x in states.values()]
     buf = np.empty(rows[0].shape)
     sq, peak = np.empty(buf.shape[1]), np.zeros(buf.shape[1])
     for r in rows:
@@ -1102,18 +1126,48 @@ def _largest_norms(states: Mapping) -> np.ndarray:
     return norms
 
 
-def _largest_excess(states: Mapping, offsets: Mapping, anchors: Mapping, group: list,
-                    env: np.ndarray, X: np.ndarray) -> float:
-    """The largest excess ||z_ij(t)|| - env_k(t) over the edges (i, j) of
-    ``offsets`` and the grid columns t, as the full scan of every edge at
-    every column computes it, bit for bit.  z_ij = r_i - r_j + o_ij is
-    formed by `_edge_errors` from the per-agent rows r_a = ``states[a].T``
-    (n, columns) and the offsets o_ij; k = ``group[p]`` is the envelope of
-    the p-th edge, ``env[k]`` its row, ``anchors`` holds one n-vector c_a
-    per agent and ``X`` is X(t) = max_a ||r_a(t)|| (`_largest_norms`).  A
-    NaN excess reads as inf, and a norm whose square overflows (from about
-    1.34e154) while its entries are finite is taken again scaled by a
-    power of two (`_mend_overflow`).
+def _peak_squares(tiles, peak: np.ndarray) -> np.ndarray:
+    """``peak`` raised, column by column, to the largest sum of squares of
+    an edge of the `_edge_tiles` ``tiles``; no tile is held on return."""
+    for _, z in tiles:
+        sq = _squares_by_rows(z)
+        np.maximum(peak, sq[0] if len(sq) == 1 else np.max(sq, axis=0), out=peak)
+    return peak
+
+
+def _norm_bound(rows: list, ends: np.ndarray, offsets: np.ndarray, anchors: np.ndarray,
+                X: np.ndarray) -> np.ndarray:
+    """The bound b(t) = 2 u(t) + max ||delta|| + s(t) of `_largest_excess`
+    on every computed edge norm, each w_a formed as an edge error; inf at
+    every column when a square may overflow."""
+    n = len(rows[0])
+    to_ref = np.column_stack([np.arange(1, len(rows)), np.zeros(len(rows) - 1, np.intp)])
+    bound = _peak_squares(_edge_tiles(rows, to_ref, anchors[1:] - anchors[0]), np.zeros(len(X)))
+    delta_max = max(float(np.max(np.linalg.norm(z[:, :, 0], axis=1)))
+                    for _, z in _edge_tiles(-anchors[:, :, None], ends, offsets))
+    c_max, o_max = (float(np.max(np.linalg.norm(v, axis=1))) for v in (anchors, offsets))
+    np.sqrt(bound, out=bound)
+    bound *= 2.0
+    bound += delta_max
+    bound += (4 * n + 24) * np.finfo(float).eps * (1.0 + X + c_max + o_max)
+    if not np.max(bound) < 2.0 ** 511:  # a square may overflow: the whole grid
+        bound.fill(math.inf)
+    return bound
+
+
+def _largest_excess(rows: list, ends: np.ndarray, offsets: np.ndarray, anchors: np.ndarray,
+                    group: np.ndarray, env: np.ndarray, X: np.ndarray) -> float:
+    """The largest excess ||z_ij(t)|| - env_k(t) over the edges (i, j) and
+    the grid columns t, as the full scan of every edge at every column
+    computes it, bit for bit.  z_ij = r_i - r_j + o_ij is formed by
+    `_edge_tiles` from the per-agent (n, grid points) ``rows`` r_a, the
+    edges' ``ends`` and their ``offsets`` o_ij; k = ``group[p]`` is the
+    envelope of the p-th edge, ``env[k]`` its row, ``anchors`` holds one
+    n-vector c_a per agent, in the order of the rows, and ``X`` is
+    X(t) = max_a ||r_a(t)|| (`_largest_norms`).  A NaN excess reads as
+    inf, and a norm whose square overflows (from about 1.34e154) while its
+    entries are finite is taken again scaled by a power of two
+    (`_mend_overflow`).
 
     An edge is formed only where it can set the largest excess.  With
     w_a = (r_a + c_a) - (r_ref + c_ref), ref the first agent (w_ref = 0),
@@ -1137,13 +1191,11 @@ def _largest_excess(states: Mapping, offsets: Mapping, anchors: Mapping, group: 
     keep every w_a small make it tight.  A rounded subtraction is
     monotone, so ub_k(t) = b(t) - env_k(t) bounds envelope k's computed
     excess at t.  The exact excess of every envelope at the column where
-    ub peaks, gathered over all edges at once by `_edge_rows`, is one the
-    full scan computes, a lower bound LB of the largest; a column with
-    ub_k(t) < LB cannot hold it.  Envelope k's edges are then formed at its
-    candidate columns, those where not ub_k < LB (a NaN counts): one slice
-    when they are contiguous, whose rows are views where an index array
-    copies them, else an index array, so scattered candidates cost no span
-    between them; one kernel call per edge and envelope.
+    ub peaks, every edge formed at that one column, is one the full scan
+    computes, a lower bound LB of the largest; a column with ub_k(t) < LB
+    cannot hold it.  Envelope k's edges are then formed at its candidate
+    columns, those where not ub_k < LB (a NaN counts), in tiles that hold
+    many edges when the columns are few.
     Its other columns keep a zero peak, whose excess -env_k(t) is below
     the computed one there, below LB.  Where a square may overflow (b
     reaches 2^511, or is NaN: a non-finite row) b is taken as inf, so
@@ -1153,46 +1205,26 @@ def _largest_excess(states: Mapping, offsets: Mapping, anchors: Mapping, group: 
     row by row (`_squares_by_rows`), in the full-width reduction's order:
     the result keeps the full scan's bits.
     """
-    n = next(iter(states.values())).shape[1]
-    buf, sq = np.empty((n, len(X))), np.empty(len(X))
-
-    # the bound on every computed edge norm: 2 u(t) + max ||delta|| + slack
-    ref = next(iter(states))
-    shifts = {(a, ref): anchors[a] - anchors[ref] for a in states if a != ref}
-    spread = np.zeros(len(X))  # u(t)^2, each w_a formed as an edge error
-    for w in _edge_errors(states, shifts, shifts, buf):
-        np.maximum(spread, _squares_by_rows(w, sq), out=spread)
-    gather = _edge_gather(states, offsets)
-    c = np.array([anchors[a] for a in states])
-    delta_max, c_max, o_max = (float(np.max(np.linalg.norm(v, axis=1))) for v in (
-        _edge_rows(-c, gather), c, gather[2].reshape(-1, n)))
-    slack = (4 * n + 24) * np.finfo(float).eps * (1.0 + X + c_max + o_max)
-    bound = 2.0 * np.sqrt(spread) + delta_max + slack
-    if not np.max(bound) < 2.0 ** 511:  # a square may overflow: the whole grid
-        bound.fill(math.inf)
-    ub = bound - env
+    ub = _norm_bound(rows, ends, offsets, anchors, X) - env
 
     # LB: the exact excess of every envelope at the column where ub peaks
     at = int(np.argmax(ub)) % len(X)
-    z = _edge_rows(np.array([x[at] for x in states.values()]), gather)
-    lb = np.max(np.sqrt(_squares_by_rows(z.T, np.empty(len(z)))) - env[group, at])
+    norms = [np.sqrt(_squares_by_rows(z)[:, 0]) for _, z in _edge_tiles(rows, ends, offsets, at)]
+    lb = np.max(np.concatenate(norms) - env[group, at])
 
     # the exact pass, over each envelope's columns where not ub < LB
     peaks = np.zeros(env.shape)  # largest squared norm
-    members = [[e for e, g in zip(offsets, group) if g == k] for k in range(len(env))]
-    for k, edges in enumerate(members):
+    for k in range(len(env)):
         cols = np.flatnonzero(~(ub[k] < lb))
         if cols.size:
-            peak, part = np.zeros(cols.size), sq[: cols.size]
-            if cols[-1] - cols[0] < cols.size:  # contiguous: views, not copies of the rows
-                cols = slice(int(cols[0]), int(cols[-1]) + 1)
-            for z in _edge_errors(states, offsets, edges, buf[:, : len(peak)], cols):
-                np.maximum(peak, _squares_by_rows(z, part), out=peak)
-            peaks[k, cols] = peak
+            mine = group == k
+            peaks[k, cols] = _peak_squares(_edge_tiles(rows, ends[mine], offsets[mine], cols),
+                                           np.zeros(cols.size))
     # sqrt and subtraction are monotone and correctly rounded: the largest
     # excess of an envelope is that of its worst edge, bit for bit
     excess = np.sqrt(peaks, out=peaks)
-    _mend_overflow(excess, group, lambda cols: _edge_errors(states, offsets, offsets, cols=cols))
+    _mend_overflow(excess, group, lambda cols: (
+        e for _, z in _edge_tiles(rows, ends, offsets, cols) for e in z))
     excess -= env
     worst = float(np.max(excess))
     return math.inf if math.isnan(worst) else worst
@@ -1263,10 +1295,11 @@ def fit_envelope(
             if sups[-1] > 0.0:
                 driven.append(a)
     have_input = bool(U[-1] > 0.0)
-    states, disp = trace.states, trace.displacements
+    disp = trace.displacements
+    rows, ends, d, _ = trace._gather
 
     if z0n <= 1e-300 and not have_input and not any(
-        z.any() for z in _edge_errors(states, disp, edges)
+        z.any() for _, z in _edge_tiles(rows, ends, d)
     ):
         return EnvelopeFit(
             C={e: 0.0 for e in edges},
@@ -1297,15 +1330,16 @@ def fit_envelope(
         # no decay: anchor the envelope at t=0 so the growth shows up as a
         # reported violation
         alpha = 0.0
-        first = _edge_errors(states, disp, edges, cols=slice(0, 1))
-        C_map = {e: _norm(z) / z0n if z0n > 0 else 1.0 for e, z in zip(edges, first)}
+        first = dict(zip(disp, (_norm(z) for _, tile in _edge_tiles(rows, ends, d, 0)
+                                for z in tile)))
+        C_map = {e: first[e] / z0n if z0n > 0 else 1.0 for e in edges}
         b_map = dict.fromkeys(edges, 0.0)
 
     # a square past the float range is mended by `_mend_overflow`; a state or
     # error past it overflows the norms to inf, and inf - inf is NaN: such an
     # excess counts as +inf, whatever the edge order
     with np.errstate(over="ignore", invalid="ignore"):
-        state_norm = _largest_norms(states)
+        state_norm = _largest_norms(rows)
         floor = 64.0 * np.finfo(float).eps * (1.0 + state_norm)
         decay = np.exp(-alpha * times) * z0n
         # C_ij and beta_ij scale one certificate by the few distinct norms
@@ -1315,8 +1349,8 @@ def fit_envelope(
         env = np.empty((len(envelopes), len(times)))
         for (C_ij, b_ij), k in envelopes.items():
             env[k] = C_ij * decay + b_ij * U + floor
-        max_violation = _largest_excess(states, disp, decomp.cumulative_offset, group, env,
-                                        state_norm)
+        anchors = np.array([decomp.cumulative_offset[a] for a in trace.states])
+        max_violation = _largest_excess(rows, ends, d, anchors, np.array(group), env, state_norm)
 
     return EnvelopeFit(
         C=C_map,
@@ -1416,15 +1450,17 @@ def error_dynamics_check(
 
     The Q_a are formed once per agent, in the trace's time-contiguous
     layout (one row per state component), the B_a K_as as one stacked
-    matmul over the controller's stacks, the z_as from the state rows.  The
-    largest defect norm is `_largest_excess` of the rows Q_a, the offsets
-    -A_ref d_ij and the anchors -A_ref D_a, whose delta_ij is A_ref times
-    the condition-3 defect, under one envelope env = 0: it forms an edge's
-    defect only where the edge can set the maximum, and returns the full
-    scan's bits, finite up to the float range; a NaN defect gives inf.  A
-    gain K_as that is exactly zero and a zero leader input add exact
-    zeros, so their terms are left out on a finite trace.  A controller
-    that does not fit the instance raises `ValueError`.
+    matmul over the controller's stacks, and each tile of gain edges z_as
+    (`_edge_tiles`, from the state rows) takes one stacked product over
+    every interior column; the tiles are dropped before the defect pass.
+    The largest defect norm is `_largest_excess` of the rows Q_a, the
+    offsets -A_ref d_ij and the anchors -A_ref D_a, whose delta_ij is
+    A_ref times the condition-3 defect, under one envelope env = 0: it
+    forms an edge's defect only where the edge can set the maximum, and
+    returns the full scan's bits, finite up to the float range; a NaN
+    defect gives inf.  A gain K_as that is exactly zero and a zero leader
+    input add exact zeros, so their terms are left out on a finite trace.
+    A controller that does not fit the instance raises `ValueError`.
     """
     _check_structure(spec, decomp, ctrl)
     times = trace.times
@@ -1432,6 +1468,7 @@ def error_dynamics_check(
         return 0.0
     A_ref = spec.agent(decomp.renumbering[0]).A
     interior = slice(1, -1)
+    rows, ends, d, place = trace._gather
 
     # 3-point nonuniform central-difference weights, one per interior point
     h0 = times[1:-1] - times[:-2]
@@ -1442,8 +1479,7 @@ def error_dynamics_check(
 
     with np.errstate(over="ignore", invalid="ignore"):  # a growing trace's defects overflow
         Q = {}
-        for a, x in trace.states.items():
-            x = x.T  # (n, grid points)
+        for a, x in zip(trace.states, rows):
             q = w_prev * x[:, :-2]
             q += w_mid * x[:, 1:-1]
             q += w_next * x[:, 2:]
@@ -1451,29 +1487,29 @@ def error_dynamics_check(
             if a in decomp.leaders and not trace.signals[a].is_zero:
                 q -= spec.agent(a).B @ trace.signals[a].sample(times[interior]).T
             Q[a] = q
+        del h0, h1, w_prev, w_mid, w_next  # room for the gain tiles
         # P_a of each follower, whose Q_a has no input term, in gain order
         law = ctrl._stacks
         used = law.K.any(axis=(1, 2))
         ids = np.array(law.followers, dtype=int)[law.rows[used]]
         BK = spec.B_stack[ids - 1] @ law.K[used]
-        gains = list(zip(ids.tolist(), law.parents[used].tolist()))
-        z_gains = _edge_errors(trace.states, trace.displacements, gains,
-                               np.empty((len(A_ref), len(times) - 2)), interior)
-        for (a, _), BK_as, z_as in zip(gains, BK, z_gains):
-            Q[a] += BK_as @ z_as
+        gains = [place[g] for g in zip(ids.tolist(), law.parents[used].tolist())]
+        for edges, z in _edge_tiles(rows, ends[gains], d[gains], interior):
+            for a, P_as in zip(ids[edges].tolist(), np.matmul(BK[edges], z, out=z)):
+                Q[a] += P_as
+        z = P_as = None  # no gain tile is held through the defect pass
 
-        rows = {a: q.T for a, q in Q.items()}  # laid out as the states
-        anchors = {a: -(A_ref @ D) for a, D in decomp.cumulative_offset.items()}
-        return _largest_excess(rows, {e.key: -(A_ref @ e.d) for e in spec.edges}, anchors,
-                               [0] * len(spec.edges), np.zeros((1, len(times) - 2)),
-                               _largest_norms(rows))
+        Q = list(Q.values())
+        anchors = np.array([-(A_ref @ decomp.cumulative_offset[a]) for a in trace.states])
+        offsets = np.array([-(A_ref @ spec.displacement(*e)) for e in place])
+        return _largest_excess(Q, ends, offsets, anchors, np.zeros(len(ends), np.intp),
+                               np.broadcast_to(0.0, (1, len(times) - 2)), _largest_norms(Q))
 
 
 # ---------------------------------------------------------------------------
 # Export
 
 
-_CSV_BLOCK = 64  # rows formatted per stacked block; bounds the extra memory
 _CSV_FORK_VALUES = 20_000  # fewest values in a chunk worth a forked worker
 
 
@@ -1506,9 +1542,10 @@ def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) ->
     """Write the trace as CSV: time, per-agent state columns x_<id>[k],
     then per-edge error columns z_<i>_<j>[k].  Agents follow renumbering
     order; edges sort by their endpoints' renumbered indices.  Floats use
-    repr so rewrites of the same trace are byte-identical.  Each block of
-    64 rows forms its edge errors from the state rows with `_edge_errors`,
-    in the forked children too, so no full edge array is held.
+    repr so rewrites of the same trace are byte-identical.  The rows go in
+    blocks of at most `BUDGET` values (one row at least), each forming its
+    edge errors with `_edge_tiles`, in the forked children too, so no full
+    edge array is held.
 
     The rows go in contiguous chunks, one per CPU the process may run on
     (fewer for a short trace).  Forked children format every chunk but the
@@ -1519,7 +1556,10 @@ def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) ->
     the partial file is removed and `TraceWriteError` is raised."""
     order = list(decomp.renumbering)
     edge_order = decomp.edge_order(trace.displacements)
-    n = next(iter(trace.states.values())).shape[1]
+    rows, ends, d, place = trace._gather
+    pick = [place[e] for e in edge_order]
+    ends, d = ends[pick], d[pick]
+    n = len(rows[0])
 
     header = ["time"]
     for i in order:
@@ -1527,14 +1567,18 @@ def write_trace_csv(trace: SimulationTrace, decomp: LevelDecomposition, path) ->
     for (i, j) in edge_order:
         header.extend(f"z_{i}_{j}[{k}]" for k in range(1, n + 1))
 
+    per_block = max(1, BUDGET // len(header))
+
     def write_rows(fh, lo, hi):
-        for start in range(lo, hi, _CSV_BLOCK):
-            rows = slice(start, min(start + _CSV_BLOCK, hi))
+        for start in range(lo, hi, per_block):
+            cols = slice(start, min(start + per_block, hi))
+            errors = np.empty((cols.stop - cols.start, len(d), n))
+            for edges, z in _edge_tiles(rows, ends, d, cols):
+                errors[:, edges] = z.transpose(2, 0, 1)
             block = np.hstack(
-                [trace.times[rows, None]]
-                + [trace.states[i][rows] for i in order]
-                + [z.T for z in _edge_errors(trace.states, trace.displacements, edge_order,
-                                             cols=rows)]
+                [trace.times[cols, None]]
+                + [trace.states[i][cols] for i in order]
+                + [errors.reshape(len(errors), -1)]
             )
             fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 

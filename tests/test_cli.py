@@ -437,7 +437,7 @@ class TestSimulate:
 
     def test_failed_trace_worker_exits_one_and_writes_nothing(
             self, tmp_path, monkeypatch, capsys):
-        parent, kernel = os.getpid(), formstab.simulation._edge_errors
+        parent, kernel = os.getpid(), formstab.simulation._edge_tiles
 
         def kernel_failing_in_children(*args, **kwargs):
             if os.getpid() != parent:
@@ -445,7 +445,7 @@ class TestSimulate:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(formstab.simulation, "_csv_workers", lambda _: 2)
-        monkeypatch.setattr(formstab.simulation, "_edge_errors", kernel_failing_in_children)
+        monkeypatch.setattr(formstab.simulation, "_edge_tiles", kernel_failing_in_children)
         path = str(demo_path("triangle"))
         assert main(["simulate", path, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.splitlines()

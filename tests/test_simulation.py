@@ -2125,7 +2125,7 @@ class TestCsvExport:
     def test_failed_write_reaps_workers_and_leaves_no_file(
             self, tmp_path, monkeypatch, triangle_traces, failing):
         dec, long, _ = triangle_traces
-        parent, kernel = os.getpid(), formstab.simulation._edge_errors
+        parent, kernel = os.getpid(), formstab.simulation._edge_tiles
 
         def kernel_failing_in_one_process(*args, **kwargs):
             if (os.getpid() == parent) == (failing == "parent"):
@@ -2133,7 +2133,7 @@ class TestCsvExport:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(formstab.simulation, "_csv_workers", lambda _: 3)
-        monkeypatch.setattr(formstab.simulation, "_edge_errors", kernel_failing_in_one_process)
+        monkeypatch.setattr(formstab.simulation, "_edge_tiles", kernel_failing_in_one_process)
         path = tmp_path / "x_trace.csv"
         with pytest.raises(TraceWriteError) as info:
             write_trace_csv(long, dec, path)
@@ -2319,6 +2319,30 @@ def _check_runs(cascade):
     yield spec, dec, bad, simulate(spec, dec, bad, x0, T=6.0)
 
 
+def _counted_edge_columns(monkeypatch, trace=None, of_states=True):
+    """The list to which `_edge_tiles` appends the edge-columns (edges
+    times grid columns) of each tile it forms.  With a ``trace``, only the
+    tiles of its edges count: read from its state rows (``of_states``) or
+    else from other per-agent rows, the error-dynamics terms Q_a; the
+    differences to the first agent that bound the edge norms and the
+    anchor rows do not."""
+    reads, kernel = [], formstab.simulation._edge_tiles
+    if trace is not None:
+        states, ends = trace._gather[:2]
+        edges = set(map(tuple, ends.tolist()))
+
+    def counted_kernel(rows, ends, offsets, cols=slice(None)):
+        counted = trace is None or (isinstance(rows, list) and (rows is states) == of_states
+                                    and set(map(tuple, ends.tolist())) <= edges)
+        for span, z in kernel(rows, ends, offsets, cols):
+            if counted:
+                reads.append(z.shape[0] * z.shape[2])
+            yield span, z
+
+    monkeypatch.setattr(formstab.simulation, "_edge_tiles", counted_kernel)
+    return reads
+
+
 class TestTraceChecksArrayWork:
     """The trace checks compute what the per-edge formulas they replaced
     computed, bit for bit, and write to no array they did not allocate."""
@@ -2338,14 +2362,7 @@ class TestTraceChecksArrayWork:
         # the edges the two parent chains share cancel in S_j - S_s, so
         # they are not read, and the full sums agree to roundoff
         shared = 0
-        reads, kernel = [], formstab.simulation._edge_errors
-
-        def counted_kernel(states, displacements, edges, *args, **kwargs):
-            edges = list(edges)
-            reads.extend(edges)
-            return kernel(states, displacements, edges, *args, **kwargs)
-
-        monkeypatch.setattr(formstab.simulation, "_edge_errors", counted_kernel)
+        reads = _counted_edge_columns(monkeypatch)
         for spec, dec, ctrl, tr in _check_runs(cascade):
             peak = max(float(np.max(np.abs(x))) for x in tr.states.values())
             for i, j, s in _sibling_pairs(spec, dec):
@@ -2353,8 +2370,10 @@ class TestTraceChecksArrayWork:
                 tail = [a for a in chain_j if a in chain_s]
                 reads.clear()
                 got = chain_residual(tr, dec, (i, j), s)
-                # both chains down to where they meet, z_ij and z_is
-                assert len(reads) == len(chain_j) + len(chain_s) - 2 * max(len(tail) - 1, 0)
+                # both chains down to where they meet, z_ij and z_is, each
+                # over the whole grid
+                edges = len(chain_j) + len(chain_s) - 2 * max(len(tail) - 1, 0)
+                assert sum(reads) == edges * len(tr.times)
                 shared += max(len(tail) - 1, 0)
                 full = _chain_residual_by_sums(tr, dec, (i, j), s, full=True)
                 assert np.max(np.abs(got - full)) <= 1e-12 * peak
@@ -2368,11 +2387,31 @@ class TestTraceChecksArrayWork:
                 for rows in (slice(None), 0, -1, slice(1, -1)):
                     old = tr.states[e.i][rows] - tr.states[e.j][rows] + e.d
                     assert z[rows].tobytes() == old.tobytes()
-                # the kernel at a slice of the grid columns
-                cols = slice(1, -1)
-                part = next(formstab.simulation._edge_errors(
-                    tr.states, tr.displacements, [e.key], cols=cols))
-                assert part.T.tobytes() == z[cols].tobytes()
+            # the kernel at a slice, an index array (contiguous or not) and
+            # one column, with every edge in one tile and one edge a tile
+            rows, ends, d, _ = tr._gather
+            keys = list(tr.displacements)
+            for budget in (formstab.simulation.BUDGET, 1, 10**9):
+                for cols in (slice(1, -1), np.array([0, 3, 4, len(tr.times) - 1]),
+                             np.arange(2, 9), np.array([5]), 5):
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(formstab.simulation, "BUDGET", budget)
+                        formed = [(span, z.copy()) for span, z in
+                                  formstab.simulation._edge_tiles(rows, ends, d, cols)]
+                    assert sum(len(z) for _, z in formed) == len(keys)
+                    assert (budget != 1) or {len(z) for _, z in formed} == {1}
+                    for span, z in formed:
+                        for e, part in zip(keys[span], z):
+                            grid = tr.errors[e][[cols] if isinstance(cols, int) else cols]
+                            assert part.T.tobytes() == grid.tobytes()
+            # a 3-point grid: one interior column
+            short = dataclasses.replace(tr, times=tr.times[:3],
+                                        states={i: x[:3] for i, x in tr.states.items()})
+            rows, ends, d, _ = short._gather
+            for span, z in formstab.simulation._edge_tiles(rows, ends, d, slice(1, -1)):
+                for (i, j), part in zip(keys[span], z):
+                    old = short.states[i][1:2] - short.states[j][1:2] + tr.displacements[(i, j)]
+                    assert part.T.tobytes() == old.tobytes()
 
     def test_checks_leave_stored_arrays_untouched(self, cascade, tmp_path):
         for spec, dec, ctrl, tr in _check_runs(cascade):
@@ -2549,8 +2588,11 @@ class TestEnvelopePruning:
         z = np.random.default_rng(n).standard_normal((n, 7)) * 10.0 ** np.arange(-3, 4)
         full = np.add.reduce(z * z, 0)
         for c in range(7):
-            one = formstab.simulation._squares_by_rows(z[:, c : c + 1].copy(), np.empty(1))
+            one = formstab.simulation._squares_by_rows(z[None, :, c : c + 1].copy())
             assert one.tobytes() == full[c : c + 1].tobytes()
+        # and in a tile of several edges
+        tile = formstab.simulation._squares_by_rows(np.stack([z, 2.0 * z, z]))
+        assert tile[2].tobytes() == tile[0].tobytes() == full.tobytes()
 
     def test_grid_check_reads_at_most_one_percent_of_the_edge_columns(
             self, cascade, monkeypatch):
@@ -2559,38 +2601,12 @@ class TestEnvelopePruning:
         rng = np.random.default_rng(0)
         tr = simulate(spec, dec, ctrl, {i: rng.standard_normal(spec.n) for i in spec.nodes},
                       T=20.0)
-        reads, kernel = [], formstab.simulation._edge_errors
-        grid = np.arange(len(tr.times))
-
-        def counted_kernel(states, displacements, edges, out=None, cols=slice(None)):
-            edges = list(edges)
-            if displacements is tr.displacements:  # edges, not the offsets to the reference
-                reads.append(len(edges) * grid[cols].size)
-            return kernel(states, displacements, edges, out, cols)
-
-        monkeypatch.setattr(formstab.simulation, "_edge_errors", counted_kernel)
+        reads = _counted_edge_columns(monkeypatch, tr)
         fit = fit_envelope(tr, dec)
         monkeypatch.undo()
         assert 0 < sum(reads) <= 0.01 * len(spec.edges) * len(tr.times)
         assert fit.passed
         assert repr(fit.max_violation) == repr(_max_violation_by_norms(tr, dec, fit))
-
-
-def _counted_defects(monkeypatch, trace, spec):
-    """The list to which each `_edge_errors` call of the error-dynamics
-    defect pass (per-agent rows other than the states, offsets keyed by the
-    spec's edges) appends the number of edge-columns it forms."""
-    reads, kernel = [], formstab.simulation._edge_errors
-    interior = np.arange(len(trace.times) - 2)
-
-    def counted_kernel(states, displacements, edges, out=None, cols=slice(None)):
-        edges = list(edges)
-        if states is not trace.states and list(displacements) == list(spec.edge_keys):
-            reads.append(len(edges) * interior[cols].size)
-        return kernel(states, displacements, edges, out, cols)
-
-    monkeypatch.setattr(formstab.simulation, "_edge_errors", counted_kernel)
-    return reads
 
 
 class TestErrorDynamicsPruning:
@@ -2604,11 +2620,30 @@ class TestErrorDynamicsPruning:
         rng = np.random.default_rng(0)
         tr = simulate(spec, dec, ctrl, {i: rng.standard_normal(spec.n) for i in spec.nodes},
                       T=20.0)
-        reads = _counted_defects(monkeypatch, tr, spec)
+        reads = _counted_edge_columns(monkeypatch, tr, of_states=False)
         got = error_dynamics_check(tr, spec, dec, ctrl)
         monkeypatch.undo()
         assert 0 < sum(reads) <= 0.01 * len(spec.edges) * (len(tr.times) - 2)
         assert repr(got) == repr(_error_dynamics_every_term(tr, spec, dec, ctrl))
+
+    def test_holds_the_terms_two_rows_and_one_tile(self, cascade):
+        # the benchmark's op: past the Q_a rows, the gain terms hold a tile
+        # and its product, one (n, interior) row each at T=20, and drop them
+        # before the defect pass, which holds one tile budget at most
+        spec, dec, ctrl = cascade
+        rng = np.random.default_rng(0)
+        tr = simulate(spec, dec, ctrl, {i: rng.standard_normal(spec.n) for i in spec.nodes},
+                      T=20.0)
+        error_dynamics_check(tr, spec, dec, ctrl)  # first-call allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            error_dynamics_check(tr, spec, dec, ctrl)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        row = spec.n * (len(tr.times) - 2) * 8
+        assert peak <= (spec.l + 2) * row + 8 * formstab.simulation.BUDGET
 
     def test_driven_leaders_read_far_fewer_than_the_full_scan(self, monkeypatch):
         # a piecewise-constant input sets the largest defects at its
@@ -2621,11 +2656,82 @@ class TestErrorDynamicsPruning:
         rng = np.random.default_rng(0)
         tr = simulate(spec, dec, ctrl, {i: rng.standard_normal(spec.n) for i in spec.nodes},
                       signals={first: kinds["piecewise"], second: kinds["sinusoid"]}, T=3.0)
-        reads = _counted_defects(monkeypatch, tr, spec)
+        reads = _counted_edge_columns(monkeypatch, tr, of_states=False)
         got = error_dynamics_check(tr, spec, dec, ctrl)
         monkeypatch.undo()
         assert 0 < sum(reads) <= 0.01 * len(spec.edges) * (len(tr.times) - 2)
         assert repr(got) == repr(_error_dynamics_every_term(tr, spec, dec, ctrl))
+
+
+def _tiling_runs(cascade):
+    """(spec, dec, ctrl, trace): the l=45 cascade at T=20 under zero input,
+    a two-leader l=45 run at T=20 under 40 steps and a sinusoid, and the
+    bundled triangle at T=300, whose edge squares overflow."""
+    spec, dec, ctrl = cascade
+    rng = np.random.default_rng(0)
+    x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+    yield spec, dec, ctrl, simulate(spec, dec, ctrl, x0, T=20.0)
+    spec = random_feasible_formation(rng=4, max_nodes=50, max_n=4, max_m=2,
+                                     multi_leader_prob=1.0)
+    dec = decompose(spec)
+    ctrl = synthesize(spec, dec, check(spec, dec))
+    first, second = sorted(dec.leaders)[:2]
+    steps = PiecewiseConstantSignal(np.r_[0.0, np.sort(rng.uniform(0.0, 20.0, 40))],
+                                    rng.standard_normal((41, spec.m)))
+    sine = SinusoidSignal(rng.standard_normal(spec.m), omega=1.3, phase=0.4)
+    x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+    yield spec, dec, ctrl, simulate(spec, dec, ctrl, x0, signals={first: steps, second: sine},
+                                    T=20.0)
+    spec = demo_instance("triangle")
+    dec = decompose(spec)
+    ctrl = synthesize(spec, dec, check(spec, dec))
+    x0 = {i: rng.standard_normal(spec.n) for i in spec.nodes}
+    yield spec, dec, ctrl, simulate(spec, dec, ctrl, x0, T=300.0)
+
+
+class TestEdgeTiles:
+    """Every edge error is formed in tiles of `_edge_tiles`, at most BUDGET
+    values or one edge each, and no tiling changes a bit."""
+
+    def test_tiling_never_changes_bits(self, cascade, tmp_path, monkeypatch):
+        kernel, mend = formstab.simulation._edge_tiles, formstab.simulation._mend_overflow
+        for k, (spec, dec, ctrl, tr) in enumerate(_tiling_runs(cascade)):
+            # the CSV of 300 rows, from both ends of the grid, and a 3-point
+            # grid, whose gain products are one column wide
+            rows = np.r_[0:150, len(tr.times) - 150 : len(tr.times)]
+            cut = dataclasses.replace(tr, times=tr.times[rows],
+                                      states={i: x[rows] for i, x in tr.states.items()})
+            short = dataclasses.replace(tr, times=tr.times[:3],
+                                        states={i: x[:3] for i, x in tr.states.items()},
+                                        inputs={a: tr.inputs[a][:3] for a in dec.leaders})
+            every = len(spec.edges) * spec.n * len(tr.times)  # every edge in one tile
+            got = []
+            for budget in (formstab.simulation.BUDGET, 1, every):
+                tiles, mended = set(), []
+
+                def sized(rows, ends, offsets, cols=slice(None)):
+                    for span, z in kernel(rows, ends, offsets, cols):
+                        tiles.add(len(z) == 1 or z.size <= budget)
+                        yield span, z
+
+                def recorded(norms, groups, arrays):
+                    mended.append(len(groups) == len(spec.edges) and np.isinf(norms).any())
+                    return mend(norms, groups, arrays)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(formstab.simulation, "BUDGET", budget)
+                    patch.setattr(formstab.simulation, "_edge_tiles", sized)
+                    patch.setattr(formstab.simulation, "_mend_overflow", recorded)
+                    fit = fit_envelope(tr, dec)
+                    defect = error_dynamics_check(tr, spec, dec, ctrl)
+                    assert repr(error_dynamics_check(short, spec, dec, ctrl)) == repr(
+                        _error_dynamics_every_term(short, spec, dec, ctrl))
+                    write_trace_csv(cut, dec, tmp_path / "cut.csv")
+                assert tiles == {True}
+                assert any(mended) == (spec.l == 3)  # the triangle's squares overflow
+                got.append((repr(fit.to_dict()), repr(defect),
+                            (tmp_path / "cut.csv").read_bytes()))
+            assert got[1] == got[0] and got[2] == got[0]
 
 
 def _empty_stores():
